@@ -4,13 +4,12 @@ Cesaro-averaged, possibly discontinuous, effective coefficients."""
 from .families import (AveragedModel, AveragingError, CesaroResult,
                        CoefficientFamily, FamilyError, audit_assumptions,
                        build_averaged, cesaro_average, closed_form_averaged,
-                       eval_coefficients, from_tables, geometric_schedule,
-                       make_family)
+                       from_tables, geometric_schedule, make_family)
 from .simulate import (PathBundle, SimGrid, SimulationError, moment_report,
                        occupation_time, simulate_avg, simulate_eps)
 from .bsde import (BsdeSolution, BsdeSpec, PicardError, RegressionError,
-                   conditional_variation, path_functionals, solve_bsde,
-                   tightness_certificate, upcrossings)
+                   conditional_variation, solve_bsde, tightness_certificate,
+                   upcrossings)
 from .corrector import (CorrectorField, corrector_dx1, corrector_value,
                         decay_table, residual_check, second_difference)
 from .pde_fd import (Grid2D, GridSolution, PdeError, PdeModel,

@@ -300,19 +300,6 @@ def _upcrossings_batch(Y, a, b):
     return float(np.mean(counts))
 
 
-@dataclass(frozen=True)
-class PathFunctionals:
-    cv: float
-    upcrossings: dict
-    sup_norm: float
-
-
-def path_functionals(sol: BsdeSolution, bands: Sequence[tuple]) -> PathFunctionals:
-    ups = {(float(a), float(b)): _upcrossings_batch(sol.Y, a, b)
-           for a, b in bands}
-    return PathFunctionals(cv=sol.cv, upcrossings=ups, sup_norm=sol.sup_abs_y)
-
-
 def tightness_certificate(solutions: Sequence[BsdeSolution],
                           bands: Sequence[tuple], dt: float) -> dict:
     """Empirical uniform-in-eps boundedness report (not a proof).
@@ -324,7 +311,6 @@ def tightness_certificate(solutions: Sequence[BsdeSolution],
         raise ValueError("need at least one solution")
     rows = []
     for sol in solutions:
-        pf = path_functionals(sol, bands)
         rows.append({
             "eps": sol.eps,
             "cv": sol.cv,
@@ -332,7 +318,8 @@ def tightness_certificate(solutions: Sequence[BsdeSolution],
             "cv_plus_sup": sol.cv + sol.sup_abs_y,
             "energy": float(np.mean(np.max(np.abs(sol.Y), axis=1) ** 2))
             + sol.z_energy(dt),
-            "upcrossings": {f"{a}:{b}": c for (a, b), c in pf.upcrossings.items()},
+            "upcrossings": {f"{float(a)}:{float(b)}":
+                            _upcrossings_batch(sol.Y, a, b) for a, b in bands},
         })
 
     def ratio(key):

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Every subcommand takes a single positional config path (the JSON schema of
-harness.ExperimentConfig) plus --out / --seed-override / --threads.
+harness.ExperimentConfig) plus --out / --seed-override / --threads, and
+runs its stages through harness.Stages, so each one sees the same
+averaged model, seeds and substeps as ``converge``.
 
 Exit codes: 0 all pass flags true, 2 completed with failing flags,
 1 pipeline error.
@@ -16,11 +18,9 @@ import sys
 
 import numpy as np
 
-from . import corrector as corr
 from . import families, pde_fd
-from .harness import ConfigError, ExperimentConfig, PipelineError, \
-    _avg_stage, _eps_stage, _y_bound, emit, run_convergence, split_seed
-from .simulate import simulate_avg, simulate_eps
+from .harness import ConfigError, ExperimentConfig, PipelineError, Stages, \
+    emit, run_convergence, split_seed
 
 
 def _load(args) -> ExperimentConfig:
@@ -33,8 +33,18 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
-def _write_json(cfg, name, doc):
-    path = os.path.join(cfg.out_dir, name)
+def _stages(args) -> Stages:
+    st = Stages(_load(args))
+    st.avg   # a bad averaging block fails every subcommand, as in converge
+    return st
+
+
+def _out(st, name):
+    return os.path.join(st.cfg.out_dir, name)
+
+
+def _write_json(st, name, doc):
+    path = _out(st, name)
     with open(path, "w", newline="") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
@@ -43,65 +53,41 @@ def _write_json(cfg, name, doc):
 
 
 def cmd_average(args) -> int:
-    cfg = _load(args)
-    fam = cfg.family()
-    avg = families.build_averaged(fam, tol=cfg.avg_tol)
-    x2g = np.linspace(-3.0, 3.0, 25)
-    avg.save_json(os.path.join(cfg.out_dir, "averaged.json"), x2g)
-    print(os.path.join(cfg.out_dir, "averaged.json"))
+    st = _stages(args)
+    st.avg.save_json(_out(st, "averaged.json"), np.linspace(-3.0, 3.0, 25))
+    print(_out(st, "averaged.json"))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load(args)
-    fam = cfg.family()
-    for i, eps in enumerate(cfg.eps_list):
-        bundle = simulate_eps(fam, eps, cfg.x0, cfg.grid(), cfg.n_paths,
-                              seed=split_seed(cfg.seed, "eps", i),
-                              block_size=cfg.block_size)
-        bundle.save(os.path.join(cfg.out_dir, f"paths_eps{i}.bin"))
-    avg = families.build_averaged(fam, tol=cfg.avg_tol)
-    simulate_avg(avg, cfg.x0, cfg.grid(), cfg.n_paths,
-                 seed=split_seed(cfg.seed, "avg"),
-                 block_size=cfg.block_size).save(
-        os.path.join(cfg.out_dir, "paths_avg.bin"))
-    print(cfg.out_dir)
+    st = _stages(args)
+    for i in range(len(st.cfg.eps_list)):
+        st.eps_paths(i).save(_out(st, f"paths_eps{i}.bin"))
+    st.avg_paths().save(_out(st, "paths_avg.bin"))
+    print(st.cfg.out_dir)
     return 0
 
 
 def cmd_bsde(args) -> int:
-    cfg = _load(args)
-    fam = cfg.family()
-    avg = families.build_averaged(fam, tol=cfg.avg_tol)
+    st = _stages(args)
+    dt = st.cfg.grid().dt
     summary = {"eps": []}
-    for i, eps in enumerate(cfg.eps_list):
-        _, sol = _eps_stage(cfg, fam, eps, i)
-        sol.save(os.path.join(cfg.out_dir, f"bsde_eps{i}.bin"),
-                 cfg.grid().dt)
-        summary["eps"].append({"eps": eps, "Y0": sol.Y0,
+    for i, (_, sol) in enumerate(st.sweep(args.threads)):
+        sol.save(_out(st, f"bsde_eps{i}.bin"), dt)
+        summary["eps"].append({"eps": st.cfg.eps_list[i], "Y0": sol.Y0,
                                "stderr": sol.Y0_stderr})
-    _, sol = _avg_stage(cfg, fam, avg)
-    sol.save(os.path.join(cfg.out_dir, "bsde_avg.bin"), cfg.grid().dt)
+    _, sol = st.avg_run()
+    sol.save(_out(st, "bsde_avg.bin"), dt)
     summary["averaged"] = {"Y0": sol.Y0, "stderr": sol.Y0_stderr}
-    _write_json(cfg, "bsde_summary.json", summary)
+    _write_json(st, "bsde_summary.json", summary)
     return 0
 
 
 def cmd_corrector(args) -> int:
-    cfg = _load(args)
-    fam = cfg.family()
-    avg = families.build_averaged(fam, tol=cfg.avg_tol)
-    cc = cfg.corrector or {}
-    table = corr.decay_table(
-        fam, avg, cfg.eps_list, cc.get("box", [[-2, 2], [-1, 1]]),
-        cc.get("y_box", [-1, 1]), n_grid=tuple(cc.get("n_grid", [21, 9, 9])),
-        csv_path=os.path.join(cfg.out_dir, "decay.csv"))
-    field = corr.CorrectorField(fam, avg, cfg.eps_list[0])
-    rep = corr.residual_check(field, {
-        "box": [[-2, 2]] + [[-1, 1]] * fam.d + [[-1, 1]],
-        "n_samples": int(cc.get("n_samples", 50)),
-        "seed": split_seed(cfg.seed, "corrector")})
-    _write_json(cfg, "corrector.json", {
+    st = _stages(args)
+    table = st.decay(csv_path=_out(st, "decay.csv"))
+    rep = st.residual()
+    _write_json(st, "corrector.json", {
         "decay": [{"eps": r.eps, "sup_V": r.sup_V, "sup_beta": r.sup_beta,
                    "sup_alpha": r.sup_alpha} for r in table.rows],
         "monotone_V": table.monotone_V,
@@ -111,21 +97,15 @@ def cmd_corrector(args) -> int:
 
 
 def cmd_pde(args) -> int:
-    cfg = _load(args)
-    if cfg.fd is None:
-        raise ConfigError("pde subcommand needs an fd block in the config")
-    fam = cfg.family()
-    avg = families.build_averaged(fam, tol=cfg.avg_tol)
-    fd = cfg.fd
-    grid = pde_fd.Grid2D(float(fd["L1"]), float(fd["L2"]), int(fd["n1"]),
-                         int(fd["n2"]), float(fd["dt_fd"]), cfg.t_end)
-    model = pde_fd.PdeModel.from_averaged(avg, fam.terminal)
-    sol = pde_fd.solve_pde(model, grid, scheme=fd.get("scheme", "centered"))
-    sol.save_csv(os.path.join(cfg.out_dir, "pde.csv"))
-    _write_json(cfg, "pde_summary.json",
-                {"value_at_x0": sol.at(cfg.x0[0], cfg.x0[1]),
+    st = _stages(args)
+    model, grid, scheme = st.fd()
+    sol = pde_fd.solve_pde(model, grid, scheme=scheme)
+    sol.save_csv(_out(st, "pde.csv"))
+    x0 = st.cfg.x0
+    _write_json(st, "pde_summary.json",
+                {"value_at_x0": sol.at(x0[0], x0[1]),
                  "richardson_error": pde_fd.richardson_error(
-                     model, grid, scheme=fd.get("scheme", "centered"))})
+                     model, grid, scheme=scheme)})
     return 0
 
 
@@ -138,17 +118,16 @@ def cmd_converge(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    cfg = _load(args)
-    fam = cfg.family()
-    box = [[-5.0, 5.0]] + [[-2.0, 2.0]] * fam.d + [[-2.0, 2.0]]
+    st = _stages(args)
+    box = [[-5.0, 5.0]] + [[-2.0, 2.0]] * st.fam.d + [[-2.0, 2.0]]
     rep = families.audit_assumptions(
-        fam, {"box": box, "n_samples": 256,
-              "seed": split_seed(cfg.seed, "audit")})
+        st.fam, {"box": box, "n_samples": 256,
+                 "seed": split_seed(st.cfg.seed, "audit")})
     doc = {aid: {"status": e.status, "residual": e.residual,
                  "witness": list(e.witness) if e.witness else None,
                  "detail": e.detail}
            for aid, e in rep.entries.items()}
-    _write_json(cfg, "audit.json", doc)
+    _write_json(st, "audit.json", doc)
     return 0 if not rep.violated() else 2
 
 
@@ -174,10 +153,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, OSError, ValueError, RuntimeError) as exc:
+    except (PipelineError, ConfigError, OSError, ValueError,
+            RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

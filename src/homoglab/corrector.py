@@ -234,6 +234,7 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
     x2s = np.linspace(x2lo, x2hi, n2)
     ys = np.linspace(y_box[0], y_box[1], ny)
     shape_y = fam.f_y_shape(ys)
+    shape_bar = avg.y_shape_fn(ys)
     neg, pos = _half_grid(x1lo, x1hi, n1)
     rows = []
     for eps in eps_list:
@@ -244,14 +245,13 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
             fm = float(avg.minus.f_coef(x2r)[0])
             rp = float(avg.plus.rho(x2r)[0])
             rm = float(avg.minus.rho(x2r)[0])
-            pch = avg._shape_at(ys)
 
             def g(t):
                 tf = t / eps
                 rho = fam.rho(tf, x2r)
                 rhof = fam.rhof_t(tf, x2r)[:, None] * shape_y
                 coef = np.where(t > 0, fp / rp, fm / rm)
-                q = rhof - (rho * coef)[:, None] * pch
+                q = rhof - (rho * coef)[:, None] * shape_bar
                 return np.concatenate(
                     [q, t[:, None] * q, rhof, rho[:, None]], axis=1)
 

@@ -28,10 +28,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.stats import qmc
 
-from .quadrature import QuadratureError, cumulative, integrate
+from .quadrature import cumulative
 
 
 def transition(x1):
@@ -244,16 +243,14 @@ class AveragedModel:
     """Effective coefficients; possibly discontinuous across {x1 = 0}.
 
     The point x1 = 0 belongs to the minus branch.  The driver's y-shape is
-    tabulated on a grid and interpolated by a monotone cubic; outside the
-    grid the (bounded, saturating) shape is clamped to the edge values.
+    the family's exact shape; ``y_grid`` is where ``to_json`` tabulates it.
     """
     d: int
     k: int
     plus: _Branch
     minus: _Branch
     y_grid: np.ndarray
-    y_shape: PchipInterpolator
-    y_shape_fn: Optional[Callable] = None   # exact shape when known
+    y_shape_fn: Callable
     side_convention: str = "minus"
     exact: bool = False
 
@@ -312,17 +309,11 @@ class AveragedModel:
         out[..., 1:, 1:] = s1
         return out
 
-    def _shape_at(self, y):
-        if self.y_shape_fn is not None:
-            return np.asarray(self.y_shape_fn(np.asarray(y, dtype=float)))
-        y = np.clip(np.asarray(y, dtype=float), self.y_grid[0], self.y_grid[-1])
-        return self.y_shape(y)
-
     def f_bar(self, x1, x2, y):
         x2 = _as_x2(x2, self.d)
         p = self.plus.f_coef(x2) / self.plus.rho(x2)
         m = self.minus.f_coef(x2) / self.minus.rho(x2)
-        return self._blend(x1, p, m) * self._shape_at(y)
+        return self._blend(x1, p, m) * self.y_shape_fn(y)
 
     # -- serialization ------------------------------------------------------
     def to_json(self, x2_grid, x1_probe=(-1.0, 1.0)):
@@ -334,7 +325,7 @@ class AveragedModel:
                "k": self.k, "side_convention": self.side_convention,
                "x2_grid": x2_grid.tolist(),
                "y_grid": self.y_grid.tolist(),
-               "y_shape": self.y_shape(self.y_grid).tolist(),
+               "y_shape": self.y_shape_fn(self.y_grid).tolist(),
                "branches": {}}
         for name, x1 in (("plus", max(x1_probe)), ("minus", min(x1_probe))):
             doc["branches"][name] = {
@@ -350,32 +341,6 @@ class AveragedModel:
     def save_json(self, path, x2_grid):
         with open(path, "w") as fh:
             json.dump(self.to_json(x2_grid), fh, sort_keys=True, indent=1)
-
-
-# ---------------------------------------------------------------------------
-# eval_coefficients
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CoeffValues:
-    phi: np.ndarray
-    b1: np.ndarray
-    sigma1: np.ndarray
-    a00: np.ndarray
-    f_at: Callable
-    H: Callable
-
-
-def eval_coefficients(fam: CoefficientFamily, x1, x2, eps=None) -> CoeffValues:
-    """Coefficient values at (x1/eps, x2) when eps is given, else at (x1, x2)."""
-    if eps is not None and not eps > 0:
-        raise ValueError("eps must be positive")
-    x1f = np.asarray(x1, dtype=float) / eps if eps is not None else np.asarray(x1, dtype=float)
-    return CoeffValues(
-        phi=fam.phi(x1f, x2), b1=fam.b1(x1f, x2), sigma1=fam.sigma1(x1f, x2),
-        a00=fam.a00(x1f, x2),
-        f_at=lambda y: fam.f(x1f, x2, y),
-        H=fam.terminal)
 
 
 # ---------------------------------------------------------------------------
@@ -406,12 +371,10 @@ def _assemble(fam, a_trans, a_sin, y_grid, exact):
             rho_b=lambda x2, i=i: fam.rhob_t.limits(x2, a_trans, a_sin)[i],
             rho_a=lambda x2, i=i: fam.rhoa_t.limits(x2, a_trans, a_sin)[i],
             f_coef=lambda x2, i=i: fam.rhof_t.limits(x2, a_trans, a_sin)[i])
-    y_grid = np.asarray(y_grid, dtype=float)
-    shape_tab = fam.f_y_shape(y_grid)
     return AveragedModel(
         d=fam.d, k=fam.k, plus=branch("+"), minus=branch("-"),
-        y_grid=y_grid, y_shape=PchipInterpolator(y_grid, shape_tab),
-        y_shape_fn=fam.f_y_shape, exact=exact)
+        y_grid=np.asarray(y_grid, dtype=float), y_shape_fn=fam.f_y_shape,
+        exact=exact)
 
 
 def closed_form_averaged(fam: CoefficientFamily,

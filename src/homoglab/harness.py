@@ -14,9 +14,11 @@ import csv
 import hashlib
 import json
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, field, replace
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 from scipy import stats
@@ -147,13 +149,6 @@ def _fast_dependent(fam) -> bool:
     return False
 
 
-def _substeps_for(cfg: ExperimentConfig, fam, eps: float) -> int:
-    if not _fast_dependent(fam):
-        return 1
-    need = cfg.grid().dt / (0.5 * eps * eps)
-    return int(min(cfg.substeps_cap, max(1, np.ceil(need))))
-
-
 def _y_bound(fam, t_end: float) -> float:
     b = fam.bounds
     return float(b["h_sup"] + t_end * b["f_sup"])
@@ -169,40 +164,126 @@ def _cell(value, stderr=None):
 # Pipeline stages
 # ---------------------------------------------------------------------------
 
-def _eps_stage(cfg, fam, eps, idx):
-    bundle = simulate_eps(
-        fam, eps, cfg.x0, cfg.grid(), cfg.n_paths,
-        seed=split_seed(cfg.seed, "eps", idx),
-        substeps=_substeps_for(cfg, fam, eps), block_size=cfg.block_size)
-    spec = BsdeSpec(terminal=fam.terminal, driver=fam.f,
-                    basis_degree=cfg.basis_degree,
-                    include_sign_feature=cfg.sign_feature,
-                    n_picard=cfg.n_picard, y_bound=_y_bound(fam, cfg.t_end))
-    sol = solve_bsde(bundle, spec)
-    return bundle, sol
+class Stages:
+    """The pipeline stages of one config.
+
+    Every entry point (``run_convergence``, each CLI subcommand and the
+    stand-alone checks) takes the family, the averaged model, the backward
+    spec, the stage seeds, the substep counts, the FD problem and the
+    corrector table from here, so they all run the same computation.
+    The averaged model is built on first use; a bad ``averaging`` block
+    fails there.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.fam = cfg.family()
+        self._fast = _fast_dependent(self.fam)
+
+    @cached_property
+    def avg(self):
+        cfg = self.cfg
+        return families.build_averaged(
+            self.fam, tol=cfg.avg_tol,
+            schedule=np.asarray(cfg.avg_schedule, dtype=float)
+            if cfg.avg_schedule else None)
+
+    def spec(self, driver) -> BsdeSpec:
+        cfg = self.cfg
+        return BsdeSpec(terminal=self.fam.terminal, driver=driver,
+                        basis_degree=cfg.basis_degree,
+                        include_sign_feature=cfg.sign_feature,
+                        n_picard=cfg.n_picard,
+                        y_bound=_y_bound(self.fam, cfg.t_end))
+
+    def substeps(self, eps: float) -> int:
+        """Euler substeps resolving the fast scale: dt_fine <= eps^2 / 2,
+        capped at ``mc.substeps_cap`` (with a warning when the cap binds)."""
+        if not self._fast:
+            return 1
+        cap = self.cfg.substeps_cap
+        need = np.ceil(self.cfg.grid().dt / (0.5 * eps * eps))
+        if need > cap:
+            warnings.warn(
+                f"eps = {eps} needs {need:.0f} substeps but substeps_cap = "
+                f"{cap}; the fast scale is under-resolved", RuntimeWarning)
+        return int(min(cap, max(1, need)))
+
+    def eps_paths(self, i: int) -> PathBundle:
+        """Two-scale forward paths for ``eps_list[i]``."""
+        cfg = self.cfg
+        eps = cfg.eps_list[i]
+        return simulate_eps(
+            self.fam, eps, cfg.x0, cfg.grid(), cfg.n_paths,
+            seed=split_seed(cfg.seed, "eps", i),
+            substeps=self.substeps(eps), block_size=cfg.block_size)
+
+    def avg_paths(self) -> PathBundle:
+        """Forward paths of the averaged model."""
+        cfg = self.cfg
+        return simulate_avg(self.avg, cfg.x0, cfg.grid(), cfg.n_paths,
+                            seed=split_seed(cfg.seed, "avg"),
+                            block_size=cfg.block_size)
+
+    def eps_run(self, i: int):
+        """(paths, backward solution) for ``eps_list[i]``."""
+        bundle = self.eps_paths(i)
+        return bundle, solve_bsde(bundle, self.spec(self.fam.f))
+
+    def avg_run(self):
+        """(paths, backward solution) of the averaged model."""
+        bundle = self.avg_paths()
+        return bundle, solve_bsde(bundle, self.spec(self.avg.f_bar))
+
+    def sweep(self, n_threads: int = 1) -> list:
+        """``eps_run`` over every eps, in eps order; stage seeds make the
+        result independent of ``n_threads``."""
+        idx = range(len(self.cfg.eps_list))
+        if n_threads > 1:
+            with ThreadPoolExecutor(max_workers=n_threads) as ex:
+                return list(ex.map(self.eps_run, idx))
+        return [self.eps_run(i) for i in idx]
+
+    def fd(self):
+        """(model, grid, scheme) of the averaged FD problem."""
+        fd = self.cfg.fd
+        if fd is None:
+            raise ConfigError("the FD problem needs an fd block in the config")
+        grid = pde_fd.Grid2D(float(fd["L1"]), float(fd["L2"]),
+                             int(fd["n1"]), int(fd["n2"]),
+                             float(fd["dt_fd"]), self.cfg.t_end)
+        model = pde_fd.PdeModel.from_averaged(self.avg, self.fam.terminal)
+        return model, grid, fd.get("scheme", "centered")
+
+    def decay(self, csv_path=None) -> corr.DecayTable:
+        """Corrector decay table over ``eps_list``."""
+        cc = self.cfg.corrector or {}
+        return corr.decay_table(
+            self.fam, self.avg, self.cfg.eps_list,
+            cc.get("box", [[-2, 2], [-1, 1]]), cc.get("y_box", [-1, 1]),
+            n_grid=tuple(cc.get("n_grid", [21, 9, 9])), csv_path=csv_path)
+
+    def residual(self) -> corr.ResidualReport:
+        """Corrector residual check at the largest eps."""
+        cfg = self.cfg
+        field = corr.CorrectorField(self.fam, self.avg, cfg.eps_list[0])
+        return corr.residual_check(field, {
+            "box": [[-2, 2]] + [[-1, 1]] * self.fam.d + [[-1, 1]],
+            "n_samples": int((cfg.corrector or {}).get("n_samples", 50)),
+            "seed": split_seed(cfg.seed, "corrector")})
 
 
-def _avg_stage(cfg, fam, avg):
-    bundle = simulate_avg(avg, cfg.x0, cfg.grid(), cfg.n_paths,
-                          seed=split_seed(cfg.seed, "avg"),
-                          block_size=cfg.block_size)
-    spec = BsdeSpec(terminal=fam.terminal, driver=avg.f_bar,
-                    basis_degree=cfg.basis_degree,
-                    include_sign_feature=cfg.sign_feature,
-                    n_picard=cfg.n_picard, y_bound=_y_bound(fam, cfg.t_end))
-    sol = solve_bsde(bundle, spec)
-    return bundle, sol
-
-
-def _drift_gap_one(fam, avg, eps, bundle: PathBundle, sol: BsdeSolution):
+def _drift_gap_row(st: Stages, bundle: PathBundle, sol: BsdeSolution):
     """E sup_s |int_0^s (f(X1/eps, X2, Y) - fbar(X1, X2, Y)) du| estimate."""
+    eps = bundle.eps
     x1 = bundle.x1()[:, :-1]
     x2 = bundle.x2()[:, :-1]
     y = sol.Y[:, :-1]
-    gap = fam.f(x1 / eps, x2, y) - avg.f_bar(x1, x2, y)
+    gap = st.fam.f(x1 / eps, x2, y) - st.avg.f_bar(x1, x2, y)
     integral = np.cumsum(gap * bundle.grid.dt, axis=1)
     sup = np.max(np.abs(integral), axis=1)
-    return float(np.mean(sup)), float(np.std(sup) / np.sqrt(bundle.n_paths))
+    return {"eps": eps,
+            "gap": _cell(np.mean(sup), np.std(sup) / np.sqrt(bundle.n_paths))}
 
 
 @dataclass
@@ -232,8 +313,7 @@ class ConvergenceReport:
                 "stage_error": self.stage_error}
 
 
-def run_convergence(cfg: ExperimentConfig, n_threads: int = 1,
-                    keep_solutions: bool = False):
+def run_convergence(cfg: ExperimentConfig, n_threads: int = 1):
     """Full eps-sweep pipeline; see module docstring for the seed scheme.
 
     Stage errors abort with provenance (PipelineError); the partial report
@@ -243,35 +323,24 @@ def run_convergence(cfg: ExperimentConfig, n_threads: int = 1,
     done = {"rows": [], "averaged": {}, "drift_gap": [], "decay": None,
             "occupation": None, "tightness": None}
     stage = "setup"
-    solutions = {}
     try:
-        fam = cfg.family()
+        st = Stages(cfg)
         stage = "average"
-        avg = families.build_averaged(
-            fam, tol=cfg.avg_tol,
-            schedule=np.asarray(cfg.avg_schedule, dtype=float)
-            if cfg.avg_schedule else None)
+        st.avg   # built here, so that its failure names this stage
 
         stage = "eps-sweep"
-        def job(i):
-            return _eps_stage(cfg, fam, cfg.eps_list[i], i)
-        if n_threads > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as ex:
-                results = list(ex.map(job, range(len(cfg.eps_list))))
-        else:
-            results = [job(i) for i in range(len(cfg.eps_list))]
+        results = st.sweep(n_threads)
 
         stage = "averaged-run"
-        avg_bundle, avg_sol = _avg_stage(cfg, fam, avg)
+        avg_bundle, avg_sol = st.avg_run()
         y0_bar, y0_bar_se = avg_sol.Y0, avg_sol.Y0_stderr
 
         stage = "assemble-rows"
         for i, (bundle, sol) in enumerate(results):
-            eps = cfg.eps_list[i]
             err = abs(sol.Y0 - y0_bar)
             comb = float(np.hypot(sol.Y0_stderr, y0_bar_se))
             done["rows"].append({
-                "eps": eps,
+                "eps": cfg.eps_list[i],
                 "Y0": _cell(sol.Y0, sol.Y0_stderr),
                 "error": _cell(err, comb),
                 "cv": _cell(sol.cv, sol.cv_stderr),
@@ -280,7 +349,6 @@ def run_convergence(cfg: ExperimentConfig, n_threads: int = 1,
                 "moments": {str(k): _cell(m, s) for k, (m, s)
                             in moment_report(bundle, [1, 2]).items()},
             })
-            solutions[eps] = (bundle, sol)
 
         stage = "averaged-record"
         done["averaged"] = {"Y0": _cell(y0_bar, y0_bar_se),
@@ -289,31 +357,19 @@ def run_convergence(cfg: ExperimentConfig, n_threads: int = 1,
 
         stage = "fd-crosscheck"
         if cfg.fd is not None:
-            fd = cfg.fd
-            grid = pde_fd.Grid2D(float(fd["L1"]), float(fd["L2"]),
-                                 int(fd["n1"]), int(fd["n2"]),
-                                 float(fd["dt_fd"]), cfg.t_end)
-            model = pde_fd.PdeModel.from_averaged(avg, fam.terminal)
-            gsol = pde_fd.solve_pde(model, grid,
-                                    scheme=fd.get("scheme", "centered"))
-            v_fd = gsol.at(cfg.x0[0], cfg.x0[1])
-            rerr = pde_fd.richardson_error(model, grid,
-                                           scheme=fd.get("scheme", "centered"))
+            model, grid, scheme = st.fd()
+            v_fd = pde_fd.solve_pde(model, grid, scheme=scheme).at(
+                cfg.x0[0], cfg.x0[1])
+            rerr = pde_fd.richardson_error(model, grid, scheme=scheme)
             done["averaged"]["v_fd"] = _cell(v_fd, rerr)
 
         stage = "drift-gap"
-        for i, (bundle, sol) in enumerate(results):
-            gmean, gse = _drift_gap_one(fam, avg, cfg.eps_list[i], bundle, sol)
-            done["drift_gap"].append({"eps": cfg.eps_list[i],
-                                      "gap": _cell(gmean, gse)})
+        for bundle, sol in results:
+            done["drift_gap"].append(_drift_gap_row(st, bundle, sol))
 
         stage = "corrector-decay"
         if cfg.corrector is not None:
-            cc = cfg.corrector
-            table = corr.decay_table(
-                fam, avg, cfg.eps_list, cc.get("box", [[-2, 2], [-1, 1]]),
-                cc.get("y_box", [-1, 1]),
-                n_grid=tuple(cc.get("n_grid", [21, 9, 9])))
+            table = st.decay()
             done["decay"] = {
                 "grid_spec": table.grid_spec,
                 "monotone_V": table.monotone_V,
@@ -355,15 +411,12 @@ def run_convergence(cfg: ExperimentConfig, n_threads: int = 1,
         err.partial = partial
         raise err from exc
 
-    report = ConvergenceReport(
+    return ConvergenceReport(
         report_version=1, config_digest=cfg.digest(),
         rows=done["rows"], averaged=done["averaged"],
         drift_gap=done["drift_gap"], decay=done["decay"],
         occupation=done["occupation"], tightness=done["tightness"],
         flags=flags)
-    if keep_solutions:
-        report.solutions = solutions
-    return report
 
 
 def _compute_flags(cfg, done):
@@ -407,15 +460,11 @@ def _compute_flags(cfg, done):
 
 def monte_carlo_drift_gap(cfg: ExperimentConfig, eps_list=None) -> list:
     """Driver-gap table along fresh eps-simulations (Y from the BSDE)."""
-    eps_list = list(cfg.eps_list if eps_list is None else eps_list)
-    fam = cfg.family()
-    avg = families.build_averaged(fam, tol=cfg.avg_tol)
-    out = []
-    for i, eps in enumerate(eps_list):
-        bundle, sol = _eps_stage(cfg, fam, eps, i)
-        gmean, gse = _drift_gap_one(fam, avg, eps, bundle, sol)
-        out.append({"eps": eps, "gap": _cell(gmean, gse)})
-    return out
+    if eps_list is not None:
+        cfg = replace(cfg, eps_list=list(eps_list))
+    st = Stages(cfg)
+    return [_drift_gap_row(st, *st.eps_run(i))
+            for i in range(len(cfg.eps_list))]
 
 
 def flow_continuity_check(cfg: ExperimentConfig, x0_list) -> list:
@@ -425,19 +474,15 @@ def flow_continuity_check(cfg: ExperimentConfig, x0_list) -> list:
     reports per consecutive pair the KS distances of the X_{t_end}
     marginals and the Y0 difference with combined stderr.
     """
-    fam = cfg.family()
-    avg = families.build_averaged(fam, tol=cfg.avg_tol)
-    spec = BsdeSpec(terminal=fam.terminal, driver=avg.f_bar,
-                    basis_degree=cfg.basis_degree,
-                    include_sign_feature=cfg.sign_feature,
-                    n_picard=cfg.n_picard, y_bound=_y_bound(fam, cfg.t_end))
+    st = Stages(cfg)
+    spec = st.spec(st.avg.f_bar)
     runs = []
     for x0 in x0_list:
-        bundle = simulate_avg(avg, np.asarray(x0, dtype=float), cfg.grid(),
-                              cfg.n_paths, seed=split_seed(cfg.seed, "flow"),
+        x0 = np.asarray(x0, dtype=float)
+        bundle = simulate_avg(st.avg, x0, cfg.grid(), cfg.n_paths,
+                              seed=split_seed(cfg.seed, "flow"),
                               block_size=cfg.block_size)
-        runs.append((np.asarray(x0, dtype=float), bundle,
-                     solve_bsde(bundle, spec)))
+        runs.append((x0, bundle, solve_bsde(bundle, spec)))
     table = []
     for (x0a, ba, sa), (x0b, bb, sb) in zip(runs, runs[1:]):
         ks = max(float(stats.ks_2samp(ba.X[:, -1, c], bb.X[:, -1, c]).statistic)

@@ -64,6 +64,23 @@ def panel_integrals(g, edges, order: int = 12, chunk: int = 1 << 16):
     return out
 
 
+def _refine(g, a, b, rtol, atol, max_panel, order, max_rounds):
+    """Composite estimates over [a, b] with the panel count doubled until
+    two consecutive ones agree to ``rtol``/``atol``, for at most
+    ``max_rounds`` doublings.  Returns (last estimate, converged, last
+    error)."""
+    n = max(1, int(np.ceil(abs(b - a) / max_panel)))
+    prev = panel_integrals(g, np.linspace(a, b, n + 1), order).sum(axis=0)
+    for _ in range(max_rounds):
+        n *= 2
+        cur = panel_integrals(g, np.linspace(a, b, n + 1), order).sum(axis=0)
+        err = np.abs(cur - prev)
+        if np.all(err <= atol + rtol * np.abs(cur)):
+            return cur, True, err
+        prev = cur
+    return cur, False, err
+
+
 def integrate(g, a: float, b: float, rtol: float = 1e-8, atol: float = 1e-12,
               max_panel: float = np.pi, order: int = 12, max_rounds: int = 8):
     """Adaptive composite integral of ``g`` over [a, b] (oriented).
@@ -74,18 +91,12 @@ def integrate(g, a: float, b: float, rtol: float = 1e-8, atol: float = 1e-12,
     if a == b:
         probe = _eval(g, np.asarray([a], dtype=float))
         return np.zeros(probe.shape[1])
-    n = max(1, int(np.ceil(abs(b - a) / max_panel)))
-    prev = panel_integrals(g, np.linspace(a, b, n + 1), order).sum(axis=0)
-    for _ in range(max_rounds):
-        n *= 2
-        cur = panel_integrals(g, np.linspace(a, b, n + 1), order).sum(axis=0)
-        err = np.abs(cur - prev)
-        if np.all(err <= atol + rtol * np.abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"no convergence on [{a}, {b}] after {max_rounds} refinements "
-        f"(last error {float(np.max(err)):.3e})")
+    val, ok, err = _refine(g, a, b, rtol, atol, max_panel, order, max_rounds)
+    if not ok:
+        raise QuadratureError(
+            f"no convergence on [{a}, {b}] after {max_rounds} refinements "
+            f"(last error {float(np.max(err)):.3e})")
+    return val
 
 
 def cumulative(g, grid, rtol: float = 1e-8, max_panel: float = np.pi,
@@ -93,24 +104,14 @@ def cumulative(g, grid, rtol: float = 1e-8, max_panel: float = np.pi,
     """Oriented cumulative integrals of ``g`` from grid[0] to every grid point.
 
     The grid must be monotone.  Each cell is integrated adaptively (panel
-    doubling within the cell); output shape ``(len(grid), m)`` with a zero
+    doubling within the cell, at most 6 rounds; the last estimate is kept
+    when they do not settle); output shape ``(len(grid), m)`` with a zero
     first row.
     """
     grid = np.asarray(grid, dtype=float)
-    parts = []
-    for a, b in zip(grid[:-1], grid[1:]):
-        if a == b:
-            parts.append(None)
-            continue
-        n = max(1, int(np.ceil(abs(b - a) / max_panel)))
-        prev = panel_integrals(g, np.linspace(a, b, n + 1), order).sum(axis=0)
-        for _ in range(6):
-            n *= 2
-            cur = panel_integrals(g, np.linspace(a, b, n + 1), order).sum(axis=0)
-            if np.all(np.abs(cur - prev) <= 1e-14 + rtol * np.abs(cur)):
-                break
-            prev = cur
-        parts.append(cur)
+    parts = [None if a == b else
+             _refine(g, a, b, rtol, 1e-14, max_panel, order, 6)[0]
+             for a, b in zip(grid[:-1], grid[1:])]
     m = next((p.shape[0] for p in parts if p is not None), 1)
     out = np.zeros((grid.shape[0], m))
     acc = np.zeros(m)

@@ -20,10 +20,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .families import AveragedModel, CoefficientFamily
+from .families import AveragedModel, CoefficientFamily, _sym_sqrt
 
 _MAGIC = b"HMGB1"
 _VERSION = 1
+_HEADER = "<5sIQQQQQdd"
 
 
 class SimulationError(RuntimeError):
@@ -76,7 +77,7 @@ class PathBundle:
     # -- binary container ----------------------------------------------------
     def save(self, path):
         header = struct.pack(
-            "<5sIQQQQQdd", _MAGIC, _VERSION, self.n_paths, self.grid.n_steps,
+            _HEADER, _MAGIC, _VERSION, self.n_paths, self.grid.n_steps,
             self.d, self.k, self.seed & 0xFFFFFFFFFFFFFFFF,
             float("nan") if self.eps is None else self.eps, self.grid.t_end)
         with open(path, "wb") as fh:
@@ -93,16 +94,25 @@ class PathBundle:
     @classmethod
     def load(cls, path):
         with open(path, "rb") as fh:
-            raw = fh.read(struct.calcsize("<5sIQQQQQdd"))
-            magic, version, n_paths, n_steps, d, k, seed, eps, t_end = \
-                struct.unpack("<5sIQQQQQdd", raw)
-            if magic != _MAGIC or version != _VERSION:
-                raise SimulationError(f"bad container header {magic!r} v{version}")
-            nX = n_paths * (n_steps + 1) * (d + 1)
-            X = np.frombuffer(fh.read(nX * 8), dtype="<f8").reshape(
-                n_paths, n_steps + 1, d + 1).copy()
-            dB = np.frombuffer(fh.read(n_paths * n_steps * k * 8),
-                               dtype="<f8").reshape(n_paths, n_steps, k).copy()
+            raw = fh.read()
+        size = struct.calcsize(_HEADER)
+        if len(raw) < size:
+            raise SimulationError(
+                f"container header is {len(raw)} bytes, expected {size}")
+        magic, version, n_paths, n_steps, d, k, seed, eps, t_end = \
+            struct.unpack_from(_HEADER, raw)
+        if magic != _MAGIC or version != _VERSION:
+            raise SimulationError(f"bad container header {magic!r} v{version}")
+        nX = n_paths * (n_steps + 1) * (d + 1)
+        expected = 8 * (nX + n_paths * n_steps * k)
+        if len(raw) - size != expected:
+            raise SimulationError(
+                f"container payload is {len(raw) - size} bytes, "
+                f"expected {expected}")
+        X = np.frombuffer(raw, "<f8", count=nX, offset=size).reshape(
+            n_paths, n_steps + 1, d + 1).copy()
+        dB = np.frombuffer(raw, "<f8", offset=size + 8 * nX).reshape(
+            n_paths, n_steps, k).copy()
         return cls(n_paths=int(n_paths), grid=SimGrid(t_end, int(n_steps)),
                    X=X, dB=dB, seed=int(seed),
                    eps=None if np.isnan(eps) else float(eps))
@@ -177,7 +187,7 @@ def simulate_eps(fam: CoefficientFamily, eps: float, x0, grid: SimGrid,
         rho = fam.rho(xf, x2)
         phi = np.sqrt(2.0 / rho)
         b1 = fam.rho_b(xf, x2) / rho[:, None]
-        s1 = _sqrt_block(2.0 * fam.rho_a(xf, x2) / rho[:, None, None])
+        s1 = _sym_sqrt(2.0 * fam.rho_a(xf, x2) / rho[:, None, None])
         return phi, b1, s1
 
     X, dB = _run_blocks(step_coeffs, x0, grid, n_paths, seed, substeps,
@@ -201,14 +211,6 @@ def simulate_avg(avg: AveragedModel, x0, grid: SimGrid, n_paths: int,
                         avg.d, block_size, n_jobs)
     return PathBundle(n_paths=n_paths, grid=grid, X=X, dB=dB, seed=seed,
                       eps=None)
-
-
-def _sqrt_block(mat):
-    d = mat.shape[-1]
-    if d == 1:
-        return np.sqrt(mat)
-    w, v = np.linalg.eigh(mat)
-    return np.einsum("...ij,...j,...kj->...ik", v, np.sqrt(np.clip(w, 0, None)), v)
 
 
 # ---------------------------------------------------------------------------

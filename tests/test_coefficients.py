@@ -117,16 +117,6 @@ def test_build_averaged_rejects_bad_closed_form(switch_family):
         hl.build_averaged(fam)
 
 
-def test_eval_coefficients_fast_argument(switch_family):
-    x2 = np.zeros((3, 1))
-    x1 = np.array([0.5, -0.5, 0.0])
-    cv = hl.eval_coefficients(switch_family, x1, x2, eps=0.1)
-    direct = switch_family.phi(x1 / 0.1, x2)
-    assert cv.phi == pytest.approx(direct)
-    with pytest.raises(ValueError):
-        hl.eval_coefficients(switch_family, x1, x2, eps=-1.0)
-
-
 def test_from_tables_roundtrip():
     x1g = np.linspace(-50, 50, 2001)
     rho = 2.0 + np.tanh(x1g)
@@ -153,17 +143,11 @@ def test_averaged_model_json_roundtrip(switch_avg, tmp_path):
 
 
 def test_f_bar_y_shape(switch_avg, switch_family):
-    # exact shape is used when the family provides one
+    # the averaged driver carries the family's exact y-shape
     x2 = np.zeros((1, 1))
     assert switch_avg.f_bar(1.0, x2, 1.3)[0] == pytest.approx(
         switch_avg.f_bar(1.0, x2, 0.0)[0]
         * switch_family.f_y_shape(1.3) / switch_family.f_y_shape(0.0))
-    # tabulated fallback clamps outside the y grid instead of extrapolating
-    import dataclasses
-    tab = dataclasses.replace(switch_avg, y_shape_fn=None)
-    inside = tab.f_bar(1.0, x2, tab.y_grid[-1])[0]
-    outside = tab.f_bar(1.0, x2, tab.y_grid[-1] + 30.0)[0]
-    assert outside == pytest.approx(inside)
 
 
 # -- assumption audit -------------------------------------------------------

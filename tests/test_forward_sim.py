@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import homoglab as hl
 from homoglab.simulate import SimulationError
@@ -86,6 +88,33 @@ def test_container_rejects_bad_magic(switch_bundle, tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(SimulationError):
         hl.PathBundle.load(p)
+
+
+@pytest.fixture(scope="module")
+def small_container(tmp_path_factory):
+    grid = hl.SimGrid(0.5, 3)
+    b = hl.simulate_eps(hl.make_family("switch"), 0.5, [0.0, 0.0], grid, 4,
+                        seed=8)
+    path = tmp_path_factory.mktemp("container") / "paths.bin"
+    b.save(path)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_container_rejects_truncation_and_trailing_bytes(small_container,
+                                                         data):
+    path, raw = small_container
+    if data.draw(st.booleans(), label="truncate"):
+        cut = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        bad = raw[:cut]
+    else:
+        bad = raw + data.draw(st.binary(min_size=1, max_size=64),
+                              label="suffix")
+    broken = path.with_name("broken.bin")
+    broken.write_bytes(bad)
+    with pytest.raises(SimulationError, match="bytes, expected"):
+        hl.PathBundle.load(broken)
 
 
 def test_avg_bundle_eps_is_none(avg_bundle, tmp_path):

@@ -1,15 +1,20 @@
 import filecmp
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
 
 import homoglab as hl
+import homoglab.harness
 from homoglab.cli import main as cli_main
-from homoglab.harness import (ConfigError, EmitError, _scan_nan, emit,
-                              split_seed)
+from homoglab.harness import (ConfigError, EmitError, Stages, _scan_nan,
+                              emit, split_seed)
 from conftest import base_config
+
+DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                    "switch_demo.json")
 
 
 # -- config -----------------------------------------------------------------
@@ -101,6 +106,23 @@ def test_pipeline_error_carries_stage(config_doc):
     assert exc.value.stage == "fd-crosscheck"
     assert exc.value.partial.incomplete
     assert len(exc.value.partial.rows) == 2   # earlier stages preserved
+
+
+def test_substeps_warn_when_cap_binds():
+    doc = base_config()
+    doc["mc"] = {"n_paths": 10, "n_steps": 50, "seed": 1}   # dt = 0.01
+    st = Stages(hl.ExperimentConfig.from_dict(doc))
+    with pytest.warns(RuntimeWarning, match=r"eps = 0.01 needs 200 "
+                                            r"substeps but substeps_cap = 64"):
+        assert st.substeps(0.01) == 64
+
+
+def test_substeps_quiet_on_demo():
+    st = Stages(hl.ExperimentConfig.load(DEMO))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [st.substeps(eps) for eps in st.cfg.eps_list]
+    assert got == [1, 1, 1, 2]
 
 
 def test_monte_carlo_drift_gap_scaling():
@@ -239,3 +261,69 @@ def test_golden_csv_fixture(tmp_path):
     fixture = os.path.join(os.path.dirname(__file__), "fixtures",
                            "golden_convergence.csv")
     assert got == open(fixture, "rb").read()
+
+
+def _tiny_doc():
+    doc = base_config()
+    doc["mc"] = {"n_paths": 60, "n_steps": 10, "seed": 12}
+    doc["fd"] = {"L1": 2.0, "L2": 2.0, "n1": 11, "n2": 11, "dt_fd": 0.05}
+    doc["corrector"] = {"n_grid": [11, 3, 3], "n_samples": 4}
+    return doc
+
+
+def test_cli_subcommands_smoke(tmp_path):
+    cfgp = _write_cfg(tmp_path, _tiny_doc())
+    expect = {
+        "simulate": ["paths_eps0.bin", "paths_eps0.bin.json",
+                     "paths_eps1.bin", "paths_avg.bin"],
+        "bsde": ["bsde_eps0.bin", "bsde_eps1.bin.json", "bsde_avg.bin",
+                 "bsde_summary.json"],
+        "corrector": ["decay.csv", "corrector.json"],
+        "pde": ["pde.csv", "pde.csv.json", "pde_summary.json"],
+    }
+    for cmd, files in expect.items():
+        out = tmp_path / cmd
+        assert cli_main([cmd, cfgp, "--out", str(out)]) == 0, cmd
+        for name in files:
+            assert (out / name).stat().st_size > 0, (cmd, name)
+    summary = json.loads((tmp_path / "bsde" / "bsde_summary.json").read_text())
+    assert [r["eps"] for r in summary["eps"]] == [1.0, 0.3]
+    assert cli_main(["bsde", cfgp, "--out", str(tmp_path / "bsde2"),
+                     "--threads", "2"]) == 0
+    for name in expect["bsde"]:
+        assert filecmp.cmp(tmp_path / "bsde" / name,
+                           tmp_path / "bsde2" / name, shallow=False), name
+
+
+def test_cli_simulate_matches_converge_paths(tmp_path, monkeypatch):
+    # the paths `simulate` saves are the ones `converge` runs on, including
+    # the substeps of the eps = 0.3 row
+    doc = _tiny_doc()
+    del doc["fd"], doc["corrector"]
+    cfgp = _write_cfg(tmp_path, doc)
+    seen = {}
+    for name in ("simulate_eps", "simulate_avg"):
+        def record(*args, _fn=getattr(homoglab.harness, name), **kwargs):
+            bundle = _fn(*args, **kwargs)
+            seen[bundle.eps] = bundle
+            return bundle
+        monkeypatch.setattr(homoglab.harness, name, record)
+    assert cli_main(["converge", cfgp, "--out", str(tmp_path / "c")]) in (0, 2)
+    monkeypatch.undo()
+    assert cli_main(["simulate", cfgp, "--out", str(tmp_path / "s")]) == 0
+    for name, eps in (("paths_eps0.bin", 1.0), ("paths_eps1.bin", 0.3),
+                      ("paths_avg.bin", None)):
+        saved = hl.PathBundle.load(tmp_path / "s" / name)
+        assert np.array_equal(saved.X, seen[eps].X), name
+        assert np.array_equal(saved.dB, seen[eps].dB), name
+
+
+@pytest.mark.parametrize("cmd", ["average", "simulate", "bsde", "corrector",
+                                 "pde", "converge", "audit"])
+def test_cli_bad_schedule_fails_every_subcommand(tmp_path, capsys, cmd):
+    doc = _tiny_doc()
+    doc["averaging"]["schedule"] = [100.0, 1000.0]   # needs >= 4 horizons
+    code = cli_main([cmd, _write_cfg(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "schedule" in capsys.readouterr().err
