@@ -15,15 +15,17 @@ from __future__ import annotations
 import itertools
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .simulate import PathBundle, SimGrid
+from .simulate import PathBundle
 
 _MAGIC = b"HMGS1"
 _VERSION = 1
+# Largest condition number a step's regression may have.
+COND_LIMIT = 1e12
 
 
 class RegressionError(RuntimeError):
@@ -47,9 +49,7 @@ class BsdeSpec:
     basis_degree: int = 3
     include_sign_feature: bool = False
     n_picard: int = 3
-    picard_tol: float = 1e-5
     y_bound: Optional[float] = None
-    cond_limit: float = 1e12
 
     def __post_init__(self):
         if self.n_picard < 1:
@@ -126,23 +126,27 @@ def feature_matrix(states, degree, sign_feature):
     return np.column_stack(cols)
 
 
-def _project(F, target, cond_limit, step, rcond=1e-9):
-    """Truncated-SVD least squares; returns (fitted, coefficients, cond).
+def _projector(F, step, rcond=1e-9):
+    """Truncated-SVD least squares on F, factored once; returns (fit, cond).
 
-    Near-collinear columns (e.g. the interface indicator while all paths
-    are still on one side) are projected out rather than blowing up the
-    fit; the reported condition number covers the kept directions only.
+    ``fit(target)`` projects ``target`` on the columns of F.  Near-collinear
+    columns (e.g. the interface indicator while all paths are still on one
+    side) are projected out rather than blowing up the fit; the reported
+    condition number covers the kept directions only.
     """
     u, s, vt = np.linalg.svd(F, full_matrices=False)
     if s[0] <= 0:
         raise RegressionError(f"zero feature matrix at step {step}")
     keep = s > rcond * s[0]
     cond = s[0] / s[keep][-1]
-    if cond > cond_limit:
+    if cond > COND_LIMIT:
         raise RegressionError(
             f"regression ill-conditioned at step {step} (cond {cond:.3e})")
-    coeff = vt[keep].T @ ((u[:, keep].T @ target) / s[keep])
-    return F @ coeff, coeff, cond
+    uk, sk, vk = u[:, keep], s[keep], vt[keep]
+
+    def fit(target):
+        return F @ (vk.T @ ((uk.T @ target) / sk))
+    return fit, cond
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +161,7 @@ def _driver_x1(bundle: PathBundle):
 def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
     n, m = bundle.n_paths, bundle.grid.n_steps
     dt = bundle.grid.dt
-    d, k = bundle.d, bundle.k
+    k = bundle.k
     x1a = _driver_x1(bundle)
     x2 = bundle.x2()
     Y = np.empty((n, m + 1))
@@ -171,11 +175,15 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
             return np.clip(v, -spec.y_bound, spec.y_bound)
         return v
 
+    # per step: fitted conditional mean of the increment Y[:, s+1] - Y[:, s]
+    # and its noise floor, for the conditional variation
+    dy_fit = np.empty((m, n))
+    dy_floor = [0.0] * m
     for s in range(m - 1, 0, -1):
         F = feature_matrix(bundle.X[:, s, :], spec.basis_degree,
                            spec.include_sign_feature)
-        cont, _, cond = _project(F, Y[:, s + 1], spec.cond_limit, s)
-        conds[s - 1] = cond
+        fit, conds[s - 1] = _projector(F, s)
+        cont = fit(Y[:, s + 1])
         y = cont
         for j in range(spec.n_picard):
             y_new = cont + dt * np.asarray(
@@ -185,7 +193,12 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
         Y[:, s] = clip(y)
         zt = Y[:, s + 1][:, None] * bundle.dB[:, s, :] / dt
         for c in range(k):
-            Z[:, s, c], _, _ = _project(F, zt[:, c], spec.cond_limit, s)
+            Z[:, s, c] = fit(zt[:, c])
+        dY = Y[:, s + 1] - Y[:, s]
+        dy_fit[s] = fit(dY)
+        p = F.shape[1]
+        dy_floor[s] = float(np.sqrt(np.mean((dY - dy_fit[s]) ** 2) * p
+                                    / max(n - p, 1)))
 
     # Step 0: every path sits at x0, so the projection is the plain mean.
     cont0 = float(np.mean(Y[:, 1]))
@@ -198,6 +211,9 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
     y0 = float(clip(np.asarray(y0)))
     Y[:, 0] = y0
     Z[:, 0, :] = np.mean(Y[:, 1][:, None] * bundle.dB[:, 0, :] / dt, axis=0)
+    dY = Y[:, 1] - Y[:, 0]
+    dy_fit[0] = dY.mean()
+    dy_floor[0] = float(np.std(dY) / np.sqrt(n))
 
     residuals = [float(r) for r in picard]
     for j in range(2, len(residuals)):
@@ -214,9 +230,7 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
             spec.driver(x1a[:, s], x2[:, s], Y[:, s]), dtype=float)
     y0_stderr = float(np.std(rollout) / np.sqrt(n))
 
-    cv, cv_stderr = conditional_variation(
-        Y, bundle.grid,
-        _features_for(bundle, spec.basis_degree, spec.include_sign_feature))
+    cv, cv_stderr = conditional_variation(dy_fit, dy_floor)
     return BsdeSolution(
         Y0=y0, Y0_stderr=y0_stderr, Y=Y, Z=Z,
         picard_residuals=residuals, condition_numbers=conds,
@@ -225,49 +239,32 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
         eps=bundle.eps)
 
 
-def _features_for(bundle, degree, sign_feature):
-    def at_step(s):
-        return feature_matrix(bundle.X[:, s, :], degree, sign_feature)
-    return at_step
-
-
 # ---------------------------------------------------------------------------
 # Path functionals (tightness diagnostics)
 # ---------------------------------------------------------------------------
 
-def conditional_variation(Y, grid: SimGrid, features):
+def conditional_variation(fitted, noise_sd):
     """Grid conditional variation: sum over steps of E|E[dY | F_s]|.
 
-    The conditional mean is the least-squares projection of the increment
-    on the step-s features; ``features`` maps a step index to the feature
-    matrix.  A noise floor (projection variance of a martingale increment)
-    is subtracted per path before taking absolute values, so martingales
-    report ~0 rather than accumulated regression noise.  This evaluates the
-    simulation-grid partition only: a lower bound for the true CV.
+    ``fitted[s]`` is each path's conditional mean of the step-s increment
+    of Y (its projection on the step-s features); ``noise_sd[s]`` is that
+    projection's noise floor, subtracted per path before taking absolute
+    values so martingales report ~0 rather than accumulated regression
+    noise.  This evaluates the simulation-grid partition only: a lower
+    bound for the true CV.
     """
-    Y = np.asarray(Y, dtype=float)
-    if not np.all(np.isfinite(Y)):
-        raise ValueError("Y contains non-finite values")
-    n, m1 = Y.shape
-    m = m1 - 1
+    fitted = np.asarray(fitted, dtype=float)
+    if not np.all(np.isfinite(fitted)):
+        raise ValueError("increments of Y contain non-finite values")
+    n = fitted.shape[1]
     cv = 0.0
     var_acc = 0.0
     floor_acc = 0.0
-    for s in range(m):
-        dY = Y[:, s + 1] - Y[:, s]
-        if s == 0:
-            fitted = np.full(n, dY.mean())
-            noise_sd = float(np.std(dY) / np.sqrt(n))
-        else:
-            F = features(s)
-            fitted, _, _ = _project(F, dY, 1e12, s)
-            resid = dY - fitted
-            p = F.shape[1]
-            noise_sd = float(np.sqrt(np.mean(resid ** 2) * p / max(n - p, 1)))
-        mag = np.sqrt(np.maximum(fitted ** 2 - noise_sd ** 2, 0.0))
+    for fit_s, sd in zip(fitted, noise_sd):
+        mag = np.sqrt(np.maximum(fit_s ** 2 - sd ** 2, 0.0))
         cv += float(np.mean(mag))
         var_acc += float(np.var(mag) / n)
-        floor_acc += np.sqrt(2.0 / np.pi) * noise_sd
+        floor_acc += np.sqrt(2.0 / np.pi) * sd
     return cv, float(np.sqrt(var_acc) + floor_acc)
 
 

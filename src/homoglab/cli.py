@@ -104,8 +104,7 @@ def cmd_pde(args) -> int:
     x0 = st.cfg.x0
     _write_json(st, "pde_summary.json",
                 {"value_at_x0": sol.at(x0[0], x0[1]),
-                 "richardson_error": pde_fd.richardson_error(
-                     model, grid, scheme=scheme)})
+                 "richardson_error": pde_fd.richardson_error(model, sol)})
     return 0
 
 

@@ -358,10 +358,10 @@ def run_convergence(cfg: ExperimentConfig, n_threads: int = 1):
         stage = "fd-crosscheck"
         if cfg.fd is not None:
             model, grid, scheme = st.fd()
-            v_fd = pde_fd.solve_pde(model, grid, scheme=scheme).at(
-                cfg.x0[0], cfg.x0[1])
-            rerr = pde_fd.richardson_error(model, grid, scheme=scheme)
-            done["averaged"]["v_fd"] = _cell(v_fd, rerr)
+            fd_sol = pde_fd.solve_pde(model, grid, scheme=scheme)
+            done["averaged"]["v_fd"] = _cell(
+                fd_sol.at(cfg.x0[0], cfg.x0[1]),
+                pde_fd.richardson_error(model, fd_sol))
 
         stage = "drift-gap"
         for bundle, sol in results:
@@ -384,14 +384,15 @@ def run_convergence(cfg: ExperimentConfig, n_threads: int = 1):
         pos = [(o.n, o.mean_occupation, o.std_error) for o in occ
                if o.mean_occupation > 0]
         if len(pos) >= 3:
-            slope = float(np.polyfit(np.log([p[0] for p in pos]),
+            slope = _cell(np.polyfit(np.log([p[0] for p in pos]),
                                      np.log([p[1] for p in pos]), 1)[0])
         else:
-            slope = float("inf")
+            # fewer than 3 interface bands were visited: no law to fit
+            slope = {"value": None, "tag": "insufficient_data"}
         done["occupation"] = {
             "estimates": [{"n": n, "mean": _cell(m, s)} for n, m, s in
                           ((o.n, o.mean_occupation, o.std_error) for o in occ)],
-            "slope": _cell(slope)}
+            "slope": slope}
 
         stage = "tightness"
         done["tightness"] = tightness_certificate(
@@ -445,7 +446,7 @@ def _compute_flags(cfg, done):
     if done["occupation"] is not None and "occupation_slope" in tol:
         lo, hi = tol["occupation_slope"]
         s = done["occupation"]["slope"]["value"]
-        flags["occupation_slope_ok"] = bool(lo <= s <= hi)
+        flags["occupation_slope_ok"] = s is not None and bool(lo <= s <= hi)
     if done["tightness"] is not None and "tightness_ratio" in tol:
         r = float(tol["tightness_ratio"])
         flags["tightness_ok"] = (

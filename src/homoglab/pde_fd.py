@@ -165,49 +165,39 @@ def _assemble(model: PdeModel, grid: Grid2D, scheme: str):
     x1, x2 = grid.x1, grid.x2
     nx, ny = x1.size, x2.size
     X1, X2 = np.meshgrid(x1, x2, indexing="ij")
-    a00 = np.broadcast_to(np.asarray(model.a00(X1, X2), dtype=float),
-                          X1.shape)
-    a11 = np.broadcast_to(np.asarray(model.a11(X1, X2), dtype=float),
-                          X1.shape)
-    b1 = np.broadcast_to(np.asarray(model.b1(X1, X2), dtype=float), X1.shape)
+
+    def on(coeff, M1, M2):
+        return np.broadcast_to(np.asarray(coeff(M1, M2), dtype=float),
+                               M1.shape)
+    a00 = on(model.a00, X1, X2)
+    a11 = on(model.a11, X1, X2)[1:-1, 1:-1]
+    b1 = on(model.b1, X1, X2)[1:-1, 1:-1]
     h1, h2 = grid.h1, grid.h2
-
-    def idx(i, j):
-        return i * ny + j
-
-    rows, cols, vals = [], [], []
-
-    def add(i, j, i2, j2, v):
-        rows.append(idx(i, j))
-        cols.append(idx(i2, j2))
-        vals.append(v)
 
     if scheme == "harmonic":
         # conservation-form x1 flux with harmonic half-node coefficients
-        Xh, X2h = np.meshgrid(0.5 * (x1[:-1] + x1[1:]), x2, indexing="ij")
-        ah = np.broadcast_to(np.asarray(model.a00(Xh, X2h), dtype=float),
-                             Xh.shape)
-        an = a00
-        num = 2.0 * an[:-1] * an[1:]
-        den = an[:-1] + an[1:]
+        ah = on(model.a00, *np.meshgrid(0.5 * (x1[:-1] + x1[1:]), x2,
+                                        indexing="ij"))
+        num = 2.0 * a00[:-1] * a00[1:]
+        den = a00[:-1] + a00[1:]
         ah = np.where(den > 0, num / den, ah)
-    elif scheme != "centered":
+        cw, ce = ah[:-1, 1:-1] / h1 ** 2, ah[1:, 1:-1] / h1 ** 2
+    elif scheme == "centered":
+        cw = ce = a00[1:-1, 1:-1] / h1 ** 2
+    else:
         raise PdeError(f"unknown interface scheme {scheme!r}")
 
-    for i in range(1, nx - 1):
-        for j in range(1, ny - 1):
-            if scheme == "harmonic":
-                cw, ce = ah[i - 1, j] / h1 ** 2, ah[i, j] / h1 ** 2
-            else:
-                cw = ce = a00[i, j] / h1 ** 2
-            cs = a11[i, j] / h2 ** 2 - b1[i, j] / (2 * h2)
-            cn = a11[i, j] / h2 ** 2 + b1[i, j] / (2 * h2)
-            add(i, j, i - 1, j, cw)
-            add(i, j, i + 1, j, ce)
-            add(i, j, i, j - 1, cs)
-            add(i, j, i, j + 1, cn)
-            add(i, j, i, j, -(cw + ce) - 2 * a11[i, j] / h2 ** 2)
-    A = sparse.csr_matrix((vals, (rows, cols)), shape=(nx * ny, nx * ny))
+    cs = a11 / h2 ** 2 - b1 / (2 * h2)
+    cn = a11 / h2 ** 2 + b1 / (2 * h2)
+    diag = -(cw + ce) - 2 * a11 / h2 ** 2
+    # per interior node (i, j), flat index i * ny + j: the west, east,
+    # south, north and centre entries of its row
+    r = (np.arange(1, nx - 1)[:, None] * ny + np.arange(1, ny - 1))[..., None]
+    cols = r + np.array([-ny, ny, -1, 1, 0])
+    rows = np.broadcast_to(r, cols.shape)
+    vals = np.stack([cw, ce, cs, cn, diag], axis=-1)
+    A = sparse.csr_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
+                          shape=(nx * ny, nx * ny))
     return A, X1, X2
 
 
@@ -273,12 +263,16 @@ def solve_pde(model: PdeModel, grid: Grid2D, boundary_mode: str = "dirichlet",
                         scheme=scheme, model_label=model.label)
 
 
-def richardson_error(model: PdeModel, grid: Grid2D, refinement: int = 2,
-                     boundary_mode: str = "dirichlet",
-                     scheme: str = "centered") -> float:
-    """Sup-norm change under nested space-time refinement (common nodes)."""
-    coarse = solve_pde(model, grid, boundary_mode, scheme)
-    fine = solve_pde(model, grid.refined(refinement), boundary_mode, scheme)
+def richardson_error(model: PdeModel, coarse: GridSolution,
+                     refinement: int = 2) -> float:
+    """Sup-norm change under nested space-time refinement (common nodes).
+
+    ``coarse`` is the caller's solution on the coarse grid; only the
+    refined grid is solved here, with the boundary mode and scheme of
+    ``coarse``.
+    """
+    fine = solve_pde(model, coarse.grid.refined(refinement),
+                     coarse.boundary_mode, coarse.scheme)
     return float(np.max(np.abs(
         coarse.values - fine.values[::refinement, ::refinement])))
 

@@ -115,6 +115,27 @@ def test_conditional_variation_detects_drift(const_family, small_grid):
     assert sol.cv == pytest.approx(small_grid.t_end, rel=0.15)
 
 
+def test_solve_bsde_factors_each_step_once(switch_family, switch_bundle,
+                                           monkeypatch):
+    # one feature build and one SVD per interior step serve the
+    # continuation value, every Z column and the conditional variation
+    counts = {"features": 0, "svd": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(hl.bsde, "feature_matrix",
+                        counted("features", feature_matrix))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    hl.solve_bsde(switch_bundle, BsdeSpec(
+        terminal=switch_family.terminal, driver=switch_family.f,
+        basis_degree=2, include_sign_feature=True, y_bound=3.0))
+    interior = switch_bundle.grid.n_steps - 1
+    assert counts == {"features": interior, "svd": interior}
+
+
 def test_upcrossings_scalar():
     path = [0.0, 1.2, -0.1, 0.5, 1.5, 0.9, -0.2, 1.1]
     assert upcrossings(np.array(path), 0.0, 1.0) == 3

@@ -8,6 +8,7 @@ import pytest
 
 import homoglab as hl
 import homoglab.harness
+from homoglab import pde_fd
 from homoglab.cli import main as cli_main
 from homoglab.harness import (ConfigError, EmitError, Stages, _scan_nan,
                               emit, split_seed)
@@ -106,6 +107,36 @@ def test_pipeline_error_carries_stage(config_doc):
     assert exc.value.stage == "fd-crosscheck"
     assert exc.value.partial.incomplete
     assert len(exc.value.partial.rows) == 2   # earlier stages preserved
+
+
+def test_occupation_slope_insufficient_data(tmp_path):
+    # started far from the interface, fewer than 3 bands |x1| <= 1/n are
+    # ever visited: the slope is an explicit insufficient-data cell, the
+    # report is still written and the slope flag is false
+    doc = base_config(x0=[6.0, 0.0])
+    doc["mc"] = {"n_paths": 200, "n_steps": 10, "seed": 42}
+    doc["tolerances"] = {"occupation_slope": [-1.5, -0.5]}
+    rep = hl.run_convergence(hl.ExperimentConfig.from_dict(doc))
+    emit(rep, tmp_path, ("json",))
+    written = json.loads((tmp_path / "report.json").read_text())
+    assert written["occupation"]["slope"] == {"value": None,
+                                              "tag": "insufficient_data"}
+    assert written["flags"]["occupation_slope_ok"] is False
+
+
+def test_run_convergence_solves_each_fd_grid_once(tmp_path, monkeypatch):
+    # the Richardson estimate reuses the cross-check's coarse solution
+    doc = _tiny_doc()
+    del doc["corrector"]
+    calls = []
+
+    def counted(*args, _fn=pde_fd.solve_pde, **kwargs):
+        calls.append(args[1])
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(pde_fd, "solve_pde", counted)
+    rep = hl.run_convergence(hl.ExperimentConfig.from_dict(doc))
+    assert "v_fd" in rep.averaged
+    assert len(calls) == 2 and calls[1] == calls[0].refined(2)
 
 
 def test_substeps_warn_when_cap_binds():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import homoglab as hl
-from homoglab.pde_fd import (Grid2D, PdeError, PdeModel, interface_gaps,
-                             richardson_error, solve_pde)
+from homoglab.pde_fd import (Grid2D, PdeError, PdeModel, _assemble,
+                             interface_gaps, richardson_error, solve_pde)
 
 
 def heat_model():
@@ -13,6 +13,36 @@ def heat_model():
                     f=lambda x1, x2, v: 0 * v,
                     H=lambda x1, x2: np.exp(-(x1 ** 2 + x2 ** 2)),
                     label="heat")
+
+
+def jump_model():
+    # a00 jumps from 1 to 2 across x1 = 0 (value 1 on the interface)
+    return PdeModel(a00=lambda x1, x2: np.where(x1 > 0, 2.0, 1.0),
+                    a11=lambda x1, x2: 0.5 + 0.25 * x2,
+                    b1=lambda x1, x2: 0.3 + 0 * x1,
+                    f=lambda x1, x2, v: 0 * v,
+                    H=lambda x1, x2: 0 * x1, label="jump")
+
+
+@pytest.mark.parametrize("scheme, interface_we", [("centered", (9.0, 9.0)),
+                                                  ("harmonic", (9.0, 12.0))])
+def test_operator_rows(scheme, interface_we):
+    # x1 nodes -1, -2/3, ..., 1 (h1 = 1/3), x2 nodes -1, -1/2, ..., 1
+    # (h2 = 1/2).  At the interface node x1 = 0 the centered scheme uses
+    # a00(0) / h1^2 = 9 on both sides; the harmonic one uses the harmonic
+    # means of a00 over each half cell: 1 -> 9 west, 4/3 -> 12 east.
+    g = Grid2D(1.0, 1.0, 5, 3, 0.01, 0.1)
+    A, _, _ = _assemble(jump_model(), g, scheme)
+    ny = g.n2 + 2
+    for (i, j), (cw, ce) in (((3, 3), interface_we), ((1, 2), (9.0, 9.0))):
+        a11 = 0.5 + 0.25 * g.x2[j]                  # 0.625, 0.5
+        cs, cn = a11 * 4 - 0.3, a11 * 4 + 0.3       # a11/h2^2 -+ b1/(2 h2)
+        r = i * ny + j
+        row = A.getrow(r).toarray().ravel()
+        expect = np.zeros_like(row)
+        expect[[r - ny, r + ny, r - 1, r + 1, r]] = \
+            [cw, ce, cs, cn, -(cw + ce) - 8 * a11]
+        assert row == pytest.approx(expect, rel=1e-14, abs=1e-14), (i, j)
 
 
 def test_grid_validation():
@@ -74,9 +104,10 @@ def test_eps_form_equals_averaged_for_slow_family(slowvary_family):
 
 
 def test_richardson_second_order():
+    m = heat_model()
     g = Grid2D(4.0, 4.0, 49, 49, 0.02, 0.2)
-    e1 = richardson_error(heat_model(), g)
-    e2 = richardson_error(heat_model(), g.refined(2))
+    e1 = richardson_error(m, solve_pde(m, g))
+    e2 = richardson_error(m, solve_pde(m, g.refined(2)))
     assert e1 / e2 >= 3.0
 
 
@@ -87,13 +118,13 @@ def test_richardson_zero_for_constant_solution():
                  f=lambda x1, x2, v: 0 * v,
                  H=lambda x1, x2: np.ones_like(x1), label="one")
     g = Grid2D(2.0, 2.0, 21, 21, 0.02, 0.2)
-    assert richardson_error(m, g) <= 1e-10
+    assert richardson_error(m, solve_pde(m, g)) <= 1e-10
 
 
 def test_averaged_switch_finite_richardson(switch_avg, switch_family):
     m = PdeModel.from_averaged(switch_avg, switch_family.terminal)
     g = Grid2D(4.0, 4.0, 81, 41, 0.025, 0.5)
-    est = richardson_error(m, g)
+    est = richardson_error(m, solve_pde(m, g))
     assert np.isfinite(est) and est > 0
 
 
