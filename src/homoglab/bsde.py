@@ -119,11 +119,20 @@ def feature_matrix(states, degree, sign_feature):
     sd = states.std(axis=0)
     sd = np.where(sd > 1e-12, sd, 1.0)
     z = (states - mu) / sd
-    cols = [np.prod(z ** np.asarray(p), axis=1)
-            for p in _monomial_powers(nv, degree)]
+    # Power table z_v ** e from one full-shape elementwise power: a scalar
+    # exponent would take numpy's square fast path and move the last bit.
+    table = z[:, :, None] ** np.broadcast_to(np.arange(degree + 1.0),
+                                             (n, nv, degree + 1))
+    powers = np.array(_monomial_powers(nv, degree))
+    m = len(powers)
+    F = np.empty((n, m + 1 if sign_feature else m))
+    # Columns multiplied variable by variable, left to right, as np.prod.
+    F[:, :m] = table[:, 0, powers[:, 0]]
+    for v in range(1, nv):
+        F[:, :m] *= table[:, v, powers[:, v]]
     if sign_feature:
-        cols.append((states[:, 0] > 0).astype(float))
-    return np.column_stack(cols)
+        F[:, m] = states[:, 0] > 0
+    return F
 
 
 def _projector(F, step, rcond=1e-9):

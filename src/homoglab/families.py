@@ -118,11 +118,22 @@ class _Template:
     w2: Callable
 
     def __call__(self, x1, x2):
+        return self.combine(self.basis(x1), x2)
+
+    @staticmethod
+    def basis(x1):
+        """The fast-variable basis (T(x1), sin(x1)) every template shares."""
         x1 = np.asarray(x1, dtype=float)
+        return transition(x1), np.sin(x1)
+
+    def combine(self, basis, x2):
+        trans, sin = basis
         w0, w1, w2 = self.w0(x2), self.w1(x2), self.w2(x2)
-        extra = w0.ndim - x1.ndim
-        xx = x1.reshape(x1.shape + (1,) * extra) if extra > 0 else x1
-        return w0 + w1 * transition(xx) + w2 * np.sin(xx)
+        extra = w0.ndim - trans.ndim
+        if extra > 0:
+            trans = trans.reshape(trans.shape + (1,) * extra)
+            sin = sin.reshape(sin.shape + (1,) * extra)
+        return w0 + w1 * trans + w2 * sin
 
     def limits(self, x2, a_trans, a_sin):
         """Combine weights with (numeric or exact) basis limits."""
@@ -131,19 +142,11 @@ class _Template:
         return plus, minus
 
 
-def _scalar_w(fn_or_c, d):
-    if callable(fn_or_c):
-        return lambda x2: np.asarray(fn_or_c(x2), dtype=float)
-    c = float(fn_or_c)
-    return lambda x2: np.full(np.asarray(x2).shape[:-1], c)
-
-def _vec_w(v, d):
-    v = np.asarray(v, dtype=float).reshape(d)
-    return lambda x2: np.broadcast_to(v, np.asarray(x2).shape[:-1] + (d,)).copy()
-
-def _mat_w(m, d):
-    m = np.asarray(m, dtype=float).reshape(d, d)
-    return lambda x2: np.broadcast_to(m, np.asarray(x2).shape[:-1] + (d, d)).copy()
+def _const_w(value):
+    """Constant weight: ``value`` (scalar, vector or matrix) over the leading
+    shape of x2."""
+    value = np.asarray(value, dtype=float)
+    return lambda x2: np.full(np.asarray(x2).shape[:-1] + value.shape, value)
 
 
 @dataclass
@@ -177,6 +180,13 @@ class CoefficientFamily:
 
     def rho_a(self, x1, x2):
         return self.rhoa_t(x1, _as_x2(x2, self.d))
+
+    def weighted(self, x1, x2):
+        """``(rho, rho_b, rho_a)`` at once, the fast basis evaluated once."""
+        x2 = _as_x2(x2, self.d)
+        basis = self.rho_t.basis(x1)
+        return tuple(t.combine(basis, x2)
+                     for t in (self.rho_t, self.rhob_t, self.rhoa_t))
 
     def rho_f(self, x1, x2, y):
         base = self.rhof_t(x1, _as_x2(x2, self.d))
@@ -437,12 +447,12 @@ def _attach_closed_form(fam: CoefficientFamily) -> CoefficientFamily:
 
 def _const_family() -> CoefficientFamily:
     d = 1
-    zero = _scalar_w(0.0, d)
+    zero = _const_w(0.0)
     fam = CoefficientFamily(
         family_id="const", params=(), d=d, k=d + 1,
-        rho_t=_Template(_scalar_w(1.0, d), zero, zero),
-        rhob_t=_Template(_vec_w([0.0], d), _vec_w([0.0], d), _vec_w([0.0], d)),
-        rhoa_t=_Template(_mat_w([[0.5]], d), _mat_w([[0.0]], d), _mat_w([[0.0]], d)),
+        rho_t=_Template(_const_w(1.0), zero, zero),
+        rhob_t=_Template(_const_w([0.0]), _const_w([0.0]), _const_w([0.0])),
+        rhoa_t=_Template(_const_w([[0.5]]), _const_w([[0.0]]), _const_w([[0.0]])),
         rhof_t=_Template(zero, zero, zero),
         f_shape=(0.0, 0.0),
         H=lambda x: np.ones(np.asarray(x).shape[:-1]),
@@ -463,10 +473,10 @@ def _switch_family(params=()) -> CoefficientFamily:
     d = 1
     fam = CoefficientFamily(
         family_id="switch", params=tuple(params), d=d, k=d + 1,
-        rho_t=_Template(_scalar_w(r0, d), _scalar_w(r1, d), _scalar_w(0.0, d)),
-        rhob_t=_Template(_vec_w([1.0], d), _vec_w([1.0], d), _vec_w([0.3], d)),
-        rhoa_t=_Template(_mat_w([[1.2]], d), _mat_w([[0.4]], d), _mat_w([[0.2]], d)),
-        rhof_t=_Template(_scalar_w(0.9, d), _scalar_w(0.3, d), _scalar_w(0.2, d)),
+        rho_t=_Template(_const_w(r0), _const_w(r1), _const_w(0.0)),
+        rhob_t=_Template(_const_w([1.0]), _const_w([1.0]), _const_w([0.3])),
+        rhoa_t=_Template(_const_w([[1.2]]), _const_w([[0.4]]), _const_w([[0.2]])),
+        rhof_t=_Template(_const_w(0.9), _const_w(0.3), _const_w(0.2)),
         f_shape=(1.0, 0.5),
         H=lambda x: np.tanh(x[..., 0]) + 0.5 * np.cos(x[..., 1]),
         bounds=dict(C1=1.0 / (r0 + abs(r1)), C2=1.0 / (r0 - abs(r1)),
@@ -478,9 +488,9 @@ def _switch_family(params=()) -> CoefficientFamily:
 
 def _slowvary_family() -> CoefficientFamily:
     d = 1
-    zero = _scalar_w(0.0, d)
-    zvec = _vec_w([0.0], d)
-    zmat = _mat_w([[0.0]], d)
+    zero = _const_w(0.0)
+    zvec = _const_w([0.0])
+    zmat = _const_w([[0.0]])
 
     def b_w(x2):
         return 0.5 * np.tanh(x2)          # (..., d) already
@@ -493,7 +503,7 @@ def _slowvary_family() -> CoefficientFamily:
 
     fam = CoefficientFamily(
         family_id="slowvary", params=(), d=d, k=d + 1,
-        rho_t=_Template(_scalar_w(1.0, d), zero, zero),
+        rho_t=_Template(_const_w(1.0), zero, zero),
         rhob_t=_Template(lambda x2: b_w(x2), zvec, zvec),
         rhoa_t=_Template(lambda x2: a_w(x2), zmat, zmat),
         rhof_t=_Template(lambda x2: q_w(x2), zero, zero),
@@ -562,13 +572,20 @@ def from_tables(x1_grid, rho_tab, rhob_tab, rhoa_tab, rhof_tab,
         return ev
 
     # Tabulated families bypass the template; wrap the interpolants in
-    # objects with the same call/limits surface.  Limits come from the
-    # clamped tails (the table is constant outside its range).
+    # objects with the same call/basis/combine/limits surface (the basis is
+    # x1 itself, so every table still interpolates and counts its clamps).
+    # Limits come from the clamped tails (the table is constant outside its
+    # range).
     class _Tab:
         def __init__(self, tab):
             self.tab = tab
             self.ev = interp(tab)
         def __call__(self, x1, x2):
+            return self.ev(x1, x2)
+        @staticmethod
+        def basis(x1):
+            return x1
+        def combine(self, x1, x2):
             return self.ev(x1, x2)
         def limits(self, x2, a_trans, a_sin):
             del a_trans, a_sin

@@ -7,7 +7,12 @@ X1 sees only column 0, X2 only columns 1..k-1.
 
 Randomness is counter-based: each path owns a Philox stream keyed by
 (seed, path_index), so the ensemble is bitwise reproducible regardless of
-block size or thread count.
+block size or thread count.  A stream drawn in chunks yields the same
+numbers as one whole-path draw, so each block keeps its paths' generators
+alive and draws the normals of ``max(1, n_steps // substeps)`` coarse steps
+at a time: the normals buffer holds at most
+``block_size * max(n_steps, substeps) * k`` doubles, about the size of the
+block's stored increments, whatever eps and substeps are.
 """
 
 from __future__ import annotations
@@ -118,47 +123,59 @@ class PathBundle:
                    eps=None if np.isnan(eps) else float(eps))
 
 
-def _path_normals(seed: int, path_indices, n_fine: int, k: int) -> np.ndarray:
-    """Standard normals for a block of paths, one Philox stream per path."""
-    out = np.empty((len(path_indices), n_fine, k))
+def _path_streams(seed: int, path_indices) -> list:
+    """One Philox generator per path, keyed by (seed, path index)."""
     s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    for row, p in enumerate(path_indices):
-        key = np.array([s, np.uint64(p)], dtype=np.uint64)
-        gen = np.random.Generator(np.random.Philox(key=key))
-        out[row] = gen.standard_normal((n_fine, k))
+    return [np.random.Generator(np.random.Philox(
+        key=np.array([s, np.uint64(p)], dtype=np.uint64)))
+        for p in path_indices]
+
+
+def _path_normals(gens, n_fine: int, k: int, scale: float) -> np.ndarray:
+    """The next ``n_fine`` normal k-vectors of each generator's stream,
+    scaled by ``scale``; one row per generator."""
+    out = np.empty((len(gens), n_fine, k))
+    for gen, row in zip(gens, out):
+        gen.standard_normal(out=row)
+    out *= scale
     return out
 
 
 def _run_blocks(step_coeffs, x0, grid, n_paths, seed, substeps, d,
                 block_size, n_jobs):
     x0 = np.asarray(x0, dtype=float).reshape(d + 1)
-    n_fine = grid.n_steps * substeps
-    dt_f = grid.t_end / n_fine
+    dt_f = grid.t_end / (grid.n_steps * substeps)
     sq = np.sqrt(dt_f)
     k = d + 1
+    # coarse steps per draw: at most max(n_steps, substeps) fine steps
+    chunk = max(1, grid.n_steps // substeps)
     X = np.empty((n_paths, grid.n_steps + 1, d + 1))
     dB = np.empty((n_paths, grid.n_steps, k))
 
     def run_block(lo, hi):
-        idx = range(lo, hi)
-        dW = _path_normals(seed, idx, n_fine, k) * sq
+        gens = _path_streams(seed, range(lo, hi))
         x1 = np.full(hi - lo, x0[0])
         x2 = np.tile(x0[1:], (hi - lo, 1))
         X[lo:hi, 0, 0] = x1
         X[lo:hi, 0, 1:] = x2
-        for cs in range(grid.n_steps):
-            for fs in range(cs * substeps, (cs + 1) * substeps):
-                phi, b1, s1 = step_coeffs(x1, x2)
-                x1 = x1 + phi * dW[:, fs, 0]
-                x2 = x2 + b1 * dt_f + np.einsum("pij,pj->pi", s1, dW[:, fs, 1:])
-            if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
-                bad = np.flatnonzero(~(np.isfinite(x1) &
-                                       np.all(np.isfinite(x2), axis=-1)))[0]
-                raise SimulationError(
-                    f"non-finite state at step {cs + 1}, path {lo + int(bad)}")
-            X[lo:hi, cs + 1, 0] = x1
-            X[lo:hi, cs + 1, 1:] = x2
-            dB[lo:hi, cs] = dW[:, cs * substeps:(cs + 1) * substeps].sum(axis=1)
+        for c0 in range(0, grid.n_steps, chunk):
+            c1 = min(c0 + chunk, grid.n_steps)
+            dW = _path_normals(gens, (c1 - c0) * substeps, k, sq)
+            for cs in range(c0, c1):
+                f0 = (cs - c0) * substeps
+                for fs in range(f0, f0 + substeps):
+                    phi, b1, s1 = step_coeffs(x1, x2)
+                    x1 = x1 + phi * dW[:, fs, 0]
+                    x2 = x2 + b1 * dt_f + np.einsum("pij,pj->pi", s1,
+                                                    dW[:, fs, 1:])
+                if not (np.all(np.isfinite(x1)) and np.all(np.isfinite(x2))):
+                    bad = np.flatnonzero(~(np.isfinite(x1) & np.all(
+                        np.isfinite(x2), axis=-1)))[0]
+                    raise SimulationError(f"non-finite state at step "
+                                          f"{cs + 1}, path {lo + int(bad)}")
+                X[lo:hi, cs + 1, 0] = x1
+                X[lo:hi, cs + 1, 1:] = x2
+                dB[lo:hi, cs] = dW[:, f0:f0 + substeps].sum(axis=1)
 
     blocks = [(lo, min(lo + block_size, n_paths))
               for lo in range(0, n_paths, block_size)]
@@ -183,11 +200,10 @@ def simulate_eps(fam: CoefficientFamily, eps: float, x0, grid: SimGrid,
         raise SimulationError("eps must be positive")
 
     def step_coeffs(x1, x2):
-        xf = x1 / eps
-        rho = fam.rho(xf, x2)
+        rho, rho_b, rho_a = fam.weighted(x1 / eps, x2)
         phi = np.sqrt(2.0 / rho)
-        b1 = fam.rho_b(xf, x2) / rho[:, None]
-        s1 = _sym_sqrt(2.0 * fam.rho_a(xf, x2) / rho[:, None, None])
+        b1 = rho_b / rho[:, None]
+        s1 = _sym_sqrt(2.0 * rho_a / rho[:, None, None])
         return phi, b1, s1
 
     X, dB = _run_blocks(step_coeffs, x0, grid, n_paths, seed, substeps,

@@ -19,6 +19,25 @@ def test_feature_matrix_degrees():
     assert set(np.unique(Fs[:, -1])) <= {0.0, 1.0}
 
 
+@pytest.mark.parametrize("nv", [2, 3, 4])
+@pytest.mark.parametrize("sign_feature", [False, True])
+def test_feature_matrix_matches_product_form(nv, sign_feature):
+    # the power table must give the per-monomial np.prod(z ** p) bytes
+    states = 3.0 * np.random.default_rng(nv).normal(size=(257, nv))
+    states[::5, 0] = 0.0
+    mu = states.mean(axis=0)
+    sd = states.std(axis=0)
+    z = (states - mu) / np.where(sd > 1e-12, sd, 1.0)
+    for degree in range(7):
+        cols = [np.prod(z ** np.asarray(p), axis=1)
+                for p in hl.bsde._monomial_powers(nv, degree)]
+        if sign_feature:
+            cols.append((states[:, 0] > 0).astype(float))
+        F = feature_matrix(states, degree, sign_feature)
+        assert np.array_equal(F, np.column_stack(cols))
+        assert F.flags.c_contiguous
+
+
 def test_terminal_only_mean(const_family, small_grid):
     avg = hl.build_averaged(const_family)
     b = hl.simulate_avg(avg, [0.5, 0.0], small_grid, 500, seed=1)

@@ -132,6 +132,47 @@ def test_from_tables_roundtrip():
     assert avg.rho_pm(1.0, np.zeros((1, 1)))[0] == pytest.approx(3.0, abs=1e-2)
 
 
+def _tab_family():
+    x1g = np.linspace(-3.0, 3.0, 61)
+    return hl.from_tables(x1g, 2.0 + np.tanh(x1g),
+                          (0.5 + 0.1 * np.sin(x1g))[:, None],
+                          (1.0 + 0.2 * np.cos(x1g))[:, None, None],
+                          np.zeros(x1g.size))
+
+
+@pytest.mark.parametrize("make", [lambda: hl.make_family("switch"),
+                                  lambda: hl.make_family("slowvary"),
+                                  _tab_family],
+                         ids=["switch", "slowvary", "tabulated"])
+def test_weighted_matches_per_coefficient(make):
+    fam = make()
+    rng = np.random.default_rng(4)
+    x1 = 5.0 * rng.normal(size=300)
+    x2 = rng.normal(size=(300, fam.d))
+    rho, rho_b, rho_a = fam.weighted(x1, x2)
+    clamps = fam._clamp_count[0]
+    assert np.array_equal(rho, fam.rho(x1, x2))
+    assert np.array_equal(rho_b, fam.rho_b(x1, x2))
+    assert np.array_equal(rho_a, fam.rho_a(x1, x2))
+    # a tabulated family counts the clamps of each of its three tables
+    assert fam._clamp_count[0] == 2 * clamps
+    assert (clamps > 0) == (fam.family_id == "tabulated")
+
+
+def test_tabulated_simulation_matches_per_coefficient_path():
+    grid = hl.SimGrid(0.5, 10)
+    fused, split = _tab_family(), _tab_family()
+    split.weighted = lambda x1, x2: (split.rho(x1, x2), split.rho_b(x1, x2),
+                                     split.rho_a(x1, x2))
+    a = hl.simulate_eps(fused, 0.1, [0.5, 0.0], grid, 200, seed=2,
+                        substeps=3)
+    b = hl.simulate_eps(split, 0.1, [0.5, 0.0], grid, 200, seed=2,
+                        substeps=3)
+    assert np.array_equal(a.X, b.X)
+    assert np.array_equal(a.dB, b.dB)
+    assert fused._clamp_count[0] == split._clamp_count[0] > 0
+
+
 def test_averaged_model_json_roundtrip(switch_avg, tmp_path):
     path = tmp_path / "avg.json"
     switch_avg.save_json(path, np.linspace(-2, 2, 9))

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import homoglab as hl
+from homoglab import simulate
+from homoglab.families import _sym_sqrt
 from homoglab.simulate import SimulationError
 
 
@@ -58,6 +61,73 @@ def test_path_prefix_stability(switch_family, small_grid):
     a = hl.simulate_eps(switch_family, 0.5, [0.0, 0.0], small_grid, 50, seed=5)
     b = hl.simulate_eps(switch_family, 0.5, [0.0, 0.0], small_grid, 200, seed=5)
     assert np.array_equal(a.X, b.X[:50])
+
+
+def _whole_path_reference(fam, eps, x0, grid, n_paths, seed, substeps):
+    """Euler paths from one whole-path draw per Philox stream and the
+    per-coefficient family calls."""
+    dt_f = grid.t_end / (grid.n_steps * substeps)
+    n_fine = grid.n_steps * substeps
+    dW = np.stack([np.random.Generator(np.random.Philox(key=[seed, p]))
+                   .standard_normal((n_fine, fam.k))
+                   for p in range(n_paths)]) * np.sqrt(dt_f)
+    x1 = np.full(n_paths, float(x0[0]))
+    x2 = np.tile(np.asarray(x0[1:], dtype=float), (n_paths, 1))
+    X = np.empty((n_paths, grid.n_steps + 1, fam.d + 1))
+    dB = np.empty((n_paths, grid.n_steps, fam.k))
+    X[:, 0, 0], X[:, 0, 1:] = x1, x2
+    for cs in range(grid.n_steps):
+        for fs in range(cs * substeps, (cs + 1) * substeps):
+            xf = x1 / eps
+            rho = fam.rho(xf, x2)
+            phi = np.sqrt(2.0 / rho)
+            b1 = fam.rho_b(xf, x2) / rho[:, None]
+            s1 = _sym_sqrt(2.0 * fam.rho_a(xf, x2) / rho[:, None, None])
+            x1 = x1 + phi * dW[:, fs, 0]
+            x2 = x2 + b1 * dt_f + np.einsum("pij,pj->pi", s1, dW[:, fs, 1:])
+        X[:, cs + 1, 0], X[:, cs + 1, 1:] = x1, x2
+        dB[:, cs] = dW[:, cs * substeps:(cs + 1) * substeps].sum(axis=1)
+    return X, dB
+
+
+@pytest.mark.parametrize("substeps", [1, 3, 50])
+@pytest.mark.parametrize("block_size", [23, 7])
+@pytest.mark.parametrize("n_jobs", [1, 2])
+def test_streams_match_whole_path_draws(switch_family, substeps, block_size,
+                                        n_jobs):
+    # chunked draws from long-lived generators give the whole-path streams
+    grid = hl.SimGrid(0.5, 10)
+    b = hl.simulate_eps(switch_family, 0.3, [0.5, 0.0], grid, 23, seed=17,
+                        substeps=substeps, block_size=block_size,
+                        n_jobs=n_jobs)
+    X, dB = _whole_path_reference(switch_family, 0.3, [0.5, 0.0], grid, 23,
+                                  17, substeps)
+    assert np.array_equal(b.X, X)
+    assert np.array_equal(b.dB, dB)
+
+
+@pytest.mark.parametrize("n_steps,substeps", [(10, 1), (10, 3), (4, 50),
+                                              (40, 40)])
+@pytest.mark.parametrize("block_size", [64, 9])
+def test_normals_buffer_is_bounded(monkeypatch, switch_family, switch_avg,
+                                   n_steps, substeps, block_size):
+    sizes = []
+    draw = simulate._path_normals
+
+    def recorded(*args, **kwargs):
+        out = draw(*args, **kwargs)
+        sizes.append(out.nbytes)
+        return out
+    monkeypatch.setattr(simulate, "_path_normals", recorded)
+    grid = hl.SimGrid(0.5, n_steps)
+    n_paths, k = 40, switch_family.k
+    hl.simulate_eps(switch_family, 0.3, [0.5, 0.0], grid, n_paths, seed=1,
+                    substeps=substeps, block_size=block_size)
+    hl.simulate_avg(switch_avg, [0.5, 0.0], grid, n_paths, seed=1,
+                    substeps=substeps, block_size=block_size)
+    block = min(block_size, n_paths)
+    assert sizes
+    assert max(sizes) <= block * max(n_steps, substeps) * k * 8
 
 
 def test_substeps_aggregate_dB(switch_family, small_grid):
@@ -115,6 +185,34 @@ def test_container_rejects_truncation_and_trailing_bytes(small_container,
     broken.write_bytes(bad)
     with pytest.raises(SimulationError, match="bytes, expected"):
         hl.PathBundle.load(broken)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_container_roundtrip_hypothesis(tmp_path_factory, data):
+    n_paths = data.draw(st.integers(0, 4), label="n_paths")
+    n_steps = data.draw(st.integers(2, 5), label="n_steps")
+    d = data.draw(st.integers(1, 3), label="d")
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    bundle = hl.PathBundle(
+        n_paths=n_paths,
+        grid=hl.SimGrid(data.draw(st.floats(1e-3, 1e3), label="t_end"),
+                        n_steps),
+        X=data.draw(hnp.arrays(np.float64, (n_paths, n_steps + 1, d + 1),
+                               elements=finite), label="X"),
+        dB=data.draw(hnp.arrays(np.float64, (n_paths, n_steps, d + 1),
+                                elements=finite), label="dB"),
+        seed=data.draw(st.integers(0, 2 ** 64 - 1), label="seed"),
+        eps=data.draw(st.none() | st.floats(1e-6, 10.0), label="eps"))
+    path = tmp_path_factory.mktemp("roundtrip") / "paths.bin"
+    bundle.save(path)
+    back = hl.PathBundle.load(path)
+    assert back.n_paths == bundle.n_paths
+    assert back.grid == bundle.grid
+    assert np.array_equal(back.X, bundle.X)
+    assert np.array_equal(back.dB, bundle.dB)
+    assert back.seed == bundle.seed
+    assert back.eps == bundle.eps
 
 
 def test_avg_bundle_eps_is_none(avg_bundle, tmp_path):
