@@ -319,11 +319,15 @@ class AveragedModel:
         out[..., 1:, 1:] = s1
         return out
 
-    def f_bar(self, x1, x2, y):
+    def f_coef_bar(self, x1, x2):
+        """The y-independent factor of ``f_bar``."""
         x2 = _as_x2(x2, self.d)
         p = self.plus.f_coef(x2) / self.plus.rho(x2)
         m = self.minus.f_coef(x2) / self.minus.rho(x2)
-        return self._blend(x1, p, m) * self.y_shape_fn(y)
+        return self._blend(x1, p, m)
+
+    def f_bar(self, x1, x2, y):
+        return self.f_coef_bar(x1, x2) * self.y_shape_fn(y)
 
     # -- serialization ------------------------------------------------------
     def to_json(self, x2_grid, x1_probe=(-1.0, 1.0)):

@@ -1,16 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 import homoglab as hl
 from homoglab.pde_fd import (Grid2D, PdeError, PdeModel, _assemble,
-                             interface_gaps, richardson_error, solve_pde)
+                             _step_matrix, interface_gaps, richardson_error,
+                             solve_pde)
 
 
 def heat_model():
     return PdeModel(a00=lambda x1, x2: 0.5 + 0 * x1,
                     a11=lambda x1, x2: 0.5 + 0 * x1,
                     b1=lambda x1, x2: 0 * x1,
-                    f=lambda x1, x2, v: 0 * v,
+                    f_coef=lambda x1, x2: 0 * x1, f_shape=np.ones_like,
                     H=lambda x1, x2: np.exp(-(x1 ** 2 + x2 ** 2)),
                     label="heat")
 
@@ -20,7 +24,7 @@ def jump_model():
     return PdeModel(a00=lambda x1, x2: np.where(x1 > 0, 2.0, 1.0),
                     a11=lambda x1, x2: 0.5 + 0.25 * x2,
                     b1=lambda x1, x2: 0.3 + 0 * x1,
-                    f=lambda x1, x2, v: 0 * v,
+                    f_coef=lambda x1, x2: 0 * x1, f_shape=np.ones_like,
                     H=lambda x1, x2: 0 * x1, label="jump")
 
 
@@ -43,6 +47,74 @@ def test_operator_rows(scheme, interface_we):
         expect[[r - ny, r + ny, r - 1, r + 1, r]] = \
             [cw, ce, cs, cn, -(cw + ce) - 8 * a11]
         assert row == pytest.approx(expect, rel=1e-14, abs=1e-14), (i, j)
+
+
+def test_neumann_rows():
+    # 7 x 5 nodes (flat index i * 5 + j); boundary rows by hand: 1 on the
+    # node, -1 on its inward neighbour, a corner taking its x1-inward one
+    g = Grid2D(1.0, 1.0, 5, 3, 0.01, 0.1)
+    A, _, _ = _assemble(jump_model(), g, "centered")
+    nx, ny = g.n1 + 2, g.n2 + 2
+    M = _step_matrix(A, g.dt_fd, nx, ny, "neumann").toarray()
+    D = _step_matrix(A, g.dt_fd, nx, ny, "dirichlet").toarray()
+
+    def row(entries):
+        out = np.zeros(nx * ny)
+        for (i, j), val in entries.items():
+            out[i * ny + j] = val
+        return out
+    for (i, j), neighbour in (((3, 0), (3, 1)),      # x2 edge
+                              ((0, 2), (1, 2)),      # x1 edge
+                              ((0, 0), (1, 0)),      # corners
+                              ((6, 4), (5, 4))):
+        r = i * ny + j
+        assert np.array_equal(M[r], row({(i, j): 1.0, neighbour: -1.0}))
+        assert np.array_equal(D[r], row({(i, j): 1.0}))
+    r = 3 * ny + 3                                   # interior: I - dt A
+    expect = -g.dt_fd * A.toarray()[r]
+    expect[r] += 1.0
+    assert np.array_equal(M[r], expect) and np.array_equal(D[r], expect)
+    with pytest.raises(PdeError):
+        _step_matrix(A, g.dt_fd, nx, ny, "periodic")
+
+
+@pytest.mark.parametrize("scheme, boundary_mode", [
+    ("centered", "dirichlet"), ("centered", "neumann"),
+    ("harmonic", "dirichlet"), ("harmonic", "neumann")])
+def test_fd_matches_colamd_reference(switch_avg, switch_family, scheme,
+                                     boundary_mode):
+    # reference time loop: SuperLU's default COLAMD ordering and the full
+    # driver f_bar(x, v) on every step; solve_pde differs only in round-off
+    m = PdeModel.from_averaged(switch_avg, switch_family.terminal)
+    g = Grid2D(4.0, 4.0, 41, 21, 0.025, 0.5)
+    A, X1, X2 = _assemble(m, g, scheme)
+    nx, ny = X1.shape
+    lu = splu(_step_matrix(A, g.dt_fd, nx, ny, boundary_mode),
+              permc_spec="COLAMD")
+    edge = np.ones((nx, ny), dtype=bool)
+    edge[1:-1, 1:-1] = False
+    v = h = m.H(X1, X2)
+    for _ in range(20):
+        rhs = v + g.dt_fd * switch_avg.f_bar(X1, X2[..., None], v)
+        rhs[edge] = h[edge] if boundary_mode == "dirichlet" else 0.0
+        v = lu.solve(rhs.ravel()).reshape(nx, ny)
+    got = solve_pde(m, g, boundary_mode, scheme).values
+    assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v))
+
+
+def test_solve_pde_builds_driver_coefficient_once(switch_avg, switch_family):
+    calls = {"f_coef": 0, "f_shape": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    m = PdeModel.from_averaged(switch_avg, switch_family.terminal)
+    m = dataclasses.replace(m, f_coef=counted("f_coef", m.f_coef),
+                            f_shape=counted("f_shape", m.f_shape))
+    solve_pde(m, Grid2D(2.0, 2.0, 11, 11, 0.02, 0.2))
+    assert calls == {"f_coef": 1, "f_shape": 10}
 
 
 def test_grid_validation():
@@ -79,7 +151,7 @@ def test_spatially_constant_solution():
     m = PdeModel(a00=lambda x1, x2: 0.7 + 0.2 * np.sin(x1),
                  a11=lambda x1, x2: 0.5 + 0 * x1,
                  b1=lambda x1, x2: 0.3 + 0 * x1,
-                 f=lambda x1, x2, v: 0.8 + 0 * v,
+                 f_coef=lambda x1, x2: 0.8 + 0 * x1, f_shape=np.ones_like,
                  H=lambda x1, x2: 0 * x1, label="flat")
     g = Grid2D(2.0, 2.0, 41, 41, 0.025, t_end)
     sol = solve_pde(m, g, boundary_mode="neumann")
@@ -115,7 +187,7 @@ def test_richardson_zero_for_constant_solution():
     m = PdeModel(a00=lambda x1, x2: 0.5 + 0 * x1,
                  a11=lambda x1, x2: 0.5 + 0 * x1,
                  b1=lambda x1, x2: 0 * x1,
-                 f=lambda x1, x2, v: 0 * v,
+                 f_coef=lambda x1, x2: 0 * x1, f_shape=np.ones_like,
                  H=lambda x1, x2: np.ones_like(x1), label="one")
     g = Grid2D(2.0, 2.0, 21, 21, 0.02, 0.2)
     assert richardson_error(m, solve_pde(m, g)) <= 1e-10
