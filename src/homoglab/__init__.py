@@ -4,7 +4,7 @@ Cesaro-averaged, possibly discontinuous, effective coefficients."""
 from .families import (AveragedModel, AveragingError, CesaroResult,
                        CoefficientFamily, FamilyError, audit_assumptions,
                        build_averaged, cesaro_average, closed_form_averaged,
-                       from_tables, geometric_schedule, make_family)
+                       geometric_schedule, make_family)
 from .simulate import (PathBundle, SimGrid, SimulationError, moment_report,
                        occupation_time, simulate_avg, simulate_eps)
 from .bsde import (BsdeSolution, BsdeSpec, PicardError, RegressionError,
@@ -13,7 +13,7 @@ from .bsde import (BsdeSolution, BsdeSpec, PicardError, RegressionError,
 from .corrector import (CorrectorField, corrector_dx1, corrector_value,
                         decay_table, residual_check, second_difference)
 from .pde_fd import (Grid2D, GridSolution, PdeError, PdeModel,
-                     interface_gaps, richardson_error, solve_pde)
+                     richardson_error, solve_pde)
 from .harness import (ConfigError, ConvergenceReport, EmitError,
                       ExperimentConfig, PipelineError, emit,
                       flow_continuity_check, monte_carlo_drift_gap,

@@ -178,7 +178,6 @@ def residual_check(field: CorrectorField, sample_spec: dict) -> ResidualReport:
 class DecayRow:
     eps: float
     sup_V: float
-    sup_growth: float        # sup |V'(x1) / x1|
     sup_beta: float          # weighted-driver remainder, |x1| >= sqrt(eps)
     sup_alpha: float         # rho remainder, |x1| >= sqrt(eps)
 
@@ -215,7 +214,7 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
                 eps_list: Sequence[float], box, y_box,
                 n_grid=(41, 41, 41), csv_path: Optional[str] = None,
                 rtol: float = 1e-6) -> DecayTable:
-    """Sampled sup norms of V, V'/x1 and the averaging remainders per eps.
+    """Sampled sup norms of V and of the averaging remainders per eps.
 
     ``box`` = ((x1lo, x1hi), (x2lo, x2hi)) at d = 1, ``y_box`` = (ylo, yhi).
     For each (eps, x2) the x1 profiles of all y values come from one
@@ -238,7 +237,7 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
     neg, pos = _half_grid(x1lo, x1hi, n1)
     rows = []
     for eps in eps_list:
-        sup_V = sup_G = sup_b = sup_a = 0.0
+        sup_V = sup_b = sup_a = 0.0
         for x2v in x2s:
             x2r = np.array([[x2v]])
             fp = float(avg.plus.f_coef(x2r)[0])
@@ -264,7 +263,6 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
                 Q1, Qt = cum[1:, :ny], cum[1:, ny:2 * ny]
                 R1, A1 = cum[1:, 2 * ny:3 * ny], cum[1:, 3 * ny]
                 sup_V = max(sup_V, float(np.max(np.abs(x1 * Q1 - Qt))))
-                sup_G = max(sup_G, float(np.max(np.abs(Q1 / x1))))
                 far = np.abs(grid[1:]) >= np.sqrt(eps)
                 if far.any():
                     beta = np.abs(R1[far] / x1[far]
@@ -272,8 +270,8 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
                     alpha = np.abs(A1[far] / grid[1:][far] - rlim)
                     sup_b = max(sup_b, float(np.max(beta)))
                     sup_a = max(sup_a, float(np.max(alpha)))
-        rows.append(DecayRow(eps=eps, sup_V=sup_V, sup_growth=sup_G,
-                             sup_beta=sup_b, sup_alpha=sup_a))
+        rows.append(DecayRow(eps=eps, sup_V=sup_V, sup_beta=sup_b,
+                             sup_alpha=sup_a))
 
     def nonincreasing(vals):
         vals = np.asarray(vals)

@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
 from .quadrature import cumulative
 
@@ -39,7 +38,7 @@ def transition(x1):
 
 
 class FamilyError(ValueError):
-    """Unknown family id, bad parameter arity or malformed tables."""
+    """Unknown family id or bad parameter arity."""
 
 
 class AveragingError(RuntimeError):
@@ -155,7 +154,9 @@ class CoefficientFamily:
 
     ``d`` is the slow dimension, ``k = d + 1`` the Brownian dimension.
     Bounds (a00 ellipticity window, Lipschitz constant, driver sup norm)
-    are declared by the constructor and audited by sampling.
+    are declared by the constructor and audited by sampling.  Every family
+    is a template in (T, sin), so its effective model has the closed form
+    ``closed_form_limits``, built with the family.
     """
     family_id: str
     params: tuple
@@ -168,8 +169,10 @@ class CoefficientFamily:
     f_shape: tuple            # (c0, c1): y-shape c0 + c1*tanh(y)
     H: Callable
     bounds: dict
-    closed_form_limits: Optional["AveragedModel"] = None
-    _clamp_count: list = field(default_factory=lambda: [0], repr=False)
+    closed_form_limits: "AveragedModel" = field(init=False)
+
+    def __post_init__(self):
+        self.closed_form_limits = closed_form_averaged(self)
 
     # -- raw weighted quantities -------------------------------------------
     def rho(self, x1, x2):
@@ -416,9 +419,9 @@ def build_averaged(fam: CoefficientFamily, y_grid=_DEFAULT_YGRID,
 
     The template structure makes every weighted coefficient a fixed linear
     combination of {1, T, sin}, so the engine averages the basis once and
-    assembles the branches by linearity.  When the family declares closed
-    forms the numeric model must agree with them within ``tol``; the
-    returned model then carries the closed form.
+    assembles the branches by linearity.  The numeric model must agree
+    with the family's closed form within ``tol``; the returned model is the
+    closed form.
     """
     a_trans, a_sin = _basis_limits_numeric(schedule, tol)
     numeric = _assemble(fam, a_trans, a_sin, y_grid, exact=False)
@@ -431,28 +434,21 @@ def build_averaged(fam: CoefficientFamily, y_grid=_DEFAULT_YGRID,
             raise AveragingError("assembled averaged diffusion block is not "
                                  "positive definite (upstream assumption violation)")
         _ = _sym_sqrt(2.0 * a1)
-    if fam.closed_form_limits is not None:
-        dev = _compare_models(numeric, fam.closed_form_limits)
-        if dev > tol:
-            raise AveragingError(
-                f"numeric limits deviate from closed form by {dev:.3e} > tol {tol:.1e}")
-        return fam.closed_form_limits
-    return numeric
+    dev = _compare_models(numeric, fam.closed_form_limits)
+    if dev > tol:
+        raise AveragingError(
+            f"numeric limits deviate from closed form by {dev:.3e} > tol {tol:.1e}")
+    return fam.closed_form_limits
 
 
 # ---------------------------------------------------------------------------
 # Catalog
 # ---------------------------------------------------------------------------
 
-def _attach_closed_form(fam: CoefficientFamily) -> CoefficientFamily:
-    fam.closed_form_limits = closed_form_averaged(fam)
-    return fam
-
-
 def _const_family() -> CoefficientFamily:
     d = 1
     zero = _const_w(0.0)
-    fam = CoefficientFamily(
+    return CoefficientFamily(
         family_id="const", params=(), d=d, k=d + 1,
         rho_t=_Template(_const_w(1.0), zero, zero),
         rhob_t=_Template(_const_w([0.0]), _const_w([0.0]), _const_w([0.0])),
@@ -462,7 +458,6 @@ def _const_family() -> CoefficientFamily:
         H=lambda x: np.ones(np.asarray(x).shape[:-1]),
         bounds=dict(C1=1.0, C2=1.0, C3=2.0, Lambda=1.0, lip=0.0,
                     f_sup=0.0, h_sup=1.0, deriv_bound=1.0))
-    return _attach_closed_form(fam)
 
 
 def _switch_family(params=()) -> CoefficientFamily:
@@ -475,7 +470,7 @@ def _switch_family(params=()) -> CoefficientFamily:
     else:
         raise FamilyError(f"switch family takes 0 or 2 params, got {len(params)}")
     d = 1
-    fam = CoefficientFamily(
+    return CoefficientFamily(
         family_id="switch", params=tuple(params), d=d, k=d + 1,
         rho_t=_Template(_const_w(r0), _const_w(r1), _const_w(0.0)),
         rhob_t=_Template(_const_w([1.0]), _const_w([1.0]), _const_w([0.3])),
@@ -487,7 +482,6 @@ def _switch_family(params=()) -> CoefficientFamily:
                     C3=12.0, Lambda=2.0 * 0.6 / (r0 + abs(r1)), lip=3.0,
                     f_sup=1.5 * 1.4 / (r0 - abs(r1)), h_sup=1.5,
                     deriv_bound=3.0))
-    return _attach_closed_form(fam)
 
 
 def _slowvary_family() -> CoefficientFamily:
@@ -505,7 +499,7 @@ def _slowvary_family() -> CoefficientFamily:
     def q_w(x2):
         return 0.5 + 0.2 * np.cos(x2[..., 0])
 
-    fam = CoefficientFamily(
+    return CoefficientFamily(
         family_id="slowvary", params=(), d=d, k=d + 1,
         rho_t=_Template(_const_w(1.0), zero, zero),
         rhob_t=_Template(lambda x2: b_w(x2), zvec, zvec),
@@ -515,7 +509,6 @@ def _slowvary_family() -> CoefficientFamily:
         H=lambda x: np.tanh(x[..., 0]) + 0.5 * np.cos(x[..., 1]),
         bounds=dict(C1=1.0, C2=1.0, C3=4.0, Lambda=0.6, lip=1.0,
                     f_sup=0.5 * 0.7, h_sup=1.5, deriv_bound=1.5))
-    return _attach_closed_form(fam)
 
 
 def _noparams(fid, builder):
@@ -541,77 +534,6 @@ def make_family(family_id: str, params: Sequence[float] = (), d: int = 1,
     return fam
 
 
-def from_tables(x1_grid, rho_tab, rhob_tab, rhoa_tab, rhof_tab,
-                f_shape=(0.0, 1.0), H=None, bounds=None) -> CoefficientFamily:
-    """Tabulated-custom family: x2-independent samples over an x1 grid.
-
-    Evaluation outside the grid clamps to the edge (saturation form for the
-    fast argument); clamps are counted on the family for diagnostics.  No
-    closed-form limits are attached.
-    """
-    x1_grid = np.asarray(x1_grid, dtype=float)
-    rho_tab = np.asarray(rho_tab, dtype=float)
-    rhob_tab = np.asarray(rhob_tab, dtype=float)
-    rhoa_tab = np.asarray(rhoa_tab, dtype=float)
-    rhof_tab = np.asarray(rhof_tab, dtype=float)
-    if rhob_tab.ndim != 2 or rhoa_tab.ndim != 3:
-        raise FamilyError("rhob_tab must be (nx, d) and rhoa_tab (nx, d, d)")
-    d = rhob_tab.shape[1]
-    counter = [0]
-
-    def interp(tab):
-        def ev(x1, x2):
-            x1 = np.asarray(x1, dtype=float)
-            n_out = int(np.sum((x1 < x1_grid[0]) | (x1 > x1_grid[-1])))
-            if n_out:
-                counter[0] += n_out
-            xc = np.clip(x1, x1_grid[0], x1_grid[-1])
-            flat = tab.reshape(tab.shape[0], -1)
-            vals = np.stack([np.interp(xc, x1_grid, flat[:, j])
-                             for j in range(flat.shape[1])], axis=-1)
-            out = vals.reshape(x1.shape + tab.shape[1:])
-            want = np.asarray(x2).shape[:-1] + tab.shape[1:]
-            return np.broadcast_to(out.reshape(x1.shape + tab.shape[1:]), want) \
-                if out.shape != want else out
-        return ev
-
-    # Tabulated families bypass the template; wrap the interpolants in
-    # objects with the same call/basis/combine/limits surface (the basis is
-    # x1 itself, so every table still interpolates and counts its clamps).
-    # Limits come from the clamped tails (the table is constant outside its
-    # range).
-    class _Tab:
-        def __init__(self, tab):
-            self.tab = tab
-            self.ev = interp(tab)
-        def __call__(self, x1, x2):
-            return self.ev(x1, x2)
-        @staticmethod
-        def basis(x1):
-            return x1
-        def combine(self, x1, x2):
-            return self.ev(x1, x2)
-        def limits(self, x2, a_trans, a_sin):
-            del a_trans, a_sin
-            shp = np.asarray(x2).shape[:-1]
-            plus = np.broadcast_to(self.tab[-1], shp + self.tab.shape[1:]).copy()
-            minus = np.broadcast_to(self.tab[0], shp + self.tab.shape[1:]).copy()
-            return plus, minus
-
-    fam = CoefficientFamily(
-        family_id="tabulated", params=(), d=d, k=d + 1,
-        rho_t=_Tab(rho_tab), rhob_t=_Tab(rhob_tab),
-        rhoa_t=_Tab(rhoa_tab), rhof_t=_Tab(rhof_tab),
-        f_shape=tuple(f_shape),
-        H=H if H is not None else (lambda x: np.ones(np.asarray(x).shape[:-1])),
-        bounds=bounds or dict(
-            C1=float(1.0 / rho_tab.max()), C2=float(1.0 / rho_tab.min()),
-            C3=50.0, Lambda=0.1, lip=10.0, f_sup=10.0, h_sup=10.0,
-            deriv_bound=10.0),
-        _clamp_count=counter)
-    return fam
-
-
 # ---------------------------------------------------------------------------
 # Assumption audit
 # ---------------------------------------------------------------------------
@@ -622,7 +544,7 @@ _ASSUMPTION_IDS = ("A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3")
 @dataclass
 class AssumptionEntry:
     id: str
-    status: str                  # verified-sampled | closed-form | violated | unchecked
+    status: str                  # verified-sampled | closed-form | violated
     residual: float
     witness: Optional[tuple] = None
     detail: str = ""
@@ -650,6 +572,7 @@ def audit_assumptions(fam: CoefficientFamily, sample_spec: dict) -> AssumptionRe
     seed = int(sample_spec["seed"])
     if box.shape[0] < fam.d + 1 or np.any(box[:, 1] <= box[:, 0]):
         raise ValueError("sample box must be nonempty over (x1, x2[, y])")
+    from scipy.stats import qmc   # slow to import; only the audit uses it
     dims = box.shape[0]
     sob = qmc.Sobol(d=dims, scramble=True, seed=seed)
     pts = qmc.scale(sob.random(n), box[:, 0], box[:, 1])
@@ -721,17 +644,15 @@ def audit_assumptions(fam: CoefficientFamily, sample_spec: dict) -> AssumptionRe
         res_c1, _witness(i) if res_c1 > 1e-9 else None,
         "driver and terminal sup bounds")
 
-    # (B1)/(B2): existence of the limits; closed-form for the catalog.
-    has_cf = fam.closed_form_limits is not None
+    # (B1)/(B2): existence of the limits, by template construction.
     for aid in ("B1", "B2"):
         entries[aid] = AssumptionEntry(
-            aid, "closed-form" if has_cf else "unchecked", 0.0, None,
-            "limits exist by template construction" if has_cf
-            else "no closed form; B-limits not separately certified")
+            aid, "closed-form", 0.0, None,
+            "limits exist by template construction")
 
     # (B3)/(C2): remainder decay trend along |x1| in {10, 1e2, 1e3, 1e4}.
     x2_ref = np.zeros((1, fam.d))
-    avg = build_averaged(fam) if not has_cf else fam.closed_form_limits
+    avg = fam.closed_form_limits
     horizons = np.array([10.0, 1e2, 1e3, 1e4])
     for aid, g, norm in (
             ("B3", lambda t, _: fam.rho(t, x2_ref),

@@ -21,7 +21,6 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from . import corrector as corr
 from . import families, pde_fd
@@ -109,8 +108,10 @@ class ExperimentConfig:
                 raw=doc)
         except KeyError as exc:
             raise ConfigError(f"missing config key {exc}") from exc
-        if "seed" not in mc:
-            raise ConfigError("mc.seed is required; entropy seeding is not allowed")
+        for key in ("block_size", "substeps_cap"):
+            if getattr(cfg, key) < 1:
+                raise ConfigError(f"mc.{key} must be at least 1, "
+                                  f"got {getattr(cfg, key)}")
         if not eps_list or any(e <= 0 for e in eps_list) or \
                 any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigError("eps_list must be positive, strictly decreasing")
@@ -475,6 +476,7 @@ def flow_continuity_check(cfg: ExperimentConfig, x0_list) -> list:
     reports per consecutive pair the KS distances of the X_{t_end}
     marginals and the Y0 difference with combined stderr.
     """
+    from scipy import stats   # slow to import; only this check uses it
     st = Stages(cfg)
     spec = st.spec(st.avg.f_bar)
     runs = []

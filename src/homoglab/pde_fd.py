@@ -1,7 +1,8 @@
 """Semi-implicit finite differences for the d = 1 parabolic problems.
 
-Monte-Carlo-independent cross-check of the probabilistic solvers.  The
-operator matches the generator of the simulated process,
+Monte-Carlo-independent cross-check of the probabilistic solvers, run on
+the averaged model (``PdeModel.from_averaged``).  The operator matches the
+generator of the simulated process,
 
     a00(x1, x2) d2/dx1^2 + a11(x1, x2) d2/dx2^2 + b1(x1, x2) d/dx2,
 
@@ -28,9 +29,8 @@ from __future__ import annotations
 
 import csv
 import json
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -89,7 +89,8 @@ class Grid2D:
 class PdeModel:
     """Coefficient callables on (x1, x2) meshes.
 
-    The driver is ``f_coef(x1, x2) * f_shape(v)``.
+    The driver is ``f_coef(x1, x2) * f_shape(v)``.  ``from_averaged``
+    builds the averaged model's.
     """
     a00: Callable
     a11: Callable
@@ -98,25 +99,6 @@ class PdeModel:
     f_shape: Callable
     H: Callable
     label: str = "custom"
-    eps: Optional[float] = None
-
-    @classmethod
-    def from_family(cls, fam, eps: float) -> "PdeModel":
-        if fam.d != 1:
-            raise PdeError("FD solver is d = 1 only")
-
-        def pack(x1, x2):
-            return x1 / eps, x2[..., None]
-
-        return cls(
-            a00=lambda x1, x2: fam.a00(*pack(x1, x2)),
-            a11=lambda x1, x2: fam.a1(*pack(x1, x2))[..., 0, 0],
-            b1=lambda x1, x2: fam.b1(*pack(x1, x2))[..., 0],
-            f_coef=lambda x1, x2: (fam.rhof_t(*pack(x1, x2))
-                                   / fam.rho(*pack(x1, x2))),
-            f_shape=fam.f_y_shape,
-            H=lambda x1, x2: fam.terminal(np.stack([x1, x2], axis=-1)),
-            label=f"eps-form:{fam.family_id}", eps=eps)
 
     @classmethod
     def from_averaged(cls, avg, H) -> "PdeModel":
@@ -244,11 +226,6 @@ def solve_pde(model: PdeModel, grid: Grid2D, boundary_mode: str = "dirichlet",
     from v(0) = H; the reported slice is remaining time t_end, so
     values[i, j] ~ v(0, x) for terminal data at t_end.
     """
-    if model.eps is not None and model.eps < 4.0 * grid.h1:
-        warnings.warn(
-            f"eps = {model.eps} under-resolved (4*h1 = {4 * grid.h1:.3g}); "
-            "fast oscillations are not represented on this grid",
-            RuntimeWarning)
     A, X1, X2 = _assemble(model, grid, scheme)
     nx, ny = X1.shape
     M = _step_matrix(A, grid.dt_fd, nx, ny, boundary_mode)
@@ -292,23 +269,3 @@ def richardson_error(model: PdeModel, coarse: GridSolution,
     return float(np.max(np.abs(
         coarse.values - fine.values[::refinement, ::refinement])))
 
-
-def interface_gaps(sol: GridSolution) -> dict:
-    """One-sided x1-derivative data at the interface column x1 = 0.
-
-    Returns the max over x2 of |slope jump| and of the relative value jump
-    reconstructed from each side (both ~0 for the centered scheme on a
-    resolved solution; the harmonic scheme trades the slope gap for flux
-    continuity instead).
-    """
-    i0 = sol.grid.n1 // 2 + 1
-    x1 = sol.grid.x1
-    if abs(x1[i0]) > 1e-12:
-        raise PdeError("grid has no interface node")
-    h = sol.grid.h1
-    v = sol.values
-    left = (v[i0] - v[i0 - 1]) / h
-    right = (v[i0 + 1] - v[i0]) / h
-    return {"max_slope_gap": float(np.max(np.abs(right - left))),
-            "max_curvature": float(np.max(np.abs(
-                v[i0 + 1] - 2 * v[i0] + v[i0 - 1])) / h ** 2)}

@@ -6,8 +6,9 @@ dimension k = d + 1 and the diffusion matrix keeps the block structure:
 X1 sees only column 0, X2 only columns 1..k-1.
 
 Randomness is counter-based: each path owns a Philox stream keyed by
-(seed, path_index), so the ensemble is bitwise reproducible regardless of
-block size or thread count.  A stream drawn in chunks yields the same
+(seed, path_index), so the ensemble is bitwise reproducible whatever the
+block size, and the eps sweep may run its simulations on several threads
+(``harness.Stages.sweep``).  A stream drawn in chunks yields the same
 numbers as one whole-path draw, so each block keeps its paths' generators
 alive and draws the normals of ``max(1, n_steps // substeps)`` coarse steps
 at a time: the normals buffer holds at most
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import json
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -142,7 +142,10 @@ def _path_normals(gens, n_fine: int, k: int, scale: float) -> np.ndarray:
 
 
 def _run_blocks(step_coeffs, x0, grid, n_paths, seed, substeps, d,
-                block_size, n_jobs):
+                block_size):
+    for name, value in (("block_size", block_size), ("substeps", substeps)):
+        if value < 1:
+            raise SimulationError(f"{name} must be at least 1, got {value}")
     x0 = np.asarray(x0, dtype=float).reshape(d + 1)
     dt_f = grid.t_end / (grid.n_steps * substeps)
     sq = np.sqrt(dt_f)
@@ -152,7 +155,8 @@ def _run_blocks(step_coeffs, x0, grid, n_paths, seed, substeps, d,
     X = np.empty((n_paths, grid.n_steps + 1, d + 1))
     dB = np.empty((n_paths, grid.n_steps, k))
 
-    def run_block(lo, hi):
+    for lo in range(0, n_paths, block_size):
+        hi = min(lo + block_size, n_paths)
         gens = _path_streams(seed, range(lo, hi))
         x1 = np.full(hi - lo, x0[0])
         x2 = np.tile(x0[1:], (hi - lo, 1))
@@ -176,21 +180,12 @@ def _run_blocks(step_coeffs, x0, grid, n_paths, seed, substeps, d,
                 X[lo:hi, cs + 1, 0] = x1
                 X[lo:hi, cs + 1, 1:] = x2
                 dB[lo:hi, cs] = dW[:, f0:f0 + substeps].sum(axis=1)
-
-    blocks = [(lo, min(lo + block_size, n_paths))
-              for lo in range(0, n_paths, block_size)]
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as ex:
-            list(ex.map(lambda ab: run_block(*ab), blocks))
-    else:
-        for lo, hi in blocks:
-            run_block(lo, hi)
     return X, dB
 
 
 def simulate_eps(fam: CoefficientFamily, eps: float, x0, grid: SimGrid,
                  n_paths: int, seed: int, substeps: int = 1,
-                 block_size: int = 4096, n_jobs: int = 1) -> PathBundle:
+                 block_size: int = 4096) -> PathBundle:
     """Two-scale Euler-Maruyama: coefficients evaluated at (X1/eps, X2).
 
     ``substeps`` refines the integration grid without growing the stored
@@ -207,14 +202,14 @@ def simulate_eps(fam: CoefficientFamily, eps: float, x0, grid: SimGrid,
         return phi, b1, s1
 
     X, dB = _run_blocks(step_coeffs, x0, grid, n_paths, seed, substeps,
-                        fam.d, block_size, n_jobs)
+                        fam.d, block_size)
     return PathBundle(n_paths=n_paths, grid=grid, X=X, dB=dB, seed=seed,
                       eps=eps)
 
 
 def simulate_avg(avg: AveragedModel, x0, grid: SimGrid, n_paths: int,
-                 seed: int, substeps: int = 1, block_size: int = 4096,
-                 n_jobs: int = 1) -> PathBundle:
+                 seed: int, substeps: int = 1,
+                 block_size: int = 4096) -> PathBundle:
     """Euler-Maruyama under the averaged coefficients (minus branch at x1=0)."""
 
     def step_coeffs(x1, x2):
@@ -224,7 +219,7 @@ def simulate_avg(avg: AveragedModel, x0, grid: SimGrid, n_paths: int,
         return phi, b1, s1
 
     X, dB = _run_blocks(step_coeffs, x0, grid, n_paths, seed, substeps,
-                        avg.d, block_size, n_jobs)
+                        avg.d, block_size)
     return PathBundle(n_paths=n_paths, grid=grid, X=X, dB=dB, seed=seed,
                       eps=None)
 

@@ -1,3 +1,5 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -48,12 +50,31 @@ def test_seed_reproducibility(switch_family, small_grid):
 
 
 def test_block_and_thread_invariance(switch_family, small_grid):
-    a = hl.simulate_eps(switch_family, 0.5, [0.0, 0.0], small_grid, 500,
-                        seed=9, block_size=500)
-    b = hl.simulate_eps(switch_family, 0.5, [0.0, 0.0], small_grid, 500,
-                        seed=9, block_size=77, n_jobs=3)
-    assert np.array_equal(a.X, b.X)
-    assert np.array_equal(a.dB, b.dB)
+    # other block sizes, run on three threads at once as the eps sweep
+    # runs its simulations, give the same paths
+    def run(block_size):
+        return hl.simulate_eps(switch_family, 0.5, [0.0, 0.0], small_grid,
+                               500, seed=9, block_size=block_size)
+    a = run(500)
+    with ThreadPoolExecutor(max_workers=3) as ex:
+        runs = list(ex.map(run, [77, 64, 1000]))
+    for b in runs:
+        assert np.array_equal(a.X, b.X)
+        assert np.array_equal(a.dB, b.dB)
+
+
+@pytest.mark.parametrize("name,value", [("block_size", 0),
+                                        ("block_size", -4),
+                                        ("substeps", 0)])
+def test_nonpositive_block_size_or_substeps_refused(switch_family, switch_avg,
+                                                    small_grid, name, value):
+    # a negative block size would leave the path buffer uninitialised
+    for simulate_fn, args in ((hl.simulate_eps, (switch_family, 0.5)),
+                              (hl.simulate_avg, (switch_avg,))):
+        with pytest.raises(SimulationError,
+                           match=f"{name} must be at least 1, got {value}"):
+            simulate_fn(*args, [0.0, 0.0], small_grid, 10, seed=1,
+                        **{name: value})
 
 
 def test_path_prefix_stability(switch_family, small_grid):
@@ -92,18 +113,24 @@ def _whole_path_reference(fam, eps, x0, grid, n_paths, seed, substeps):
 
 @pytest.mark.parametrize("substeps", [1, 3, 50])
 @pytest.mark.parametrize("block_size", [23, 7])
-@pytest.mark.parametrize("n_jobs", [1, 2])
+@pytest.mark.parametrize("n_threads", [1, 2])
 def test_streams_match_whole_path_draws(switch_family, substeps, block_size,
-                                        n_jobs):
-    # chunked draws from long-lived generators give the whole-path streams
+                                        n_threads):
+    # chunked draws from long-lived generators give the whole-path streams,
+    # also with n_threads simulations running at once
     grid = hl.SimGrid(0.5, 10)
-    b = hl.simulate_eps(switch_family, 0.3, [0.5, 0.0], grid, 23, seed=17,
-                        substeps=substeps, block_size=block_size,
-                        n_jobs=n_jobs)
+
+    def run(_):
+        return hl.simulate_eps(switch_family, 0.3, [0.5, 0.0], grid, 23,
+                               seed=17, substeps=substeps,
+                               block_size=block_size)
+    with ThreadPoolExecutor(max_workers=n_threads) as ex:
+        bundles = list(ex.map(run, range(n_threads)))
     X, dB = _whole_path_reference(switch_family, 0.3, [0.5, 0.0], grid, 23,
                                   17, substeps)
-    assert np.array_equal(b.X, X)
-    assert np.array_equal(b.dB, dB)
+    for b in bundles:
+        assert np.array_equal(b.X, X)
+        assert np.array_equal(b.dB, dB)
 
 
 @pytest.mark.parametrize("n_steps,substeps", [(10, 1), (10, 3), (4, 50),

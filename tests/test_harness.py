@@ -1,6 +1,8 @@
 import filecmp
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -39,7 +41,15 @@ def test_config_rejects_bad_eps(config_doc):
 
 def test_config_requires_seed(config_doc):
     del config_doc["mc"]["seed"]
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="seed"):
+        hl.ExperimentConfig.from_dict(config_doc)
+
+
+@pytest.mark.parametrize("key,value", [("block_size", 0), ("block_size", -4),
+                                       ("substeps_cap", 0)])
+def test_config_rejects_nonpositive_mc_sizes(config_doc, key, value):
+    config_doc["mc"][key] = value
+    with pytest.raises(ConfigError, match=f"mc.{key} must be at least 1"):
         hl.ExperimentConfig.from_dict(config_doc)
 
 
@@ -300,6 +310,27 @@ def _tiny_doc():
     doc["fd"] = {"L1": 2.0, "L2": 2.0, "n1": 11, "n2": 11, "dt_fd": 0.05}
     doc["corrector"] = {"n_grid": [11, 3, 3], "n_samples": 4}
     return doc
+
+
+def test_converge_does_not_import_scipy_stats(tmp_path):
+    # scipy.stats costs ~0.4 s of start-up; neither the set-up of a run nor
+    # a converge with fd and corrector blocks may load it
+    cfgp = _write_cfg(tmp_path, _tiny_doc())
+    script = (
+        "import sys\n"
+        "import homoglab.cli\n"
+        "from homoglab.harness import ExperimentConfig\n"
+        f"ExperimentConfig.load({DEMO!r}).family()\n"
+        "assert 'scipy.stats' not in sys.modules, 'set-up'\n"
+        f"code = homoglab.cli.main(['converge', {cfgp!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}])\n"
+        "assert code in (0, 2), code\n"
+        "assert 'scipy.stats' not in sys.modules, 'converge'\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hl.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_subcommands_smoke(tmp_path):

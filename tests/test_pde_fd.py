@@ -6,8 +6,7 @@ from scipy.sparse.linalg import splu
 
 import homoglab as hl
 from homoglab.pde_fd import (Grid2D, PdeError, PdeModel, _assemble,
-                             _step_matrix, interface_gaps, richardson_error,
-                             solve_pde)
+                             _step_matrix, richardson_error, solve_pde)
 
 
 def heat_model():
@@ -166,9 +165,23 @@ def test_maximum_principle():
 
 
 def test_eps_form_equals_averaged_for_slow_family(slowvary_family):
-    avg = hl.build_averaged(slowvary_family)
-    me = PdeModel.from_family(slowvary_family, eps=1.0)
-    ma = PdeModel.from_averaged(avg, slowvary_family.terminal)
+    # the eps-form problem: the family's own coefficients at (x1/eps, x2);
+    # slowvary does not depend on the fast variable, so it is the averaged
+    # problem
+    fam, eps = slowvary_family, 1.0
+
+    def pack(x1, x2):
+        return x1 / eps, x2[..., None]
+    me = PdeModel(a00=lambda x1, x2: fam.a00(*pack(x1, x2)),
+                  a11=lambda x1, x2: fam.a1(*pack(x1, x2))[..., 0, 0],
+                  b1=lambda x1, x2: fam.b1(*pack(x1, x2))[..., 0],
+                  f_coef=lambda x1, x2: (fam.rhof_t(*pack(x1, x2))
+                                         / fam.rho(*pack(x1, x2))),
+                  f_shape=fam.f_y_shape,
+                  H=lambda x1, x2: fam.terminal(np.stack([x1, x2], axis=-1)),
+                  label="eps-form:slowvary")
+    avg = hl.build_averaged(fam)
+    ma = PdeModel.from_averaged(avg, fam.terminal)
     g = Grid2D(3.0, 3.0, 41, 41, 0.025, 0.25)
     ve = solve_pde(me, g).values
     va = solve_pde(ma, g).values
@@ -206,9 +219,13 @@ def test_interface_slope_continuity_centered(switch_avg, switch_family):
     m = PdeModel.from_averaged(switch_avg, switch_family.terminal)
     g = Grid2D(5.0, 5.0, 201, 101, 0.025, 0.5)
     sol = solve_pde(m, g)
-    gaps = interface_gaps(sol)
-    slope_scale = np.max(np.abs(np.gradient(sol.values, axis=0))) / g.h1
-    assert gaps["max_slope_gap"] <= 0.05 * slope_scale
+    i0 = g.n1 // 2 + 1                     # the interface column x1 = 0
+    assert abs(g.x1[i0]) <= 1e-12
+    v = sol.values
+    left = (v[i0] - v[i0 - 1]) / g.h1
+    right = (v[i0 + 1] - v[i0]) / g.h1
+    slope_scale = np.max(np.abs(np.gradient(v, axis=0))) / g.h1
+    assert np.max(np.abs(right - left)) <= 0.05 * slope_scale
 
 
 def test_harmonic_scheme_differs_at_interface(switch_avg, switch_family):
@@ -219,13 +236,6 @@ def test_harmonic_scheme_differs_at_interface(switch_avg, switch_family):
     vc = solve_pde(m, g).at(0.5, 0.0)
     vh = solve_pde(m, g, scheme="harmonic").at(0.5, 0.0)
     assert abs(vc - vh) > 0.02
-
-
-def test_under_resolved_eps_warns(switch_family):
-    m = PdeModel.from_family(switch_family, eps=0.01)
-    g = Grid2D(2.0, 2.0, 21, 21, 0.02, 0.2)
-    with pytest.warns(RuntimeWarning):
-        solve_pde(m, g)
 
 
 def test_csv_emit(switch_avg, switch_family, tmp_path):
