@@ -73,6 +73,14 @@ def cesaro_average(g, x2, schedule=None, tol: float = 1e-4) -> CesaroResult:
     on a geometric horizon schedule via adaptive panel quadrature, and
     convergence is declared when the last three values stabilize to ``tol``.
     Non-convergence is reported, never papered over with an extrapolation.
+
+    The panels start at 2*pi, the period of the template's sin(x1).  For
+    the basis on the default schedule every cell settles at the first
+    doubling, so the accepted estimate has pi-wide panels (24 Gauss nodes
+    per period) and agrees with that of a pi start, which evaluates twice
+    the nodes, to ~1e-15 in the basis limits.  A 4*pi start would accept
+    one 12-node rule per period and moves the sin limit by ~5e-13; an
+    8*pi start needs a second doubling.
     """
     schedule = np.asarray(geometric_schedule() if schedule is None
                           else schedule, dtype=float)
@@ -81,7 +89,8 @@ def cesaro_average(g, x2, schedule=None, tol: float = 1e-4) -> CesaroResult:
 
     def one_side(sign):
         grid = np.concatenate(([0.0], sign * schedule))
-        cum = cumulative(lambda t: g(t, x2), grid, rtol=tol / 10.0)
+        cum = cumulative(lambda t: g(t, x2), grid, rtol=tol / 10.0,
+                         max_panel=2.0 * np.pi)
         # (1/x1) * int_0^{x1}; both signs give the plain ratio.
         return cum[1:] / (sign * schedule)[:, None]
 

@@ -1,4 +1,4 @@
-"""Composite Gauss-Legendre quadrature with panel refinement.
+"""Composite Gauss-Legendre quadrature with batched panel doubling.
 
 Shared building block for the running-average (Cesaro) limits and the
 corrector integrals.  The integrands we meet mix slow algebraic trends
@@ -6,9 +6,19 @@ corrector integrals.  The integrands we meet mix slow algebraic trends
 Gauss rule per short panel is accurate and cheap; adaptivity doubles the
 panel count until two consecutive estimates agree.
 
+One engine serves ``cumulative`` and ``integrate`` (its one-cell case): in
+each doubling round every unsettled cell of a grid is integrated by one
+``panel_integrals`` call per run of adjacent cells, and a cell leaves the
+round once it settles (per-interval termination, Gander & Gautschi 2000,
+"Adaptive quadrature - revisited", BIT 40).  Each cell keeps its own panel
+sequence and is summed on its own, so its estimate is bit-identical to a
+one-cell refinement.  One tolerance policy holds for every cell (see
+``_ATOL``); a cell that does not settle raises ``QuadratureError`` naming it.
+
 Integrands must be vectorized: ``g(t)`` maps a 1-d node array to an array
 of shape ``(nt,)`` or ``(nt, m)`` for m simultaneously integrated
-components.
+components, evaluated node by node (the nodes of several cells arrive in
+one call).
 """
 
 from __future__ import annotations
@@ -64,59 +74,88 @@ def panel_integrals(g, edges, order: int = 12, chunk: int = 1 << 16):
     return out
 
 
-def _refine(g, a, b, rtol, atol, max_panel, order, max_rounds):
-    """Composite estimates over [a, b] with the panel count doubled until
-    two consecutive ones agree to ``rtol``/``atol``, for at most
-    ``max_rounds`` doublings.  Returns (last estimate, converged, last
-    error)."""
-    n = max(1, int(np.ceil(abs(b - a) / max_panel)))
-    prev = panel_integrals(g, np.linspace(a, b, n + 1), order).sum(axis=0)
-    for _ in range(max_rounds):
-        n *= 2
-        cur = panel_integrals(g, np.linspace(a, b, n + 1), order).sum(axis=0)
+# One tolerance policy for every cell: two consecutive estimates agree to
+# ``rtol`` relative or ``_ATOL`` absolute within ``_MAX_ROUNDS`` doublings,
+# or the cell raises.  These are the limits ``integrate`` always had, so its
+# callers keep their values; a ``cumulative`` cell that settled at the first
+# doubling under its former atol of 1e-14 still does, with the same
+# estimate.  1e-14 is within the round-off (~n * 1e-16) of a cell integral
+# that cancels to ~0 over a few hundred O(1) panel values.
+_ATOL = 1e-12
+_MAX_ROUNDS = 8
+
+
+def _estimates(g, a, b, n, cells, order):
+    """Composite estimates of ``cells`` over [a[i], b[i]] with n[i] panels.
+
+    One ``panel_integrals`` call per run of adjacent cells.  The edges are
+    those of ``np.linspace(a[i], b[i], n[i] + 1)`` and each cell is summed
+    on its own, so every estimate is bit-identical to a one-cell call.
+    """
+    k = n[cells]
+    stops = np.cumsum(k)
+    starts = stops - k
+    j = np.arange(stops[-1]) - np.repeat(starts, k)
+    step = (b[cells] - a[cells]) / k
+    left = j * np.repeat(step, k) + np.repeat(a[cells], k)
+    first = np.flatnonzero(np.diff(cells, prepend=-2) != 1)
+    last = np.append(first[1:], cells.size) - 1
+    parts = np.concatenate([
+        panel_integrals(g, np.append(left[starts[f]:stops[e]], b[cells[e]]),
+                        order)
+        for f, e in zip(first, last)])
+    # np.add.reduceat would sum each cell in another order than a one-cell
+    # ``.sum(axis=0)`` does
+    return np.stack([parts[s:e].sum(axis=0) for s, e in zip(starts, stops)])
+
+
+def _settle(g, grid, rtol, max_panel, order):
+    """Integrals of ``g`` over the cells of ``grid``, shape ``(cells, m)``.
+
+    Every unsettled cell doubles its panel count in the same round, starting
+    from ceil(|cell| / max_panel) panels; zero-length cells are exact zeros.
+    """
+    a, b = grid[:-1], grid[1:]
+    n = np.maximum(1, np.ceil(np.abs(b - a) / max_panel)).astype(np.int64)
+    todo = np.flatnonzero(a != b)
+    if todo.size == 0:
+        m = _eval(g, grid[:1]).shape[1]
+        return np.zeros((a.size, m))
+    prev = _estimates(g, a, b, n, todo, order)
+    out = np.zeros((a.size, prev.shape[1]))
+    for _ in range(_MAX_ROUNDS):
+        n[todo] *= 2
+        cur = _estimates(g, a, b, n, todo, order)
         err = np.abs(cur - prev)
-        if np.all(err <= atol + rtol * np.abs(cur)):
-            return cur, True, err
-        prev = cur
-    return cur, False, err
+        ok = np.all(err <= _ATOL + rtol * np.abs(cur), axis=1)
+        out[todo[ok]] = cur[ok]
+        todo, prev, err = todo[~ok], cur[~ok], err[~ok]
+        if todo.size == 0:
+            return out
+    i = todo[0]
+    raise QuadratureError(
+        f"no convergence on [{float(a[i])}, {float(b[i])}] after "
+        f"{_MAX_ROUNDS} refinements (last error {float(np.max(err[0])):.3e})")
 
 
-def integrate(g, a: float, b: float, rtol: float = 1e-8, atol: float = 1e-12,
-              max_panel: float = np.pi, order: int = 12, max_rounds: int = 8):
+def integrate(g, a: float, b: float, rtol: float = 1e-8,
+              max_panel: float = np.pi, order: int = 12):
     """Adaptive composite integral of ``g`` over [a, b] (oriented).
 
-    Doubles the panel count until two consecutive composite estimates
-    agree to ``rtol``/``atol``.  Returns an array of shape ``(m,)``.
+    The one-cell case of :func:`cumulative`.  Returns an array of shape
+    ``(m,)``.
     """
-    if a == b:
-        probe = _eval(g, np.asarray([a], dtype=float))
-        return np.zeros(probe.shape[1])
-    val, ok, err = _refine(g, a, b, rtol, atol, max_panel, order, max_rounds)
-    if not ok:
-        raise QuadratureError(
-            f"no convergence on [{a}, {b}] after {max_rounds} refinements "
-            f"(last error {float(np.max(err)):.3e})")
-    return val
+    return _settle(g, np.array([a, b], dtype=float), rtol, max_panel, order)[0]
 
 
 def cumulative(g, grid, rtol: float = 1e-8, max_panel: float = np.pi,
                order: int = 12):
     """Oriented cumulative integrals of ``g`` from grid[0] to every grid point.
 
-    The grid must be monotone.  Each cell is integrated adaptively (panel
-    doubling within the cell, at most 6 rounds; the last estimate is kept
-    when they do not settle); output shape ``(len(grid), m)`` with a zero
-    first row.
+    The grid must be monotone.  All cells are refined together, each to the
+    module's tolerance policy (a cell that does not settle raises
+    ``QuadratureError``); output shape ``(len(grid), m)`` with a zero first
+    row.
     """
-    grid = np.asarray(grid, dtype=float)
-    parts = [None if a == b else
-             _refine(g, a, b, rtol, 1e-14, max_panel, order, 6)[0]
-             for a, b in zip(grid[:-1], grid[1:])]
-    m = next((p.shape[0] for p in parts if p is not None), 1)
-    out = np.zeros((grid.shape[0], m))
-    acc = np.zeros(m)
-    for i, p in enumerate(parts):
-        if p is not None:
-            acc = acc + p
-        out[i + 1] = acc
-    return out
+    parts = _settle(g, np.asarray(grid, dtype=float), rtol, max_panel, order)
+    return np.cumsum(np.vstack([np.zeros((1, parts.shape[1])), parts]), axis=0)

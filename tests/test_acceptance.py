@@ -236,7 +236,7 @@ def test_criterion_10_comparison_monotonicity():
         fam = hl.make_family(fid)
         avg = hl.build_averaged(fam)
         b = hl.simulate_avg(avg, [0.5, 0.0], grid, 10000,
-                            seed=1000 + hash(fid) % 1000)
+                            seed=hl.split_seed(1000, "criterion10", fid))
         # sampled y-Lipschitz constant of the averaged driver
         ys = np.linspace(-2, 2, 81)
         fy = avg.f_bar(0.5, np.zeros((1, 1)), ys[:, None])[:, 0]

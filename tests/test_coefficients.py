@@ -117,6 +117,43 @@ def test_build_averaged_rejects_bad_closed_form(switch_family):
         hl.build_averaged(fam)
 
 
+@pytest.mark.parametrize("side", ["plus", "minus"])
+def test_build_averaged_oracle_resolves_one_weight(switch_family, side):
+    # one limit of the closed form (rho on one side) off by 2*tol is
+    # refused, off by tol/2 is accepted: the numeric check resolves it
+    import copy
+    import dataclasses
+    tol = 1e-4
+    exact = switch_family.closed_form_limits
+    branch = getattr(exact, side)
+    for delta, refused in ((2 * tol, True), (tol / 2, False)):
+        fam = copy.copy(switch_family)
+        fam.closed_form_limits = dataclasses.replace(exact, **{
+            side: dataclasses.replace(
+                branch, rho=lambda x2, d=delta: branch.rho(x2) + d)})
+        if refused:
+            with pytest.raises(AveragingError):
+                hl.build_averaged(fam, tol=tol)
+        else:
+            assert hl.build_averaged(fam, tol=tol) is fam.closed_form_limits
+
+
+def test_basis_limits_match_pi_start_reference():
+    # cesaro_average starts its panels at 2*pi; a pi start (the refinement
+    # begins one doubling finer) gives the same limits to round-off, while
+    # a 4*pi start moves the sin limit by ~5e-13
+    from homoglab.families import _basis_limits_numeric
+    from homoglab.quadrature import cumulative
+    schedule = geometric_schedule()
+    a_trans, a_sin = _basis_limits_numeric(schedule, 1e-4)
+    basis = lambda t: np.stack([transition(t), np.sin(t)], axis=-1)
+    for i, sign in enumerate((1.0, -1.0)):
+        grid = np.concatenate(([0.0], sign * schedule))
+        ref = cumulative(basis, grid, rtol=1e-5, max_panel=np.pi)[-1] / grid[-1]
+        assert abs(a_trans[i] - ref[0]) <= 1e-13
+        assert abs(a_sin[i] - ref[1]) <= 1e-13
+
+
 @pytest.mark.parametrize("fid", ["switch", "slowvary"])
 def test_weighted_matches_per_coefficient(fid):
     fam = hl.make_family(fid)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from homoglab import quadrature
 from homoglab.quadrature import (QuadratureError, cumulative, integrate,
                                  panel_integrals)
 
@@ -62,3 +63,111 @@ def test_unvectorized_integrand_rejected():
 
 def test_zero_length_interval():
     assert integrate(lambda t: np.exp(t), 2.0, 2.0)[0] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Batched engine: every estimate equals that of a per-cell refinement loop
+# ---------------------------------------------------------------------------
+
+def _per_cell_cumulative(g, grid, rtol=1e-8, max_panel=np.pi, order=12):
+    """Reference: each cell refined on its own, panel count doubled from
+    ceil(|cell| / max_panel) until two consecutive estimates agree to
+    ``rtol`` or 1e-12 absolute (at most 8 doublings); partial sums in grid
+    order."""
+    parts = []
+    for a, b in zip(grid[:-1], grid[1:]):
+        if a == b:
+            parts.append(None)
+            continue
+        n = max(1, int(np.ceil(abs(b - a) / max_panel)))
+        prev = panel_integrals(g, np.linspace(a, b, n + 1), order).sum(axis=0)
+        for _ in range(8):
+            n *= 2
+            cur = panel_integrals(g, np.linspace(a, b, n + 1), order).sum(axis=0)
+            if np.all(np.abs(cur - prev) <= 1e-12 + rtol * np.abs(cur)):
+                break
+            prev = cur
+        else:
+            raise AssertionError(f"reference cell [{a}, {b}] unsettled")
+        parts.append(cur)
+    m = next(p.shape[0] for p in parts if p is not None)
+    acc = np.zeros(m)
+    rows = [acc]
+    for p in parts:
+        if p is not None:
+            acc = acc + p
+        rows.append(acc)
+    return np.array(rows)
+
+
+def _bumps(t):
+    # narrow bumps inside cells 2 and 5 of the grid 0, 1, ..., 8
+    return (np.cos(t) + np.exp(-((t - 2.4) / 0.02) ** 2)
+            + np.exp(-((t - 5.7) / 0.03) ** 2))
+
+
+_CASES = {
+    "zero-length cells": (lambda t: np.exp(-t) * np.cos(3 * t),
+                          [0.0, 0.5, 0.5, 2.0, 2.0, 2.0, 3.7]),
+    "decreasing": (lambda t: np.sin(t) + 0.2 * t, [0.0, -0.3, -1.7, -4.0, -9.5]),
+    "several components": (
+        lambda t: np.stack([np.cos(t), t * np.sin(t), np.exp(-t * t),
+                            (2 / np.pi) * np.arctan(t)], axis=-1),
+        [0.0, 0.1, 1.0, 7.0, 60.0, 400.0]),
+    "long cells, one component": (lambda t: np.sin(t) + 1.0 / (1.0 + t * t),
+                                  [0.0, 50.0, 400.0, 3000.0]),
+    "bumps settle late": (_bumps, np.arange(9.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CASES))
+def test_cumulative_matches_per_cell_loop(case):
+    g, grid = _CASES[case]
+    got = cumulative(g, grid)
+    assert np.array_equal(got, _per_cell_cumulative(g, grid))
+
+
+def _record_calls(monkeypatch):
+    calls = []
+
+    def recording(g, edges, order=12, **kw):
+        calls.append(np.array(edges))
+        return panel_integrals(g, edges, order, **kw)
+
+    monkeypatch.setattr(quadrature, "panel_integrals", recording)
+    return calls
+
+
+def test_unsettled_cells_refine_without_gap_panels(monkeypatch):
+    calls = _record_calls(monkeypatch)
+    cumulative(_bumps, np.arange(9.0))
+    # two rounds over all eight adjacent cells, then one call per round for
+    # each of the non-adjacent cells 2 and 5, with edges inside its cell
+    assert [c[[0, -1]].tolist() for c in calls[:2]] == [[0.0, 8.0]] * 2
+    spans = [c[[0, -1]].tolist() for c in calls[2:]]
+    assert set(map(tuple, spans)) == {(2.0, 3.0), (5.0, 6.0)}
+    # the narrower bump in cell 2 settles in a later round
+    assert spans.count([2.0, 3.0]) > spans.count([5.0, 6.0])
+
+
+def test_settled_grid_takes_two_calls(monkeypatch):
+    calls = _record_calls(monkeypatch)
+    grid = np.linspace(0.0, 3.0, 31)
+    cum = cumulative(np.cos, grid)
+    assert len(calls) == 2
+    assert cum[:, 0] == pytest.approx(np.sin(grid), abs=1e-13)
+
+
+def test_unsettled_cell_raises_naming_it():
+    def g(t):
+        fast = np.where((t > 1.0) & (t < 2.0), np.sin(1e5 * t), 0.0)
+        return np.cos(t) + fast
+
+    with pytest.raises(QuadratureError, match=r"\[1\.0, 2\.0\].*last error"):
+        cumulative(g, [0.0, 1.0, 2.0, 3.0])
+
+
+def test_integrate_is_one_cell_of_cumulative():
+    g = lambda t: np.stack([np.sin(t), np.exp(-t)], axis=-1)
+    assert np.array_equal(integrate(g, 0.3, 9.0),
+                          cumulative(g, [0.3, 9.0])[1])
