@@ -233,17 +233,17 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
     x2s = np.linspace(x2lo, x2hi, n2)
     ys = np.linspace(y_box[0], y_box[1], ny)
     shape_y = fam.f_y_shape(ys)
-    shape_bar = avg.y_shape_fn(ys)
+    shape_bar = avg.fam.f_y_shape(ys)
     neg, pos = _half_grid(x1lo, x1hi, n1)
     rows = []
     for eps in eps_list:
         sup_V = sup_b = sup_a = 0.0
         for x2v in x2s:
             x2r = np.array([[x2v]])
-            fp = float(avg.plus.f_coef(x2r)[0])
-            fm = float(avg.minus.f_coef(x2r)[0])
-            rp = float(avg.plus.rho(x2r)[0])
-            rm = float(avg.minus.rho(x2r)[0])
+            fp = float(avg.rho_f_coef(1.0, x2r)[0])
+            fm = float(avg.rho_f_coef(-1.0, x2r)[0])
+            rp = float(avg.rho_pm(1.0, x2r)[0])
+            rm = float(avg.rho_pm(-1.0, x2r)[0])
 
             def g(t):
                 tf = t / eps

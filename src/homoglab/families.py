@@ -18,6 +18,9 @@ closed form that the numeric averaging engine is checked against.
 The effective model takes the quotient form: each averaged coefficient is a
 ratio of Cesaro limits weighted by ``rho``, with a separate value on each
 side of the interface ``{x1 = 0}`` (the point 0 itself uses the minus side).
+By linearity it is the family's own templates on the limit basis: ``(T, sin)``
+replaced by its one-sided limits, ``(+1, 0)`` for x1 > 0 and ``(-1, 0)``
+otherwise in closed form, so one evaluator serves both models.
 """
 
 from __future__ import annotations
@@ -143,12 +146,6 @@ class _Template:
             sin = sin.reshape(sin.shape + (1,) * extra)
         return w0 + w1 * trans + w2 * sin
 
-    def limits(self, x2, a_trans, a_sin):
-        """Combine weights with (numeric or exact) basis limits."""
-        plus = self.w0(x2) + self.w1(x2) * a_trans[0] + self.w2(x2) * a_sin[0]
-        minus = self.w0(x2) + self.w1(x2) * a_trans[1] + self.w2(x2) * a_sin[1]
-        return plus, minus
-
 
 def _const_w(value):
     """Constant weight: ``value`` (scalar, vector or matrix) over the leading
@@ -253,62 +250,57 @@ def _sym_sqrt(mat):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _Branch:
-    rho: Callable          # x2 -> (...,)
-    rho_b: Callable        # x2 -> (..., d)  limit of rho*b1
-    rho_a: Callable        # x2 -> (..., d, d)
-    f_coef: Callable       # x2 -> (...,)  limit of rho*f y-independent factor
-
-
-@dataclass
 class AveragedModel:
     """Effective coefficients; possibly discontinuous across {x1 = 0}.
 
-    The point x1 = 0 belongs to the minus branch.  The driver's y-shape is
-    the family's exact shape; ``y_grid`` is where ``to_json`` tabulates it.
+    The family's templates evaluated on the limit basis: ``basis(x1)`` is
+    ``(a_trans, a_sin)[0]`` for x1 > 0 and ``[1]`` otherwise, so the point
+    x1 = 0 belongs to the minus side.  The driver's y-shape is the family's.
     """
-    d: int
-    k: int
-    plus: _Branch
-    minus: _Branch
-    y_grid: np.ndarray
-    y_shape_fn: Callable
-    side_convention: str = "minus"
-    exact: bool = False
+    fam: CoefficientFamily
+    a_trans: tuple          # (plus, minus) limits of T
+    a_sin: tuple            # (plus, minus) limits of sin
 
-    # -- branch plumbing ----------------------------------------------------
-    def _blend(self, x1, pv, mv):
-        x1 = np.asarray(x1, dtype=float)
-        mask = x1 > 0
-        extra = pv.ndim - mask.ndim
-        if extra > 0:
-            mask = mask.reshape(mask.shape + (1,) * extra)
-        return np.where(mask, pv, mv)
+    @property
+    def d(self) -> int:
+        return self.fam.d
 
-    def rho_plus(self, x2):
-        return self.plus.rho(_as_x2(x2, self.d))
+    @property
+    def k(self) -> int:
+        return self.fam.k
 
-    def rho_minus(self, x2):
-        return self.minus.rho(_as_x2(x2, self.d))
+    def basis(self, x1):
+        """The one-sided limits of (T, sin) on the side of x1."""
+        plus = np.asarray(x1, dtype=float) > 0
+        return np.where(plus, *self.a_trans), np.where(plus, *self.a_sin)
+
+    def _limits(self, x1, x2, *templates):
+        x2 = _as_x2(x2, self.d)
+        basis = self.basis(x1)
+        return [t.combine(basis, x2) for t in templates]
+
+    def weighted(self, x1, x2):
+        """``(rho, rho_b, rho_a)`` limits, as ``CoefficientFamily.weighted``."""
+        fam = self.fam
+        return tuple(self._limits(x1, x2, fam.rho_t, fam.rhob_t, fam.rhoa_t))
 
     def rho_pm(self, x1, x2):
-        x2 = _as_x2(x2, self.d)
-        return self._blend(x1, self.plus.rho(x2), self.minus.rho(x2))
+        return self._limits(x1, x2, self.fam.rho_t)[0]
+
+    def rho_f_coef(self, x1, x2):
+        """Limit of the y-independent factor of ``rho*f``."""
+        return self._limits(x1, x2, self.fam.rhof_t)[0]
 
     def a00_bar(self, x1, x2):
         return 1.0 / self.rho_pm(x1, x2)
 
     def b_bar(self, x1, x2):
-        x2 = _as_x2(x2, self.d)
-        p = self.plus.rho_b(x2) / self.plus.rho(x2)[..., None]
-        m = self.minus.rho_b(x2) / self.minus.rho(x2)[..., None]
-        return self._blend(x1, p, m)
+        rho, rho_b = self._limits(x1, x2, self.fam.rho_t, self.fam.rhob_t)
+        return rho_b / rho[..., None]
 
     def a1_bar(self, x1, x2):
-        x2 = _as_x2(x2, self.d)
-        p = self.plus.rho_a(x2) / self.plus.rho(x2)[..., None, None]
-        m = self.minus.rho_a(x2) / self.minus.rho(x2)[..., None, None]
-        return self._blend(x1, p, m)
+        rho, rho_a = self._limits(x1, x2, self.fam.rho_t, self.fam.rhoa_t)
+        return rho_a / rho[..., None, None]
 
     def a_bar(self, x1, x2):
         a00 = self.a00_bar(x1, x2)
@@ -318,48 +310,33 @@ class AveragedModel:
         out[..., 1:, 1:] = a1
         return out
 
-    def phi_bar(self, x1, x2):
-        return np.sqrt(2.0 * self.a00_bar(x1, x2))
-
-    def sigma1_bar(self, x1, x2):
-        return _sym_sqrt(2.0 * self.a1_bar(x1, x2))
-
-    def sigma_bar(self, x1, x2):
-        s1 = self.sigma1_bar(x1, x2)
-        out = np.zeros(s1.shape[:-2] + (self.d + 1, self.k))
-        out[..., 0, 0] = self.phi_bar(x1, x2)
-        out[..., 1:, 1:] = s1
-        return out
-
     def f_coef_bar(self, x1, x2):
         """The y-independent factor of ``f_bar``."""
-        x2 = _as_x2(x2, self.d)
-        p = self.plus.f_coef(x2) / self.plus.rho(x2)
-        m = self.minus.f_coef(x2) / self.minus.rho(x2)
-        return self._blend(x1, p, m)
+        rho, rho_f = self._limits(x1, x2, self.fam.rho_t, self.fam.rhof_t)
+        return rho_f / rho
 
     def f_bar(self, x1, x2, y):
-        return self.f_coef_bar(x1, x2) * self.y_shape_fn(y)
+        return self.f_coef_bar(x1, x2) * self.fam.f_y_shape(y)
 
     # -- serialization ------------------------------------------------------
-    def to_json(self, x2_grid, x1_probe=(-1.0, 1.0)):
+    def to_json(self, x2_grid):
         """Branch tables on an x2 grid, for regression testing."""
         x2_grid = np.asarray(x2_grid, dtype=float)
         if x2_grid.ndim == 1:
             x2_grid = x2_grid[:, None]
         doc = {"format": "averaged-model", "version": 1, "d": self.d,
-               "k": self.k, "side_convention": self.side_convention,
+               "k": self.k, "side_convention": "minus",
                "x2_grid": x2_grid.tolist(),
-               "y_grid": self.y_grid.tolist(),
-               "y_shape": self.y_shape_fn(self.y_grid).tolist(),
+               "y_grid": _Y_GRID.tolist(),
+               "y_shape": self.fam.f_y_shape(_Y_GRID).tolist(),
                "branches": {}}
-        for name, x1 in (("plus", max(x1_probe)), ("minus", min(x1_probe))):
+        for name, x1 in (("plus", 1.0), ("minus", -1.0)):
             doc["branches"][name] = {
                 "rho": self.rho_pm(x1, x2_grid).tolist(),
                 "b_bar": self.b_bar(x1, x2_grid).tolist(),
                 "a_bar": self.a_bar(x1, x2_grid).tolist(),
                 "f_bar_at_ygrid": np.stack(
-                    [self.f_bar(x1, x2_grid, y) for y in self.y_grid],
+                    [self.f_bar(x1, x2_grid, y) for y in _Y_GRID],
                     axis=-1).tolist(),
             }
         return doc
@@ -373,7 +350,8 @@ class AveragedModel:
 # build_averaged
 # ---------------------------------------------------------------------------
 
-_DEFAULT_YGRID = np.linspace(-4.0, 4.0, 41)
+# where ``AveragedModel.to_json`` tabulates the driver's y-shape
+_Y_GRID = np.linspace(-4.0, 4.0, 41)
 
 
 def _basis_limits_numeric(schedule, tol):
@@ -389,24 +367,9 @@ def _basis_limits_numeric(schedule, tol):
     return a_trans, a_sin
 
 
-def _assemble(fam, a_trans, a_sin, y_grid, exact):
-    def branch(side):
-        i = 0 if side == "+" else 1
-        return _Branch(
-            rho=lambda x2, i=i: fam.rho_t.limits(x2, a_trans, a_sin)[i],
-            rho_b=lambda x2, i=i: fam.rhob_t.limits(x2, a_trans, a_sin)[i],
-            rho_a=lambda x2, i=i: fam.rhoa_t.limits(x2, a_trans, a_sin)[i],
-            f_coef=lambda x2, i=i: fam.rhof_t.limits(x2, a_trans, a_sin)[i])
-    return AveragedModel(
-        d=fam.d, k=fam.k, plus=branch("+"), minus=branch("-"),
-        y_grid=np.asarray(y_grid, dtype=float), y_shape_fn=fam.f_y_shape,
-        exact=exact)
-
-
-def closed_form_averaged(fam: CoefficientFamily,
-                         y_grid=_DEFAULT_YGRID) -> AveragedModel:
+def closed_form_averaged(fam: CoefficientFamily) -> AveragedModel:
     """Effective model from the exact basis limits T -> +/-1, sin -> 0."""
-    return _assemble(fam, (1.0, -1.0), (0.0, 0.0), y_grid, exact=True)
+    return AveragedModel(fam, (1.0, -1.0), (0.0, 0.0))
 
 
 def _compare_models(num: AveragedModel, ref: AveragedModel, grid_n=21):
@@ -422,18 +385,18 @@ def _compare_models(num: AveragedModel, ref: AveragedModel, grid_n=21):
     return dev
 
 
-def build_averaged(fam: CoefficientFamily, y_grid=_DEFAULT_YGRID,
-                   tol: float = 1e-4, schedule=None) -> AveragedModel:
+def build_averaged(fam: CoefficientFamily, tol: float = 1e-4,
+                   schedule=None) -> AveragedModel:
     """Numeric Cesaro averaging of a family's weighted coefficients.
 
     The template structure makes every weighted coefficient a fixed linear
     combination of {1, T, sin}, so the engine averages the basis once and
-    assembles the branches by linearity.  The numeric model must agree
-    with the family's closed form within ``tol``; the returned model is the
-    closed form.
+    evaluates the templates on the numeric limits.  The numeric model must
+    agree with the family's closed form within ``tol``; the returned model
+    is the closed form.
     """
     a_trans, a_sin = _basis_limits_numeric(schedule, tol)
-    numeric = _assemble(fam, a_trans, a_sin, y_grid, exact=False)
+    numeric = AveragedModel(fam, a_trans, a_sin)
     # Positive definiteness at a probe set; failures point at (A3) violations.
     probe_x2 = np.linspace(-3.0, 3.0, 7)[:, None] if fam.d == 1 else \
         np.zeros((1, fam.d))
@@ -674,10 +637,9 @@ def audit_assumptions(fam: CoefficientFamily, sample_spec: dict) -> AssumptionRe
             cum = cumulative(lambda t: g(t, None)[:, None], grid, rtol=1e-6)
             run = cum[1:, 0] / (sgn * horizons)
             if aid == "B3":
-                lim = avg.plus.rho(x2_ref)[0] if sgn > 0 else avg.minus.rho(x2_ref)[0]
+                lim = avg.rho_pm(sgn, x2_ref)[0]
             else:
-                lim = (avg.plus.f_coef(x2_ref)[0] if sgn > 0
-                       else avg.minus.f_coef(x2_ref)[0]) * fam.f_y_shape(0.0)
+                lim = avg.rho_f_coef(sgn, x2_ref)[0] * fam.f_y_shape(0.0)
             rem.append(np.abs(run - lim) / norm)
         trend = np.maximum(rem[0], rem[1])
         decreasing = bool(np.all(np.diff(trend) <= 1e-12 + 0.05 * trend[:-1]))

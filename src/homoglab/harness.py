@@ -108,7 +108,7 @@ class ExperimentConfig:
                 raw=doc)
         except KeyError as exc:
             raise ConfigError(f"missing config key {exc}") from exc
-        for key in ("block_size", "substeps_cap"):
+        for key in ("n_paths", "block_size", "substeps_cap"):
             if getattr(cfg, key) < 1:
                 raise ConfigError(f"mc.{key} must be at least 1, "
                                   f"got {getattr(cfg, key)}")

@@ -51,6 +51,8 @@ class Grid2D:
     t_end: float
 
     def __post_init__(self):
+        if self.n1 < 1:
+            raise PdeError(f"n1 must be at least 1, got {self.n1}")
         if self.n1 % 2 == 0:
             raise PdeError("n1 must be odd so that x1 = 0 is a grid node")
         if not (self.L1 > 0 and self.L2 > 0 and self.n2 >= 3):
@@ -113,7 +115,7 @@ class PdeModel:
             a11=lambda x1, x2: avg.a1_bar(*pack(x1, x2))[..., 0, 0],
             b1=lambda x1, x2: avg.b_bar(*pack(x1, x2))[..., 0],
             f_coef=lambda x1, x2: avg.f_coef_bar(*pack(x1, x2)),
-            f_shape=avg.y_shape_fn,
+            f_shape=avg.fam.f_y_shape,
             H=lambda x1, x2: H(np.stack([x1, x2], axis=-1)),
             label="averaged")
 

@@ -141,8 +141,12 @@ def _path_normals(gens, n_fine: int, k: int, scale: float) -> np.ndarray:
     return out
 
 
-def _run_blocks(step_coeffs, x0, grid, n_paths, seed, substeps, d,
+def _run_blocks(weighted, x0, grid, n_paths, seed, substeps, d,
                 block_size):
+    """Euler-Maruyama paths in blocks.  ``weighted(x1, x2)`` gives the
+    ``(rho, rho_b, rho_a)`` of the system being simulated; every fine step
+    turns them into phi = sqrt(2/rho), b1 = rho_b/rho and
+    sigma1 = sqrt(2*rho_a/rho)."""
     for name, value in (("block_size", block_size), ("substeps", substeps)):
         if value < 1:
             raise SimulationError(f"{name} must be at least 1, got {value}")
@@ -168,7 +172,10 @@ def _run_blocks(step_coeffs, x0, grid, n_paths, seed, substeps, d,
             for cs in range(c0, c1):
                 f0 = (cs - c0) * substeps
                 for fs in range(f0, f0 + substeps):
-                    phi, b1, s1 = step_coeffs(x1, x2)
+                    rho, rho_b, rho_a = weighted(x1, x2)
+                    phi = np.sqrt(2.0 / rho)
+                    b1 = rho_b / rho[:, None]
+                    s1 = _sym_sqrt(2.0 * rho_a / rho[:, None, None])
                     x1 = x1 + phi * dW[:, fs, 0]
                     x2 = x2 + b1 * dt_f + np.einsum("pij,pj->pi", s1,
                                                     dW[:, fs, 1:])
@@ -193,16 +200,8 @@ def simulate_eps(fam: CoefficientFamily, eps: float, x0, grid: SimGrid,
     """
     if not eps > 0:
         raise SimulationError("eps must be positive")
-
-    def step_coeffs(x1, x2):
-        rho, rho_b, rho_a = fam.weighted(x1 / eps, x2)
-        phi = np.sqrt(2.0 / rho)
-        b1 = rho_b / rho[:, None]
-        s1 = _sym_sqrt(2.0 * rho_a / rho[:, None, None])
-        return phi, b1, s1
-
-    X, dB = _run_blocks(step_coeffs, x0, grid, n_paths, seed, substeps,
-                        fam.d, block_size)
+    X, dB = _run_blocks(lambda x1, x2: fam.weighted(x1 / eps, x2), x0, grid,
+                        n_paths, seed, substeps, fam.d, block_size)
     return PathBundle(n_paths=n_paths, grid=grid, X=X, dB=dB, seed=seed,
                       eps=eps)
 
@@ -211,14 +210,7 @@ def simulate_avg(avg: AveragedModel, x0, grid: SimGrid, n_paths: int,
                  seed: int, substeps: int = 1,
                  block_size: int = 4096) -> PathBundle:
     """Euler-Maruyama under the averaged coefficients (minus branch at x1=0)."""
-
-    def step_coeffs(x1, x2):
-        phi = avg.phi_bar(x1, x2)
-        b1 = avg.b_bar(x1, x2)
-        s1 = avg.sigma1_bar(x1, x2)
-        return phi, b1, s1
-
-    X, dB = _run_blocks(step_coeffs, x0, grid, n_paths, seed, substeps,
+    X, dB = _run_blocks(avg.weighted, x0, grid, n_paths, seed, substeps,
                         avg.d, block_size)
     return PathBundle(n_paths=n_paths, grid=grid, X=X, dB=dB, seed=seed,
                       eps=None)

@@ -17,7 +17,7 @@ import pytest
 import conftest
 import homoglab as hl
 from homoglab.bsde import BsdeSpec
-from homoglab.families import _assemble, _basis_limits_numeric, _compare_models
+from homoglab.families import _basis_limits_numeric, _compare_models
 from homoglab.pde_fd import Grid2D, PdeModel, richardson_error, solve_pde
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -65,8 +65,7 @@ def test_criterion_01_cesaro_oracle_suite():
     a_trans, a_sin = _basis_limits_numeric(None, 1e-4)
     for fid in CATALOG_IDS:
         fam = hl.make_family(fid)
-        numeric = _assemble(fam, a_trans, a_sin, np.linspace(-4, 4, 41),
-                            exact=False)
+        numeric = hl.AveragedModel(fam, a_trans, a_sin)
         dev = _compare_models(numeric, fam.closed_form_limits, grid_n=21)
         worst = max(worst, dev)
     elapsed = time.time() - t0

@@ -83,8 +83,8 @@ def test_switch_pointwise_values(switch_family):
 
 def test_averaged_switch_branches(switch_avg):
     x2 = np.zeros((1, 1))
-    assert switch_avg.rho_plus(x2)[0] == pytest.approx(3.0, abs=1e-12)
-    assert switch_avg.rho_minus(x2)[0] == pytest.approx(1.0, abs=1e-12)
+    assert switch_avg.rho_pm(1.0, x2)[0] == pytest.approx(3.0, abs=1e-12)
+    assert switch_avg.rho_pm(-1.0, x2)[0] == pytest.approx(1.0, abs=1e-12)
     assert switch_avg.a00_bar(1.0, x2)[0] == pytest.approx(1.0 / 3.0)
     assert switch_avg.a00_bar(-1.0, x2)[0] == pytest.approx(1.0)
     # x1 = 0 belongs to the minus branch
@@ -93,6 +93,16 @@ def test_averaged_switch_branches(switch_avg):
     assert switch_avg.b_bar(-1.0, x2)[0, 0] == pytest.approx(0.0)
     assert switch_avg.f_bar(1.0, x2, 0.0)[0] == pytest.approx(0.4)
     assert switch_avg.f_bar(-1.0, x2, 0.0)[0] == pytest.approx(0.6)
+    # every averaged coefficient at x1 = 0, of either sign, takes its
+    # minus-side value
+    x2s = np.array([[0.0], [0.7], [-1.3]])
+    for x1 in (0.0, -0.0):
+        for name in ("a00_bar", "b_bar", "a1_bar", "f_coef_bar"):
+            coef = getattr(switch_avg, name)
+            assert np.array_equal(coef(x1, x2s), coef(-1.0, x2s)), (name, x1)
+        for y in (0.0, 1.3):
+            assert np.array_equal(switch_avg.f_bar(x1, x2s, y),
+                                  switch_avg.f_bar(-1.0, x2s, y)), (y, x1)
 
 
 def test_averaged_a00_is_inverse_mean_rho(switch_family, switch_avg):
@@ -106,7 +116,8 @@ def test_averaged_a00_is_inverse_mean_rho(switch_family, switch_avg):
 def test_numeric_vs_closed_form_within_tol(switch_family):
     # re-run the numeric engine and compare against the attached closed form
     avg = hl.build_averaged(switch_family, tol=1e-4)
-    assert avg.exact  # numeric path validated and replaced by closed form
+    # numeric path validated and replaced by closed form
+    assert avg is switch_family.closed_form_limits
 
 
 def test_build_averaged_rejects_bad_closed_form(switch_family):
@@ -119,18 +130,23 @@ def test_build_averaged_rejects_bad_closed_form(switch_family):
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
 def test_build_averaged_oracle_resolves_one_weight(switch_family, side):
-    # one limit of the closed form (rho on one side) off by 2*tol is
-    # refused, off by tol/2 is accepted: the numeric check resolves it
+    # one limit of the closed form (the T limit on one side, so with
+    # r1 = 1 rho on that side) off by 2*tol is refused, off by tol/2 is
+    # accepted: the numeric check resolves it
     import copy
     import dataclasses
     tol = 1e-4
     exact = switch_family.closed_form_limits
-    branch = getattr(exact, side)
+    i = 0 if side == "plus" else 1
     for delta, refused in ((2 * tol, True), (tol / 2, False)):
+        a_trans = list(exact.a_trans)
+        a_trans[i] += delta
         fam = copy.copy(switch_family)
-        fam.closed_form_limits = dataclasses.replace(exact, **{
-            side: dataclasses.replace(
-                branch, rho=lambda x2, d=delta: branch.rho(x2) + d)})
+        fam.closed_form_limits = dataclasses.replace(exact,
+                                                     a_trans=tuple(a_trans))
+        x1 = 1.0 if side == "plus" else -1.0
+        assert fam.closed_form_limits.rho_pm(x1, np.zeros((1, 1)))[0] == \
+            pytest.approx(exact.rho_pm(x1, np.zeros((1, 1)))[0] + delta)
         if refused:
             with pytest.raises(AveragingError):
                 hl.build_averaged(fam, tol=tol)

@@ -84,9 +84,25 @@ def test_path_prefix_stability(switch_family, small_grid):
     assert np.array_equal(a.X, b.X[:50])
 
 
+def _averaged_branch(tmpl, x1, x2):
+    """A template's averaged value from its weights at T = +1 (x1 > 0) or
+    T = -1 (x1 <= 0), sin = 0."""
+    w0, w1, w2 = tmpl.w0(x2), tmpl.w1(x2), tmpl.w2(x2)
+    trans = np.where(x1 > 0, 1.0, -1.0).reshape(x1.shape + (1,) * (w0.ndim - 1))
+    return w0 + w1 * trans + w2 * 0.0
+
+
 def _whole_path_reference(fam, eps, x0, grid, n_paths, seed, substeps):
-    """Euler paths from one whole-path draw per Philox stream and the
-    per-coefficient family calls."""
+    """Euler paths from one whole-path draw per Philox stream and one call
+    per coefficient: the family's at x1/eps or, for ``eps=None``, its
+    averaged model's from the template weights."""
+    def coeffs(x1, x2):
+        if eps is None:
+            return tuple(_averaged_branch(t, x1, x2)
+                         for t in (fam.rho_t, fam.rhob_t, fam.rhoa_t))
+        xf = x1 / eps
+        return fam.rho(xf, x2), fam.rho_b(xf, x2), fam.rho_a(xf, x2)
+
     dt_f = grid.t_end / (grid.n_steps * substeps)
     n_fine = grid.n_steps * substeps
     dW = np.stack([np.random.Generator(np.random.Philox(key=[seed, p]))
@@ -99,11 +115,10 @@ def _whole_path_reference(fam, eps, x0, grid, n_paths, seed, substeps):
     X[:, 0, 0], X[:, 0, 1:] = x1, x2
     for cs in range(grid.n_steps):
         for fs in range(cs * substeps, (cs + 1) * substeps):
-            xf = x1 / eps
-            rho = fam.rho(xf, x2)
+            rho, rho_b, rho_a = coeffs(x1, x2)
             phi = np.sqrt(2.0 / rho)
-            b1 = fam.rho_b(xf, x2) / rho[:, None]
-            s1 = _sym_sqrt(2.0 * fam.rho_a(xf, x2) / rho[:, None, None])
+            b1 = rho_b / rho[:, None]
+            s1 = _sym_sqrt(2.0 * rho_a / rho[:, None, None])
             x1 = x1 + phi * dW[:, fs, 0]
             x2 = x2 + b1 * dt_f + np.einsum("pij,pj->pi", s1, dW[:, fs, 1:])
         X[:, cs + 1, 0], X[:, cs + 1, 1:] = x1, x2
@@ -114,23 +129,27 @@ def _whole_path_reference(fam, eps, x0, grid, n_paths, seed, substeps):
 @pytest.mark.parametrize("substeps", [1, 3, 50])
 @pytest.mark.parametrize("block_size", [23, 7])
 @pytest.mark.parametrize("n_threads", [1, 2])
-def test_streams_match_whole_path_draws(switch_family, substeps, block_size,
-                                        n_threads):
+def test_streams_match_whole_path_draws(switch_family, switch_avg, substeps,
+                                        block_size, n_threads):
     # chunked draws from long-lived generators give the whole-path streams,
-    # also with n_threads simulations running at once
+    # also with n_threads simulations running at once; the averaged paths
+    # start on the interface, whose first step takes the minus side
     grid = hl.SimGrid(0.5, 10)
-
-    def run(_):
-        return hl.simulate_eps(switch_family, 0.3, [0.5, 0.0], grid, 23,
-                               seed=17, substeps=substeps,
-                               block_size=block_size)
-    with ThreadPoolExecutor(max_workers=n_threads) as ex:
-        bundles = list(ex.map(run, range(n_threads)))
-    X, dB = _whole_path_reference(switch_family, 0.3, [0.5, 0.0], grid, 23,
-                                  17, substeps)
-    for b in bundles:
-        assert np.array_equal(b.X, X)
-        assert np.array_equal(b.dB, dB)
+    kw = dict(seed=17, substeps=substeps, block_size=block_size)
+    for eps, x0, simulate_fn in (
+            (0.3, [0.5, 0.0],
+             lambda: hl.simulate_eps(switch_family, 0.3, [0.5, 0.0], grid,
+                                     23, **kw)),
+            (None, [0.0, 0.0],
+             lambda: hl.simulate_avg(switch_avg, [0.0, 0.0], grid, 23,
+                                     **kw))):
+        with ThreadPoolExecutor(max_workers=n_threads) as ex:
+            bundles = list(ex.map(lambda _: simulate_fn(), range(n_threads)))
+        X, dB = _whole_path_reference(switch_family, eps, x0, grid, 23, 17,
+                                      substeps)
+        for b in bundles:
+            assert np.array_equal(b.X, X), eps
+            assert np.array_equal(b.dB, dB), eps
 
 
 @pytest.mark.parametrize("n_steps,substeps", [(10, 1), (10, 3), (4, 50),

@@ -45,7 +45,8 @@ def test_config_requires_seed(config_doc):
         hl.ExperimentConfig.from_dict(config_doc)
 
 
-@pytest.mark.parametrize("key,value", [("block_size", 0), ("block_size", -4),
+@pytest.mark.parametrize("key,value", [("n_paths", 0), ("n_paths", -5),
+                                       ("block_size", 0), ("block_size", -4),
                                        ("substeps_cap", 0)])
 def test_config_rejects_nonpositive_mc_sizes(config_doc, key, value):
     config_doc["mc"][key] = value
@@ -389,3 +390,14 @@ def test_cli_bad_schedule_fails_every_subcommand(tmp_path, capsys, cmd):
                      "--out", str(tmp_path / "out")])
     assert code == 1
     assert "schedule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n1", [-1, -3])
+def test_cli_pde_rejects_nonpositive_n1(tmp_path, capsys, n1):
+    # odd but negative: the grid would have no interior nodes
+    doc = _tiny_doc()
+    doc["fd"]["n1"] = n1
+    code = cli_main(["pde", _write_cfg(tmp_path, doc),
+                     "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert f"error: n1 must be at least 1, got {n1}" in capsys.readouterr().err

@@ -121,6 +121,9 @@ def test_grid_validation():
         Grid2D(1.0, 1.0, 10, 11, 0.01, 1.0)       # even n1: no 0 node
     with pytest.raises(PdeError):
         Grid2D(1.0, 1.0, 11, 11, 0.5, 1.0)        # dt too large
+    for n1 in (-1, -3):                            # odd, but no nodes
+        with pytest.raises(PdeError, match="n1 must be at least 1"):
+            Grid2D(1.0, 1.0, n1, 11, 0.01, 1.0)
     g = Grid2D(2.0, 1.0, 11, 5, 0.05, 1.0)
     assert 0.0 in g.x1
     assert g.x1.size == 13
