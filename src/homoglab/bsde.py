@@ -40,12 +40,14 @@ class PicardError(RuntimeError):
 class BsdeSpec:
     """Problem data and regression knobs for one backward solve.
 
-    ``driver`` receives (x1_arg, x2, y) where x1_arg is X1/eps on two-scale
-    bundles and X1 itself on averaged bundles.  ``y_bound`` (when given)
-    clips the regression output to the a-priori band sup|H| + t*sup|f|.
+    ``driver(x1_arg, x2)`` evaluates the y-independent factors of the
+    driver once and returns the map ``y -> f``; x1_arg is X1/eps on
+    two-scale bundles and X1 itself on averaged bundles.  ``y_bound`` (when
+    given) clips the regression output to the a-priori band
+    sup|H| + t*sup|f|.
     """
     terminal: Callable                    # x (..., d+1) -> (...,)
-    driver: Callable                      # (x1, x2, y) -> (...,)
+    driver: Callable                      # (x1, x2) -> (y -> (...,))
     basis_degree: int = 3
     include_sign_feature: bool = False
     n_picard: int = 3
@@ -119,10 +121,14 @@ def feature_matrix(states, degree, sign_feature):
     sd = states.std(axis=0)
     sd = np.where(sd > 1e-12, sd, 1.0)
     z = (states - mu) / sd
-    # Power table z_v ** e from one full-shape elementwise power: a scalar
-    # exponent would take numpy's square fast path and move the last bit.
-    table = z[:, :, None] ** np.broadcast_to(np.arange(degree + 1.0),
-                                             (n, nv, degree + 1))
+    # Power table z_v ** e by repeated multiplication from the columns 1
+    # and z: within a few ulp of pow, at a small fraction of its cost.
+    table = np.empty((n, nv, degree + 1))
+    table[:, :, 0] = 1.0
+    if degree:
+        table[:, :, 1] = z
+    for e in range(2, degree + 1):
+        np.multiply(table[:, :, e - 1], z, out=table[:, :, e])
     powers = np.array(_monomial_powers(nv, degree))
     m = len(powers)
     F = np.empty((n, m + 1 if sign_feature else m))
@@ -193,10 +199,10 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
                            spec.include_sign_feature)
         fit, conds[s - 1] = _projector(F, s)
         cont = fit(Y[:, s + 1])
+        drive = spec.driver(x1a[:, s], x2[:, s])
         y = cont
         for j in range(spec.n_picard):
-            y_new = cont + dt * np.asarray(
-                spec.driver(x1a[:, s], x2[:, s], y), dtype=float)
+            y_new = cont + dt * np.asarray(drive(y), dtype=float)
             picard[j] = max(picard[j], float(np.sqrt(np.mean((y_new - y) ** 2))))
             y = y_new
         Y[:, s] = clip(y)
@@ -211,10 +217,10 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
 
     # Step 0: every path sits at x0, so the projection is the plain mean.
     cont0 = float(np.mean(Y[:, 1]))
+    drive = spec.driver(x1a[0, 0], x2[0, 0])
     y0 = cont0
     for j in range(spec.n_picard):
-        y0_new = cont0 + dt * float(np.asarray(
-            spec.driver(x1a[0, 0], x2[0, 0], y0)))
+        y0_new = cont0 + dt * float(np.asarray(drive(y0)))
         picard[j] = max(picard[j], abs(y0_new - y0))
         y0 = y0_new
     y0 = float(clip(np.asarray(y0)))
@@ -232,11 +238,13 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
 
     # Monte Carlo uncertainty of Y0 from the pathwise rollout estimator
     # H(X_T) + sum_s f(.., Y_s) dt, whose mean is the same value but whose
-    # spread reflects the actual sampling noise of the ensemble.
+    # spread reflects the actual sampling noise of the ensemble.  The driver
+    # is prepared again per step rather than kept from the backward sweep,
+    # which would hold an (n_paths, n_steps) coefficient array.
     rollout = Y[:, m].copy()
     for s in range(m):
         rollout += dt * np.asarray(
-            spec.driver(x1a[:, s], x2[:, s], Y[:, s]), dtype=float)
+            spec.driver(x1a[:, s], x2[:, s])(Y[:, s]), dtype=float)
     y0_stderr = float(np.std(rollout) / np.sqrt(n))
 
     cv, cv_stderr = conditional_variation(dy_fit, dy_floor)

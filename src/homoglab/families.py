@@ -221,8 +221,18 @@ class CoefficientFamily:
     def sigma1(self, x1, x2):
         return _sym_sqrt(2.0 * self.a1(x1, x2))
 
+    def driver(self, x1, x2):
+        """The driver at (x1, x2) as the map ``y -> f``.  Its y-independent
+        factors, ``rho*f``'s coefficient and ``rho``, come from one basis
+        evaluation, made once however often the map is applied."""
+        x2 = _as_x2(x2, self.d)
+        basis = self.rho_t.basis(x1)
+        rhof = self.rhof_t.combine(basis, x2)
+        rho = self.rho_t.combine(basis, x2)
+        return lambda y: (rhof * self.f_y_shape(y)) / rho
+
     def f(self, x1, x2, y):
-        return self.rho_f(x1, x2, y) / self.rho(x1, x2)
+        return self.driver(x1, x2)(y)
 
     def terminal(self, x):
         x = np.asarray(x, dtype=float)
@@ -315,8 +325,15 @@ class AveragedModel:
         rho, rho_f = self._limits(x1, x2, self.fam.rho_t, self.fam.rhof_t)
         return rho_f / rho
 
+    def driver(self, x1, x2):
+        """The averaged driver at (x1, x2) as the map ``y -> f_bar``, as
+        ``CoefficientFamily.driver``."""
+        coef = self.f_coef_bar(x1, x2)
+        shape = self.fam.f_y_shape
+        return lambda y: coef * shape(y)
+
     def f_bar(self, x1, x2, y):
-        return self.f_coef_bar(x1, x2) * self.fam.f_y_shape(y)
+        return self.driver(x1, x2)(y)
 
     # -- serialization ------------------------------------------------------
     def to_json(self, x2_grid):
@@ -331,13 +348,13 @@ class AveragedModel:
                "y_shape": self.fam.f_y_shape(_Y_GRID).tolist(),
                "branches": {}}
         for name, x1 in (("plus", 1.0), ("minus", -1.0)):
+            drive = self.driver(x1, x2_grid)
             doc["branches"][name] = {
                 "rho": self.rho_pm(x1, x2_grid).tolist(),
                 "b_bar": self.b_bar(x1, x2_grid).tolist(),
                 "a_bar": self.a_bar(x1, x2_grid).tolist(),
                 "f_bar_at_ygrid": np.stack(
-                    [self.f_bar(x1, x2_grid, y) for y in _Y_GRID],
-                    axis=-1).tolist(),
+                    [drive(y) for y in _Y_GRID], axis=-1).tolist(),
             }
         return doc
 
@@ -380,8 +397,9 @@ def _compare_models(num: AveragedModel, ref: AveragedModel, grid_n=21):
         dev = max(dev, float(np.max(np.abs(num.rho_pm(x1, x2g) - ref.rho_pm(x1, x2g)))))
         dev = max(dev, float(np.max(np.abs(num.b_bar(x1, x2g) - ref.b_bar(x1, x2g)))))
         dev = max(dev, float(np.max(np.abs(num.a_bar(x1, x2g) - ref.a_bar(x1, x2g)))))
+        drive_num, drive_ref = num.driver(x1, x2g), ref.driver(x1, x2g)
         for y in (-2.0, 0.0, 2.0):
-            dev = max(dev, float(np.max(np.abs(num.f_bar(x1, x2g, y) - ref.f_bar(x1, x2g, y)))))
+            dev = max(dev, float(np.max(np.abs(drive_num(y) - drive_ref(y)))))
     return dev
 
 

@@ -112,6 +112,15 @@ class ExperimentConfig:
             if getattr(cfg, key) < 1:
                 raise ConfigError(f"mc.{key} must be at least 1, "
                                   f"got {getattr(cfg, key)}")
+        cc = cfg.corrector or {}
+        if "n_grid" in cc and not (isinstance(cc["n_grid"], (list, tuple))
+                                   and len(cc["n_grid"]) == 3
+                                   and all(map(_is_count, cc["n_grid"]))):
+            raise ConfigError("corrector.n_grid must be three integers of "
+                              f"at least 1, got {cc['n_grid']!r}")
+        if "n_samples" in cc and not _is_count(cc["n_samples"]):
+            raise ConfigError("corrector.n_samples must be an integer of "
+                              f"at least 1, got {cc['n_samples']!r}")
         if not eps_list or any(e <= 0 for e in eps_list) or \
                 any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigError("eps_list must be positive, strictly decreasing")
@@ -136,6 +145,12 @@ class ExperimentConfig:
     def family(self):
         return families.make_family(self.family_id, self.family_params,
                                     self.d, self.k)
+
+
+def _is_count(value) -> bool:
+    """An integer (not a bool) of at least 1."""
+    return isinstance(value, int) and not isinstance(value, bool) \
+        and value >= 1
 
 
 def _fast_dependent(fam) -> bool:
@@ -229,12 +244,12 @@ class Stages:
     def eps_run(self, i: int):
         """(paths, backward solution) for ``eps_list[i]``."""
         bundle = self.eps_paths(i)
-        return bundle, solve_bsde(bundle, self.spec(self.fam.f))
+        return bundle, solve_bsde(bundle, self.spec(self.fam.driver))
 
     def avg_run(self):
         """(paths, backward solution) of the averaged model."""
         bundle = self.avg_paths()
-        return bundle, solve_bsde(bundle, self.spec(self.avg.f_bar))
+        return bundle, solve_bsde(bundle, self.spec(self.avg.driver))
 
     def sweep(self, n_threads: int = 1) -> list:
         """``eps_run`` over every eps, in eps order; stage seeds make the
@@ -280,7 +295,7 @@ def _drift_gap_row(st: Stages, bundle: PathBundle, sol: BsdeSolution):
     x1 = bundle.x1()[:, :-1]
     x2 = bundle.x2()[:, :-1]
     y = sol.Y[:, :-1]
-    gap = st.fam.f(x1 / eps, x2, y) - st.avg.f_bar(x1, x2, y)
+    gap = st.fam.driver(x1 / eps, x2)(y) - st.avg.driver(x1, x2)(y)
     integral = np.cumsum(gap * bundle.grid.dt, axis=1)
     sup = np.max(np.abs(integral), axis=1)
     return {"eps": eps,
@@ -478,7 +493,7 @@ def flow_continuity_check(cfg: ExperimentConfig, x0_list) -> list:
     """
     from scipy import stats   # slow to import; only this check uses it
     st = Stages(cfg)
-    spec = st.spec(st.avg.f_bar)
+    spec = st.spec(st.avg.driver)
     runs = []
     for x0 in x0_list:
         x0 = np.asarray(x0, dtype=float)

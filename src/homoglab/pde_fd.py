@@ -12,8 +12,9 @@ M = I - dt*A is built once in CSC and factored once, with a minimum-degree
 ordering of M^T + M (the 5-point stencil is structurally symmetric but for
 the boundary rows, and this ordering fills about half as much as SuperLU's
 default COLAMD); every time step is then one pair of triangular solves.
-The driver has product form f(x, v) = f_coef(x) * f_shape(v): the
-coefficient is evaluated once per solve, only the shape once per step.
+The driver is prepared once per solve (``PdeModel.driver`` evaluates its
+x-dependent factor on the mesh and returns the map v -> f); each step
+applies only that map.
 
 Interface handling for discontinuous averaged a00 at x1 = 0: the default
 "centered" scheme discretizes the non-divergence operator directly, which
@@ -91,14 +92,13 @@ class Grid2D:
 class PdeModel:
     """Coefficient callables on (x1, x2) meshes.
 
-    The driver is ``f_coef(x1, x2) * f_shape(v)``.  ``from_averaged``
-    builds the averaged model's.
+    ``driver(x1, x2)`` returns the map ``v -> f`` on that mesh, as
+    ``BsdeSpec.driver``.  ``from_averaged`` builds the averaged model's.
     """
     a00: Callable
     a11: Callable
     b1: Callable
-    f_coef: Callable
-    f_shape: Callable
+    driver: Callable
     H: Callable
     label: str = "custom"
 
@@ -114,8 +114,7 @@ class PdeModel:
             a00=lambda x1, x2: avg.a00_bar(*pack(x1, x2)),
             a11=lambda x1, x2: avg.a1_bar(*pack(x1, x2))[..., 0, 0],
             b1=lambda x1, x2: avg.b_bar(*pack(x1, x2))[..., 0],
-            f_coef=lambda x1, x2: avg.f_coef_bar(*pack(x1, x2)),
-            f_shape=avg.fam.f_y_shape,
+            driver=lambda x1, x2: avg.driver(*pack(x1, x2)),
             H=lambda x1, x2: H(np.stack([x1, x2], axis=-1)),
             label="averaged")
 
@@ -240,7 +239,7 @@ def solve_pde(model: PdeModel, grid: Grid2D, boundary_mode: str = "dirichlet",
     if abs(n_steps * grid.dt_fd - grid.t_end) > 1e-9 * grid.t_end:
         raise PdeError("dt_fd must divide t_end")
     v = np.asarray(model.H(X1, X2), dtype=float)
-    fcoef = np.asarray(model.f_coef(X1, X2), dtype=float)
+    drive = model.driver(X1, X2)
     boundary = np.ones((nx, ny), dtype=bool)
     boundary[1:-1, 1:-1] = False
     bidx = np.flatnonzero(boundary)
@@ -248,8 +247,7 @@ def solve_pde(model: PdeModel, grid: Grid2D, boundary_mode: str = "dirichlet",
     # slope (Neumann), the same on every step
     bvals = v.ravel()[bidx] if boundary_mode == "dirichlet" else 0.0
     for _ in range(n_steps):
-        shape = np.asarray(model.f_shape(v), dtype=float)
-        rf = (v + grid.dt_fd * (fcoef * shape)).ravel()
+        rf = (v + grid.dt_fd * np.asarray(drive(v), dtype=float)).ravel()
         rf[bidx] = bvals
         v = lu.solve(rf).reshape(nx, ny)
         if not np.all(np.isfinite(v)):

@@ -8,12 +8,21 @@ X1 sees only column 0, X2 only columns 1..k-1.
 Randomness is counter-based: each path owns a Philox stream keyed by
 (seed, path_index), so the ensemble is bitwise reproducible whatever the
 block size, and the eps sweep may run its simulations on several threads
-(``harness.Stages.sweep``).  A stream drawn in chunks yields the same
-numbers as one whole-path draw, so each block keeps its paths' generators
-alive and draws the normals of ``max(1, n_steps // substeps)`` coarse steps
-at a time: the normals buffer holds at most
-``block_size * max(n_steps, substeps) * k`` doubles, about the size of the
-block's stored increments, whatever eps and substeps are.
+(``harness.Stages.sweep``).  A stream is a pure function of its key and
+counter, so a stream drawn in chunks yields the same numbers as one
+whole-path draw.  Each block draws the normals of
+``max(1, n_steps // substeps)`` coarse steps at a time: the normals buffer
+holds at most ``block_size * max(n_steps, substeps) * k`` doubles, about
+the size of the block's stored increments, whatever eps and substeps are.
+
+How a block reaches its streams depends on its chunk count.  When a path
+is drawn in at most ``_REKEY_MAX_CHUNKS`` (3) chunks, the block re-keys one
+shared generator for each path through ``bit_generator.state`` and saves
+each path's state between chunks, which is several times cheaper than
+building a generator per path.  Longer paths keep one live generator
+each: saving and restoring a state on every chunk would cost more than
+building the generator once.  Every chunk is drawn by ``_path_normals``
+either way.
 """
 
 from __future__ import annotations
@@ -123,17 +132,81 @@ class PathBundle:
                    eps=None if np.isnan(eps) else float(eps))
 
 
-def _path_streams(seed: int, path_indices) -> list:
-    """One Philox generator per path, keyed by (seed, path index)."""
-    s = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-    return [np.random.Generator(np.random.Philox(
-        key=np.array([s, np.uint64(p)], dtype=np.uint64)))
-        for p in path_indices]
+# the chunk rule of the module docstring: blocks whose paths are drawn in
+# at most this many chunks re-key one generator
+_REKEY_MAX_CHUNKS = 3
+
+
+def _pack(state, row):
+    """Copy a Philox ``bit_generator.state``, all but its key, to an
+    11-word row."""
+    row[:4] = state["state"]["counter"]
+    row[4:8] = state["buffer"]
+    row[8:] = state["buffer_pos"], state["has_uint32"], state["uinteger"]
+
+
+def _unpack(row, state):
+    """The inverse of ``_pack``, into the state dict ``state``."""
+    state["state"]["counter"] = row[:4]
+    state["buffer"] = row[4:8]
+    state["buffer_pos"], state["has_uint32"], state["uinteger"] = \
+        row[8:].tolist()
+
+
+class _Rekeyed:
+    """The Philox streams of a block's paths on one shared generator.
+
+    Each pass over it (one chunk) yields the generator positioned on each
+    path's stream in turn, by setting ``bit_generator.state``: the fresh
+    state with the path's key on the first pass, the path's row of
+    ``states`` after that.  While passes of the ``n_chunks`` remain, the
+    state is packed into that row when the consumer asks for the next
+    path.  A row is 11 words; a state dict per path would take about ten
+    times as much memory.
+    """
+
+    def __init__(self, keys, n_chunks: int):
+        self.keys = keys
+        self.gen = np.random.Generator(np.random.Philox(key=keys[0]))
+        self.state = self.gen.bit_generator.state
+        self.states = None
+        self.passes_left = n_chunks
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __iter__(self):
+        bitgen = self.gen.bit_generator
+        state = self.state
+        restore = self.states is not None
+        self.passes_left -= 1
+        if self.passes_left and not restore:
+            self.states = np.empty((len(self.keys), 11), dtype=np.uint64)
+        for i, key in enumerate(self.keys):
+            state["state"]["key"] = key
+            if restore:
+                _unpack(self.states[i], state)
+            bitgen.state = state
+            yield self.gen
+            if self.passes_left:
+                _pack(bitgen.state, self.states[i])
+
+
+def _path_streams(seed: int, path_indices, n_chunks: int):
+    """The Philox streams of the given paths, keyed by (seed, path index),
+    for draws in ``n_chunks`` chunks: one live generator per path, or a
+    ``_Rekeyed`` set when ``n_chunks <= _REKEY_MAX_CHUNKS``."""
+    keys = np.empty((len(path_indices), 2), dtype=np.uint64)
+    keys[:, 0] = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+    keys[:, 1] = np.asarray(path_indices, dtype=np.uint64)
+    if n_chunks <= _REKEY_MAX_CHUNKS:
+        return _Rekeyed(keys, n_chunks)
+    return [np.random.Generator(np.random.Philox(key=key)) for key in keys]
 
 
 def _path_normals(gens, n_fine: int, k: int, scale: float) -> np.ndarray:
-    """The next ``n_fine`` normal k-vectors of each generator's stream,
-    scaled by ``scale``; one row per generator."""
+    """The next ``n_fine`` normal k-vectors of each path's stream, scaled
+    by ``scale``; one row per path of ``gens`` (from ``_path_streams``)."""
     out = np.empty((len(gens), n_fine, k))
     for gen, row in zip(gens, out):
         gen.standard_normal(out=row)
@@ -156,12 +229,13 @@ def _run_blocks(weighted, x0, grid, n_paths, seed, substeps, d,
     k = d + 1
     # coarse steps per draw: at most max(n_steps, substeps) fine steps
     chunk = max(1, grid.n_steps // substeps)
+    n_chunks = -(-grid.n_steps // chunk)
     X = np.empty((n_paths, grid.n_steps + 1, d + 1))
     dB = np.empty((n_paths, grid.n_steps, k))
 
     for lo in range(0, n_paths, block_size):
         hi = min(lo + block_size, n_paths)
-        gens = _path_streams(seed, range(lo, hi))
+        gens = _path_streams(seed, range(lo, hi), n_chunks)
         x1 = np.full(hi - lo, x0[0])
         x2 = np.tile(x0[1:], (hi - lo, 1))
         X[lo:hi, 0, 0] = x1

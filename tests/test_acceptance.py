@@ -98,18 +98,18 @@ def test_criterion_03_bsde_closed_forms():
     t, dt = grid.t_end, grid.dt
 
     s1 = hl.solve_bsde(b, BsdeSpec(terminal=ones,
-                                   driver=lambda x1, x2, y: 0.0 * y,
+                                   driver=lambda x1, x2: lambda y: 0.0 * y,
                                    basis_degree=2))
     ok1 = abs(s1.Y0 - 1.0) <= max(s1.Y0_stderr, 1e-12)
 
     c = 0.8
     s2 = hl.solve_bsde(b, BsdeSpec(terminal=zero,
-                                   driver=lambda x1, x2, y: c + 0.0 * y,
+                                   driver=lambda x1, x2: lambda y: c + 0.0 * y,
                                    basis_degree=2))
     ok2 = abs(s2.Y0 - c * t) <= 3 * s2.Y0_stderr + dt * abs(c)
 
     s3 = hl.solve_bsde(b, BsdeSpec(terminal=ones,
-                                   driver=lambda x1, x2, y: -y,
+                                   driver=lambda x1, x2: lambda y: -y,
                                    basis_degree=2))
     ok3 = abs(s3.Y0 - np.exp(-t)) <= 3 * s3.Y0_stderr + 5 * dt
 
@@ -172,7 +172,7 @@ def test_criterion_07_fd_bsde_oracle_triangle():
     grid = hl.SimGrid(0.5, 50)
     b = hl.simulate_avg(avg, [0.5, 0.0], grid, 20000, seed=707)
     sol = hl.solve_bsde(b, BsdeSpec(
-        terminal=fam.terminal, driver=avg.f_bar, basis_degree=3,
+        terminal=fam.terminal, driver=avg.driver, basis_degree=3,
         include_sign_feature=True, y_bound=3.0))
     g = Grid2D(5.0, 5.0, 199, 199, 0.0125, 0.5)
     model = PdeModel.from_averaged(avg, fam.terminal)
@@ -240,11 +240,11 @@ def test_criterion_10_comparison_monotonicity():
         ys = np.linspace(-2, 2, 81)
         fy = avg.f_bar(0.5, np.zeros((1, 1)), ys[:, None])[:, 0]
         L = float(np.max(np.abs(np.diff(fy) / np.diff(ys))))
-        base = BsdeSpec(terminal=fam.terminal, driver=avg.f_bar,
+        base = BsdeSpec(terminal=fam.terminal, driver=avg.driver,
                         basis_degree=3, include_sign_feature=True)
         lifted = BsdeSpec(
             terminal=lambda x, H=fam.terminal: H(x) + 0.1,
-            driver=avg.f_bar, basis_degree=3, include_sign_feature=True)
+            driver=avg.driver, basis_degree=3, include_sign_feature=True)
         y0a = hl.solve_bsde(b, base)
         y0b = hl.solve_bsde(b, lifted)
         dy = y0b.Y0 - y0a.Y0

@@ -22,19 +22,31 @@ def test_feature_matrix_degrees():
 @pytest.mark.parametrize("nv", [2, 3, 4])
 @pytest.mark.parametrize("sign_feature", [False, True])
 def test_feature_matrix_matches_product_form(nv, sign_feature):
-    # the power table must give the per-monomial np.prod(z ** p) bytes
+    # the power table is built by repeated multiplication; the features
+    # match the per-monomial np.prod(z ** p) up to round-off
     states = 3.0 * np.random.default_rng(nv).normal(size=(257, nv))
     states[::5, 0] = 0.0
     mu = states.mean(axis=0)
     sd = states.std(axis=0)
     z = (states - mu) / np.where(sd > 1e-12, sd, 1.0)
     for degree in range(7):
-        cols = [np.prod(z ** np.asarray(p), axis=1)
-                for p in hl.bsde._monomial_powers(nv, degree)]
+        pows = [np.ones_like(z), z]
+        for _ in range(2, degree + 1):
+            pows.append(pows[-1] * z)
+        cols, ref = [], []
+        for p in hl.bsde._monomial_powers(nv, degree):
+            col = pows[p[0]][:, 0]
+            for v in range(1, nv):
+                col = col * pows[p[v]][:, v]
+            cols.append(col)
+            ref.append(np.prod(z ** np.asarray(p), axis=1))
         if sign_feature:
             cols.append((states[:, 0] > 0).astype(float))
+            ref.append(cols[-1])
         F = feature_matrix(states, degree, sign_feature)
         assert np.array_equal(F, np.column_stack(cols))
+        ref = np.column_stack(ref)
+        assert np.all(np.abs(F - ref) <= 1e-14 * np.abs(ref))
         assert F.flags.c_contiguous
 
 
@@ -42,7 +54,7 @@ def test_terminal_only_mean(const_family, small_grid):
     avg = hl.build_averaged(const_family)
     b = hl.simulate_avg(avg, [0.5, 0.0], small_grid, 500, seed=1)
     sol = hl.solve_bsde(b, BsdeSpec(terminal=ones_terminal,
-                                    driver=lambda x1, x2, y: 0.0 * y,
+                                    driver=lambda x1, x2: lambda y: 0.0 * y,
                                     basis_degree=2))
     assert sol.Y0 == pytest.approx(1.0, abs=1e-12)
     assert abs(sol.cv) < 1e-8
@@ -54,7 +66,7 @@ def test_constant_driver_linear_value(const_family, small_grid):
     c = 0.7
     sol = hl.solve_bsde(b, BsdeSpec(
         terminal=lambda x: np.zeros(np.asarray(x).shape[:-1]),
-        driver=lambda x1, x2, y: c + 0.0 * y, basis_degree=2))
+        driver=lambda x1, x2: lambda y: c + 0.0 * y, basis_degree=2))
     assert sol.Y0 == pytest.approx(c * small_grid.t_end, abs=1e-10)
 
 
@@ -62,7 +74,7 @@ def test_exponential_decay_driver(const_family, small_grid):
     avg = hl.build_averaged(const_family)
     b = hl.simulate_avg(avg, [0.5, 0.0], small_grid, 2000, seed=3)
     sol = hl.solve_bsde(b, BsdeSpec(terminal=ones_terminal,
-                                    driver=lambda x1, x2, y: -y,
+                                    driver=lambda x1, x2: lambda y: -y,
                                     basis_degree=2))
     t = small_grid.t_end
     assert sol.Y0 == pytest.approx(np.exp(-t),
@@ -73,7 +85,7 @@ def test_y_bound_clipping(const_family, small_grid):
     avg = hl.build_averaged(const_family)
     b = hl.simulate_avg(avg, [0.5, 0.0], small_grid, 300, seed=4)
     sol = hl.solve_bsde(b, BsdeSpec(terminal=ones_terminal,
-                                    driver=lambda x1, x2, y: 0.0 * y,
+                                    driver=lambda x1, x2: lambda y: 0.0 * y,
                                     basis_degree=2, y_bound=0.25))
     # regression outputs are clipped; the terminal slice is raw data
     assert np.max(np.abs(sol.Y[:, :-1])) <= 0.25 + 1e-12
@@ -82,10 +94,10 @@ def test_y_bound_clipping(const_family, small_grid):
 def test_driver_argument_is_fast_variable(switch_family, switch_bundle):
     seen = {}
 
-    def probe_driver(x1, x2, y):
+    def probe_driver(x1, x2):
         seen["max_abs_x1"] = max(seen.get("max_abs_x1", 0.0),
                                  float(np.max(np.abs(x1))))
-        return 0.0 * y
+        return lambda y: 0.0 * y
 
     hl.solve_bsde(switch_bundle, BsdeSpec(
         terminal=switch_family.terminal, driver=probe_driver, basis_degree=2))
@@ -95,7 +107,7 @@ def test_driver_argument_is_fast_variable(switch_family, switch_bundle):
 
 def test_solution_container_roundtrip(switch_family, switch_bundle, tmp_path):
     sol = hl.solve_bsde(switch_bundle, BsdeSpec(
-        terminal=switch_family.terminal, driver=switch_family.f,
+        terminal=switch_family.terminal, driver=switch_family.driver,
         basis_degree=2, include_sign_feature=True, y_bound=3.0))
     p = tmp_path / "sol.bin"
     sol.save(p, switch_bundle.grid.dt)
@@ -108,7 +120,7 @@ def test_solution_container_roundtrip(switch_family, switch_bundle, tmp_path):
 
 def test_picard_residuals_contract(switch_family, switch_bundle):
     sol = hl.solve_bsde(switch_bundle, BsdeSpec(
-        terminal=switch_family.terminal, driver=switch_family.f,
+        terminal=switch_family.terminal, driver=switch_family.driver,
         basis_degree=3, include_sign_feature=True, n_picard=4, y_bound=3.0))
     r = sol.picard_residuals
     assert r[1] < r[0] and r[2] < r[1]
@@ -120,7 +132,7 @@ def test_conditional_variation_martingale_near_zero(const_family, small_grid):
     b = hl.simulate_avg(avg, [0.2, 0.1], small_grid, 3000, seed=7)
     sol = hl.solve_bsde(b, BsdeSpec(
         terminal=lambda x: np.tanh(x[..., 0]) + 0.2 * x[..., 1],
-        driver=lambda x1, x2, y: 0.0 * y, basis_degree=3))
+        driver=lambda x1, x2: lambda y: 0.0 * y, basis_degree=3))
     assert sol.cv <= 3 * sol.cv_stderr + 0.02
 
 
@@ -128,7 +140,7 @@ def test_conditional_variation_detects_drift(const_family, small_grid):
     avg = hl.build_averaged(const_family)
     b = hl.simulate_avg(avg, [0.2, 0.1], small_grid, 3000, seed=8)
     sol = hl.solve_bsde(b, BsdeSpec(
-        terminal=ones_terminal, driver=lambda x1, x2, y: 1.0 + 0.0 * y,
+        terminal=ones_terminal, driver=lambda x1, x2: lambda y: 1.0 + 0.0 * y,
         basis_degree=2))
     # dY = -f dt along the solution: CV should see ~ t_end * |f| = 0.5
     assert sol.cv == pytest.approx(small_grid.t_end, rel=0.15)
@@ -149,10 +161,42 @@ def test_solve_bsde_factors_each_step_once(switch_family, switch_bundle,
                         counted("features", feature_matrix))
     monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     hl.solve_bsde(switch_bundle, BsdeSpec(
-        terminal=switch_family.terminal, driver=switch_family.f,
+        terminal=switch_family.terminal, driver=switch_family.driver,
         basis_degree=2, include_sign_feature=True, y_bound=3.0))
     interior = switch_bundle.grid.n_steps - 1
     assert counts == {"features": interior, "svd": interior}
+
+
+def test_solve_bsde_prepares_driver_once_per_step(switch_family,
+                                                  switch_bundle, monkeypatch):
+    # the driver's y-independent factors are prepared once per backward
+    # step for all Picard iterations, once at step 0 and once per rollout
+    # step, each from one evaluation of the fast basis
+    counts = {"prepare": 0, "apply": 0, "basis": 0}
+    basis = hl.families._Template.basis
+
+    def counted_basis(x1):
+        counts["basis"] += 1
+        return basis(x1)
+
+    def driver(x1, x2):
+        counts["prepare"] += 1
+        drive = switch_family.driver(x1, x2)
+
+        def apply(y):
+            counts["apply"] += 1
+            return drive(y)
+        return apply
+    monkeypatch.setattr(hl.families._Template, "basis",
+                        staticmethod(counted_basis))
+    n_picard = 3
+    hl.solve_bsde(switch_bundle, BsdeSpec(
+        terminal=switch_family.terminal, driver=driver, basis_degree=2,
+        include_sign_feature=True, n_picard=n_picard, y_bound=3.0))
+    m = switch_bundle.grid.n_steps
+    prepared = (m - 1) + 1 + m
+    assert counts == {"prepare": prepared, "basis": prepared,
+                      "apply": n_picard * m + m}
 
 
 def test_upcrossings_scalar():
@@ -178,7 +222,7 @@ def test_tightness_certificate_structure(switch_family, switch_avg,
         b = hl.simulate_eps(switch_family, eps, [0.5, 0.0], small_grid,
                             1000, seed=13)
         sols.append(hl.solve_bsde(b, BsdeSpec(
-            terminal=switch_family.terminal, driver=switch_family.f,
+            terminal=switch_family.terminal, driver=switch_family.driver,
             basis_degree=3, include_sign_feature=True, y_bound=3.0)))
     cert = hl.tightness_certificate(sols, bands=[(-0.5, 0.5)],
                                     dt=small_grid.dt)

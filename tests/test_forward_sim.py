@@ -126,15 +126,25 @@ def _whole_path_reference(fam, eps, x0, grid, n_paths, seed, substeps):
     return X, dB
 
 
-@pytest.mark.parametrize("substeps", [1, 3, 50])
+@pytest.mark.parametrize("substeps", [1, 2, 3, 4, 50])
 @pytest.mark.parametrize("block_size", [23, 7])
 @pytest.mark.parametrize("n_threads", [1, 2])
-def test_streams_match_whole_path_draws(switch_family, switch_avg, substeps,
-                                        block_size, n_threads):
-    # chunked draws from long-lived generators give the whole-path streams,
-    # also with n_threads simulations running at once; the averaged paths
-    # start on the interface, whose first step takes the minus side
-    grid = hl.SimGrid(0.5, 10)
+def test_streams_match_whole_path_draws(monkeypatch, switch_family,
+                                        switch_avg, substeps, block_size,
+                                        n_threads):
+    # chunked draws give the whole-path streams, also with n_threads
+    # simulations running at once.  On 12 steps, substeps 1, 2, 3, 4 and
+    # 50 draw each path in 1, 2, 3, 4 and 12 chunks: re-keyed streams up
+    # to 3 chunks, live generators from 4.  The averaged paths start on
+    # the interface, whose first step takes the minus side.
+    live = set()
+    draw = simulate._path_normals
+
+    def recorded(gens, *args):
+        live.add(isinstance(gens, list))
+        return draw(gens, *args)
+    monkeypatch.setattr(simulate, "_path_normals", recorded)
+    grid = hl.SimGrid(0.5, 12)
     kw = dict(seed=17, substeps=substeps, block_size=block_size)
     for eps, x0, simulate_fn in (
             (0.3, [0.5, 0.0],
@@ -150,6 +160,7 @@ def test_streams_match_whole_path_draws(switch_family, switch_avg, substeps,
         for b in bundles:
             assert np.array_equal(b.X, X), eps
             assert np.array_equal(b.dB, dB), eps
+    assert live == {substeps >= 4}
 
 
 @pytest.mark.parametrize("n_steps,substeps", [(10, 1), (10, 3), (4, 50),

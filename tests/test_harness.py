@@ -401,3 +401,21 @@ def test_cli_pde_rejects_nonpositive_n1(tmp_path, capsys, n1):
                      "--out", str(tmp_path / "out")])
     assert code == 1
     assert f"error: n1 must be at least 1, got {n1}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("n_grid", [11, -3, 3]),
+                                       ("n_grid", [11, 3, 0]),
+                                       ("n_grid", [11, 3]),
+                                       ("n_samples", -2),
+                                       ("n_samples", 0)])
+def test_cli_corrector_rejects_bad_sizes(tmp_path, capsys, key, value):
+    # refused by name before any output: -2 samples used to fail after
+    # decay.csv was written, 0 samples to pass a check over no points
+    doc = _tiny_doc()
+    doc["corrector"][key] = value
+    out = tmp_path / "out"
+    code = cli_main(["corrector", _write_cfg(tmp_path, doc),
+                     "--out", str(out)])
+    assert code == 1
+    assert f"error: corrector.{key} must be" in capsys.readouterr().err
+    assert not out.exists()

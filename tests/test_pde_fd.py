@@ -9,11 +9,16 @@ from homoglab.pde_fd import (Grid2D, PdeError, PdeModel, _assemble,
                              _step_matrix, richardson_error, solve_pde)
 
 
+def constant_driver(c):
+    """The driver f = c, in ``PdeModel.driver``'s contract."""
+    return lambda x1, x2: lambda v: c + 0 * v
+
+
 def heat_model():
     return PdeModel(a00=lambda x1, x2: 0.5 + 0 * x1,
                     a11=lambda x1, x2: 0.5 + 0 * x1,
                     b1=lambda x1, x2: 0 * x1,
-                    f_coef=lambda x1, x2: 0 * x1, f_shape=np.ones_like,
+                    driver=constant_driver(0.0),
                     H=lambda x1, x2: np.exp(-(x1 ** 2 + x2 ** 2)),
                     label="heat")
 
@@ -23,7 +28,7 @@ def jump_model():
     return PdeModel(a00=lambda x1, x2: np.where(x1 > 0, 2.0, 1.0),
                     a11=lambda x1, x2: 0.5 + 0.25 * x2,
                     b1=lambda x1, x2: 0.3 + 0 * x1,
-                    f_coef=lambda x1, x2: 0 * x1, f_shape=np.ones_like,
+                    driver=constant_driver(0.0),
                     H=lambda x1, x2: 0 * x1, label="jump")
 
 
@@ -102,18 +107,21 @@ def test_fd_matches_colamd_reference(switch_avg, switch_family, scheme,
 
 
 def test_solve_pde_builds_driver_coefficient_once(switch_avg, switch_family):
-    calls = {"f_coef": 0, "f_shape": 0}
-
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
+    # the driver is prepared once per solve and applied once per step
+    calls = {"prepare": 0, "apply": 0}
     m = PdeModel.from_averaged(switch_avg, switch_family.terminal)
-    m = dataclasses.replace(m, f_coef=counted("f_coef", m.f_coef),
-                            f_shape=counted("f_shape", m.f_shape))
-    solve_pde(m, Grid2D(2.0, 2.0, 11, 11, 0.02, 0.2))
-    assert calls == {"f_coef": 1, "f_shape": 10}
+
+    def counted_driver(x1, x2):
+        calls["prepare"] += 1
+        drive = m.driver(x1, x2)
+
+        def apply(v):
+            calls["apply"] += 1
+            return drive(v)
+        return apply
+    solve_pde(dataclasses.replace(m, driver=counted_driver),
+              Grid2D(2.0, 2.0, 11, 11, 0.02, 0.2))
+    assert calls == {"prepare": 1, "apply": 10}
 
 
 def test_grid_validation():
@@ -153,7 +161,7 @@ def test_spatially_constant_solution():
     m = PdeModel(a00=lambda x1, x2: 0.7 + 0.2 * np.sin(x1),
                  a11=lambda x1, x2: 0.5 + 0 * x1,
                  b1=lambda x1, x2: 0.3 + 0 * x1,
-                 f_coef=lambda x1, x2: 0.8 + 0 * x1, f_shape=np.ones_like,
+                 driver=constant_driver(0.8),
                  H=lambda x1, x2: 0 * x1, label="flat")
     g = Grid2D(2.0, 2.0, 41, 41, 0.025, t_end)
     sol = solve_pde(m, g, boundary_mode="neumann")
@@ -178,9 +186,7 @@ def test_eps_form_equals_averaged_for_slow_family(slowvary_family):
     me = PdeModel(a00=lambda x1, x2: fam.a00(*pack(x1, x2)),
                   a11=lambda x1, x2: fam.a1(*pack(x1, x2))[..., 0, 0],
                   b1=lambda x1, x2: fam.b1(*pack(x1, x2))[..., 0],
-                  f_coef=lambda x1, x2: (fam.rhof_t(*pack(x1, x2))
-                                         / fam.rho(*pack(x1, x2))),
-                  f_shape=fam.f_y_shape,
+                  driver=lambda x1, x2: fam.driver(*pack(x1, x2)),
                   H=lambda x1, x2: fam.terminal(np.stack([x1, x2], axis=-1)),
                   label="eps-form:slowvary")
     avg = hl.build_averaged(fam)
@@ -203,7 +209,7 @@ def test_richardson_zero_for_constant_solution():
     m = PdeModel(a00=lambda x1, x2: 0.5 + 0 * x1,
                  a11=lambda x1, x2: 0.5 + 0 * x1,
                  b1=lambda x1, x2: 0 * x1,
-                 f_coef=lambda x1, x2: 0 * x1, f_shape=np.ones_like,
+                 driver=constant_driver(0.0),
                  H=lambda x1, x2: np.ones_like(x1), label="one")
     g = Grid2D(2.0, 2.0, 21, 21, 0.02, 0.2)
     assert richardson_error(m, solve_pde(m, g)) <= 1e-10
