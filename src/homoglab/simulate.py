@@ -15,13 +15,12 @@ whole-path draw.  Each block draws the normals of
 holds at most ``block_size * max(n_steps, substeps) * k`` doubles, about
 the size of the block's stored increments, whatever eps and substeps are.
 
-How a block reaches its streams depends on its chunk count.  When a path
-is drawn in at most ``_REKEY_MAX_CHUNKS`` (3) chunks, the block re-keys one
-shared generator for each path through ``bit_generator.state`` and saves
-each path's state between chunks, which is several times cheaper than
-building a generator per path.  Longer paths keep one live generator
-each: saving and restoring a state on every chunk would cost more than
-building the generator once.  Every chunk is drawn by ``_path_normals``
+How a block reaches its streams depends on its chunk count.  When each
+path is drawn in one chunk (``substeps`` 1), the block re-keys one shared
+generator to each path's fresh stream through ``bit_generator.state``,
+several times cheaper than building a generator per path.  Paths drawn in
+several chunks keep one live generator each, which carries its stream
+position from chunk to chunk.  Every chunk is drawn by ``_path_normals``
 either way.
 """
 
@@ -132,75 +131,35 @@ class PathBundle:
                    eps=None if np.isnan(eps) else float(eps))
 
 
-# the chunk rule of the module docstring: blocks whose paths are drawn in
-# at most this many chunks re-key one generator
-_REKEY_MAX_CHUNKS = 3
-
-
-def _pack(state, row):
-    """Copy a Philox ``bit_generator.state``, all but its key, to an
-    11-word row."""
-    row[:4] = state["state"]["counter"]
-    row[4:8] = state["buffer"]
-    row[8:] = state["buffer_pos"], state["has_uint32"], state["uinteger"]
-
-
-def _unpack(row, state):
-    """The inverse of ``_pack``, into the state dict ``state``."""
-    state["state"]["counter"] = row[:4]
-    state["buffer"] = row[4:8]
-    state["buffer_pos"], state["has_uint32"], state["uinteger"] = \
-        row[8:].tolist()
-
-
 class _Rekeyed:
-    """The Philox streams of a block's paths on one shared generator.
+    """The Philox streams of a block's paths on one shared generator, for
+    paths drawn in one chunk: iterating yields the generator re-keyed to
+    each path's fresh stream in turn."""
 
-    Each pass over it (one chunk) yields the generator positioned on each
-    path's stream in turn, by setting ``bit_generator.state``: the fresh
-    state with the path's key on the first pass, the path's row of
-    ``states`` after that.  While passes of the ``n_chunks`` remain, the
-    state is packed into that row when the consumer asks for the next
-    path.  A row is 11 words; a state dict per path would take about ten
-    times as much memory.
-    """
-
-    def __init__(self, keys, n_chunks: int):
+    def __init__(self, keys):
         self.keys = keys
-        self.gen = np.random.Generator(np.random.Philox(key=keys[0]))
-        self.state = self.gen.bit_generator.state
-        self.states = None
-        self.passes_left = n_chunks
 
     def __len__(self):
         return len(self.keys)
 
     def __iter__(self):
-        bitgen = self.gen.bit_generator
-        state = self.state
-        restore = self.states is not None
-        self.passes_left -= 1
-        if self.passes_left and not restore:
-            self.states = np.empty((len(self.keys), 11), dtype=np.uint64)
-        for i, key in enumerate(self.keys):
+        gen = np.random.Generator(np.random.Philox(key=self.keys[0]))
+        state = gen.bit_generator.state
+        for key in self.keys:
             state["state"]["key"] = key
-            if restore:
-                _unpack(self.states[i], state)
-            bitgen.state = state
-            yield self.gen
-            if self.passes_left:
-                _pack(bitgen.state, self.states[i])
+            gen.bit_generator.state = state
+            yield gen
 
 
-def _path_streams(seed: int, path_indices, n_chunks: int):
-    """The Philox streams of the given paths, keyed by (seed, path index),
-    for draws in ``n_chunks`` chunks: one live generator per path, or a
-    ``_Rekeyed`` set when ``n_chunks <= _REKEY_MAX_CHUNKS``."""
+def _path_streams(seed: int, path_indices, one_chunk: bool):
+    """The Philox streams of the given paths, keyed by (seed, path index):
+    a ``_Rekeyed`` set when each path is drawn in ``one_chunk``, else one
+    live generator per path."""
     keys = np.empty((len(path_indices), 2), dtype=np.uint64)
     keys[:, 0] = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     keys[:, 1] = np.asarray(path_indices, dtype=np.uint64)
-    if n_chunks <= _REKEY_MAX_CHUNKS:
-        return _Rekeyed(keys, n_chunks)
+    if one_chunk:
+        return _Rekeyed(keys)
     return [np.random.Generator(np.random.Philox(key=key)) for key in keys]
 
 
@@ -229,13 +188,12 @@ def _run_blocks(weighted, x0, grid, n_paths, seed, substeps, d,
     k = d + 1
     # coarse steps per draw: at most max(n_steps, substeps) fine steps
     chunk = max(1, grid.n_steps // substeps)
-    n_chunks = -(-grid.n_steps // chunk)
     X = np.empty((n_paths, grid.n_steps + 1, d + 1))
     dB = np.empty((n_paths, grid.n_steps, k))
 
     for lo in range(0, n_paths, block_size):
         hi = min(lo + block_size, n_paths)
-        gens = _path_streams(seed, range(lo, hi), n_chunks)
+        gens = _path_streams(seed, range(lo, hi), chunk == grid.n_steps)
         x1 = np.full(hi - lo, x0[0])
         x2 = np.tile(x0[1:], (hi - lo, 1))
         X[lo:hi, 0, 0] = x1

@@ -133,10 +133,13 @@ def test_streams_match_whole_path_draws(monkeypatch, switch_family,
                                         switch_avg, substeps, block_size,
                                         n_threads):
     # chunked draws give the whole-path streams, also with n_threads
-    # simulations running at once.  On 12 steps, substeps 1, 2, 3, 4 and
-    # 50 draw each path in 1, 2, 3, 4 and 12 chunks: re-keyed streams up
-    # to 3 chunks, live generators from 4.  The averaged paths start on
-    # the interface, whose first step takes the minus side.
+    # simulations running at once.  Substeps 1 draws each path in one
+    # chunk, from re-keyed streams; more substeps draw it in several
+    # chunks from live generators: on 10 steps 2, 4, 5 and 10 chunks, the
+    # last short for substeps 3 (3,3,3,1); on 11 steps 3, 4, 6 and 11
+    # chunks, the last short for substeps 2 (5,5,1), 3 (3,3,3,2) and 4.
+    # The averaged paths start on the interface, whose first step takes
+    # the minus side.
     live = set()
     draw = simulate._path_normals
 
@@ -144,23 +147,25 @@ def test_streams_match_whole_path_draws(monkeypatch, switch_family,
         live.add(isinstance(gens, list))
         return draw(gens, *args)
     monkeypatch.setattr(simulate, "_path_normals", recorded)
-    grid = hl.SimGrid(0.5, 12)
     kw = dict(seed=17, substeps=substeps, block_size=block_size)
-    for eps, x0, simulate_fn in (
-            (0.3, [0.5, 0.0],
-             lambda: hl.simulate_eps(switch_family, 0.3, [0.5, 0.0], grid,
-                                     23, **kw)),
-            (None, [0.0, 0.0],
-             lambda: hl.simulate_avg(switch_avg, [0.0, 0.0], grid, 23,
-                                     **kw))):
-        with ThreadPoolExecutor(max_workers=n_threads) as ex:
-            bundles = list(ex.map(lambda _: simulate_fn(), range(n_threads)))
-        X, dB = _whole_path_reference(switch_family, eps, x0, grid, 23, 17,
-                                      substeps)
-        for b in bundles:
-            assert np.array_equal(b.X, X), eps
-            assert np.array_equal(b.dB, dB), eps
-    assert live == {substeps >= 4}
+    for n_steps in (10, 11):
+        grid = hl.SimGrid(0.5, n_steps)
+        for eps, x0, simulate_fn in (
+                (0.3, [0.5, 0.0],
+                 lambda: hl.simulate_eps(switch_family, 0.3, [0.5, 0.0],
+                                         grid, 23, **kw)),
+                (None, [0.0, 0.0],
+                 lambda: hl.simulate_avg(switch_avg, [0.0, 0.0], grid, 23,
+                                         **kw))):
+            with ThreadPoolExecutor(max_workers=n_threads) as ex:
+                bundles = list(ex.map(lambda _: simulate_fn(),
+                                      range(n_threads)))
+            X, dB = _whole_path_reference(switch_family, eps, x0, grid, 23,
+                                          17, substeps)
+            for b in bundles:
+                assert np.array_equal(b.X, X), (n_steps, eps)
+                assert np.array_equal(b.dB, dB), (n_steps, eps)
+    assert live == {substeps > 1}
 
 
 @pytest.mark.parametrize("n_steps,substeps", [(10, 1), (10, 3), (4, 50),
