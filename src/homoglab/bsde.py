@@ -26,6 +26,8 @@ _MAGIC = b"HMGS1"
 _VERSION = 1
 # Largest condition number a step's regression may have.
 COND_LIMIT = 1e12
+# Singular values below this fraction of the largest are projected out.
+_RCOND = 1e-9
 
 
 class RegressionError(RuntimeError):
@@ -141,7 +143,7 @@ def feature_matrix(states, degree, sign_feature):
     return F
 
 
-def _projector(F, step, rcond=1e-9):
+def _projector(F, step):
     """Truncated-SVD least squares on F, factored once; returns (fit, cond).
 
     ``fit(target)`` projects ``target`` on the columns of F.  Near-collinear
@@ -152,7 +154,7 @@ def _projector(F, step, rcond=1e-9):
     u, s, vt = np.linalg.svd(F, full_matrices=False)
     if s[0] <= 0:
         raise RegressionError(f"zero feature matrix at step {step}")
-    keep = s > rcond * s[0]
+    keep = s > _RCOND * s[0]
     cond = s[0] / s[keep][-1]
     if cond > COND_LIMIT:
         raise RegressionError(

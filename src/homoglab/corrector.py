@@ -21,7 +21,7 @@ integral, which is evaluated directly.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,19 +29,16 @@ import numpy as np
 from .families import AveragedModel, CoefficientFamily
 from .quadrature import cumulative, integrate
 
+# Relative tolerance of the pointwise corrector quadratures.
+_RTOL = 1e-8
+
 
 @dataclass
 class CorrectorField:
-    """Corrector data for one (family, averaged model, eps) triple.
-
-    The cache maps rounded (x1, x2..., y) keys to computed values; inserts
-    are idempotent, so concurrent readers at worst recompute.
-    """
+    """Corrector data for one (family, averaged model, eps) triple."""
     fam: CoefficientFamily
     avg: AveragedModel
     eps: float
-    rtol: float = 1e-8
-    cache: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not self.eps > 0:
@@ -59,12 +56,7 @@ class CorrectorField:
         tf = t / self.eps
         rho = self.fam.rho(tf, x2)
         return (self.fam.rho_f(tf, x2, y)
-                - rho * self.avg.f_bar(t, x2, float(y)))
-
-    def _key(self, tag, x1, x2, y):
-        x2 = np.asarray(x2, dtype=float).reshape(-1)
-        return (tag, round(float(x1), 12)) + tuple(
-            round(float(v), 12) for v in x2) + (round(float(y), 12),)
+                - rho * self.avg.f(t, x2, float(y)))
 
 
 def corrector_dx1(field: CorrectorField, x1: float, x2, y: float) -> float:
@@ -72,12 +64,9 @@ def corrector_dx1(field: CorrectorField, x1: float, x2, y: float) -> float:
     x1 = float(x1)
     if x1 == 0.0:
         return 0.0
-    key = field._key("dx1", x1, x2, y)
-    if key not in field.cache:
-        val = integrate(lambda t: field.q(t, x2, y), 0.0, x1,
-                        rtol=field.rtol, max_panel=field.max_panel)
-        field.cache[key] = float(val[0])
-    return field.cache[key]
+    val = integrate(lambda t: field.q(t, x2, y), 0.0, x1,
+                    rtol=_RTOL, max_panel=field.max_panel)
+    return float(val[0])
 
 
 def corrector_value(field: CorrectorField, x1: float, x2, y: float) -> float:
@@ -85,12 +74,9 @@ def corrector_value(field: CorrectorField, x1: float, x2, y: float) -> float:
     x1 = float(x1)
     if x1 == 0.0:
         return 0.0
-    key = field._key("val", x1, x2, y)
-    if key not in field.cache:
-        val = integrate(lambda t: (x1 - t) * field.q(t, x2, y),
-                        0.0, x1, rtol=field.rtol, max_panel=field.max_panel)
-        field.cache[key] = float(val[0])
-    return field.cache[key]
+    val = integrate(lambda t: (x1 - t) * field.q(t, x2, y),
+                    0.0, x1, rtol=_RTOL, max_panel=field.max_panel)
+    return float(val[0])
 
 
 def second_difference(field: CorrectorField, x1: float, x2, y: float,
@@ -113,8 +99,7 @@ def second_difference(field: CorrectorField, x1: float, x2, y: float,
         def g(t):
             w = (t - a) if left else (b - t)
             return w * field.q(t, x2, y)
-        return integrate(g, a, b, rtol=field.rtol,
-                         max_panel=field.max_panel)[0]
+        return integrate(g, a, b, rtol=_RTOL, max_panel=field.max_panel)[0]
 
     total = hat_part(c - h, c, True) + hat_part(c, c + h, False)
     return float(total) / h ** 2
@@ -159,7 +144,7 @@ def residual_check(field: CorrectorField, sample_spec: dict) -> ResidualReport:
         x2r = x2.reshape(1, d)
         a00 = float(field.fam.a00(x1 / field.eps, x2r)[0])
         gap = float(field.fam.f(x1 / field.eps, x2r, y)[0]
-                    - field.avg.f_bar(x1, x2r, y)[0])
+                    - field.avg.f(x1, x2r, y)[0])
         resid = abs(a00 * d2 - gap)
         tol = max(1e-4, 1e-3 * abs(gap))
         if resid / tol > worst[1]:
@@ -212,8 +197,8 @@ def _half_grid(lo, hi, n):
 
 def decay_table(fam: CoefficientFamily, avg: AveragedModel,
                 eps_list: Sequence[float], box, y_box,
-                n_grid=(41, 41, 41), csv_path: Optional[str] = None,
-                rtol: float = 1e-6) -> DecayTable:
+                n_grid=(41, 41, 41),
+                csv_path: Optional[str] = None) -> DecayTable:
     """Sampled sup norms of V and of the averaging remainders per eps.
 
     ``box`` = ((x1lo, x1hi), (x2lo, x2hi)) at d = 1, ``y_box`` = (ylo, yhi).
@@ -233,31 +218,28 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
     x2s = np.linspace(x2lo, x2hi, n2)
     ys = np.linspace(y_box[0], y_box[1], ny)
     shape_y = fam.f_y_shape(ys)
-    shape_bar = avg.fam.f_y_shape(ys)
     neg, pos = _half_grid(x1lo, x1hi, n1)
     rows = []
     for eps in eps_list:
         sup_V = sup_b = sup_a = 0.0
         for x2v in x2s:
             x2r = np.array([[x2v]])
-            fp = float(avg.rho_f_coef(1.0, x2r)[0])
-            fm = float(avg.rho_f_coef(-1.0, x2r)[0])
-            rp = float(avg.rho_pm(1.0, x2r)[0])
-            rm = float(avg.rho_pm(-1.0, x2r)[0])
 
             def g(t):
                 tf = t / eps
                 rho = fam.rho(tf, x2r)
-                rhof = fam.rhof_t(tf, x2r)[:, None] * shape_y
-                coef = np.where(t > 0, fp / rp, fm / rm)
-                q = rhof - (rho * coef)[:, None] * shape_bar
+                rhof = fam.rho_f_coef(tf, x2r)[:, None] * shape_y
+                coef = avg.rho_f_coef(t, x2r) / avg.rho(t, x2r)
+                q = rhof - (rho * coef)[:, None] * shape_y
                 return np.concatenate(
                     [q, t[:, None] * q, rhof, rho[:, None]], axis=1)
 
-            for grid, flim, rlim in ((neg, fm, rm), (pos, fp, rp)):
+            for side, grid in ((-1.0, neg), (1.0, pos)):
                 if grid.shape[0] < 2:
                     continue
-                cum = cumulative(g, grid, rtol=rtol,
+                flim = avg.rho_f_coef(side, x2r)[0]
+                rlim = avg.rho(side, x2r)[0]
+                cum = cumulative(g, grid, rtol=1e-6,
                                  max_panel=np.pi * min(1.0, eps))
                 x1 = grid[1:, None]
                 Q1, Qt = cum[1:, :ny], cum[1:, ny:2 * ny]

@@ -20,7 +20,9 @@ ratio of Cesaro limits weighted by ``rho``, with a separate value on each
 side of the interface ``{x1 = 0}`` (the point 0 itself uses the minus side).
 By linearity it is the family's own templates on the limit basis: ``(T, sin)``
 replaced by its one-sided limits, ``(+1, 0)`` for x1 > 0 and ``(-1, 0)``
-otherwise in closed form, so one evaluator serves both models.
+otherwise in closed form.  So both models share one coefficient interface,
+``TemplateCoefficients``, and differ only in the basis (which alone holds
+the side convention) and in the operation order of ``driver``.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ class CesaroResult:
     averages_minus: np.ndarray
 
 
-def cesaro_average(g, x2, schedule=None, tol: float = 1e-4) -> CesaroResult:
-    """Running-average limits of ``g(t, x2)`` as t -> +/- infinity.
+def cesaro_average(g, schedule=None, tol: float = 1e-4) -> CesaroResult:
+    """Running-average limits of ``g(t)`` as t -> +/- infinity.
 
     ``g`` must be vectorized in t and may return several components at once
     (shape ``(nt, m)``).  The average A(X) = (1/X) * int_0^X g is evaluated
@@ -92,8 +94,7 @@ def cesaro_average(g, x2, schedule=None, tol: float = 1e-4) -> CesaroResult:
 
     def one_side(sign):
         grid = np.concatenate(([0.0], sign * schedule))
-        cum = cumulative(lambda t: g(t, x2), grid, rtol=tol / 10.0,
-                         max_panel=2.0 * np.pi)
+        cum = cumulative(g, grid, rtol=tol / 10.0, max_panel=2.0 * np.pi)
         # (1/x1) * int_0^{x1}; both signs give the plain ratio.
         return cum[1:] / (sign * schedule)[:, None]
 
@@ -154,8 +155,58 @@ def _const_w(value):
     return lambda x2: np.full(np.asarray(x2).shape[:-1] + value.shape, value)
 
 
+class TemplateCoefficients:
+    """The one coefficient interface of a family and its averaged model.
+
+    Every coefficient is the family's ``(T, sin)`` templates evaluated on
+    ``self.basis(x1)`` through ``_Template.combine``.  A subclass supplies
+    ``basis``, ``d``, the family ``fam`` whose templates and driver
+    y-shape it evaluates, and ``driver``.
+    """
+
+    def _combine(self, x1, x2, *templates):
+        x2 = _as_x2(x2, self.d)
+        basis = self.basis(x1)
+        return [t.combine(basis, x2) for t in templates]
+
+    def weighted(self, x1, x2):
+        """``(rho, rho_b, rho_a)`` at once, the basis evaluated once."""
+        fam = self.fam
+        return tuple(self._combine(x1, x2, fam.rho_t, fam.rhob_t, fam.rhoa_t))
+
+    def rho(self, x1, x2):
+        return self._combine(x1, x2, self.fam.rho_t)[0]
+
+    def rho_f_coef(self, x1, x2):
+        """The y-independent factor of ``rho*f``."""
+        return self._combine(x1, x2, self.fam.rhof_t)[0]
+
+    def rho_f(self, x1, x2, y):
+        return self.rho_f_coef(x1, x2) * self.fam.f_y_shape(y)
+
+    def a00(self, x1, x2):
+        return 1.0 / self.rho(x1, x2)
+
+    def phi(self, x1, x2):
+        return np.sqrt(2.0 / self.rho(x1, x2))
+
+    def b1(self, x1, x2):
+        rho, rho_b = self._combine(x1, x2, self.fam.rho_t, self.fam.rhob_t)
+        return rho_b / rho[..., None]
+
+    def a1(self, x1, x2):
+        rho, rho_a = self._combine(x1, x2, self.fam.rho_t, self.fam.rhoa_t)
+        return rho_a / rho[..., None, None]
+
+    def sigma1(self, x1, x2):
+        return _sym_sqrt(2.0 * self.a1(x1, x2))
+
+    def f(self, x1, x2, y):
+        return self.driver(x1, x2)(y)
+
+
 @dataclass
-class CoefficientFamily:
+class CoefficientFamily(TemplateCoefficients):
     """Evaluable two-scale coefficient set with declared bounds.
 
     ``d`` is the slow dimension, ``k = d + 1`` the Brownian dimension.
@@ -180,59 +231,25 @@ class CoefficientFamily:
     def __post_init__(self):
         self.closed_form_limits = closed_form_averaged(self)
 
-    # -- raw weighted quantities -------------------------------------------
-    def rho(self, x1, x2):
-        return self.rho_t(x1, _as_x2(x2, self.d))
+    @property
+    def fam(self) -> "CoefficientFamily":
+        """A family evaluates its own templates."""
+        return self
 
-    def rho_b(self, x1, x2):
-        return self.rhob_t(x1, _as_x2(x2, self.d))
-
-    def rho_a(self, x1, x2):
-        return self.rhoa_t(x1, _as_x2(x2, self.d))
-
-    def weighted(self, x1, x2):
-        """``(rho, rho_b, rho_a)`` at once, the fast basis evaluated once."""
-        x2 = _as_x2(x2, self.d)
-        basis = self.rho_t.basis(x1)
-        return tuple(t.combine(basis, x2)
-                     for t in (self.rho_t, self.rhob_t, self.rhoa_t))
-
-    def rho_f(self, x1, x2, y):
-        base = self.rhof_t(x1, _as_x2(x2, self.d))
-        return base * self.f_y_shape(y)
+    def basis(self, x1):
+        """The fast basis, looked up on ``_Template`` at call time."""
+        return _Template.basis(x1)
 
     def f_y_shape(self, y):
         c0, c1 = self.f_shape
         return c0 + c1 * np.tanh(np.asarray(y, dtype=float))
 
-    # -- physical coefficients ---------------------------------------------
-    def a00(self, x1, x2):
-        return 1.0 / self.rho(x1, x2)
-
-    def phi(self, x1, x2):
-        return np.sqrt(2.0 / self.rho(x1, x2))
-
-    def b1(self, x1, x2):
-        return self.rho_b(x1, x2) / self.rho(x1, x2)[..., None]
-
-    def a1(self, x1, x2):
-        return self.rho_a(x1, x2) / self.rho(x1, x2)[..., None, None]
-
-    def sigma1(self, x1, x2):
-        return _sym_sqrt(2.0 * self.a1(x1, x2))
-
     def driver(self, x1, x2):
         """The driver at (x1, x2) as the map ``y -> f``.  Its y-independent
         factors, ``rho*f``'s coefficient and ``rho``, come from one basis
         evaluation, made once however often the map is applied."""
-        x2 = _as_x2(x2, self.d)
-        basis = self.rho_t.basis(x1)
-        rhof = self.rhof_t.combine(basis, x2)
-        rho = self.rho_t.combine(basis, x2)
+        rho, rhof = self._combine(x1, x2, self.rho_t, self.rhof_t)
         return lambda y: (rhof * self.f_y_shape(y)) / rho
-
-    def f(self, x1, x2, y):
-        return self.driver(x1, x2)(y)
 
     def terminal(self, x):
         x = np.asarray(x, dtype=float)
@@ -260,7 +277,7 @@ def _sym_sqrt(mat):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class AveragedModel:
+class AveragedModel(TemplateCoefficients):
     """Effective coefficients; possibly discontinuous across {x1 = 0}.
 
     The family's templates evaluated on the limit basis: ``basis(x1)`` is
@@ -284,56 +301,22 @@ class AveragedModel:
         plus = np.asarray(x1, dtype=float) > 0
         return np.where(plus, *self.a_trans), np.where(plus, *self.a_sin)
 
-    def _limits(self, x1, x2, *templates):
-        x2 = _as_x2(x2, self.d)
-        basis = self.basis(x1)
-        return [t.combine(basis, x2) for t in templates]
-
-    def weighted(self, x1, x2):
-        """``(rho, rho_b, rho_a)`` limits, as ``CoefficientFamily.weighted``."""
-        fam = self.fam
-        return tuple(self._limits(x1, x2, fam.rho_t, fam.rhob_t, fam.rhoa_t))
-
-    def rho_pm(self, x1, x2):
-        return self._limits(x1, x2, self.fam.rho_t)[0]
-
-    def rho_f_coef(self, x1, x2):
-        """Limit of the y-independent factor of ``rho*f``."""
-        return self._limits(x1, x2, self.fam.rhof_t)[0]
-
-    def a00_bar(self, x1, x2):
-        return 1.0 / self.rho_pm(x1, x2)
-
-    def b_bar(self, x1, x2):
-        rho, rho_b = self._limits(x1, x2, self.fam.rho_t, self.fam.rhob_t)
-        return rho_b / rho[..., None]
-
-    def a1_bar(self, x1, x2):
-        rho, rho_a = self._limits(x1, x2, self.fam.rho_t, self.fam.rhoa_t)
-        return rho_a / rho[..., None, None]
-
-    def a_bar(self, x1, x2):
-        a00 = self.a00_bar(x1, x2)
-        a1 = self.a1_bar(x1, x2)
+    def a(self, x1, x2):
+        """The full diffusion block, ``a00`` and ``a1`` on the diagonal."""
+        a00 = self.a00(x1, x2)
+        a1 = self.a1(x1, x2)
         out = np.zeros(a1.shape[:-2] + (self.d + 1, self.d + 1))
         out[..., 0, 0] = a00
         out[..., 1:, 1:] = a1
         return out
 
-    def f_coef_bar(self, x1, x2):
-        """The y-independent factor of ``f_bar``."""
-        rho, rho_f = self._limits(x1, x2, self.fam.rho_t, self.fam.rhof_t)
-        return rho_f / rho
-
     def driver(self, x1, x2):
-        """The averaged driver at (x1, x2) as the map ``y -> f_bar``, as
-        ``CoefficientFamily.driver``."""
-        coef = self.f_coef_bar(x1, x2)
+        """The averaged driver at (x1, x2) as the map ``y -> f``, as
+        ``CoefficientFamily.driver``, but with ``rho`` divided out first."""
+        rho, rhof = self._combine(x1, x2, self.fam.rho_t, self.fam.rhof_t)
+        coef = rhof / rho
         shape = self.fam.f_y_shape
         return lambda y: coef * shape(y)
-
-    def f_bar(self, x1, x2, y):
-        return self.driver(x1, x2)(y)
 
     # -- serialization ------------------------------------------------------
     def to_json(self, x2_grid):
@@ -350,9 +333,9 @@ class AveragedModel:
         for name, x1 in (("plus", 1.0), ("minus", -1.0)):
             drive = self.driver(x1, x2_grid)
             doc["branches"][name] = {
-                "rho": self.rho_pm(x1, x2_grid).tolist(),
-                "b_bar": self.b_bar(x1, x2_grid).tolist(),
-                "a_bar": self.a_bar(x1, x2_grid).tolist(),
+                "rho": self.rho(x1, x2_grid).tolist(),
+                "b_bar": self.b1(x1, x2_grid).tolist(),
+                "a_bar": self.a(x1, x2_grid).tolist(),
                 "f_bar_at_ygrid": np.stack(
                     [drive(y) for y in _Y_GRID], axis=-1).tolist(),
             }
@@ -374,8 +357,8 @@ _Y_GRID = np.linspace(-4.0, 4.0, 41)
 def _basis_limits_numeric(schedule, tol):
     """Cesaro limits of the template basis (T, sin) by quadrature."""
     res = cesaro_average(
-        lambda t, _x2: np.stack([transition(t), np.sin(t)], axis=-1),
-        x2=None, schedule=schedule, tol=tol)
+        lambda t: np.stack([transition(t), np.sin(t)], axis=-1),
+        schedule=schedule, tol=tol)
     if not res.converged:
         raise AveragingError(
             f"basis running averages did not stabilize (residual {res.residual:.3e})")
@@ -394,9 +377,9 @@ def _compare_models(num: AveragedModel, ref: AveragedModel, grid_n=21):
     x2g = np.linspace(-3.0, 3.0, grid_n)[:, None]
     dev = 0.0
     for x1 in (x1g[0], -1e-9, 0.0, 1e-9, x1g[-1]):
-        dev = max(dev, float(np.max(np.abs(num.rho_pm(x1, x2g) - ref.rho_pm(x1, x2g)))))
-        dev = max(dev, float(np.max(np.abs(num.b_bar(x1, x2g) - ref.b_bar(x1, x2g)))))
-        dev = max(dev, float(np.max(np.abs(num.a_bar(x1, x2g) - ref.a_bar(x1, x2g)))))
+        dev = max(dev, float(np.max(np.abs(num.rho(x1, x2g) - ref.rho(x1, x2g)))))
+        dev = max(dev, float(np.max(np.abs(num.b1(x1, x2g) - ref.b1(x1, x2g)))))
+        dev = max(dev, float(np.max(np.abs(num.a(x1, x2g) - ref.a(x1, x2g)))))
         drive_num, drive_ref = num.driver(x1, x2g), ref.driver(x1, x2g)
         for y in (-2.0, 0.0, 2.0):
             dev = max(dev, float(np.max(np.abs(drive_num(y) - drive_ref(y)))))
@@ -419,7 +402,7 @@ def build_averaged(fam: CoefficientFamily, tol: float = 1e-4,
     probe_x2 = np.linspace(-3.0, 3.0, 7)[:, None] if fam.d == 1 else \
         np.zeros((1, fam.d))
     for x1 in (-1.0, 0.0, 1.0):
-        a1 = numeric.a1_bar(x1, probe_x2)
+        a1 = numeric.a1(x1, probe_x2)
         if np.any(np.linalg.eigvalsh(a1) <= 0):
             raise AveragingError("assembled averaged diffusion block is not "
                                  "positive definite (upstream assumption violation)")
@@ -600,8 +583,7 @@ def audit_assumptions(fam: CoefficientFamily, sample_spec: dict) -> AssumptionRe
         dv = np.abs(v - v[j]).reshape(n, -1).max(axis=-1)
         return np.where(ok, dv / np.where(ok, dx, 1.0), 0.0)
     q = np.maximum(lip_of(fam.phi),
-                   np.maximum(lip_of(lambda a, c: fam.b1(a, c)),
-                              lip_of(lambda a, c: fam.sigma1(a, c))))
+                   np.maximum(lip_of(fam.b1), lip_of(fam.sigma1)))
     res_a1 = q - b["lip"]
     i = int(np.argmax(res_a1))
     entries["A1"] = AssumptionEntry(
@@ -644,21 +626,16 @@ def audit_assumptions(fam: CoefficientFamily, sample_spec: dict) -> AssumptionRe
     x2_ref = np.zeros((1, fam.d))
     avg = fam.closed_form_limits
     horizons = np.array([10.0, 1e2, 1e3, 1e4])
-    for aid, g, norm in (
-            ("B3", lambda t, _: fam.rho(t, x2_ref),
-             1.0 + float(np.sum(x2_ref ** 2))),
-            ("C2", lambda t, _: fam.rho_f(t, x2_ref, 0.0),
-             1.0 + float(np.sum(x2_ref ** 2)))):
+    norm = 1.0 + float(np.sum(x2_ref ** 2))
+    # each remainder asks the family and its averaged model the same question
+    for aid, g in (("B3", lambda model, t: model.rho(t, x2_ref)),
+                   ("C2", lambda model, t: model.rho_f(t, x2_ref, 0.0))):
         rem = []
         for sgn in (+1.0, -1.0):
             grid = np.concatenate(([0.0], sgn * horizons))
-            cum = cumulative(lambda t: g(t, None)[:, None], grid, rtol=1e-6)
+            cum = cumulative(lambda t: g(fam, t)[:, None], grid, rtol=1e-6)
             run = cum[1:, 0] / (sgn * horizons)
-            if aid == "B3":
-                lim = avg.rho_pm(sgn, x2_ref)[0]
-            else:
-                lim = avg.rho_f_coef(sgn, x2_ref)[0] * fam.f_y_shape(0.0)
-            rem.append(np.abs(run - lim) / norm)
+            rem.append(np.abs(run - g(avg, sgn)[0]) / norm)
         trend = np.maximum(rem[0], rem[1])
         decreasing = bool(np.all(np.diff(trend) <= 1e-12 + 0.05 * trend[:-1]))
         entries[aid] = AssumptionEntry(

@@ -16,7 +16,7 @@ import json
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -84,6 +84,7 @@ class ExperimentConfig:
         try:
             famb = doc["family"]
             mc = doc["mc"]
+            _check("mc", mc, _MC_RULES)
             eps_list = [float(e) for e in doc["eps_list"]]
             cfg = cls(
                 family_id=famb["id"],
@@ -91,15 +92,15 @@ class ExperimentConfig:
                 d=int(famb.get("d", 1)), k=int(famb.get("k", 2)),
                 x0=np.asarray(doc["x0"], dtype=float),
                 t_end=float(doc["t_end"]), eps_list=eps_list,
-                n_paths=int(mc["n_paths"]), n_steps=int(mc["n_steps"]),
+                n_paths=mc["n_paths"], n_steps=mc["n_steps"],
                 seed=int(mc["seed"]),
                 basis_degree=int(doc.get("bsde", {}).get("basis_degree", 3)),
                 sign_feature=bool(doc.get("bsde", {}).get("sign_feature", True)),
                 n_picard=int(doc.get("bsde", {}).get("n_picard", 3)),
                 avg_tol=float(doc.get("averaging", {}).get("tol", 1e-4)),
                 avg_schedule=doc.get("averaging", {}).get("schedule"),
-                block_size=int(mc.get("block_size", 4096)),
-                substeps_cap=int(mc.get("substeps_cap", 64)),
+                block_size=mc.get("block_size", 4096),
+                substeps_cap=mc.get("substeps_cap", 64),
                 fd=doc.get("fd"), corrector=doc.get("corrector"),
                 tolerances=dict(doc.get("tolerances", {})),
                 out_dir=doc.get("outputs", {}).get("dir", "out"),
@@ -112,15 +113,13 @@ class ExperimentConfig:
             if getattr(cfg, key) < 1:
                 raise ConfigError(f"mc.{key} must be at least 1, "
                                   f"got {getattr(cfg, key)}")
-        cc = cfg.corrector or {}
-        if "n_grid" in cc and not (isinstance(cc["n_grid"], (list, tuple))
-                                   and len(cc["n_grid"]) == 3
-                                   and all(map(_is_count, cc["n_grid"]))):
-            raise ConfigError("corrector.n_grid must be three integers of "
-                              f"at least 1, got {cc['n_grid']!r}")
-        if "n_samples" in cc and not _is_count(cc["n_samples"]):
-            raise ConfigError("corrector.n_samples must be an integer of "
-                              f"at least 1, got {cc['n_samples']!r}")
+        if cfg.fd is not None:
+            _check("fd", cfg.fd, _FD_RULES)
+            missing = [f"fd.{key}" for key in _FD_RULES if key not in cfg.fd]
+            if missing:
+                raise ConfigError(f"missing config key {missing[0]!r}")
+        if cfg.corrector is not None:
+            _check("corrector", cfg.corrector, _CORRECTOR_RULES)
         if not eps_list or any(e <= 0 for e in eps_list) or \
                 any(b >= a for a, b in zip(eps_list, eps_list[1:])):
             raise ConfigError("eps_list must be positive, strictly decreasing")
@@ -147,22 +146,61 @@ class ExperimentConfig:
                                     self.d, self.k)
 
 
+def _is_int(value) -> bool:
+    """An integer, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 def _is_count(value) -> bool:
     """An integer (not a bool) of at least 1."""
-    return isinstance(value, int) and not isinstance(value, bool) \
-        and value >= 1
+    return _is_int(value) and value >= 1
+
+
+def _is_list_of(value, n, ok) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == n \
+        and all(map(ok, value))
+
+
+def _is_pair(value) -> bool:
+    """A ``[lo, hi]`` pair of numbers."""
+    return _is_list_of(value, 2, _is_number)
+
+
+# key -> (check, what the check asks for), per config block
+_INTEGER = (_is_int, "an integer")
+_NUMBER = (_is_number, "a number")
+_MC_RULES = dict.fromkeys(("n_paths", "n_steps", "block_size", "substeps_cap"),
+                          _INTEGER)
+_FD_RULES = {"L1": _NUMBER, "L2": _NUMBER, "n1": _INTEGER, "n2": _INTEGER,
+             "dt_fd": _NUMBER}
+_CORRECTOR_RULES = {
+    "n_grid": (lambda v: _is_list_of(v, 3, _is_count),
+               "three integers of at least 1"),
+    "n_samples": (_is_count, "an integer of at least 1"),
+    "box": (lambda v: _is_list_of(v, 2, _is_pair), "two [lo, hi] number pairs"),
+    "y_box": (_is_pair, "one [lo, hi] number pair")}
+
+
+def _check(block_name: str, block, rules: dict) -> None:
+    """Refuse by name a block that is not an object, or the first of its
+    keys whose value fails its rule."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{block_name} must be an object, got {block!r}")
+    for key, (ok, what) in rules.items():
+        if key in block and not ok(block[key]):
+            raise ConfigError(f"{block_name}.{key} must be {what}, "
+                              f"got {block[key]!r}")
 
 
 def _fast_dependent(fam) -> bool:
     x2 = np.zeros((1, fam.d))
-    for fn in (lambda a: fam.rho(a, x2), lambda a: fam.rho_b(a, x2),
-               lambda a: fam.rho_a(a, x2),
-               lambda a: fam.rho_f(a, x2, 0.3)):
-        v0 = np.asarray(fn(np.array([0.0])))
-        v1 = np.asarray(fn(np.array([7.0])))
-        if np.max(np.abs(v1 - v0)) > 1e-12:
-            return True
-    return False
+    v0, v1 = ([*fam.weighted(x1, x2), fam.rho_f_coef(x1, x2)]
+              for x1 in (np.array([0.0]), np.array([7.0])))
+    return any(np.max(np.abs(b - a)) > 1e-12 for a, b in zip(v0, v1))
 
 
 def _y_bound(fam, t_end: float) -> float:
@@ -304,15 +342,17 @@ def _drift_gap_row(st: Stages, bundle: PathBundle, sol: BsdeSolution):
 
 @dataclass
 class ConvergenceReport:
+    """The report of one sweep; ``run_convergence`` creates it empty and
+    its stages fill it in."""
     report_version: int
     config_digest: str
-    rows: list
-    averaged: dict
-    drift_gap: list
-    decay: Optional[dict]
-    occupation: Optional[dict]
-    tightness: Optional[dict]
-    flags: dict
+    rows: list = field(default_factory=list)
+    averaged: dict = field(default_factory=dict)
+    drift_gap: list = field(default_factory=list)
+    decay: Optional[dict] = None
+    occupation: Optional[dict] = None
+    tightness: Optional[dict] = None
+    flags: dict = field(default_factory=dict)
     incomplete: bool = False
     stage_error: Optional[str] = None
 
@@ -320,13 +360,7 @@ class ConvergenceReport:
         return not self.incomplete and all(self.flags.values())
 
     def to_dict(self) -> dict:
-        return {"report_version": self.report_version,
-                "config_digest": self.config_digest,
-                "rows": self.rows, "averaged": self.averaged,
-                "drift_gap": self.drift_gap, "decay": self.decay,
-                "occupation": self.occupation, "tightness": self.tightness,
-                "flags": self.flags, "incomplete": self.incomplete,
-                "stage_error": self.stage_error}
+        return asdict(self)
 
 
 def run_convergence(cfg: ExperimentConfig, n_threads: int = 1):
@@ -336,8 +370,7 @@ def run_convergence(cfg: ExperimentConfig, n_threads: int = 1):
     assembled so far is attached to the error as ``.partial`` with the
     incomplete marker set.
     """
-    done = {"rows": [], "averaged": {}, "drift_gap": [], "decay": None,
-            "occupation": None, "tightness": None}
+    report = ConvergenceReport(report_version=1, config_digest=cfg.digest())
     stage = "setup"
     try:
         st = Stages(cfg)
@@ -355,7 +388,7 @@ def run_convergence(cfg: ExperimentConfig, n_threads: int = 1):
         for i, (bundle, sol) in enumerate(results):
             err = abs(sol.Y0 - y0_bar)
             comb = float(np.hypot(sol.Y0_stderr, y0_bar_se))
-            done["rows"].append({
+            report.rows.append({
                 "eps": cfg.eps_list[i],
                 "Y0": _cell(sol.Y0, sol.Y0_stderr),
                 "error": _cell(err, comb),
@@ -367,7 +400,7 @@ def run_convergence(cfg: ExperimentConfig, n_threads: int = 1):
             })
 
         stage = "averaged-record"
-        done["averaged"] = {"Y0": _cell(y0_bar, y0_bar_se),
+        report.averaged = {"Y0": _cell(y0_bar, y0_bar_se),
                             "moments": {str(k): _cell(m, s) for k, (m, s)
                                         in moment_report(avg_bundle, [1, 2]).items()}}
 
@@ -375,18 +408,18 @@ def run_convergence(cfg: ExperimentConfig, n_threads: int = 1):
         if cfg.fd is not None:
             model, grid, scheme = st.fd()
             fd_sol = pde_fd.solve_pde(model, grid, scheme=scheme)
-            done["averaged"]["v_fd"] = _cell(
+            report.averaged["v_fd"] = _cell(
                 fd_sol.at(cfg.x0[0], cfg.x0[1]),
                 pde_fd.richardson_error(model, fd_sol))
 
         stage = "drift-gap"
         for bundle, sol in results:
-            done["drift_gap"].append(_drift_gap_row(st, bundle, sol))
+            report.drift_gap.append(_drift_gap_row(st, bundle, sol))
 
         stage = "corrector-decay"
         if cfg.corrector is not None:
             table = st.decay()
-            done["decay"] = {
+            report.decay = {
                 "grid_spec": table.grid_spec,
                 "monotone_V": table.monotone_V,
                 "rows": [{"eps": r.eps, "sup_V": _cell(r.sup_V),
@@ -405,69 +438,59 @@ def run_convergence(cfg: ExperimentConfig, n_threads: int = 1):
         else:
             # fewer than 3 interface bands were visited: no law to fit
             slope = {"value": None, "tag": "insufficient_data"}
-        done["occupation"] = {
+        report.occupation = {
             "estimates": [{"n": n, "mean": _cell(m, s)} for n, m, s in
                           ((o.n, o.mean_occupation, o.std_error) for o in occ)],
             "slope": slope}
 
         stage = "tightness"
-        done["tightness"] = tightness_certificate(
+        report.tightness = tightness_certificate(
             [sol for _, sol in results], bands=[(-0.5, 0.5)],
             dt=cfg.grid().dt)
 
         stage = "flags"
-        flags = _compute_flags(cfg, done)
+        report.flags = _compute_flags(cfg, report)
     except Exception as exc:
-        partial = ConvergenceReport(
-            report_version=1, config_digest=cfg.digest(),
-            rows=done["rows"], averaged=done["averaged"],
-            drift_gap=done["drift_gap"], decay=done["decay"],
-            occupation=done["occupation"], tightness=done["tightness"],
-            flags={}, incomplete=True, stage_error=stage)
+        report.incomplete = True
+        report.stage_error = stage
         err = PipelineError(stage, exc)
-        err.partial = partial
+        err.partial = report
         raise err from exc
-
-    return ConvergenceReport(
-        report_version=1, config_digest=cfg.digest(),
-        rows=done["rows"], averaged=done["averaged"],
-        drift_gap=done["drift_gap"], decay=done["decay"],
-        occupation=done["occupation"], tightness=done["tightness"],
-        flags=flags)
+    return report
 
 
-def _compute_flags(cfg, done):
+def _compute_flags(cfg, report):
     tol = cfg.tolerances
     flags = {}
-    errs = [(r["error"]["value"], r["error"]["stderr"]) for r in done["rows"]]
+    errs = [(r["error"]["value"], r["error"]["stderr"]) for r in report.rows]
     flags["error_monotone"] = all(
         e2 <= e1 + np.hypot(s1, s2)
         for (e1, s1), (e2, s2) in zip(errs, errs[1:]))
     if "final_error" in tol:
         flags["final_error_ok"] = errs[-1][0] <= float(tol["final_error"])
-    gaps = [g["gap"]["value"] for g in done["drift_gap"]]
-    gses = [g["gap"]["stderr"] for g in done["drift_gap"]]
+    gaps = [g["gap"]["value"] for g in report.drift_gap]
+    gses = [g["gap"]["stderr"] for g in report.drift_gap]
     flags["drift_gap_monotone"] = all(
         b <= a + np.hypot(sa, sb) for a, b, sa, sb in
         zip(gaps, gaps[1:], gses, gses[1:]))
     if "drift_gap_factor" in tol and gaps and gaps[0] > 0:
         flags["drift_gap_factor_ok"] = \
             gaps[-1] <= float(tol["drift_gap_factor"]) * gaps[0] + 2 * gses[-1]
-    if done["decay"] is not None:
-        sup = [r["sup_V"]["value"] for r in done["decay"]["rows"]]
-        flags["decay_monotone"] = done["decay"]["monotone_V"]
+    if report.decay is not None:
+        sup = [r["sup_V"]["value"] for r in report.decay["rows"]]
+        flags["decay_monotone"] = report.decay["monotone_V"]
         if "decay_factor" in tol and sup and sup[0] > 0:
             flags["decay_factor_ok"] = \
                 sup[-1] <= float(tol["decay_factor"]) * sup[0]
-    if done["occupation"] is not None and "occupation_slope" in tol:
+    if report.occupation is not None and "occupation_slope" in tol:
         lo, hi = tol["occupation_slope"]
-        s = done["occupation"]["slope"]["value"]
+        s = report.occupation["slope"]["value"]
         flags["occupation_slope_ok"] = s is not None and bool(lo <= s <= hi)
-    if done["tightness"] is not None and "tightness_ratio" in tol:
+    if report.tightness is not None and "tightness_ratio" in tol:
         r = float(tol["tightness_ratio"])
         flags["tightness_ok"] = (
-            done["tightness"]["ratio_energy"] <= r
-            and done["tightness"]["ratio_cv_plus_sup"] <= r)
+            report.tightness["ratio_energy"] <= r
+            and report.tightness["ratio_cv_plus_sup"] <= r)
     return flags
 
 

@@ -111,9 +111,9 @@ class PdeModel:
             return x1, x2[..., None]
 
         return cls(
-            a00=lambda x1, x2: avg.a00_bar(*pack(x1, x2)),
-            a11=lambda x1, x2: avg.a1_bar(*pack(x1, x2))[..., 0, 0],
-            b1=lambda x1, x2: avg.b_bar(*pack(x1, x2))[..., 0],
+            a00=lambda x1, x2: avg.a00(*pack(x1, x2)),
+            a11=lambda x1, x2: avg.a1(*pack(x1, x2))[..., 0, 0],
+            b1=lambda x1, x2: avg.b1(*pack(x1, x2))[..., 0],
             driver=lambda x1, x2: avg.driver(*pack(x1, x2)),
             H=lambda x1, x2: H(np.stack([x1, x2], axis=-1)),
             label="averaged")

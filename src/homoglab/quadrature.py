@@ -31,6 +31,8 @@ class QuadratureError(RuntimeError):
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Nodes per integrand call in ``panel_integrals``.
+_CHUNK_NODES = 1 << 16
 
 
 def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -48,7 +50,7 @@ def _eval(g, t):
     return v
 
 
-def panel_integrals(g, edges, order: int = 12, chunk: int = 1 << 16):
+def panel_integrals(g, edges, order: int = 12):
     """One Gauss-Legendre rule per panel; returns per-panel integrals.
 
     ``edges`` may be decreasing, in which case the integrals are oriented
@@ -59,7 +61,7 @@ def panel_integrals(g, edges, order: int = 12, chunk: int = 1 << 16):
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1:] - edges[:-1])
     npan = mid.shape[0]
-    step = max(1, chunk // order)
+    step = max(1, _CHUNK_NODES // order)
     out = None
     for lo in range(0, npan, step):
         hi = min(npan, lo + step)

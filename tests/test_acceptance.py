@@ -238,7 +238,7 @@ def test_criterion_10_comparison_monotonicity():
                             seed=hl.split_seed(1000, "criterion10", fid))
         # sampled y-Lipschitz constant of the averaged driver
         ys = np.linspace(-2, 2, 81)
-        fy = avg.f_bar(0.5, np.zeros((1, 1)), ys[:, None])[:, 0]
+        fy = avg.f(0.5, np.zeros((1, 1)), ys[:, None])[:, 0]
         L = float(np.max(np.abs(np.diff(fy) / np.diff(ys))))
         base = BsdeSpec(terminal=fam.terminal, driver=avg.driver,
                         basis_degree=3, include_sign_feature=True)

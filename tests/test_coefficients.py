@@ -11,7 +11,7 @@ from homoglab.families import (AveragingError, FamilyError, transition,
 # -- Cesaro engine ----------------------------------------------------------
 
 def test_cesaro_constant():
-    res = cesaro_average(lambda t, _: np.ones_like(t)[:, None] * 3.5, None)
+    res = cesaro_average(lambda t: np.ones_like(t)[:, None] * 3.5)
     assert res.converged
     assert res.g_plus[0] == pytest.approx(3.5, abs=1e-10)
     assert res.g_minus[0] == pytest.approx(3.5, abs=1e-10)
@@ -19,7 +19,7 @@ def test_cesaro_constant():
 
 def test_cesaro_transition_limits():
     # closed form: (1/X) int_0^X (2/pi) atan = (2/pi)(atan X - log(1+X^2)/(2X))
-    res = cesaro_average(lambda t, _: transition(t)[:, None], None, tol=1e-4)
+    res = cesaro_average(lambda t: transition(t)[:, None], tol=1e-4)
     assert res.converged
     assert res.g_plus[0] == pytest.approx(1.0, abs=1e-4)
     assert res.g_minus[0] == pytest.approx(-1.0, abs=1e-4)
@@ -29,7 +29,7 @@ def test_cesaro_transition_limits():
 
 
 def test_cesaro_sin_vanishes():
-    res = cesaro_average(lambda t, _: np.sin(t)[:, None], None, tol=1e-4)
+    res = cesaro_average(lambda t: np.sin(t)[:, None], tol=1e-4)
     assert res.converged
     assert abs(res.g_plus[0]) < 1e-4
     assert abs(res.g_minus[0]) < 1e-4
@@ -37,7 +37,7 @@ def test_cesaro_sin_vanishes():
 
 def test_cesaro_nonconvergent_reported():
     # log t grows without a Cesaro limit; must be flagged, not extrapolated
-    res = cesaro_average(lambda t, _: np.log1p(np.abs(t))[:, None], None)
+    res = cesaro_average(lambda t: np.log1p(np.abs(t))[:, None])
     assert not res.converged
     assert res.residual > 1e-2
 
@@ -47,9 +47,9 @@ def test_cesaro_nonconvergent_reported():
 def test_cesaro_linearity(a, b):
     sched = geometric_schedule(50.0, 2.0, 5)
     res = cesaro_average(
-        lambda t, _: np.stack(
+        lambda t: np.stack(
             [transition(t), np.sin(t), a * transition(t) + b * np.sin(t)],
-            axis=-1), None, schedule=sched)
+            axis=-1), schedule=sched)
     combo = a * res.g_plus[0] + b * res.g_plus[1]
     assert res.g_plus[2] == pytest.approx(combo, abs=1e-10)
 
@@ -83,34 +83,34 @@ def test_switch_pointwise_values(switch_family):
 
 def test_averaged_switch_branches(switch_avg):
     x2 = np.zeros((1, 1))
-    assert switch_avg.rho_pm(1.0, x2)[0] == pytest.approx(3.0, abs=1e-12)
-    assert switch_avg.rho_pm(-1.0, x2)[0] == pytest.approx(1.0, abs=1e-12)
-    assert switch_avg.a00_bar(1.0, x2)[0] == pytest.approx(1.0 / 3.0)
-    assert switch_avg.a00_bar(-1.0, x2)[0] == pytest.approx(1.0)
+    assert switch_avg.rho(1.0, x2)[0] == pytest.approx(3.0, abs=1e-12)
+    assert switch_avg.rho(-1.0, x2)[0] == pytest.approx(1.0, abs=1e-12)
+    assert switch_avg.a00(1.0, x2)[0] == pytest.approx(1.0 / 3.0)
+    assert switch_avg.a00(-1.0, x2)[0] == pytest.approx(1.0)
     # x1 = 0 belongs to the minus branch
-    assert switch_avg.a00_bar(0.0, x2)[0] == pytest.approx(1.0)
-    assert switch_avg.b_bar(1.0, x2)[0, 0] == pytest.approx(2.0 / 3.0)
-    assert switch_avg.b_bar(-1.0, x2)[0, 0] == pytest.approx(0.0)
-    assert switch_avg.f_bar(1.0, x2, 0.0)[0] == pytest.approx(0.4)
-    assert switch_avg.f_bar(-1.0, x2, 0.0)[0] == pytest.approx(0.6)
+    assert switch_avg.a00(0.0, x2)[0] == pytest.approx(1.0)
+    assert switch_avg.b1(1.0, x2)[0, 0] == pytest.approx(2.0 / 3.0)
+    assert switch_avg.b1(-1.0, x2)[0, 0] == pytest.approx(0.0)
+    assert switch_avg.f(1.0, x2, 0.0)[0] == pytest.approx(0.4)
+    assert switch_avg.f(-1.0, x2, 0.0)[0] == pytest.approx(0.6)
     # every averaged coefficient at x1 = 0, of either sign, takes its
     # minus-side value
     x2s = np.array([[0.0], [0.7], [-1.3]])
     for x1 in (0.0, -0.0):
-        for name in ("a00_bar", "b_bar", "a1_bar", "f_coef_bar"):
+        for name in ("rho", "a00", "b1", "a1", "a", "rho_f_coef"):
             coef = getattr(switch_avg, name)
             assert np.array_equal(coef(x1, x2s), coef(-1.0, x2s)), (name, x1)
         for y in (0.0, 1.3):
-            assert np.array_equal(switch_avg.f_bar(x1, x2s, y),
-                                  switch_avg.f_bar(-1.0, x2s, y)), (y, x1)
+            assert np.array_equal(switch_avg.f(x1, x2s, y),
+                                  switch_avg.f(-1.0, x2s, y)), (y, x1)
 
 
 def test_averaged_a00_is_inverse_mean_rho(switch_family, switch_avg):
-    # quotient structure: a00_bar = 1 / rho_bar on each side
+    # quotient structure: a00 = 1 / rho on each side
     x2 = np.array([[0.7]])
     for x1 in (1.0, -1.0):
-        assert switch_avg.a00_bar(x1, x2)[0] == pytest.approx(
-            1.0 / switch_avg.rho_pm(x1, x2)[0])
+        assert switch_avg.a00(x1, x2)[0] == pytest.approx(
+            1.0 / switch_avg.rho(x1, x2)[0])
 
 
 def test_numeric_vs_closed_form_within_tol(switch_family):
@@ -145,8 +145,8 @@ def test_build_averaged_oracle_resolves_one_weight(switch_family, side):
         fam.closed_form_limits = dataclasses.replace(exact,
                                                      a_trans=tuple(a_trans))
         x1 = 1.0 if side == "plus" else -1.0
-        assert fam.closed_form_limits.rho_pm(x1, np.zeros((1, 1)))[0] == \
-            pytest.approx(exact.rho_pm(x1, np.zeros((1, 1)))[0] + delta)
+        assert fam.closed_form_limits.rho(x1, np.zeros((1, 1)))[0] == \
+            pytest.approx(exact.rho(x1, np.zeros((1, 1)))[0] + delta)
         if refused:
             with pytest.raises(AveragingError):
                 hl.build_averaged(fam, tol=tol)
@@ -178,8 +178,43 @@ def test_weighted_matches_per_coefficient(fid):
     x2 = rng.normal(size=(300, fam.d))
     rho, rho_b, rho_a = fam.weighted(x1, x2)
     assert np.array_equal(rho, fam.rho(x1, x2))
-    assert np.array_equal(rho_b, fam.rho_b(x1, x2))
-    assert np.array_equal(rho_a, fam.rho_a(x1, x2))
+    assert np.array_equal(rho_b, fam.rhob_t(x1, x2))
+    assert np.array_equal(rho_a, fam.rhoa_t(x1, x2))
+
+
+def _limit_basis(x1):
+    """(T, sin) replaced by their one-sided limits: T = +1 for x1 > 0 and
+    -1 otherwise (x1 = 0 and -0.0 on the minus side), sin = 0."""
+    x1 = np.asarray(x1, dtype=float)
+    return np.where(x1 > 0, 1.0, -1.0), np.zeros(x1.shape)
+
+
+@pytest.mark.parametrize("fid", ["const", "switch", "slowvary"])
+def test_averaged_model_is_family_on_limit_basis(fid, monkeypatch):
+    # one coefficient interface: every shared name of the averaged model
+    # equals the family's own evaluated on the limit basis
+    fam = hl.make_family(fid)
+    avg = fam.closed_form_limits
+    rng = np.random.default_rng(9)
+    x1 = np.concatenate([[0.0, -0.0, 1e-12, -1e-12], 3.0 * rng.normal(size=12)])
+    x2 = rng.normal(size=(x1.size, fam.d))
+    y = rng.normal(size=x1.size)
+    calls = {name: (x1, x2) for name in ("weighted", "rho", "rho_f_coef", "a00",
+                                          "phi", "b1", "a1", "sigma1")}
+    calls["rho_f"] = (x1, x2, y)
+    got = {name: getattr(avg, name)(*args) for name, args in calls.items()}
+    got_f = avg.f(x1, x2, y)
+    monkeypatch.setattr(hl.families._Template, "basis",
+                        staticmethod(_limit_basis))
+    for name, args in calls.items():
+        ref = getattr(fam, name)(*args)
+        if name == "weighted":
+            assert all(np.array_equal(g, r) for g, r in zip(got[name], ref))
+        else:
+            assert np.array_equal(got[name], ref), name
+    # the two drivers divide by rho in different orders
+    ref_f = fam.f(x1, x2, y)
+    assert np.all(np.abs(got_f - ref_f) <= 1e-15 * np.abs(ref_f))
 
 
 def test_averaged_model_json_roundtrip(switch_avg, tmp_path):
@@ -195,8 +230,8 @@ def test_averaged_model_json_roundtrip(switch_avg, tmp_path):
 def test_f_bar_y_shape(switch_avg, switch_family):
     # the averaged driver carries the family's exact y-shape
     x2 = np.zeros((1, 1))
-    assert switch_avg.f_bar(1.0, x2, 1.3)[0] == pytest.approx(
-        switch_avg.f_bar(1.0, x2, 0.0)[0]
+    assert switch_avg.f(1.0, x2, 1.3)[0] == pytest.approx(
+        switch_avg.f(1.0, x2, 0.0)[0]
         * switch_family.f_y_shape(1.3) / switch_family.f_y_shape(0.0))
 
 

@@ -55,14 +55,6 @@ def test_value_decreases_with_eps(switch_family, switch_avg):
     assert vals[0] > vals[1] > vals[2]
 
 
-def test_cache_hit_returns_same_object(switch_field):
-    a = corrector_value(switch_field, 0.8, [0.1], 0.3)
-    n_before = len(switch_field.cache)
-    b = corrector_value(switch_field, 0.8, [0.1], 0.3)
-    assert a == b
-    assert len(switch_field.cache) == n_before
-
-
 def test_second_difference_approximates_ode_rhs(switch_field):
     # a00 * V'' = f - fbar, so V'' should track q = rho (f - fbar)
     x1, y = 0.7, 0.2

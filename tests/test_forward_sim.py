@@ -101,7 +101,7 @@ def _whole_path_reference(fam, eps, x0, grid, n_paths, seed, substeps):
             return tuple(_averaged_branch(t, x1, x2)
                          for t in (fam.rho_t, fam.rhob_t, fam.rhoa_t))
         xf = x1 / eps
-        return fam.rho(xf, x2), fam.rho_b(xf, x2), fam.rho_a(xf, x2)
+        return fam.rho_t(xf, x2), fam.rhob_t(xf, x2), fam.rhoa_t(xf, x2)
 
     dt_f = grid.t_end / (grid.n_steps * substeps)
     n_fine = grid.n_steps * substeps

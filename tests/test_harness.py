@@ -407,10 +407,15 @@ def test_cli_pde_rejects_nonpositive_n1(tmp_path, capsys, n1):
                                        ("n_grid", [11, 3, 0]),
                                        ("n_grid", [11, 3]),
                                        ("n_samples", -2),
-                                       ("n_samples", 0)])
+                                       ("n_samples", 0),
+                                       ("y_box", [1]),
+                                       ("box", [[-2, 2]]),
+                                       ("box", [[-2, 2], [-1, "1"]])])
 def test_cli_corrector_rejects_bad_sizes(tmp_path, capsys, key, value):
     # refused by name before any output: -2 samples used to fail after
-    # decay.csv was written, 0 samples to pass a check over no points
+    # decay.csv was written, 0 samples to pass a check over no points, a
+    # one-number y_box with an IndexError traceback and a one-pair box with
+    # an unnamed unpacking error
     doc = _tiny_doc()
     doc["corrector"][key] = value
     out = tmp_path / "out"
@@ -418,4 +423,33 @@ def test_cli_corrector_rejects_bad_sizes(tmp_path, capsys, key, value):
                      "--out", str(out)])
     assert code == 1
     assert f"error: corrector.{key} must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd,name,value", [
+    ("pde", "fd.dt_fd", None),           # None: the key is missing
+    ("pde", "fd.n1", 21.7),
+    ("pde", "fd.L2", "2.0"),
+    ("simulate", "mc.n_paths", 200.9),
+    ("bsde", "mc.n_steps", 10.5),
+    ("converge", "mc.block_size", 64.0),
+    ("converge", "mc", 5),
+    ("average", "fd", 5),
+    ("average", "corrector", [11, 3, 3])])
+def test_cli_rejects_malformed_blocks(tmp_path, capsys, cmd, name, value):
+    # refused by name before any output: a missing fd key or a block that
+    # is not an object used to escape main as a KeyError or TypeError, and
+    # a fractional size was truncated silently
+    doc = _tiny_doc()
+    *block, key = name.split(".")
+    node = doc[block[0]] if block else doc
+    if value is None:
+        del node[key]
+    else:
+        node[key] = value
+    out = tmp_path / "out"
+    code = cli_main([cmd, _write_cfg(tmp_path, doc), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and name in err
     assert not out.exists()

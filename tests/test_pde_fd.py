@@ -88,7 +88,7 @@ def test_neumann_rows():
 def test_fd_matches_colamd_reference(switch_avg, switch_family, scheme,
                                      boundary_mode):
     # reference time loop: SuperLU's default COLAMD ordering and the full
-    # driver f_bar(x, v) on every step; solve_pde differs only in round-off
+    # driver f(x, v) on every step; solve_pde differs only in round-off
     m = PdeModel.from_averaged(switch_avg, switch_family.terminal)
     g = Grid2D(4.0, 4.0, 41, 21, 0.025, 0.5)
     A, X1, X2 = _assemble(m, g, scheme)
@@ -99,7 +99,7 @@ def test_fd_matches_colamd_reference(switch_avg, switch_family, scheme,
     edge[1:-1, 1:-1] = False
     v = h = m.H(X1, X2)
     for _ in range(20):
-        rhs = v + g.dt_fd * switch_avg.f_bar(X1, X2[..., None], v)
+        rhs = v + g.dt_fd * switch_avg.f(X1, X2[..., None], v)
         rhs[edge] = h[edge] if boundary_mode == "dirichlet" else 0.0
         v = lu.solve(rhs.ravel()).reshape(nx, ny)
     got = solve_pde(m, g, boundary_mode, scheme).values
