@@ -28,6 +28,9 @@ _VERSION = 1
 COND_LIMIT = 1e12
 # Singular values below this fraction of the largest are projected out.
 _RCOND = 1e-9
+# Largest condition number fitted through the Gram matrix F^T F; its
+# eigenvalues carry cond(F)^2, so beyond this the SVD takes the step.
+_GRAM_COND = 1e4
 
 
 class RegressionError(RuntimeError):
@@ -119,38 +122,55 @@ def feature_matrix(states, degree, sign_feature):
     optional interface indicator 1_{x1>0}."""
     states = np.asarray(states, dtype=float)
     n, nv = states.shape
-    mu = states.mean(axis=0)
-    sd = states.std(axis=0)
-    sd = np.where(sd > 1e-12, sd, 1.0)
-    z = (states - mu) / sd
-    # Power table z_v ** e by repeated multiplication from the columns 1
+    # One contiguous row per variable.  numpy reduces axis 0 of an (n, nv)
+    # array, nv > 1, as a running sum down each column, so a cumsum along
+    # the rows gives states.mean(axis=0) and .std(axis=0) to the bit, at a
+    # fraction of the cost of the strided reduction.
+    z = states.T.copy()
+    z -= (np.cumsum(z, axis=1)[:, -1] / n)[:, None]
+    sd = np.sqrt(np.cumsum(z * z, axis=1)[:, -1] / n)
+    z /= np.where(sd > 1e-12, sd, 1.0)[:, None]
+    # Power table z_v ** e by repeated multiplication from the rows 1
     # and z: within a few ulp of pow, at a small fraction of its cost.
-    table = np.empty((n, nv, degree + 1))
-    table[:, :, 0] = 1.0
+    table = np.empty((nv, degree + 1, n))
+    table[:, 0] = 1.0
     if degree:
-        table[:, :, 1] = z
+        table[:, 1] = z
     for e in range(2, degree + 1):
-        np.multiply(table[:, :, e - 1], z, out=table[:, :, e])
-    powers = np.array(_monomial_powers(nv, degree))
+        np.multiply(table[:, e - 1], z, out=table[:, e])
+    powers = _monomial_powers(nv, degree)
     m = len(powers)
     F = np.empty((n, m + 1 if sign_feature else m))
-    # Columns multiplied variable by variable, left to right, as np.prod.
-    F[:, :m] = table[:, 0, powers[:, 0]]
-    for v in range(1, nv):
-        F[:, :m] *= table[:, v, powers[:, v]]
+    # Each column multiplied variable by variable, left to right, as
+    # np.prod; factors z ** 0 = 1 are exact and skipped.
+    for j, p in enumerate(powers):
+        factors = [table[v, e] for v, e in enumerate(p) if e]
+        col = F[:, j]
+        col[...] = factors[0] if factors else 1.0
+        for f in factors[1:]:
+            col *= f
     if sign_feature:
         F[:, m] = states[:, 0] > 0
     return F
 
 
 def _projector(F, step):
-    """Truncated-SVD least squares on F, factored once; returns (fit, cond).
+    """Least squares on the columns of F, factored once; returns (fit, cond).
 
-    ``fit(target)`` projects ``target`` on the columns of F.  Near-collinear
-    columns (e.g. the interface indicator while all paths are still on one
-    side) are projected out rather than blowing up the fit; the reported
-    condition number covers the kept directions only.
+    ``fit(target)`` projects ``target`` (one column or an ``(n, j)`` block)
+    on the columns of F.  A well-conditioned F (cond at most
+    ``_GRAM_COND``, read off the eigenvalues of the Gram matrix F^T F) is
+    fitted through that eigendecomposition.  Otherwise F takes a truncated
+    SVD: near-collinear columns (e.g. the interface indicator while all
+    paths are still on one side) are projected out rather than blowing up
+    the fit, and the reported condition number covers the kept directions
+    only.
     """
+    w, v = np.linalg.eigh(F.T @ F)
+    if w[0] > 0 and w[-1] <= _GRAM_COND ** 2 * w[0]:
+        def fit(target):
+            return F @ (v @ ((v.T @ (F.T @ target)).T / w).T)
+        return fit, float(np.sqrt(w[-1] / w[0]))
     u, s, vt = np.linalg.svd(F, full_matrices=False)
     if s[0] <= 0:
         raise RegressionError(f"zero feature matrix at step {step}")
@@ -162,7 +182,7 @@ def _projector(F, step):
     uk, sk, vk = u[:, keep], s[keep], vt[keep]
 
     def fit(target):
-        return F @ (vk.T @ ((uk.T @ target) / sk))
+        return F @ (vk.T @ ((uk.T @ target).T / sk).T)
     return fit, cond
 
 
@@ -184,6 +204,7 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
     Y = np.empty((n, m + 1))
     Z = np.zeros((n, m, k))
     Y[:, m] = np.asarray(spec.terminal(bundle.X[:, m, :]), dtype=float)
+    y_next = Y[:, m].copy()     # contiguous copy of the column Y[:, s + 1]
     conds = np.zeros(m - 1)
     picard = np.zeros(spec.n_picard)
 
@@ -196,26 +217,37 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
     # and its noise floor, for the conditional variation
     dy_fit = np.empty((m, n))
     dy_floor = [0.0] * m
+    # Monte Carlo uncertainty of Y0 from the pathwise rollout estimator
+    # H(X_T) + sum_s f(.., Y_s) dt, whose mean is the same value but whose
+    # spread reflects the actual sampling noise of the ensemble.  Each step
+    # adds its term with the driver it prepared for the Picard iterations,
+    # so no (n_paths, n_steps) array of driver values is kept.
+    rollout = y_next.copy()
     for s in range(m - 1, 0, -1):
         F = feature_matrix(bundle.X[:, s, :], spec.basis_degree,
                            spec.include_sign_feature)
         fit, conds[s - 1] = _projector(F, s)
-        cont = fit(Y[:, s + 1])
+        cont = fit(y_next)
         drive = spec.driver(x1a[:, s], x2[:, s])
         y = cont
         for j in range(spec.n_picard):
             y_new = cont + dt * np.asarray(drive(y), dtype=float)
             picard[j] = max(picard[j], float(np.sqrt(np.mean((y_new - y) ** 2))))
             y = y_new
-        Y[:, s] = clip(y)
-        zt = Y[:, s + 1][:, None] * bundle.dB[:, s, :] / dt
-        for c in range(k):
-            Z[:, s, c] = fit(zt[:, c])
-        dY = Y[:, s + 1] - Y[:, s]
-        dy_fit[s] = fit(dY)
+        Y[:, s] = y = clip(y)
+        rollout += dt * np.asarray(drive(y), dtype=float)
+        # one fit for the k Z columns and the increment of Y
+        targets = np.empty((n, k + 1))
+        np.multiply(y_next[:, None], bundle.dB[:, s, :], out=targets[:, :k])
+        targets[:, :k] /= dt
+        dY = np.subtract(y_next, y, out=targets[:, k])
+        fitted = fit(targets)
+        Z[:, s, :] = fitted[:, :k]
+        dy_fit[s] = fitted[:, k]
         p = F.shape[1]
         dy_floor[s] = float(np.sqrt(np.mean((dY - dy_fit[s]) ** 2) * p
                                     / max(n - p, 1)))
+        y_next = y
 
     # Step 0: every path sits at x0, so the projection is the plain mean.
     cont0 = float(np.mean(Y[:, 1]))
@@ -227,6 +259,7 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
         y0 = y0_new
     y0 = float(clip(np.asarray(y0)))
     Y[:, 0] = y0
+    rollout += dt * np.asarray(drive(Y[:, 0]), dtype=float)
     Z[:, 0, :] = np.mean(Y[:, 1][:, None] * bundle.dB[:, 0, :] / dt, axis=0)
     dY = Y[:, 1] - Y[:, 0]
     dy_fit[0] = dY.mean()
@@ -238,15 +271,6 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
             raise PicardError(
                 f"driver fixed point diverging: residuals {residuals}")
 
-    # Monte Carlo uncertainty of Y0 from the pathwise rollout estimator
-    # H(X_T) + sum_s f(.., Y_s) dt, whose mean is the same value but whose
-    # spread reflects the actual sampling noise of the ensemble.  The driver
-    # is prepared again per step rather than kept from the backward sweep,
-    # which would hold an (n_paths, n_steps) coefficient array.
-    rollout = Y[:, m].copy()
-    for s in range(m):
-        rollout += dt * np.asarray(
-            spec.driver(x1a[:, s], x2[:, s])(Y[:, s]), dtype=float)
     y0_stderr = float(np.std(rollout) / np.sqrt(n))
 
     cv, cv_stderr = conditional_variation(dy_fit, dy_floor)

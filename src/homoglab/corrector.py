@@ -226,11 +226,11 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
             x2r = np.array([[x2v]])
 
             def g(t):
-                tf = t / eps
-                rho = fam.rho(tf, x2r)
-                rhof = fam.rho_f_coef(tf, x2r)[:, None] * shape_y
-                coef = avg.rho_f_coef(t, x2r) / avg.rho(t, x2r)
-                q = rhof - (rho * coef)[:, None] * shape_y
+                rho, rhof = fam._combine(t / eps, x2r, fam.rho_t, fam.rhof_t)
+                rhof = rhof[:, None] * shape_y
+                rho_bar, rhof_bar = avg._combine(t, x2r, avg.fam.rho_t,
+                                                 avg.fam.rhof_t)
+                q = rhof - (rho * (rhof_bar / rho_bar))[:, None] * shape_y
                 return np.concatenate(
                     [q, t[:, None] * q, rhof, rho[:, None]], axis=1)
 

@@ -81,31 +81,39 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
+        _check("config", doc, _CONFIG_RULES)
         try:
-            famb = doc["family"]
-            mc = doc["mc"]
-            _check("mc", mc, _MC_RULES)
+            famb, mc = doc["family"], doc["mc"]
+            bsde, avgb, outb, tolb = (doc.get(name, {}) for name in
+                                      ("bsde", "averaging", "outputs",
+                                       "tolerances"))
+            for name, block, rules in (
+                    ("family", famb, _FAMILY_RULES), ("mc", mc, _MC_RULES),
+                    ("bsde", bsde, _BSDE_RULES),
+                    ("averaging", avgb, _AVERAGING_RULES),
+                    ("outputs", outb, _OUTPUTS_RULES),
+                    ("tolerances", tolb, _TOLERANCE_RULES)):
+                _check(name, block, rules)
             eps_list = [float(e) for e in doc["eps_list"]]
             cfg = cls(
                 family_id=famb["id"],
                 family_params=tuple(famb.get("params", [])),
-                d=int(famb.get("d", 1)), k=int(famb.get("k", 2)),
+                d=famb.get("d", 1), k=famb.get("k", 2),
                 x0=np.asarray(doc["x0"], dtype=float),
                 t_end=float(doc["t_end"]), eps_list=eps_list,
                 n_paths=mc["n_paths"], n_steps=mc["n_steps"],
-                seed=int(mc["seed"]),
-                basis_degree=int(doc.get("bsde", {}).get("basis_degree", 3)),
-                sign_feature=bool(doc.get("bsde", {}).get("sign_feature", True)),
-                n_picard=int(doc.get("bsde", {}).get("n_picard", 3)),
-                avg_tol=float(doc.get("averaging", {}).get("tol", 1e-4)),
-                avg_schedule=doc.get("averaging", {}).get("schedule"),
+                seed=mc["seed"],
+                basis_degree=bsde.get("basis_degree", 3),
+                sign_feature=bsde.get("sign_feature", True),
+                n_picard=bsde.get("n_picard", 3),
+                avg_tol=float(avgb.get("tol", 1e-4)),
+                avg_schedule=avgb.get("schedule"),
                 block_size=mc.get("block_size", 4096),
                 substeps_cap=mc.get("substeps_cap", 64),
                 fd=doc.get("fd"), corrector=doc.get("corrector"),
-                tolerances=dict(doc.get("tolerances", {})),
-                out_dir=doc.get("outputs", {}).get("dir", "out"),
-                formats=tuple(doc.get("outputs", {}).get("formats",
-                                                         ["csv", "json"])),
+                tolerances=dict(tolb),
+                out_dir=outb.get("dir", "out"),
+                formats=tuple(outb.get("formats", ["csv", "json"])),
                 raw=doc)
         except KeyError as exc:
             raise ConfigError(f"missing config key {exc}") from exc
@@ -170,11 +178,32 @@ def _is_pair(value) -> bool:
     return _is_list_of(value, 2, _is_number)
 
 
+def _is_numbers(value) -> bool:
+    """A list of numbers, of any length."""
+    return isinstance(value, (list, tuple)) and all(map(_is_number, value))
+
+
 # key -> (check, what the check asks for), per config block
 _INTEGER = (_is_int, "an integer")
 _NUMBER = (_is_number, "a number")
-_MC_RULES = dict.fromkeys(("n_paths", "n_steps", "block_size", "substeps_cap"),
-                          _INTEGER)
+_STRING = (lambda v: isinstance(v, str), "a string")
+_PAIR = (_is_pair, "one [lo, hi] number pair")
+_NUMBERS = (_is_numbers, "a list of numbers")
+_CONFIG_RULES = {"x0": _NUMBERS, "t_end": _NUMBER, "eps_list": _NUMBERS}
+_FAMILY_RULES = {"id": _STRING, "params": _NUMBERS, "d": _INTEGER,
+                 "k": _INTEGER}
+_MC_RULES = dict.fromkeys(("n_paths", "n_steps", "seed", "block_size",
+                           "substeps_cap"), _INTEGER)
+_BSDE_RULES = {"basis_degree": _INTEGER, "n_picard": _INTEGER,
+               "sign_feature": (lambda v: isinstance(v, bool), "true or false")}
+_AVERAGING_RULES = {"tol": _NUMBER, "schedule": _NUMBERS}
+_OUTPUTS_RULES = {"dir": _STRING,
+                  "formats": (lambda v: isinstance(v, (list, tuple))
+                              and all(isinstance(f, str) for f in v),
+                              "a list of strings")}
+_TOLERANCE_RULES = {"final_error": _NUMBER, "drift_gap_factor": _NUMBER,
+                    "decay_factor": _NUMBER, "tightness_ratio": _NUMBER,
+                    "occupation_slope": _PAIR}
 _FD_RULES = {"L1": _NUMBER, "L2": _NUMBER, "n1": _INTEGER, "n2": _INTEGER,
              "dt_fd": _NUMBER}
 _CORRECTOR_RULES = {
@@ -182,7 +211,7 @@ _CORRECTOR_RULES = {
                "three integers of at least 1"),
     "n_samples": (_is_count, "an integer of at least 1"),
     "box": (lambda v: _is_list_of(v, 2, _is_pair), "two [lo, hi] number pairs"),
-    "y_box": (_is_pair, "one [lo, hi] number pair")}
+    "y_box": _PAIR}
 
 
 def _check(block_name: str, block, rules: dict) -> None:

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import homoglab as hl
-from homoglab.bsde import (BsdeSpec, _upcrossings_batch, feature_matrix,
-                           upcrossings)
+from homoglab.bsde import (BsdeSpec, _projector, _upcrossings_batch,
+                           feature_matrix, upcrossings)
 
 
 def ones_terminal(x):
@@ -48,6 +48,78 @@ def test_feature_matrix_matches_product_form(nv, sign_feature):
         ref = np.column_stack(ref)
         assert np.all(np.abs(F - ref) <= 1e-14 * np.abs(ref))
         assert F.flags.c_contiguous
+
+
+def _svd_projector(F, step):
+    # the projector before the Gram route, kept as the fallback's reference
+    u, s, vt = np.linalg.svd(F, full_matrices=False)
+    if s[0] <= 0:
+        raise hl.bsde.RegressionError(f"zero feature matrix at step {step}")
+    keep = s > hl.bsde._RCOND * s[0]
+    cond = s[0] / s[keep][-1]
+    if cond > hl.bsde.COND_LIMIT:
+        raise hl.bsde.RegressionError(
+            f"regression ill-conditioned at step {step} (cond {cond:.3e})")
+    uk, sk, vk = u[:, keep], s[keep], vt[keep]
+
+    def fit(target):
+        return F @ (vk.T @ ((uk.T @ target) / sk))
+    return fit, cond
+
+
+def _states(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.column_stack([rng.normal(0.5, 0.4, n), rng.normal(0.0, 1.0, n)])
+
+
+def test_projector_gram_fit_matches_least_squares():
+    X = _states(2000, 21)
+    F = feature_matrix(X, 3, True)
+    targets = np.column_stack([np.tanh(X[:, 0]) + X[:, 1] ** 2,
+                               np.exp(-X[:, 0] ** 2), X[:, 0] * X[:, 1]])
+    fit, cond = _projector(F, 1)
+    assert cond < hl.bsde._GRAM_COND
+    ref = F @ np.linalg.lstsq(F, targets, rcond=None)[0]
+    scale = np.max(np.abs(ref), axis=0)
+    assert np.all(np.abs(fit(targets) - ref) <= 1e-10 * scale)
+    for c in range(targets.shape[1]):
+        got = fit(targets[:, c])
+        assert np.all(np.abs(got - ref[:, c]) <= 1e-10 * scale[c])
+    s = np.linalg.svd(F, compute_uv=False)
+    assert cond == pytest.approx(s[0] / s[-1], rel=1e-10)
+
+
+def test_projector_rank_deficient_falls_back_to_svd(monkeypatch):
+    # every path on one side: the sign column duplicates the constant one,
+    # the Gram route refuses, and the truncated SVD gives today's bits
+    X = _states(500, 22)
+    X[:, 0] = np.abs(X[:, 0]) + 0.1
+    F = feature_matrix(X, 3, True)
+    target = np.sin(3 * X[:, 0]) + X[:, 1]
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    fit, cond = _projector(F, 1)
+    assert calls == [1]
+    ref_fit, ref_cond = _svd_projector(F, 1)
+    assert cond == ref_cond
+    assert np.array_equal(fit(target), ref_fit(target))
+
+
+def test_projector_refuses_condition_beyond_limit(monkeypatch):
+    # kept singular values lie above _RCOND * s_max, so only a limit below
+    # 1 / _RCOND can bind: lower it beneath this F's condition number
+    X = _states(400, 23)
+    F = feature_matrix(X, 1, False)
+    F[:, 2] = F[:, 1] + 1e-7 * F[:, 2]
+    s = np.linalg.svd(F, compute_uv=False)
+    assert hl.bsde._GRAM_COND < 1e6 < s[0] / s[-1] < 1 / hl.bsde._RCOND
+    monkeypatch.setattr(hl.bsde, "COND_LIMIT", 1e6)
+    with pytest.raises(hl.bsde.RegressionError, match="ill-conditioned"):
+        _projector(F, 4)
+    with pytest.raises(hl.bsde.RegressionError, match="zero feature"):
+        _projector(np.zeros((10, 3)), 5)
 
 
 def test_terminal_only_mean(const_family, small_grid):
@@ -148,30 +220,40 @@ def test_conditional_variation_detects_drift(const_family, small_grid):
 
 def test_solve_bsde_factors_each_step_once(switch_family, switch_bundle,
                                            monkeypatch):
-    # one feature build and one SVD per interior step serve the
-    # continuation value, every Z column and the conditional variation
-    counts = {"features": 0, "svd": 0}
+    # one feature build and one Gram eigendecomposition per interior step
+    # serve the continuation value, every Z column and the conditional
+    # variation; a step the Gram route refuses adds one SVD, nothing more
+    calls = []
 
-    def counted(key, fn):
+    def logged(key, fn):
         def wrapper(*args, **kwargs):
-            counts[key] += 1
+            calls.append(key)
             return fn(*args, **kwargs)
         return wrapper
     monkeypatch.setattr(hl.bsde, "feature_matrix",
-                        counted("features", feature_matrix))
-    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+                        logged("features", feature_matrix))
+    monkeypatch.setattr(np.linalg, "eigh", logged("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "svd", logged("svd", np.linalg.svd))
     hl.solve_bsde(switch_bundle, BsdeSpec(
         terminal=switch_family.terminal, driver=switch_family.driver,
         basis_degree=2, include_sign_feature=True, y_bound=3.0))
-    interior = switch_bundle.grid.n_steps - 1
-    assert counts == {"features": interior, "svd": interior}
+    steps = []
+    for key in calls:
+        if key == "features":
+            steps.append([])
+        else:
+            steps[-1].append(key)
+    assert len(steps) == switch_bundle.grid.n_steps - 1
+    assert all(step in (["eigh"], ["eigh", "svd"]) for step in steps)
+    # the first steps, with every path on one side, are rank-deficient
+    assert 0 < calls.count("svd") < len(steps)
 
 
 def test_solve_bsde_prepares_driver_once_per_step(switch_family,
                                                   switch_bundle, monkeypatch):
-    # the driver's y-independent factors are prepared once per backward
-    # step for all Picard iterations, once at step 0 and once per rollout
-    # step, each from one evaluation of the fast basis
+    # the driver's y-independent factors are prepared once per step, from
+    # one evaluation of the fast basis, and serve all Picard iterations
+    # and the rollout term
     counts = {"prepare": 0, "apply": 0, "basis": 0}
     basis = hl.families._Template.basis
 
@@ -194,9 +276,7 @@ def test_solve_bsde_prepares_driver_once_per_step(switch_family,
         terminal=switch_family.terminal, driver=driver, basis_degree=2,
         include_sign_feature=True, n_picard=n_picard, y_bound=3.0))
     m = switch_bundle.grid.n_steps
-    prepared = (m - 1) + 1 + m
-    assert counts == {"prepare": prepared, "basis": prepared,
-                      "apply": n_picard * m + m}
+    assert counts == {"prepare": m, "basis": m, "apply": n_picard * m + m}
 
 
 def test_upcrossings_scalar():

@@ -435,11 +435,28 @@ def test_cli_corrector_rejects_bad_sizes(tmp_path, capsys, key, value):
     ("converge", "mc.block_size", 64.0),
     ("converge", "mc", 5),
     ("average", "fd", 5),
-    ("average", "corrector", [11, 3, 3])])
+    ("average", "corrector", [11, 3, 3]),
+    ("average", "family", 5),
+    ("average", "bsde", 5),
+    ("average", "averaging", 5),
+    ("average", "outputs", 5),
+    ("average", "tolerances", 5),
+    ("average", "mc.seed", 7.9),
+    ("average", "bsde.basis_degree", 2.5),
+    ("average", "bsde.n_picard", 2.5),
+    ("average", "bsde.sign_feature", "false"),
+    ("average", "family.d", 1.5),
+    ("average", "outputs.formats", "csv"),
+    ("average", "tolerances.final_error", "0.03"),
+    ("average", "eps_list", 5),
+    ("average", "t_end", "0.5"),
+    ("average", "x0", ["a", 0.0])])
 def test_cli_rejects_malformed_blocks(tmp_path, capsys, cmd, name, value):
     # refused by name before any output: a missing fd key or a block that
-    # is not an object used to escape main as a KeyError or TypeError, and
-    # a fractional size was truncated silently
+    # is not an object used to escape main as a KeyError, TypeError or
+    # AttributeError, a fractional size, seed or degree was truncated
+    # silently, and a string flag or tolerance was read as its truth value
+    # or parsed
     doc = _tiny_doc()
     *block, key = name.split(".")
     node = doc[block[0]] if block else doc
