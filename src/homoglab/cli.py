@@ -26,10 +26,12 @@ from .harness import ConfigError, ExperimentConfig, PipelineError, Stages, \
 def _load(args) -> ExperimentConfig:
     cfg = ExperimentConfig.load(args.config)
     if args.seed_override is not None:
-        cfg.seed = int(args.seed_override)
+        # the override is part of the config, so of its digest
+        cfg = ExperimentConfig.from_dict(
+            {**cfg.raw, "mc": {**cfg.raw["mc"], "seed": args.seed_override}})
     if args.out is not None:
-        cfg.out_dir = args.out
-    os.makedirs(cfg.out_dir, exist_ok=True)
+        cfg.outputs["dir"] = args.out
+    os.makedirs(cfg.outputs["dir"], exist_ok=True)
     return cfg
 
 
@@ -40,7 +42,7 @@ def _stages(args) -> Stages:
 
 
 def _out(st, name):
-    return os.path.join(st.cfg.out_dir, name)
+    return os.path.join(st.cfg.outputs["dir"], name)
 
 
 def _write_json(st, name, doc):
@@ -64,7 +66,7 @@ def cmd_simulate(args) -> int:
     for i in range(len(st.cfg.eps_list)):
         st.eps_paths(i).save(_out(st, f"paths_eps{i}.bin"))
     st.avg_paths().save(_out(st, "paths_avg.bin"))
-    print(st.cfg.out_dir)
+    print(st.cfg.outputs["dir"])
     return 0
 
 
@@ -111,8 +113,8 @@ def cmd_pde(args) -> int:
 def cmd_converge(args) -> int:
     cfg = _load(args)
     report = run_convergence(cfg, n_threads=args.threads)
-    emit(report, cfg.out_dir, cfg.formats)
-    print(os.path.join(cfg.out_dir, "report.json"))
+    emit(report, cfg.outputs["dir"], cfg.outputs["formats"])
+    print(os.path.join(cfg.outputs["dir"], "report.json"))
     return 0 if report.all_pass() else 2
 
 
@@ -121,7 +123,7 @@ def cmd_audit(args) -> int:
     box = [[-5.0, 5.0]] + [[-2.0, 2.0]] * st.fam.d + [[-2.0, 2.0]]
     rep = families.audit_assumptions(
         st.fam, {"box": box, "n_samples": 256,
-                 "seed": split_seed(st.cfg.seed, "audit")})
+                 "seed": split_seed(st.cfg.mc["seed"], "audit")})
     doc = {aid: {"status": e.status, "residual": e.residual,
                  "witness": list(e.witness) if e.witness else None,
                  "detail": e.detail}

@@ -53,89 +53,144 @@ def split_seed(seed: int, *labels) -> int:
     return int.from_bytes(digest[:8], "little") & 0x7FFFFFFFFFFFFFFF
 
 
+def _is_int(value) -> bool:
+    """An integer, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_list_of(value, ok, n=None) -> bool:
+    """A list of ``n`` items, or of any number when n is None, that each
+    pass ``ok``."""
+    return isinstance(value, (list, tuple)) and n in (None, len(value)) \
+        and all(map(ok, value))
+
+
+def _is_monotone(value, sign: int, min_len: int) -> bool:
+    """At least ``min_len`` positive numbers, strictly increasing (sign 1)
+    or strictly decreasing (sign -1)."""
+    return _is_list_of(value, _is_number) and len(value) >= min_len \
+        and min(value) > 0 \
+        and all(sign * (b - a) > 0 for a, b in zip(value, value[1:]))
+
+
+# rules: (check, what the check asks for)
+_INTEGER = (_is_int, "an integer")
+_COUNT = (lambda v: _is_int(v) and v >= 1, "at least 1 and an integer")
+_N_STEPS = (lambda v: _is_int(v) and v >= 2, "at least 2 and an integer")
+_NUMBER = (_is_number, "a number")
+_STRING = (lambda v: isinstance(v, str), "a string")
+_BOOL = (lambda v: isinstance(v, bool), "true or false")
+_PAIR = (lambda v: _is_list_of(v, _is_number, 2), "one [lo, hi] number pair")
+_NUMBERS = (lambda v: _is_list_of(v, _is_number), "a list of numbers")
+_EPS_LADDER = (lambda v: _is_monotone(v, -1, 1),
+               "a positive, strictly decreasing list of numbers")
+_SCHEDULE = (lambda v: _is_monotone(v, 1, 4),
+             "at least 4 positive, strictly increasing numbers")
+_SCHEME = (lambda v: v in ("centered", "harmonic"), '"centered" or "harmonic"')
+_BOX = (lambda v: _is_list_of(v, _PAIR[0], 2), "two [lo, hi] number pairs")
+_N_GRID = (lambda v: _is_list_of(v, _COUNT[0], 3),
+           "three integers of at least 1")
+_FORMATS = (lambda v: _is_list_of(v, lambda f: f in ("csv", "json")),
+            'a list of "csv" and "json"')
+
+_REQUIRED = object()   # the default of a key that every config must give
+
+# key -> (rule, default) of the config and, nested, of each of its blocks;
+# a block's rule is its own table.  An absent key takes its default.  An
+# absent or null fd or corrector block is None, and its stage does not run;
+# a None default inside a block means "not set".
+_SCHEMA = {
+    "family": ({"id": (_STRING, _REQUIRED), "params": (_NUMBERS, ()),
+                "d": (_INTEGER, 1), "k": (_INTEGER, 2)}, _REQUIRED),
+    "x0": (_NUMBERS, _REQUIRED),
+    "t_end": (_NUMBER, _REQUIRED),
+    "eps_list": (_EPS_LADDER, _REQUIRED),
+    "mc": ({"n_paths": (_COUNT, _REQUIRED), "n_steps": (_N_STEPS, _REQUIRED),
+            "seed": (_INTEGER, _REQUIRED), "block_size": (_COUNT, 4096),
+            "substeps_cap": (_COUNT, 64)}, _REQUIRED),
+    "bsde": ({"basis_degree": (_INTEGER, 3), "sign_feature": (_BOOL, True),
+              "n_picard": (_INTEGER, 3)}, {}),
+    "averaging": ({"tol": (_NUMBER, 1e-4), "schedule": (_SCHEDULE, None)}, {}),
+    "fd": ({"L1": (_NUMBER, _REQUIRED), "L2": (_NUMBER, _REQUIRED),
+            "n1": (_INTEGER, _REQUIRED), "n2": (_INTEGER, _REQUIRED),
+            "dt_fd": (_NUMBER, _REQUIRED), "scheme": (_SCHEME, "centered")},
+           None),
+    "corrector": ({"box": (_BOX, ((-2, 2), (-1, 1))),
+                   "y_box": (_PAIR, (-1, 1)), "n_grid": (_N_GRID, (21, 9, 9)),
+                   "n_samples": (_COUNT, 50)}, None),
+    "tolerances": ({"final_error": (_NUMBER, None),
+                    "drift_gap_factor": (_NUMBER, None),
+                    "decay_factor": (_NUMBER, None),
+                    "tightness_ratio": (_NUMBER, None),
+                    "occupation_slope": (_PAIR, None)}, {}),
+    "outputs": ({"dir": (_STRING, "out"),
+                 "formats": (_FORMATS, ("csv", "json"))}, {}),
+}
+
+
+def _resolve(path: str, block, schema: dict) -> dict:
+    """``block`` checked against ``schema``, with its defaults filled in.
+
+    Refuses by name a block that is not an object, an unknown key, a
+    missing required key and a value that fails its rule.
+    """
+    def name(key):
+        return f"{path}.{key}" if path else key
+
+    if not isinstance(block, dict):
+        raise ConfigError(f"{path or 'config'} must be an object, "
+                          f"got {block!r}")
+    for key in block:
+        if key not in schema:
+            raise ConfigError(f"unknown config key {name(key)!r}")
+    out = {}
+    for key, (rule, default) in schema.items():
+        value = block.get(key, default)
+        if value is _REQUIRED:
+            raise ConfigError(f"missing config key {name(key)!r}")
+        if isinstance(rule, dict):
+            # a block; an absent or null fd or corrector block stays None
+            if value is not None or default is not None:
+                value = _resolve(name(key), value, rule)
+        elif key in block and not rule[0](value):
+            raise ConfigError(f"{name(key)} must be {rule[1]}, "
+                              f"got {value!r}")
+        out[key] = value
+    return out
+
+
 @dataclass
 class ExperimentConfig:
-    family_id: str
-    family_params: tuple
-    d: int
-    k: int
+    """One experiment: each block of the config document checked against
+    ``_SCHEMA`` and completed with its defaults, and the document itself,
+    which ``digest`` hashes."""
+    family_block: dict
     x0: np.ndarray
     t_end: float
     eps_list: list
-    n_paths: int
-    n_steps: int
-    seed: int
-    basis_degree: int = 3
-    sign_feature: bool = True
-    n_picard: int = 3
-    avg_tol: float = 1e-4
-    avg_schedule: Optional[list] = None
-    block_size: int = 4096
-    substeps_cap: int = 64
-    fd: Optional[dict] = None
-    corrector: Optional[dict] = None
-    tolerances: dict = field(default_factory=dict)
-    out_dir: str = "out"
-    formats: tuple = ("csv", "json")
-    raw: dict = field(default_factory=dict)
+    mc: dict
+    bsde: dict
+    averaging: dict
+    fd: Optional[dict]
+    corrector: Optional[dict]
+    tolerances: dict
+    outputs: dict
+    raw: dict
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        _check("config", doc, _CONFIG_RULES)
-        try:
-            famb, mc = doc["family"], doc["mc"]
-            bsde, avgb, outb, tolb = (doc.get(name, {}) for name in
-                                      ("bsde", "averaging", "outputs",
-                                       "tolerances"))
-            for name, block, rules in (
-                    ("family", famb, _FAMILY_RULES), ("mc", mc, _MC_RULES),
-                    ("bsde", bsde, _BSDE_RULES),
-                    ("averaging", avgb, _AVERAGING_RULES),
-                    ("outputs", outb, _OUTPUTS_RULES),
-                    ("tolerances", tolb, _TOLERANCE_RULES)):
-                _check(name, block, rules)
-            eps_list = [float(e) for e in doc["eps_list"]]
-            cfg = cls(
-                family_id=famb["id"],
-                family_params=tuple(famb.get("params", [])),
-                d=famb.get("d", 1), k=famb.get("k", 2),
-                x0=np.asarray(doc["x0"], dtype=float),
-                t_end=float(doc["t_end"]), eps_list=eps_list,
-                n_paths=mc["n_paths"], n_steps=mc["n_steps"],
-                seed=mc["seed"],
-                basis_degree=bsde.get("basis_degree", 3),
-                sign_feature=bsde.get("sign_feature", True),
-                n_picard=bsde.get("n_picard", 3),
-                avg_tol=float(avgb.get("tol", 1e-4)),
-                avg_schedule=avgb.get("schedule"),
-                block_size=mc.get("block_size", 4096),
-                substeps_cap=mc.get("substeps_cap", 64),
-                fd=doc.get("fd"), corrector=doc.get("corrector"),
-                tolerances=dict(tolb),
-                out_dir=outb.get("dir", "out"),
-                formats=tuple(outb.get("formats", ["csv", "json"])),
-                raw=doc)
-        except KeyError as exc:
-            raise ConfigError(f"missing config key {exc}") from exc
-        for key in ("n_paths", "block_size", "substeps_cap"):
-            if getattr(cfg, key) < 1:
-                raise ConfigError(f"mc.{key} must be at least 1, "
-                                  f"got {getattr(cfg, key)}")
-        if cfg.fd is not None:
-            _check("fd", cfg.fd, _FD_RULES)
-            missing = [f"fd.{key}" for key in _FD_RULES if key not in cfg.fd]
-            if missing:
-                raise ConfigError(f"missing config key {missing[0]!r}")
-        if cfg.corrector is not None:
-            _check("corrector", cfg.corrector, _CORRECTOR_RULES)
-        if not eps_list or any(e <= 0 for e in eps_list) or \
-                any(b >= a for a, b in zip(eps_list, eps_list[1:])):
-            raise ConfigError("eps_list must be positive, strictly decreasing")
-        if cfg.x0.shape != (cfg.d + 1,):
-            raise ConfigError(f"x0 must have {cfg.d + 1} components")
-        if not set(cfg.formats) <= {"csv", "json"}:
-            raise ConfigError(f"unknown output formats {cfg.formats}")
-        return cfg
+        c = _resolve("", doc, _SCHEMA)
+        c["x0"] = np.asarray(c["x0"], dtype=float)
+        if c["x0"].shape != (c["family"]["d"] + 1,):
+            raise ConfigError(f"x0 must have {c['family']['d'] + 1} "
+                              f"components")
+        c["t_end"] = float(c["t_end"])
+        c["eps_list"] = [float(e) for e in c["eps_list"]]
+        return cls(family_block=c.pop("family"), raw=doc, **c)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -147,82 +202,11 @@ class ExperimentConfig:
             json.dumps(self.raw, sort_keys=True).encode()).hexdigest()[:16]
 
     def grid(self) -> SimGrid:
-        return SimGrid(self.t_end, self.n_steps)
+        return SimGrid(self.t_end, self.mc["n_steps"])
 
     def family(self):
-        return families.make_family(self.family_id, self.family_params,
-                                    self.d, self.k)
-
-
-def _is_int(value) -> bool:
-    """An integer, not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-def _is_count(value) -> bool:
-    """An integer (not a bool) of at least 1."""
-    return _is_int(value) and value >= 1
-
-
-def _is_list_of(value, n, ok) -> bool:
-    return isinstance(value, (list, tuple)) and len(value) == n \
-        and all(map(ok, value))
-
-
-def _is_pair(value) -> bool:
-    """A ``[lo, hi]`` pair of numbers."""
-    return _is_list_of(value, 2, _is_number)
-
-
-def _is_numbers(value) -> bool:
-    """A list of numbers, of any length."""
-    return isinstance(value, (list, tuple)) and all(map(_is_number, value))
-
-
-# key -> (check, what the check asks for), per config block
-_INTEGER = (_is_int, "an integer")
-_NUMBER = (_is_number, "a number")
-_STRING = (lambda v: isinstance(v, str), "a string")
-_PAIR = (_is_pair, "one [lo, hi] number pair")
-_NUMBERS = (_is_numbers, "a list of numbers")
-_CONFIG_RULES = {"x0": _NUMBERS, "t_end": _NUMBER, "eps_list": _NUMBERS}
-_FAMILY_RULES = {"id": _STRING, "params": _NUMBERS, "d": _INTEGER,
-                 "k": _INTEGER}
-_MC_RULES = dict.fromkeys(("n_paths", "n_steps", "seed", "block_size",
-                           "substeps_cap"), _INTEGER)
-_BSDE_RULES = {"basis_degree": _INTEGER, "n_picard": _INTEGER,
-               "sign_feature": (lambda v: isinstance(v, bool), "true or false")}
-_AVERAGING_RULES = {"tol": _NUMBER, "schedule": _NUMBERS}
-_OUTPUTS_RULES = {"dir": _STRING,
-                  "formats": (lambda v: isinstance(v, (list, tuple))
-                              and all(isinstance(f, str) for f in v),
-                              "a list of strings")}
-_TOLERANCE_RULES = {"final_error": _NUMBER, "drift_gap_factor": _NUMBER,
-                    "decay_factor": _NUMBER, "tightness_ratio": _NUMBER,
-                    "occupation_slope": _PAIR}
-_FD_RULES = {"L1": _NUMBER, "L2": _NUMBER, "n1": _INTEGER, "n2": _INTEGER,
-             "dt_fd": _NUMBER}
-_CORRECTOR_RULES = {
-    "n_grid": (lambda v: _is_list_of(v, 3, _is_count),
-               "three integers of at least 1"),
-    "n_samples": (_is_count, "an integer of at least 1"),
-    "box": (lambda v: _is_list_of(v, 2, _is_pair), "two [lo, hi] number pairs"),
-    "y_box": _PAIR}
-
-
-def _check(block_name: str, block, rules: dict) -> None:
-    """Refuse by name a block that is not an object, or the first of its
-    keys whose value fails its rule."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{block_name} must be an object, got {block!r}")
-    for key, (ok, what) in rules.items():
-        if key in block and not ok(block[key]):
-            raise ConfigError(f"{block_name}.{key} must be {what}, "
-                              f"got {block[key]!r}")
+        fb = self.family_block
+        return families.make_family(fb["id"], fb["params"], fb["d"], fb["k"])
 
 
 def _fast_dependent(fam) -> bool:
@@ -265,26 +249,32 @@ class Stages:
 
     @cached_property
     def avg(self):
-        cfg = self.cfg
+        ab = self.cfg.averaging
         return families.build_averaged(
-            self.fam, tol=cfg.avg_tol,
-            schedule=np.asarray(cfg.avg_schedule, dtype=float)
-            if cfg.avg_schedule else None)
+            self.fam, tol=float(ab["tol"]),
+            schedule=None if ab["schedule"] is None
+            else np.asarray(ab["schedule"], dtype=float))
+
+    @cached_property
+    def corrector(self) -> dict:
+        """The corrector block, or its defaults when the config has none."""
+        return self.cfg.corrector or _resolve("corrector", {},
+                                              _SCHEMA["corrector"][0])
 
     def spec(self, driver) -> BsdeSpec:
-        cfg = self.cfg
+        b = self.cfg.bsde
         return BsdeSpec(terminal=self.fam.terminal, driver=driver,
-                        basis_degree=cfg.basis_degree,
-                        include_sign_feature=cfg.sign_feature,
-                        n_picard=cfg.n_picard,
-                        y_bound=_y_bound(self.fam, cfg.t_end))
+                        basis_degree=b["basis_degree"],
+                        include_sign_feature=b["sign_feature"],
+                        n_picard=b["n_picard"],
+                        y_bound=_y_bound(self.fam, self.cfg.t_end))
 
     def substeps(self, eps: float) -> int:
         """Euler substeps resolving the fast scale: dt_fine <= eps^2 / 2,
         capped at ``mc.substeps_cap`` (with a warning when the cap binds)."""
         if not self._fast:
             return 1
-        cap = self.cfg.substeps_cap
+        cap = self.cfg.mc["substeps_cap"]
         need = np.ceil(self.cfg.grid().dt / (0.5 * eps * eps))
         if need > cap:
             warnings.warn(
@@ -294,19 +284,19 @@ class Stages:
 
     def eps_paths(self, i: int) -> PathBundle:
         """Two-scale forward paths for ``eps_list[i]``."""
-        cfg = self.cfg
+        cfg, mc = self.cfg, self.cfg.mc
         eps = cfg.eps_list[i]
         return simulate_eps(
-            self.fam, eps, cfg.x0, cfg.grid(), cfg.n_paths,
-            seed=split_seed(cfg.seed, "eps", i),
-            substeps=self.substeps(eps), block_size=cfg.block_size)
+            self.fam, eps, cfg.x0, cfg.grid(), mc["n_paths"],
+            seed=split_seed(mc["seed"], "eps", i),
+            substeps=self.substeps(eps), block_size=mc["block_size"])
 
     def avg_paths(self) -> PathBundle:
         """Forward paths of the averaged model."""
-        cfg = self.cfg
-        return simulate_avg(self.avg, cfg.x0, cfg.grid(), cfg.n_paths,
-                            seed=split_seed(cfg.seed, "avg"),
-                            block_size=cfg.block_size)
+        cfg, mc = self.cfg, self.cfg.mc
+        return simulate_avg(self.avg, cfg.x0, cfg.grid(), mc["n_paths"],
+                            seed=split_seed(mc["seed"], "avg"),
+                            block_size=mc["block_size"])
 
     def eps_run(self, i: int):
         """(paths, backward solution) for ``eps_list[i]``."""
@@ -332,19 +322,17 @@ class Stages:
         fd = self.cfg.fd
         if fd is None:
             raise ConfigError("the FD problem needs an fd block in the config")
-        grid = pde_fd.Grid2D(float(fd["L1"]), float(fd["L2"]),
-                             int(fd["n1"]), int(fd["n2"]),
-                             float(fd["dt_fd"]), self.cfg.t_end)
+        grid = pde_fd.Grid2D(float(fd["L1"]), float(fd["L2"]), fd["n1"],
+                             fd["n2"], float(fd["dt_fd"]), self.cfg.t_end)
         model = pde_fd.PdeModel.from_averaged(self.avg, self.fam.terminal)
-        return model, grid, fd.get("scheme", "centered")
+        return model, grid, fd["scheme"]
 
     def decay(self, csv_path=None) -> corr.DecayTable:
         """Corrector decay table over ``eps_list``."""
-        cc = self.cfg.corrector or {}
+        cc = self.corrector
         return corr.decay_table(
-            self.fam, self.avg, self.cfg.eps_list,
-            cc.get("box", [[-2, 2], [-1, 1]]), cc.get("y_box", [-1, 1]),
-            n_grid=tuple(cc.get("n_grid", [21, 9, 9])), csv_path=csv_path)
+            self.fam, self.avg, self.cfg.eps_list, cc["box"], cc["y_box"],
+            n_grid=tuple(cc["n_grid"]), csv_path=csv_path)
 
     def residual(self) -> corr.ResidualReport:
         """Corrector residual check at the largest eps."""
@@ -352,8 +340,8 @@ class Stages:
         field = corr.CorrectorField(self.fam, self.avg, cfg.eps_list[0])
         return corr.residual_check(field, {
             "box": [[-2, 2]] + [[-1, 1]] * self.fam.d + [[-1, 1]],
-            "n_samples": int((cfg.corrector or {}).get("n_samples", 50)),
-            "seed": split_seed(cfg.seed, "corrector")})
+            "n_samples": self.corrector["n_samples"],
+            "seed": split_seed(cfg.mc["seed"], "corrector")})
 
 
 def _drift_gap_row(st: Stages, bundle: PathBundle, sol: BsdeSolution):
@@ -423,7 +411,7 @@ def run_convergence(cfg: ExperimentConfig, n_threads: int = 1):
                 "error": _cell(err, comb),
                 "cv": _cell(sol.cv, sol.cv_stderr),
                 "sup_abs_y": _cell(sol.sup_abs_y,
-                                   sol.sup_abs_y / np.sqrt(cfg.n_paths)),
+                                   sol.sup_abs_y / np.sqrt(cfg.mc["n_paths"])),
                 "moments": {str(k): _cell(m, s) for k, (m, s)
                             in moment_report(bundle, [1, 2]).items()},
             })
@@ -495,27 +483,27 @@ def _compute_flags(cfg, report):
     flags["error_monotone"] = all(
         e2 <= e1 + np.hypot(s1, s2)
         for (e1, s1), (e2, s2) in zip(errs, errs[1:]))
-    if "final_error" in tol:
+    if tol["final_error"] is not None:
         flags["final_error_ok"] = errs[-1][0] <= float(tol["final_error"])
     gaps = [g["gap"]["value"] for g in report.drift_gap]
     gses = [g["gap"]["stderr"] for g in report.drift_gap]
     flags["drift_gap_monotone"] = all(
         b <= a + np.hypot(sa, sb) for a, b, sa, sb in
         zip(gaps, gaps[1:], gses, gses[1:]))
-    if "drift_gap_factor" in tol and gaps and gaps[0] > 0:
+    if tol["drift_gap_factor"] is not None and gaps and gaps[0] > 0:
         flags["drift_gap_factor_ok"] = \
             gaps[-1] <= float(tol["drift_gap_factor"]) * gaps[0] + 2 * gses[-1]
     if report.decay is not None:
         sup = [r["sup_V"]["value"] for r in report.decay["rows"]]
         flags["decay_monotone"] = report.decay["monotone_V"]
-        if "decay_factor" in tol and sup and sup[0] > 0:
+        if tol["decay_factor"] is not None and sup and sup[0] > 0:
             flags["decay_factor_ok"] = \
                 sup[-1] <= float(tol["decay_factor"]) * sup[0]
-    if report.occupation is not None and "occupation_slope" in tol:
+    if report.occupation is not None and tol["occupation_slope"] is not None:
         lo, hi = tol["occupation_slope"]
         s = report.occupation["slope"]["value"]
         flags["occupation_slope_ok"] = s is not None and bool(lo <= s <= hi)
-    if report.tightness is not None and "tightness_ratio" in tol:
+    if report.tightness is not None and tol["tightness_ratio"] is not None:
         r = float(tol["tightness_ratio"])
         flags["tightness_ok"] = (
             report.tightness["ratio_energy"] <= r
@@ -549,9 +537,9 @@ def flow_continuity_check(cfg: ExperimentConfig, x0_list) -> list:
     runs = []
     for x0 in x0_list:
         x0 = np.asarray(x0, dtype=float)
-        bundle = simulate_avg(st.avg, x0, cfg.grid(), cfg.n_paths,
-                              seed=split_seed(cfg.seed, "flow"),
-                              block_size=cfg.block_size)
+        bundle = simulate_avg(st.avg, x0, cfg.grid(), cfg.mc["n_paths"],
+                              seed=split_seed(cfg.mc["seed"], "flow"),
+                              block_size=cfg.mc["block_size"])
         runs.append((x0, bundle, solve_bsde(bundle, spec)))
     table = []
     for (x0a, ba, sa), (x0b, bb, sb) in zip(runs, runs[1:]):

@@ -1,4 +1,6 @@
 import filecmp
+import glob
+import importlib.util
 import json
 import os
 import subprocess
@@ -24,9 +26,9 @@ DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
 
 def test_config_parsing(config_doc):
     cfg = hl.ExperimentConfig.from_dict(config_doc)
-    assert cfg.family_id == "switch"
+    assert cfg.family_block["id"] == "switch"
     assert cfg.eps_list == [1.0, 0.3]
-    assert cfg.seed == 42
+    assert cfg.mc["seed"] == 42
     assert cfg.digest() == hl.ExperimentConfig.from_dict(config_doc).digest()
 
 
@@ -58,6 +60,25 @@ def test_config_rejects_bad_x0(config_doc):
     config_doc["x0"] = [1.0, 2.0, 3.0]
     with pytest.raises(ConfigError):
         hl.ExperimentConfig.from_dict(config_doc)
+
+
+def test_shipped_and_benchmark_configs_parse(monkeypatch):
+    # unknown keys and bad values are refused: every shipped config, and the
+    # config each benchmark workload builds, must still load
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", os.path.join(root, "perfbench", "workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    shipped = glob.glob(os.path.join(root, "configs", "*.json"))
+    assert shipped
+    for path in shipped:
+        hl.ExperimentConfig.load(path)
+    for wl in workloads.WORKLOADS.values():
+        for seed in (3, 5):
+            cfg = hl.ExperimentConfig.from_dict(wl.build(root, seed))
+            assert cfg.mc["seed"] == seed, wl.name
 
 
 def test_split_seed_stable_and_distinct():
@@ -279,6 +300,16 @@ def test_cli_seed_override_changes_output(tmp_path):
     a = (tmp_path / "s1" / "convergence.csv").read_text()
     b = (tmp_path / "s2" / "convergence.csv").read_text()
     assert a != b
+    # the override is part of the config: its report, digest included, is
+    # the report of the same config with the seed written in the file
+    doc["mc"]["seed"] = 11
+    (tmp_path / "seed11").mkdir()
+    cli_main(["converge", _write_cfg(tmp_path / "seed11", doc),
+              "--out", str(tmp_path / "s3")])
+    r2, r3 = (json.loads((tmp_path / s / "report.json").read_text())
+              for s in ("s2", "s3"))
+    assert r2["config_digest"] == r3["config_digest"]
+    assert r2 == r3
 
 
 def test_cli_audit_and_average(tmp_path):
@@ -450,13 +481,26 @@ def test_cli_corrector_rejects_bad_sizes(tmp_path, capsys, key, value):
     ("average", "tolerances.final_error", "0.03"),
     ("average", "eps_list", 5),
     ("average", "t_end", "0.5"),
-    ("average", "x0", ["a", 0.0])])
+    ("average", "x0", ["a", 0.0]),
+    ("average", "fd.scheme", "Centered"),
+    ("average", "averaging.schedule", []),
+    ("average", "eps_lst", [1.0]),
+    ("average", "family.dim", 1),
+    ("average", "mc.n_path", 100),
+    ("average", "bsde.basis_degre", 2),
+    ("average", "averaging.tolerance", 1e-4),
+    ("average", "fd.L3", 1.0),
+    ("average", "corrector.n_grids", [11, 3, 3]),
+    ("average", "tolerances.final", 0.03),
+    ("average", "outputs.format", ["csv"]),
+    ("bsde", "mc.n_steps", 1)])
 def test_cli_rejects_malformed_blocks(tmp_path, capsys, cmd, name, value):
     # refused by name before any output: a missing fd key or a block that
     # is not an object used to escape main as a KeyError, TypeError or
     # AttributeError, a fractional size, seed or degree was truncated
-    # silently, and a string flag or tolerance was read as its truth value
-    # or parsed
+    # silently, a string flag or tolerance was read as its truth value
+    # or parsed, a misspelt key was ignored, an empty schedule meant the
+    # default one and a bad fd scheme failed after the eps sweep
     doc = _tiny_doc()
     *block, key = name.split(".")
     node = doc[block[0]] if block else doc
