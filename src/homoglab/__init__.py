@@ -16,7 +16,7 @@ from .pde_fd import (Grid2D, GridSolution, PdeError, PdeModel,
                      richardson_error, solve_pde)
 from .harness import (ConfigError, ConvergenceReport, EmitError,
                       ExperimentConfig, PipelineError, emit,
-                      flow_continuity_check, monte_carlo_drift_gap,
-                      run_convergence, split_seed)
+                      flow_continuity_check, run_convergence, split_seed,
+                      write_json)
 
 __version__ = "0.1.0"

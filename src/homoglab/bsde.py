@@ -59,6 +59,7 @@ class BsdeSpec:
     y_bound: Optional[float] = None
 
     def __post_init__(self):
+        # the knobs' ranges; each message starts with the field it refuses
         if self.n_picard < 1:
             raise ValueError("n_picard must be >= 1")
         if not 0 <= self.basis_degree <= 6:

@@ -12,15 +12,14 @@ Exit codes: 0 all pass flags true, 2 completed with failing flags,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
 import numpy as np
 
-from . import families, pde_fd
+from . import families
 from .harness import ConfigError, ExperimentConfig, PipelineError, Stages, \
-    emit, run_convergence, split_seed
+    emit, run_convergence, split_seed, write_json
 
 
 def _load(args) -> ExperimentConfig:
@@ -31,7 +30,6 @@ def _load(args) -> ExperimentConfig:
             {**cfg.raw, "mc": {**cfg.raw["mc"], "seed": args.seed_override}})
     if args.out is not None:
         cfg.outputs["dir"] = args.out
-    os.makedirs(cfg.outputs["dir"], exist_ok=True)
     return cfg
 
 
@@ -42,16 +40,10 @@ def _stages(args) -> Stages:
 
 
 def _out(st, name):
+    """The path of output ``name``; the directory is made at the first
+    output, so a run that fails before it leaves none."""
+    os.makedirs(st.cfg.outputs["dir"], exist_ok=True)
     return os.path.join(st.cfg.outputs["dir"], name)
-
-
-def _write_json(st, name, doc):
-    path = _out(st, name)
-    with open(path, "w", newline="") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-    print(path)
-    return path
 
 
 def cmd_average(args) -> int:
@@ -81,32 +73,30 @@ def cmd_bsde(args) -> int:
     _, sol = st.avg_run()
     sol.save(_out(st, "bsde_avg.bin"), dt)
     summary["averaged"] = {"Y0": sol.Y0, "stderr": sol.Y0_stderr}
-    _write_json(st, "bsde_summary.json", summary)
+    print(write_json(_out(st, "bsde_summary.json"), summary))
     return 0
 
 
 def cmd_corrector(args) -> int:
     st = _stages(args)
-    table = st.decay(csv_path=_out(st, "decay.csv"))
+    table = st.decay()
+    table.to_csv(_out(st, "decay.csv"))
     rep = st.residual()
-    _write_json(st, "corrector.json", {
+    print(write_json(_out(st, "corrector.json"), {
         "decay": [{"eps": r.eps, "sup_V": r.sup_V, "sup_beta": r.sup_beta,
                    "sup_alpha": r.sup_alpha} for r in table.rows],
         "monotone_V": table.monotone_V,
         "residual": {"max": rep.max_residual, "scaled": rep.max_scaled,
-                     "n_failed": rep.n_failed, "h": rep.h}})
+                     "n_failed": rep.n_failed, "h": rep.h}}))
     return 0 if rep.passed and table.monotone_V else 2
 
 
 def cmd_pde(args) -> int:
     st = _stages(args)
-    model, grid, scheme = st.fd()
-    sol = pde_fd.solve_pde(model, grid, scheme=scheme)
+    sol, value, error = st.fd()
     sol.save_csv(_out(st, "pde.csv"))
-    x0 = st.cfg.x0
-    _write_json(st, "pde_summary.json",
-                {"value_at_x0": sol.at(x0[0], x0[1]),
-                 "richardson_error": pde_fd.richardson_error(model, sol)})
+    print(write_json(_out(st, "pde_summary.json"),
+                     {"value_at_x0": value, "richardson_error": error}))
     return 0
 
 
@@ -128,7 +118,7 @@ def cmd_audit(args) -> int:
                  "witness": list(e.witness) if e.witness else None,
                  "detail": e.detail}
            for aid, e in rep.entries.items()}
-    _write_json(st, "audit.json", doc)
+    print(write_json(_out(st, "audit.json"), doc))
     return 0 if not rep.violated() else 2
 
 

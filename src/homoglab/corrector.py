@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -197,11 +197,11 @@ def _half_grid(lo, hi, n):
 
 def decay_table(fam: CoefficientFamily, avg: AveragedModel,
                 eps_list: Sequence[float], box, y_box,
-                n_grid=(41, 41, 41),
-                csv_path: Optional[str] = None) -> DecayTable:
+                n_grid) -> DecayTable:
     """Sampled sup norms of V and of the averaging remainders per eps.
 
-    ``box`` = ((x1lo, x1hi), (x2lo, x2hi)) at d = 1, ``y_box`` = (ylo, yhi).
+    ``box`` = ((x1lo, x1hi), (x2lo, x2hi)) at d = 1, ``y_box`` = (ylo, yhi),
+    ``n_grid`` = (x1, x2, y) sample counts.
     For each (eps, x2) the x1 profiles of all y values come from one
     cumulative quadrature of the stacked integrand (q, t*q, rho*f, rho),
     using V = x1 * Q1 - Qt.  Sup norms are grid samples, not certificates;
@@ -261,9 +261,6 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
 
     spec = (f"x1[{x1lo},{x1hi}]x{n1};x2[{x2lo},{x2hi}]x{n2};"
             f"y[{y_box[0]},{y_box[1]}]x{ny}")
-    table = DecayTable(rows=rows, grid_spec=spec,
-                       monotone_V=nonincreasing([r.sup_V for r in rows]),
-                       monotone_beta=nonincreasing([r.sup_beta for r in rows]))
-    if csv_path is not None:
-        table.to_csv(csv_path)
-    return table
+    return DecayTable(rows=rows, grid_spec=spec,
+                      monotone_V=nonincreasing([r.sup_V for r in rows]),
+                      monotone_beta=nonincreasing([r.sup_beta for r in rows]))

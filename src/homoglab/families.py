@@ -406,7 +406,6 @@ def build_averaged(fam: CoefficientFamily, tol: float = 1e-4,
         if np.any(np.linalg.eigvalsh(a1) <= 0):
             raise AveragingError("assembled averaged diffusion block is not "
                                  "positive definite (upstream assumption violation)")
-        _ = _sym_sqrt(2.0 * a1)
     dev = _compare_models(numeric, fam.closed_form_limits)
     if dev > tol:
         raise AveragingError(

@@ -16,7 +16,7 @@ import json
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -25,8 +25,8 @@ import numpy as np
 from . import corrector as corr
 from . import families, pde_fd
 from .bsde import BsdeSpec, BsdeSolution, solve_bsde, tightness_certificate
-from .simulate import PathBundle, SimGrid, occupation_time, moment_report, \
-    simulate_avg, simulate_eps
+from .simulate import PathBundle, SimGrid, SimulationError, occupation_time, \
+    moment_report, simulate_avg, simulate_eps
 
 
 class ConfigError(ValueError):
@@ -80,7 +80,6 @@ def _is_monotone(value, sign: int, min_len: int) -> bool:
 # rules: (check, what the check asks for)
 _INTEGER = (_is_int, "an integer")
 _COUNT = (lambda v: _is_int(v) and v >= 1, "at least 1 and an integer")
-_N_STEPS = (lambda v: _is_int(v) and v >= 2, "at least 2 and an integer")
 _NUMBER = (_is_number, "a number")
 _STRING = (lambda v: isinstance(v, str), "a string")
 _BOOL = (lambda v: isinstance(v, bool), "true or false")
@@ -102,14 +101,16 @@ _REQUIRED = object()   # the default of a key that every config must give
 # key -> (rule, default) of the config and, nested, of each of its blocks;
 # a block's rule is its own table.  An absent key takes its default.  An
 # absent or null fd or corrector block is None, and its stage does not run;
-# a None default inside a block means "not set".
+# a None default inside a block means "not set".  The ranges of t_end,
+# mc.n_steps, the bsde knobs and the fd grid are not here: the objects that
+# use them own them (see ``_OWNED``).
 _SCHEMA = {
     "family": ({"id": (_STRING, _REQUIRED), "params": (_NUMBERS, ()),
                 "d": (_INTEGER, 1), "k": (_INTEGER, 2)}, _REQUIRED),
     "x0": (_NUMBERS, _REQUIRED),
     "t_end": (_NUMBER, _REQUIRED),
     "eps_list": (_EPS_LADDER, _REQUIRED),
-    "mc": ({"n_paths": (_COUNT, _REQUIRED), "n_steps": (_N_STEPS, _REQUIRED),
+    "mc": ({"n_paths": (_COUNT, _REQUIRED), "n_steps": (_INTEGER, _REQUIRED),
             "seed": (_INTEGER, _REQUIRED), "block_size": (_COUNT, 4096),
             "substeps_cap": (_COUNT, 64)}, _REQUIRED),
     "bsde": ({"basis_degree": (_INTEGER, 3), "sign_feature": (_BOOL, True),
@@ -163,6 +164,12 @@ def _resolve(path: str, block, schema: dict) -> dict:
     return out
 
 
+# the config key of each field whose rule SimGrid, BsdeSpec or Grid2D owns
+_OWNED = {"t_end": "t_end", "n_steps": "mc.n_steps",
+          "basis_degree": "bsde.basis_degree", "n_picard": "bsde.n_picard",
+          **{f: f"fd.{f}" for f in ("L1", "L2", "n1", "n2", "dt_fd")}}
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment: each block of the config document checked against
@@ -190,7 +197,19 @@ class ExperimentConfig:
                               f"components")
         c["t_end"] = float(c["t_end"])
         c["eps_list"] = [float(e) for e in c["eps_list"]]
-        return cls(family_block=c.pop("family"), raw=doc, **c)
+        cfg = cls(family_block=c.pop("family"), raw=doc, **c)
+        # refuse up front what the pipeline objects would refuse mid-run;
+        # each of their messages starts with the field it refuses
+        try:
+            cfg.grid()
+            BsdeSpec(None, None, cfg.bsde["basis_degree"],
+                     n_picard=cfg.bsde["n_picard"])
+            if cfg.fd is not None:
+                cfg.fd_grid()
+        except (SimulationError, pde_fd.PdeError, ValueError) as exc:
+            key = _OWNED[str(exc).split(" ", 1)[0]]
+            raise ConfigError(f"{exc} (config key {key!r})") from exc
+        return cfg
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
@@ -203,6 +222,11 @@ class ExperimentConfig:
 
     def grid(self) -> SimGrid:
         return SimGrid(self.t_end, self.mc["n_steps"])
+
+    def fd_grid(self) -> pde_fd.Grid2D:
+        fd = self.fd
+        return pde_fd.Grid2D(float(fd["L1"]), float(fd["L2"]), fd["n1"],
+                             fd["n2"], float(fd["dt_fd"]), self.t_end)
 
     def family(self):
         fb = self.family_block
@@ -318,21 +342,22 @@ class Stages:
         return [self.eps_run(i) for i in idx]
 
     def fd(self):
-        """(model, grid, scheme) of the averaged FD problem."""
-        fd = self.cfg.fd
-        if fd is None:
+        """The averaged FD solve on the config's grid: (solution, its value
+        at x0, its Richardson estimate)."""
+        cfg = self.cfg
+        if cfg.fd is None:
             raise ConfigError("the FD problem needs an fd block in the config")
-        grid = pde_fd.Grid2D(float(fd["L1"]), float(fd["L2"]), fd["n1"],
-                             fd["n2"], float(fd["dt_fd"]), self.cfg.t_end)
         model = pde_fd.PdeModel.from_averaged(self.avg, self.fam.terminal)
-        return model, grid, fd["scheme"]
+        sol = pde_fd.solve_pde(model, cfg.fd_grid(), scheme=cfg.fd["scheme"])
+        return (sol, sol.at(cfg.x0[0], cfg.x0[1]),
+                pde_fd.richardson_error(model, sol))
 
-    def decay(self, csv_path=None) -> corr.DecayTable:
+    def decay(self) -> corr.DecayTable:
         """Corrector decay table over ``eps_list``."""
         cc = self.corrector
         return corr.decay_table(
             self.fam, self.avg, self.cfg.eps_list, cc["box"], cc["y_box"],
-            n_grid=tuple(cc["n_grid"]), csv_path=csv_path)
+            n_grid=tuple(cc["n_grid"]))
 
     def residual(self) -> corr.ResidualReport:
         """Corrector residual check at the largest eps."""
@@ -423,11 +448,8 @@ def run_convergence(cfg: ExperimentConfig, n_threads: int = 1):
 
         stage = "fd-crosscheck"
         if cfg.fd is not None:
-            model, grid, scheme = st.fd()
-            fd_sol = pde_fd.solve_pde(model, grid, scheme=scheme)
-            report.averaged["v_fd"] = _cell(
-                fd_sol.at(cfg.x0[0], cfg.x0[1]),
-                pde_fd.richardson_error(model, fd_sol))
+            _, v_fd, v_fd_error = st.fd()
+            report.averaged["v_fd"] = _cell(v_fd, v_fd_error)
 
         stage = "drift-gap"
         for bundle, sol in results:
@@ -515,15 +537,6 @@ def _compute_flags(cfg, report):
 # Stand-alone checks
 # ---------------------------------------------------------------------------
 
-def monte_carlo_drift_gap(cfg: ExperimentConfig, eps_list=None) -> list:
-    """Driver-gap table along fresh eps-simulations (Y from the BSDE)."""
-    if eps_list is not None:
-        cfg = replace(cfg, eps_list=list(eps_list))
-    st = Stages(cfg)
-    return [_drift_gap_row(st, *st.eps_run(i))
-            for i in range(len(cfg.eps_list))]
-
-
 def flow_continuity_check(cfg: ExperimentConfig, x0_list) -> list:
     """Continuity of the averaged flow in the initial point.
 
@@ -577,6 +590,15 @@ def _fmt(v):
     return str(v)
 
 
+def write_json(path, doc) -> str:
+    """The JSON layout of ``report.json`` and of every CLI summary: sorted
+    keys, indent 1, a final newline.  Returns ``path``."""
+    with open(path, "w", newline="") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+    return path
+
+
 def emit(report: ConvergenceReport, out_dir, formats=("csv", "json")) -> list:
     """Write the report; deterministic bytes, NaN cells are refused."""
     doc = report.to_dict()
@@ -584,11 +606,7 @@ def emit(report: ConvergenceReport, out_dir, formats=("csv", "json")) -> list:
     os.makedirs(out_dir, exist_ok=True)
     written = []
     if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w", newline="") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-        written.append(path)
+        written.append(write_json(os.path.join(out_dir, "report.json"), doc))
     if "csv" in formats:
         path = os.path.join(out_dir, "convergence.csv")
         with open(path, "w", newline="") as fh:

@@ -1,14 +1,18 @@
 """Semi-implicit finite differences for the d = 1 parabolic problems.
 
 Monte-Carlo-independent cross-check of the probabilistic solvers, run on
-the averaged model (``PdeModel.from_averaged``).  The operator matches the
+the averaged model (``PdeModel.from_averaged``).  The averaged PDE has
+discontinuous coefficients and is meant in the L^p-viscosity sense; it is
+solved on one truncation, the Dirichlet box [-L1, L1] x [-L2, L2] whose
+boundary holds the terminal data H for all time.  The operator matches the
 generator of the simulated process,
 
     a00(x1, x2) d2/dx1^2 + a11(x1, x2) d2/dx2^2 + b1(x1, x2) d/dx2,
 
 with no mixed term and no x1 drift (block diffusion structure).  Diffusion
 and drift are implicit, the semi-linear driver explicit.  The step matrix
-M = I - dt*A is built once in CSC and factored once, with a minimum-degree
+M = I - dt*A (A's boundary rows are empty, so each boundary row of M is the
+identity row) is built once in CSC and factored once, with a minimum-degree
 ordering of M^T + M (the 5-point stencil is structurally symmetric but for
 the boundary rows, and this ordering fills about half as much as SuperLU's
 default COLAMD); every time step is then one pair of triangular solves.
@@ -52,14 +56,24 @@ class Grid2D:
     t_end: float
 
     def __post_init__(self):
+        # every grid rule; each message starts with the field it refuses
         if self.n1 < 1:
             raise PdeError(f"n1 must be at least 1, got {self.n1}")
         if self.n1 % 2 == 0:
             raise PdeError("n1 must be odd so that x1 = 0 is a grid node")
-        if not (self.L1 > 0 and self.L2 > 0 and self.n2 >= 3):
-            raise PdeError("bad domain spec")
+        if self.n2 < 3:
+            raise PdeError(f"n2 must be at least 3, got {self.n2}")
+        for name in ("L1", "L2"):
+            if not getattr(self, name) > 0:
+                raise PdeError(f"{name} must be positive")
         if not 0 < self.dt_fd <= self.t_end / 10:
-            raise PdeError("need 0 < dt_fd <= t_end / 10")
+            raise PdeError("dt_fd must be in (0, t_end / 10]")
+        if abs(self.n_steps * self.dt_fd - self.t_end) > 1e-9 * self.t_end:
+            raise PdeError("dt_fd must divide t_end")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.dt_fd))
 
     @property
     def x1(self) -> np.ndarray:
@@ -77,15 +91,14 @@ class Grid2D:
     def h2(self) -> float:
         return 2.0 * self.L2 / (self.n2 + 1)
 
-    def refined(self, factor: int = 2) -> "Grid2D":
-        """Nested refinement: old nodes are a subset of the new ones.
+    def refined(self) -> "Grid2D":
+        """Nested refinement by 2: old nodes are a subset of the new ones.
 
-        dt shrinks by factor^2 so the first-order time error refines at
-        the same rate as the second-order spatial error.
+        dt shrinks by 4 so the first-order time error refines at the same
+        rate as the second-order spatial error.
         """
-        return Grid2D(self.L1, self.L2,
-                      factor * (self.n1 + 1) - 1, factor * (self.n2 + 1) - 1,
-                      self.dt_fd / factor ** 2, self.t_end)
+        return Grid2D(self.L1, self.L2, 2 * self.n1 + 1, 2 * self.n2 + 1,
+                      self.dt_fd / 4, self.t_end)
 
 
 @dataclass
@@ -123,7 +136,6 @@ class PdeModel:
 class GridSolution:
     grid: Grid2D
     values: np.ndarray         # (n1+2, n2+2) final time slice
-    boundary_mode: str
     scheme: str
     model_label: str
 
@@ -149,7 +161,7 @@ class GridSolution:
         header = {"n1": self.grid.n1, "n2": self.grid.n2,
                   "L1": self.grid.L1, "L2": self.grid.L2,
                   "dt_fd": self.grid.dt_fd, "t_end": self.grid.t_end,
-                  "boundary_mode": self.boundary_mode, "scheme": self.scheme,
+                  "boundary_mode": "dirichlet", "scheme": self.scheme,
                   "model": self.model_label}
         with open(str(path) + ".json", "w") as fh:
             json.dump(header, fh, sort_keys=True)
@@ -196,76 +208,46 @@ def _assemble(model: PdeModel, grid: Grid2D, scheme: str):
     return A, X1, X2
 
 
-def _step_matrix(A, dt: float, nx: int, ny: int, boundary_mode: str):
-    """``I - dt*A`` in CSC with the boundary rows of ``boundary_mode``.
-
-    A's boundary rows are empty, so each boundary row of ``I - dt*A`` is
-    1 on its own node: the Dirichlet row.  A Neumann row also gets -1 on
-    the inward neighbour (zero normal slope).  A corner takes its
-    x1-inward neighbour.
-    """
-    M = sparse.identity(nx * ny, format="csc") - dt * A
-    if boundary_mode == "dirichlet":
-        return M
-    if boundary_mode != "neumann":
-        raise PdeError(f"unknown boundary mode {boundary_mode!r}")
-    node = np.arange(nx * ny).reshape(nx, ny)
-    inward = np.full((nx, ny), -1)
-    inward[1:-1, 0], inward[1:-1, -1] = node[1:-1, 1], node[1:-1, -2]
-    inward[0, :], inward[-1, :] = node[1, :], node[-2, :]
-    rows = node[inward >= 0]
-    return M + sparse.csc_matrix(
-        (np.full(rows.size, -1.0), (rows, inward[inward >= 0])),
-        shape=M.shape)
-
-
-def solve_pde(model: PdeModel, grid: Grid2D, boundary_mode: str = "dirichlet",
+def solve_pde(model: PdeModel, grid: Grid2D,
               scheme: str = "centered") -> GridSolution:
     """March the terminal-value problem backward over [0, t_end].
 
     In the time-to-maturity variable the problem is a forward heat flow
     from v(0) = H; the reported slice is remaining time t_end, so
-    values[i, j] ~ v(0, x) for terminal data at t_end.
+    values[i, j] ~ v(0, x) for terminal data at t_end.  The boundary
+    nodes keep H throughout.
     """
     A, X1, X2 = _assemble(model, grid, scheme)
     nx, ny = X1.shape
-    M = _step_matrix(A, grid.dt_fd, nx, ny, boundary_mode)
+    M = sparse.identity(nx * ny, format="csc") - grid.dt_fd * A
     try:
         lu = splu(M, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:
         raise PdeError(f"implicit-step factorization failed: {exc}") from exc
 
-    n_steps = int(round(grid.t_end / grid.dt_fd))
-    if abs(n_steps * grid.dt_fd - grid.t_end) > 1e-9 * grid.t_end:
-        raise PdeError("dt_fd must divide t_end")
     v = np.asarray(model.H(X1, X2), dtype=float)
     drive = model.driver(X1, X2)
     boundary = np.ones((nx, ny), dtype=bool)
     boundary[1:-1, 1:-1] = False
     bidx = np.flatnonzero(boundary)
-    # boundary right-hand side: the terminal data (Dirichlet) or zero
-    # slope (Neumann), the same on every step
-    bvals = v.ravel()[bidx] if boundary_mode == "dirichlet" else 0.0
-    for _ in range(n_steps):
+    bvals = v.ravel()[bidx]
+    for _ in range(grid.n_steps):
         rf = (v + grid.dt_fd * np.asarray(drive(v), dtype=float)).ravel()
         rf[bidx] = bvals
         v = lu.solve(rf).reshape(nx, ny)
         if not np.all(np.isfinite(v)):
             raise PdeError("non-finite values after implicit step")
-    return GridSolution(grid=grid, values=v, boundary_mode=boundary_mode,
-                        scheme=scheme, model_label=model.label)
+    return GridSolution(grid=grid, values=v, scheme=scheme,
+                        model_label=model.label)
 
 
-def richardson_error(model: PdeModel, coarse: GridSolution,
-                     refinement: int = 2) -> float:
-    """Sup-norm change under nested space-time refinement (common nodes).
+def richardson_error(model: PdeModel, coarse: GridSolution) -> float:
+    """Sup-norm change under one nested refinement by 2 (``Grid2D.refined``:
+    h halves, dt quarters), over the coarse grid's nodes.
 
     ``coarse`` is the caller's solution on the coarse grid; only the
-    refined grid is solved here, with the boundary mode and scheme of
-    ``coarse``.
+    refined grid is solved here, with the scheme of ``coarse``.
     """
-    fine = solve_pde(model, coarse.grid.refined(refinement),
-                     coarse.boundary_mode, coarse.scheme)
-    return float(np.max(np.abs(
-        coarse.values - fine.values[::refinement, ::refinement])))
+    fine = solve_pde(model, coarse.grid.refined(), coarse.scheme)
+    return float(np.max(np.abs(coarse.values - fine.values[::2, ::2])))
 

@@ -87,7 +87,7 @@ _ATOL = 1e-12
 _MAX_ROUNDS = 8
 
 
-def _estimates(g, a, b, n, cells, order):
+def _estimates(g, a, b, n, cells):
     """Composite estimates of ``cells`` over [a[i], b[i]] with n[i] panels.
 
     One ``panel_integrals`` call per run of adjacent cells.  The edges are
@@ -103,15 +103,14 @@ def _estimates(g, a, b, n, cells, order):
     first = np.flatnonzero(np.diff(cells, prepend=-2) != 1)
     last = np.append(first[1:], cells.size) - 1
     parts = np.concatenate([
-        panel_integrals(g, np.append(left[starts[f]:stops[e]], b[cells[e]]),
-                        order)
+        panel_integrals(g, np.append(left[starts[f]:stops[e]], b[cells[e]]))
         for f, e in zip(first, last)])
     # np.add.reduceat would sum each cell in another order than a one-cell
     # ``.sum(axis=0)`` does
     return np.stack([parts[s:e].sum(axis=0) for s, e in zip(starts, stops)])
 
 
-def _settle(g, grid, rtol, max_panel, order):
+def _settle(g, grid, rtol, max_panel):
     """Integrals of ``g`` over the cells of ``grid``, shape ``(cells, m)``.
 
     Every unsettled cell doubles its panel count in the same round, starting
@@ -123,11 +122,11 @@ def _settle(g, grid, rtol, max_panel, order):
     if todo.size == 0:
         m = _eval(g, grid[:1]).shape[1]
         return np.zeros((a.size, m))
-    prev = _estimates(g, a, b, n, todo, order)
+    prev = _estimates(g, a, b, n, todo)
     out = np.zeros((a.size, prev.shape[1]))
     for _ in range(_MAX_ROUNDS):
         n[todo] *= 2
-        cur = _estimates(g, a, b, n, todo, order)
+        cur = _estimates(g, a, b, n, todo)
         err = np.abs(cur - prev)
         ok = np.all(err <= _ATOL + rtol * np.abs(cur), axis=1)
         out[todo[ok]] = cur[ok]
@@ -141,17 +140,16 @@ def _settle(g, grid, rtol, max_panel, order):
 
 
 def integrate(g, a: float, b: float, rtol: float = 1e-8,
-              max_panel: float = np.pi, order: int = 12):
+              max_panel: float = np.pi):
     """Adaptive composite integral of ``g`` over [a, b] (oriented).
 
     The one-cell case of :func:`cumulative`.  Returns an array of shape
     ``(m,)``.
     """
-    return _settle(g, np.array([a, b], dtype=float), rtol, max_panel, order)[0]
+    return _settle(g, np.array([a, b], dtype=float), rtol, max_panel)[0]
 
 
-def cumulative(g, grid, rtol: float = 1e-8, max_panel: float = np.pi,
-               order: int = 12):
+def cumulative(g, grid, rtol: float = 1e-8, max_panel: float = np.pi):
     """Oriented cumulative integrals of ``g`` from grid[0] to every grid point.
 
     The grid must be monotone.  All cells are refined together, each to the
@@ -159,5 +157,5 @@ def cumulative(g, grid, rtol: float = 1e-8, max_panel: float = np.pi,
     ``QuadratureError``); output shape ``(len(grid), m)`` with a zero first
     row.
     """
-    parts = _settle(g, np.asarray(grid, dtype=float), rtol, max_panel, order)
+    parts = _settle(g, np.asarray(grid, dtype=float), rtol, max_panel)
     return np.cumsum(np.vstack([np.zeros((1, parts.shape[1])), parts]), axis=0)

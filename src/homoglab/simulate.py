@@ -50,6 +50,7 @@ class SimGrid:
     n_steps: int
 
     def __post_init__(self):
+        # each message starts with the field it refuses
         if not self.t_end > 0:
             raise SimulationError("t_end must be positive")
         if self.n_steps < 2:

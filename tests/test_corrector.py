@@ -90,8 +90,8 @@ def test_residual_second_order_in_h(switch_family, switch_avg):
 
 def test_decay_table_switch(switch_family, switch_avg, tmp_path):
     table = decay_table(switch_family, switch_avg, [1.0, 0.3, 0.1, 0.03],
-                        ((-2, 2), (-1, 1)), (-1, 1), n_grid=(21, 7, 7),
-                        csv_path=tmp_path / "decay.csv")
+                        ((-2, 2), (-1, 1)), (-1, 1), n_grid=(21, 7, 7))
+    table.to_csv(tmp_path / "decay.csv")
     assert isinstance(table, DecayTable)
     sup = table.sup_V()
     assert table.monotone_V

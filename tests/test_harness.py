@@ -129,11 +129,16 @@ def test_trivial_driver_y0_one(const_family):
         assert g["gap"]["value"] <= 5 * max(g["gap"]["stderr"], 1e-12) + 1e-12
 
 
-def test_pipeline_error_carries_stage(config_doc):
-    config_doc["fd"] = {"L1": 1.0, "L2": 1.0, "n1": 10, "n2": 10,
-                        "dt_fd": 0.01}   # even n1 -> Grid2D rejects
+def test_pipeline_error_carries_stage(config_doc, monkeypatch):
+    # a bad grid is refused at load, so the FD solve itself fails here
+    config_doc["fd"] = {"L1": 1.0, "L2": 1.0, "n1": 11, "n2": 11,
+                        "dt_fd": 0.01}
     config_doc["mc"] = {"n_paths": 200, "n_steps": 25, "seed": 6}
     cfg = hl.ExperimentConfig.from_dict(config_doc)
+
+    def fail(*args, **kwargs):
+        raise pde_fd.PdeError("implicit-step factorization failed")
+    monkeypatch.setattr(pde_fd, "solve_pde", fail)
     with pytest.raises(hl.PipelineError) as exc:
         hl.run_convergence(cfg)
     assert exc.value.stage == "fd-crosscheck"
@@ -168,7 +173,7 @@ def test_run_convergence_solves_each_fd_grid_once(tmp_path, monkeypatch):
     monkeypatch.setattr(pde_fd, "solve_pde", counted)
     rep = hl.run_convergence(hl.ExperimentConfig.from_dict(doc))
     assert "v_fd" in rep.averaged
-    assert len(calls) == 2 and calls[1] == calls[0].refined(2)
+    assert len(calls) == 2 and calls[1] == calls[0].refined()
 
 
 def test_substeps_warn_when_cap_binds():
@@ -192,9 +197,9 @@ def test_monte_carlo_drift_gap_scaling():
     doc = base_config()
     doc["eps_list"] = [0.3]
     doc["mc"] = {"n_paths": 1000, "n_steps": 25, "seed": 777}
-    t1 = hl.monte_carlo_drift_gap(hl.ExperimentConfig.from_dict(doc))
+    t1 = hl.run_convergence(hl.ExperimentConfig.from_dict(doc)).drift_gap
     doc["mc"]["n_paths"] = 4000
-    t2 = hl.monte_carlo_drift_gap(hl.ExperimentConfig.from_dict(doc))
+    t2 = hl.run_convergence(hl.ExperimentConfig.from_dict(doc)).drift_gap
     r = t1[0]["gap"]["stderr"] / t2[0]["gap"]["stderr"]
     assert r == pytest.approx(2.0, rel=0.2)    # 1/sqrt(N) scaling
 
@@ -428,10 +433,53 @@ def test_cli_pde_rejects_nonpositive_n1(tmp_path, capsys, n1):
     # odd but negative: the grid would have no interior nodes
     doc = _tiny_doc()
     doc["fd"]["n1"] = n1
-    code = cli_main(["pde", _write_cfg(tmp_path, doc),
-                     "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = cli_main(["pde", _write_cfg(tmp_path, doc), "--out", str(out)])
     assert code == 1
-    assert f"error: n1 must be at least 1, got {n1}" in capsys.readouterr().err
+    assert f"error: n1 must be at least 1, got {n1} (config key 'fd.n1')" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_pde_and_converge_share_the_fd_stage(tmp_path):
+    # pde_summary.json holds the very value at x0 and Richardson estimate
+    # that report.json records as v_fd (JSON floats round-trip exactly)
+    doc = _tiny_doc()
+    del doc["corrector"]
+    cfgp = _write_cfg(tmp_path, doc)
+    assert cli_main(["converge", cfgp, "--out", str(tmp_path / "c")]) in (0, 2)
+    assert cli_main(["pde", cfgp, "--out", str(tmp_path / "p")]) == 0
+    report = json.loads((tmp_path / "c" / "report.json").read_text())
+    summary = json.loads((tmp_path / "p" / "pde_summary.json").read_text())
+    v_fd = report["averaged"]["v_fd"]
+    assert summary == {"value_at_x0": v_fd["value"],
+                       "richardson_error": v_fd["stderr"]}
+
+
+@pytest.mark.parametrize("family, x0", [
+    ({"id": "nope"}, [0.5, 0.0]),
+    ({"id": "switch", "d": 2}, [0.5, 0.0, 0.0])])
+def test_cli_setup_failure_leaves_no_out_dir(tmp_path, capsys, family, x0):
+    # a family the catalog refuses (an unknown id, a d that does not match)
+    # fails in set-up; the output directory is made at the first output
+    doc = _tiny_doc()
+    doc["family"], doc["x0"] = family, x0
+    cfgp = _write_cfg(tmp_path, doc)
+    for cmd in ("converge", "pde"):
+        out = tmp_path / cmd
+        assert cli_main([cmd, cfgp, "--out", str(out)]) == 1
+        assert "family" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_pde_without_fd_block_leaves_no_out_dir(tmp_path, capsys):
+    # refused after set-up, before the first output is written
+    doc = _tiny_doc()
+    del doc["fd"]
+    out = tmp_path / "out"
+    assert cli_main(["pde", _write_cfg(tmp_path, doc), "--out", str(out)]) == 1
+    assert "needs an fd block" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("key,value", [("n_grid", [11, -3, 3]),
@@ -493,14 +541,28 @@ def test_cli_corrector_rejects_bad_sizes(tmp_path, capsys, key, value):
     ("average", "corrector.n_grids", [11, 3, 3]),
     ("average", "tolerances.final", 0.03),
     ("average", "outputs.format", ["csv"]),
-    ("bsde", "mc.n_steps", 1)])
+    ("bsde", "mc.n_steps", 1),
+    ("converge", "bsde.basis_degree", 9),
+    ("converge", "bsde.n_picard", 0),
+    ("converge", "t_end", -0.5),
+    ("converge", "fd.n1", -1),
+    ("converge", "fd.n1", 10),
+    ("converge", "fd.n2", 2),
+    ("converge", "fd.L1", 0.0),
+    ("converge", "fd.dt_fd", 0.3),
+    ("converge", "fd.dt_fd", 0.03)])
 def test_cli_rejects_malformed_blocks(tmp_path, capsys, cmd, name, value):
     # refused by name before any output: a missing fd key or a block that
     # is not an object used to escape main as a KeyError, TypeError or
     # AttributeError, a fractional size, seed or degree was truncated
     # silently, a string flag or tolerance was read as its truth value
     # or parsed, a misspelt key was ignored, an empty schedule meant the
-    # default one and a bad fd scheme failed after the eps sweep
+    # default one and a bad fd scheme failed after the eps sweep.  A value
+    # out of the range that SimGrid, BsdeSpec or Grid2D owns (a basis
+    # degree of 9, no Picard sweep, a negative horizon, a grid with no x1
+    # node at 0 or a dt_fd that does not divide t_end) used to fail only
+    # in the stage that built the object, after the averaging stage or
+    # the whole eps sweep, and left the output directory behind
     doc = _tiny_doc()
     *block, key = name.split(".")
     node = doc[block[0]] if block else doc

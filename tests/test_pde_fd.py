@@ -2,11 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.linalg import splu
 
 import homoglab as hl
+from homoglab import pde_fd
 from homoglab.pde_fd import (Grid2D, PdeError, PdeModel, _assemble,
-                             _step_matrix, richardson_error, solve_pde)
+                             richardson_error, solve_pde)
 
 
 def constant_driver(c):
@@ -53,56 +55,50 @@ def test_operator_rows(scheme, interface_we):
         assert row == pytest.approx(expect, rel=1e-14, abs=1e-14), (i, j)
 
 
-def test_neumann_rows():
-    # 7 x 5 nodes (flat index i * 5 + j); boundary rows by hand: 1 on the
-    # node, -1 on its inward neighbour, a corner taking its x1-inward one
+def test_dirichlet_step_rows(monkeypatch):
+    # the matrix solve_pde factors, 7 x 5 nodes (flat index i * 5 + j):
+    # each boundary row is the identity row (the node keeps its terminal
+    # value), each interior row the row of I - dt*A
     g = Grid2D(1.0, 1.0, 5, 3, 0.01, 0.1)
-    A, _, _ = _assemble(jump_model(), g, "centered")
+    factored = []
+
+    def capture(M, **kwargs):
+        factored.append(M.toarray())
+        return splu(M, **kwargs)
+    monkeypatch.setattr(pde_fd, "splu", capture)
+    solve_pde(jump_model(), g)
+    (M,) = factored
+    A = _assemble(jump_model(), g, "centered")[0].toarray()
     nx, ny = g.n1 + 2, g.n2 + 2
-    M = _step_matrix(A, g.dt_fd, nx, ny, "neumann").toarray()
-    D = _step_matrix(A, g.dt_fd, nx, ny, "dirichlet").toarray()
-
-    def row(entries):
-        out = np.zeros(nx * ny)
-        for (i, j), val in entries.items():
-            out[i * ny + j] = val
-        return out
-    for (i, j), neighbour in (((3, 0), (3, 1)),      # x2 edge
-                              ((0, 2), (1, 2)),      # x1 edge
-                              ((0, 0), (1, 0)),      # corners
-                              ((6, 4), (5, 4))):
-        r = i * ny + j
-        assert np.array_equal(M[r], row({(i, j): 1.0, neighbour: -1.0}))
-        assert np.array_equal(D[r], row({(i, j): 1.0}))
-    r = 3 * ny + 3                                   # interior: I - dt A
-    expect = -g.dt_fd * A.toarray()[r]
-    expect[r] += 1.0
-    assert np.array_equal(M[r], expect) and np.array_equal(D[r], expect)
-    with pytest.raises(PdeError):
-        _step_matrix(A, g.dt_fd, nx, ny, "periodic")
+    for i in range(nx):
+        for j in range(ny):
+            r = i * ny + j
+            expect = np.zeros(nx * ny)
+            if 0 < i < nx - 1 and 0 < j < ny - 1:
+                expect = -g.dt_fd * A[r]
+            expect[r] += 1.0
+            assert np.array_equal(M[r], expect), (i, j)
 
 
-@pytest.mark.parametrize("scheme, boundary_mode", [
-    ("centered", "dirichlet"), ("centered", "neumann"),
-    ("harmonic", "dirichlet"), ("harmonic", "neumann")])
-def test_fd_matches_colamd_reference(switch_avg, switch_family, scheme,
-                                     boundary_mode):
+@pytest.mark.parametrize("scheme", ["centered", "harmonic"],
+                         ids=["centered-dirichlet", "harmonic-dirichlet"])
+def test_fd_matches_colamd_reference(switch_avg, switch_family, scheme):
     # reference time loop: SuperLU's default COLAMD ordering and the full
     # driver f(x, v) on every step; solve_pde differs only in round-off
     m = PdeModel.from_averaged(switch_avg, switch_family.terminal)
     g = Grid2D(4.0, 4.0, 41, 21, 0.025, 0.5)
     A, X1, X2 = _assemble(m, g, scheme)
     nx, ny = X1.shape
-    lu = splu(_step_matrix(A, g.dt_fd, nx, ny, boundary_mode),
+    lu = splu(sparse.identity(nx * ny, format="csc") - g.dt_fd * A,
               permc_spec="COLAMD")
     edge = np.ones((nx, ny), dtype=bool)
     edge[1:-1, 1:-1] = False
     v = h = m.H(X1, X2)
     for _ in range(20):
         rhs = v + g.dt_fd * switch_avg.f(X1, X2[..., None], v)
-        rhs[edge] = h[edge] if boundary_mode == "dirichlet" else 0.0
+        rhs[edge] = h[edge]
         v = lu.solve(rhs.ravel()).reshape(nx, ny)
-    got = solve_pde(m, g, boundary_mode, scheme).values
+    got = solve_pde(m, g, scheme).values
     assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v))
 
 
@@ -132,6 +128,13 @@ def test_grid_validation():
     for n1 in (-1, -3):                            # odd, but no nodes
         with pytest.raises(PdeError, match="n1 must be at least 1"):
             Grid2D(1.0, 1.0, n1, 11, 0.01, 1.0)
+    for args, message in (
+            ((1.0, 1.0, 11, 2, 0.01, 1.0), "n2 must be at least 3"),
+            ((0.0, 1.0, 11, 11, 0.01, 1.0), "L1 must be positive"),
+            ((1.0, -1.0, 11, 11, 0.01, 1.0), "L2 must be positive"),
+            ((1.0, 1.0, 11, 11, 0.03, 1.0), "dt_fd must divide t_end")):
+        with pytest.raises(PdeError, match=message):
+            Grid2D(*args)
     g = Grid2D(2.0, 1.0, 11, 5, 0.05, 1.0)
     assert 0.0 in g.x1
     assert g.x1.size == 13
@@ -139,7 +142,7 @@ def test_grid_validation():
 
 def test_refined_grid_is_nested():
     g = Grid2D(2.0, 2.0, 11, 7, 0.05, 1.0)
-    f = g.refined(2)
+    f = g.refined()
     assert f.n1 == 23 and f.n2 == 15
     assert np.allclose(f.x1[::2], g.x1)
 
@@ -153,19 +156,6 @@ def test_heat_kernel_oracle():
     X1, X2 = np.meshgrid(g.x1, g.x2, indexing="ij")
     exact = (1 / (1 + 2 * s2)) * np.exp(-(X1 ** 2 + X2 ** 2) / (1 + 2 * s2))
     assert np.max(np.abs(sol.values - exact)) <= 1e-3
-
-
-def test_spatially_constant_solution():
-    # f = c, H = 0, Neumann: v(t) = c t exactly at every node
-    t_end = 0.25
-    m = PdeModel(a00=lambda x1, x2: 0.7 + 0.2 * np.sin(x1),
-                 a11=lambda x1, x2: 0.5 + 0 * x1,
-                 b1=lambda x1, x2: 0.3 + 0 * x1,
-                 driver=constant_driver(0.8),
-                 H=lambda x1, x2: 0 * x1, label="flat")
-    g = Grid2D(2.0, 2.0, 41, 41, 0.025, t_end)
-    sol = solve_pde(m, g, boundary_mode="neumann")
-    assert np.max(np.abs(sol.values - 0.8 * t_end)) <= 1e-10
 
 
 def test_maximum_principle():
@@ -201,7 +191,7 @@ def test_richardson_second_order():
     m = heat_model()
     g = Grid2D(4.0, 4.0, 49, 49, 0.02, 0.2)
     e1 = richardson_error(m, solve_pde(m, g))
-    e2 = richardson_error(m, solve_pde(m, g.refined(2)))
+    e2 = richardson_error(m, solve_pde(m, g.refined()))
     assert e1 / e2 >= 3.0
 
 
