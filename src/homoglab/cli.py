@@ -103,8 +103,8 @@ def cmd_pde(args) -> int:
 def cmd_converge(args) -> int:
     cfg = _load(args)
     report = run_convergence(cfg, n_threads=args.threads)
-    emit(report, cfg.outputs["dir"], cfg.outputs["formats"])
-    print(os.path.join(cfg.outputs["dir"], "report.json"))
+    for path in emit(report, cfg.outputs["dir"], cfg.outputs["formats"]):
+        print(path)
     return 0 if report.all_pass() else 2
 
 

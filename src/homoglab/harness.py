@@ -89,12 +89,11 @@ _EPS_LADDER = (lambda v: _is_monotone(v, -1, 1),
                "a positive, strictly decreasing list of numbers")
 _SCHEDULE = (lambda v: _is_monotone(v, 1, 4),
              "at least 4 positive, strictly increasing numbers")
-_SCHEME = (lambda v: v in ("centered", "harmonic"), '"centered" or "harmonic"')
 _BOX = (lambda v: _is_list_of(v, _PAIR[0], 2), "two [lo, hi] number pairs")
 _N_GRID = (lambda v: _is_list_of(v, _COUNT[0], 3),
            "three integers of at least 1")
-_FORMATS = (lambda v: _is_list_of(v, lambda f: f in ("csv", "json")),
-            'a list of "csv" and "json"')
+_FORMATS = (lambda v: _is_list_of(v, lambda f: f in ("csv", "json"))
+            and len(v) > 0, 'a non-empty list of "csv" and "json"')
 
 _REQUIRED = object()   # the default of a key that every config must give
 
@@ -103,7 +102,8 @@ _REQUIRED = object()   # the default of a key that every config must give
 # absent or null fd or corrector block is None, and its stage does not run;
 # a None default inside a block means "not set".  The ranges of t_end,
 # mc.n_steps, the bsde knobs and the fd grid are not here: the objects that
-# use them own them (see ``_OWNED``).
+# use them own them (see ``_OWNED``), as the family catalog owns which
+# family blocks it can build.
 _SCHEMA = {
     "family": ({"id": (_STRING, _REQUIRED), "params": (_NUMBERS, ()),
                 "d": (_INTEGER, 1), "k": (_INTEGER, 2)}, _REQUIRED),
@@ -118,8 +118,7 @@ _SCHEMA = {
     "averaging": ({"tol": (_NUMBER, 1e-4), "schedule": (_SCHEDULE, None)}, {}),
     "fd": ({"L1": (_NUMBER, _REQUIRED), "L2": (_NUMBER, _REQUIRED),
             "n1": (_INTEGER, _REQUIRED), "n2": (_INTEGER, _REQUIRED),
-            "dt_fd": (_NUMBER, _REQUIRED), "scheme": (_SCHEME, "centered")},
-           None),
+            "dt_fd": (_NUMBER, _REQUIRED)}, None),
     "corrector": ({"box": (_BOX, ((-2, 2), (-1, 1))),
                    "y_box": (_PAIR, (-1, 1)), "n_grid": (_N_GRID, (21, 9, 9)),
                    "n_samples": (_COUNT, 50)}, None),
@@ -174,7 +173,7 @@ _OWNED = {"t_end": "t_end", "n_steps": "mc.n_steps",
 class ExperimentConfig:
     """One experiment: each block of the config document checked against
     ``_SCHEMA`` and completed with its defaults, and the document itself,
-    which ``digest`` hashes."""
+    which ``digest`` hashes.  ``fd`` is the FD grid of the fd block."""
     family_block: dict
     x0: np.ndarray
     t_end: float
@@ -182,7 +181,7 @@ class ExperimentConfig:
     mc: dict
     bsde: dict
     averaging: dict
-    fd: Optional[dict]
+    fd: Optional[pde_fd.Grid2D]
     corrector: Optional[dict]
     tolerances: dict
     outputs: dict
@@ -198,14 +197,21 @@ class ExperimentConfig:
         c["t_end"] = float(c["t_end"])
         c["eps_list"] = [float(e) for e in c["eps_list"]]
         cfg = cls(family_block=c.pop("family"), raw=doc, **c)
-        # refuse up front what the pipeline objects would refuse mid-run;
-        # each of their messages starts with the field it refuses
+        # refuse up front what the pipeline objects would refuse mid-run
         try:
+            cfg.family()
+        except families.FamilyError as exc:
+            raise ConfigError(f"{exc} (config key 'family')") from exc
+        fd = cfg.fd
+        try:
+            # each of these messages starts with the field it refuses
             cfg.grid()
             BsdeSpec(None, None, cfg.bsde["basis_degree"],
                      n_picard=cfg.bsde["n_picard"])
-            if cfg.fd is not None:
-                cfg.fd_grid()
+            if fd is not None:
+                cfg.fd = pde_fd.Grid2D(float(fd["L1"]), float(fd["L2"]),
+                                       fd["n1"], fd["n2"],
+                                       float(fd["dt_fd"]), cfg.t_end)
         except (SimulationError, pde_fd.PdeError, ValueError) as exc:
             key = _OWNED[str(exc).split(" ", 1)[0]]
             raise ConfigError(f"{exc} (config key {key!r})") from exc
@@ -222,11 +228,6 @@ class ExperimentConfig:
 
     def grid(self) -> SimGrid:
         return SimGrid(self.t_end, self.mc["n_steps"])
-
-    def fd_grid(self) -> pde_fd.Grid2D:
-        fd = self.fd
-        return pde_fd.Grid2D(float(fd["L1"]), float(fd["L2"]), fd["n1"],
-                             fd["n2"], float(fd["dt_fd"]), self.t_end)
 
     def family(self):
         fb = self.family_block
@@ -348,7 +349,7 @@ class Stages:
         if cfg.fd is None:
             raise ConfigError("the FD problem needs an fd block in the config")
         model = pde_fd.PdeModel.from_averaged(self.avg, self.fam.terminal)
-        sol = pde_fd.solve_pde(model, cfg.fd_grid(), scheme=cfg.fd["scheme"])
+        sol = pde_fd.solve_pde(model, cfg.fd)
         return (sol, sol.at(cfg.x0[0], cfg.x0[1]),
                 pde_fd.richardson_error(model, sol))
 
@@ -363,9 +364,9 @@ class Stages:
         """Corrector residual check at the largest eps."""
         cfg = self.cfg
         field = corr.CorrectorField(self.fam, self.avg, cfg.eps_list[0])
+        cc = self.corrector
         return corr.residual_check(field, {
-            "box": [[-2, 2]] + [[-1, 1]] * self.fam.d + [[-1, 1]],
-            "n_samples": self.corrector["n_samples"],
+            "box": [*cc["box"], cc["y_box"]], "n_samples": cc["n_samples"],
             "seed": split_seed(cfg.mc["seed"], "corrector")})
 
 

@@ -20,14 +20,14 @@ The driver is prepared once per solve (``PdeModel.driver`` evaluates its
 x-dependent factor on the mesh and returns the map v -> f); each step
 applies only that map.
 
-Interface handling for discontinuous averaged a00 at x1 = 0: the default
-"centered" scheme discretizes the non-divergence operator directly, which
-enforces continuity of dv/dx1 across the jump.  That is the behaviour of
-the simulated process (a driftless diffusion is a time-changed Brownian
+Interface handling for discontinuous averaged a00 at x1 = 0: the centered
+scheme discretizes the non-divergence operator directly, which enforces
+continuity of dv/dx1 across the jump.  That is the behaviour of the
+simulated process (a driftless diffusion is a time-changed Brownian
 motion, so x itself is its scale function and harmonic profiles are linear
-with matching slopes).  A conservation-form "harmonic" flux scheme is kept
-as an option for comparison; it enforces continuity of a00*dv/dx1 instead
-and does NOT match the Monte Carlo representation when a00 jumps.
+with matching slopes).  A conservation-form flux scheme would enforce
+continuity of a00*dv/dx1 instead and would not match the Monte Carlo
+representation when a00 jumps.
 """
 
 from __future__ import annotations
@@ -136,7 +136,6 @@ class PdeModel:
 class GridSolution:
     grid: Grid2D
     values: np.ndarray         # (n1+2, n2+2) final time slice
-    scheme: str
     model_label: str
 
     def at(self, x1: float, x2: float) -> float:
@@ -161,39 +160,25 @@ class GridSolution:
         header = {"n1": self.grid.n1, "n2": self.grid.n2,
                   "L1": self.grid.L1, "L2": self.grid.L2,
                   "dt_fd": self.grid.dt_fd, "t_end": self.grid.t_end,
-                  "boundary_mode": "dirichlet", "scheme": self.scheme,
+                  "boundary_mode": "dirichlet", "scheme": "centered",
                   "model": self.model_label}
         with open(str(path) + ".json", "w") as fh:
             json.dump(header, fh, sort_keys=True)
 
 
-def _assemble(model: PdeModel, grid: Grid2D, scheme: str):
+def _assemble(model: PdeModel, grid: Grid2D):
     """Sparse operator A (CSC) over all nodes, boundary rows left empty."""
     x1, x2 = grid.x1, grid.x2
     nx, ny = x1.size, x2.size
     X1, X2 = np.meshgrid(x1, x2, indexing="ij")
 
-    def on(coeff, M1, M2):
-        return np.broadcast_to(np.asarray(coeff(M1, M2), dtype=float),
-                               M1.shape)
-    a00 = on(model.a00, X1, X2)
-    a11 = on(model.a11, X1, X2)[1:-1, 1:-1]
-    b1 = on(model.b1, X1, X2)[1:-1, 1:-1]
+    def interior(coeff):
+        return np.broadcast_to(np.asarray(coeff(X1, X2), dtype=float),
+                               X1.shape)[1:-1, 1:-1]
+    a00, a11, b1 = interior(model.a00), interior(model.a11), interior(model.b1)
     h1, h2 = grid.h1, grid.h2
 
-    if scheme == "harmonic":
-        # conservation-form x1 flux with harmonic half-node coefficients
-        ah = on(model.a00, *np.meshgrid(0.5 * (x1[:-1] + x1[1:]), x2,
-                                        indexing="ij"))
-        num = 2.0 * a00[:-1] * a00[1:]
-        den = a00[:-1] + a00[1:]
-        ah = np.where(den > 0, num / den, ah)
-        cw, ce = ah[:-1, 1:-1] / h1 ** 2, ah[1:, 1:-1] / h1 ** 2
-    elif scheme == "centered":
-        cw = ce = a00[1:-1, 1:-1] / h1 ** 2
-    else:
-        raise PdeError(f"unknown interface scheme {scheme!r}")
-
+    cw = ce = a00 / h1 ** 2
     cs = a11 / h2 ** 2 - b1 / (2 * h2)
     cn = a11 / h2 ** 2 + b1 / (2 * h2)
     diag = -(cw + ce) - 2 * a11 / h2 ** 2
@@ -208,8 +193,7 @@ def _assemble(model: PdeModel, grid: Grid2D, scheme: str):
     return A, X1, X2
 
 
-def solve_pde(model: PdeModel, grid: Grid2D,
-              scheme: str = "centered") -> GridSolution:
+def solve_pde(model: PdeModel, grid: Grid2D) -> GridSolution:
     """March the terminal-value problem backward over [0, t_end].
 
     In the time-to-maturity variable the problem is a forward heat flow
@@ -217,7 +201,7 @@ def solve_pde(model: PdeModel, grid: Grid2D,
     values[i, j] ~ v(0, x) for terminal data at t_end.  The boundary
     nodes keep H throughout.
     """
-    A, X1, X2 = _assemble(model, grid, scheme)
+    A, X1, X2 = _assemble(model, grid)
     nx, ny = X1.shape
     M = sparse.identity(nx * ny, format="csc") - grid.dt_fd * A
     try:
@@ -237,8 +221,7 @@ def solve_pde(model: PdeModel, grid: Grid2D,
         v = lu.solve(rf).reshape(nx, ny)
         if not np.all(np.isfinite(v)):
             raise PdeError("non-finite values after implicit step")
-    return GridSolution(grid=grid, values=v, scheme=scheme,
-                        model_label=model.label)
+    return GridSolution(grid=grid, values=v, model_label=model.label)
 
 
 def richardson_error(model: PdeModel, coarse: GridSolution) -> float:
@@ -246,8 +229,8 @@ def richardson_error(model: PdeModel, coarse: GridSolution) -> float:
     h halves, dt quarters), over the coarse grid's nodes.
 
     ``coarse`` is the caller's solution on the coarse grid; only the
-    refined grid is solved here, with the scheme of ``coarse``.
+    refined grid is solved here.
     """
-    fine = solve_pde(model, coarse.grid.refined(), coarse.scheme)
+    fine = solve_pde(model, coarse.grid.refined())
     return float(np.max(np.abs(coarse.values - fine.values[::2, ::2])))
 

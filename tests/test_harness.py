@@ -32,6 +32,17 @@ def test_config_parsing(config_doc):
     assert cfg.digest() == hl.ExperimentConfig.from_dict(config_doc).digest()
 
 
+@pytest.mark.parametrize("family, x0", [
+    ({"id": "nope"}, [0.5, 0.0]),
+    ({"id": "switch", "d": 2}, [0.5, 0.0, 0.0]),
+    ({"id": "switch", "params": [1.0]}, [0.5, 0.0])])
+def test_config_refuses_bad_family(config_doc, family, x0):
+    # refused at load with the key named, not first in the set-up stage
+    config_doc["family"], config_doc["x0"] = family, x0
+    with pytest.raises(ConfigError, match=r"\(config key 'family'\)"):
+        hl.ExperimentConfig.from_dict(config_doc)
+
+
 def test_config_rejects_bad_eps(config_doc):
     config_doc["eps_list"] = [0.3, 1.0]
     with pytest.raises(ConfigError):
@@ -280,6 +291,21 @@ def test_cli_converge_roundtrip(tmp_path, capsys):
     assert (tmp_path / "out" / "convergence.csv").exists()
 
 
+def test_cli_converge_prints_written_paths(tmp_path, capsys):
+    # with csv only, converge prints the two CSVs, not a report.json it
+    # never wrote
+    doc = _tiny_doc()
+    del doc["fd"], doc["corrector"]
+    doc["outputs"]["formats"] = ["csv"]
+    out = tmp_path / "out"
+    assert cli_main(["converge", _write_cfg(tmp_path, doc),
+                     "--out", str(out)]) in (0, 2)
+    printed = capsys.readouterr().out.split()
+    assert sorted(printed) == [str(out / "convergence.csv"),
+                               str(out / "drift_gap.csv")]
+    assert all(os.path.exists(p) for p in printed)
+
+
 def test_cli_exit_two_on_failed_flags(tmp_path):
     doc = base_config()
     doc["mc"] = {"n_paths": 400, "n_steps": 25, "seed": 9}
@@ -472,6 +498,18 @@ def test_cli_setup_failure_leaves_no_out_dir(tmp_path, capsys, family, x0):
         assert not out.exists()
 
 
+def test_residual_samples_the_corrector_box(monkeypatch):
+    # the residual check samples corrector.box x corrector.y_box, the box
+    # of the decay table
+    doc = _tiny_doc()
+    doc["corrector"].update({"box": [[-3, 1], [-0.5, 2]], "y_box": [-2, 0.5]})
+    specs = []
+    monkeypatch.setattr(hl.corrector, "residual_check",
+                        lambda field, spec: specs.append(spec))
+    Stages(hl.ExperimentConfig.from_dict(doc)).residual()
+    assert [s["box"] for s in specs] == [[[-3, 1], [-0.5, 2], [-2, 0.5]]]
+
+
 def test_cli_pde_without_fd_block_leaves_no_out_dir(tmp_path, capsys):
     # refused after set-up, before the first output is written
     doc = _tiny_doc()
@@ -530,7 +568,7 @@ def test_cli_corrector_rejects_bad_sizes(tmp_path, capsys, key, value):
     ("average", "eps_list", 5),
     ("average", "t_end", "0.5"),
     ("average", "x0", ["a", 0.0]),
-    ("average", "fd.scheme", "Centered"),
+    ("average", "fd.scheme", "centered"),
     ("average", "averaging.schedule", []),
     ("average", "eps_lst", [1.0]),
     ("average", "family.dim", 1),
@@ -550,14 +588,17 @@ def test_cli_corrector_rejects_bad_sizes(tmp_path, capsys, key, value):
     ("converge", "fd.n2", 2),
     ("converge", "fd.L1", 0.0),
     ("converge", "fd.dt_fd", 0.3),
-    ("converge", "fd.dt_fd", 0.03)])
+    ("converge", "fd.dt_fd", 0.03),
+    ("average", "outputs.formats", [])])
 def test_cli_rejects_malformed_blocks(tmp_path, capsys, cmd, name, value):
     # refused by name before any output: a missing fd key or a block that
     # is not an object used to escape main as a KeyError, TypeError or
     # AttributeError, a fractional size, seed or degree was truncated
     # silently, a string flag or tolerance was read as its truth value
     # or parsed, a misspelt key was ignored, an empty schedule meant the
-    # default one and a bad fd scheme failed after the eps sweep.  A value
+    # default one and no output format let converge write nothing and
+    # exit 0.  fd.scheme is no longer a key: the one FD scheme is the
+    # centered one, and a config that still names it is refused.  A value
     # out of the range that SimGrid, BsdeSpec or Grid2D owns (a basis
     # degree of 9, no Picard sweep, a negative horizon, a grid with no x1
     # node at 0 or a dt_fd that does not divide t_end) used to fail only

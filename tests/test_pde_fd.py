@@ -34,15 +34,14 @@ def jump_model():
                     H=lambda x1, x2: 0 * x1, label="jump")
 
 
-@pytest.mark.parametrize("scheme, interface_we", [("centered", (9.0, 9.0)),
-                                                  ("harmonic", (9.0, 12.0))])
-def test_operator_rows(scheme, interface_we):
+@pytest.mark.parametrize("interface_we", [(9.0, 9.0)],
+                         ids=["centered-interface_we0"])
+def test_operator_rows(interface_we):
     # x1 nodes -1, -2/3, ..., 1 (h1 = 1/3), x2 nodes -1, -1/2, ..., 1
     # (h2 = 1/2).  At the interface node x1 = 0 the centered scheme uses
-    # a00(0) / h1^2 = 9 on both sides; the harmonic one uses the harmonic
-    # means of a00 over each half cell: 1 -> 9 west, 4/3 -> 12 east.
+    # a00(0) / h1^2 = 9 on both sides, not a mean over the jump.
     g = Grid2D(1.0, 1.0, 5, 3, 0.01, 0.1)
-    A, _, _ = _assemble(jump_model(), g, scheme)
+    A, _, _ = _assemble(jump_model(), g)
     ny = g.n2 + 2
     for (i, j), (cw, ce) in (((3, 3), interface_we), ((1, 2), (9.0, 9.0))):
         a11 = 0.5 + 0.25 * g.x2[j]                  # 0.625, 0.5
@@ -68,7 +67,7 @@ def test_dirichlet_step_rows(monkeypatch):
     monkeypatch.setattr(pde_fd, "splu", capture)
     solve_pde(jump_model(), g)
     (M,) = factored
-    A = _assemble(jump_model(), g, "centered")[0].toarray()
+    A = _assemble(jump_model(), g)[0].toarray()
     nx, ny = g.n1 + 2, g.n2 + 2
     for i in range(nx):
         for j in range(ny):
@@ -80,14 +79,13 @@ def test_dirichlet_step_rows(monkeypatch):
             assert np.array_equal(M[r], expect), (i, j)
 
 
-@pytest.mark.parametrize("scheme", ["centered", "harmonic"],
-                         ids=["centered-dirichlet", "harmonic-dirichlet"])
-def test_fd_matches_colamd_reference(switch_avg, switch_family, scheme):
+@pytest.mark.parametrize("g", [Grid2D(4.0, 4.0, 41, 21, 0.025, 0.5)],
+                         ids=["centered-dirichlet"])
+def test_fd_matches_colamd_reference(switch_avg, switch_family, g):
     # reference time loop: SuperLU's default COLAMD ordering and the full
     # driver f(x, v) on every step; solve_pde differs only in round-off
     m = PdeModel.from_averaged(switch_avg, switch_family.terminal)
-    g = Grid2D(4.0, 4.0, 41, 21, 0.025, 0.5)
-    A, X1, X2 = _assemble(m, g, scheme)
+    A, X1, X2 = _assemble(m, g)
     nx, ny = X1.shape
     lu = splu(sparse.identity(nx * ny, format="csc") - g.dt_fd * A,
               permc_spec="COLAMD")
@@ -98,7 +96,7 @@ def test_fd_matches_colamd_reference(switch_avg, switch_family, scheme):
         rhs = v + g.dt_fd * switch_avg.f(X1, X2[..., None], v)
         rhs[edge] = h[edge]
         v = lu.solve(rhs.ravel()).reshape(nx, ny)
-    got = solve_pde(m, g, scheme).values
+    got = solve_pde(m, g).values
     assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v))
 
 
@@ -225,16 +223,6 @@ def test_interface_slope_continuity_centered(switch_avg, switch_family):
     right = (v[i0 + 1] - v[i0]) / g.h1
     slope_scale = np.max(np.abs(np.gradient(v, axis=0))) / g.h1
     assert np.max(np.abs(right - left)) <= 0.05 * slope_scale
-
-
-def test_harmonic_scheme_differs_at_interface(switch_avg, switch_family):
-    # the conservation-form alternative enforces flux continuity instead and
-    # lands visibly away from the centered (process-matching) answer
-    m = PdeModel.from_averaged(switch_avg, switch_family.terminal)
-    g = Grid2D(5.0, 5.0, 101, 51, 0.025, 0.5)
-    vc = solve_pde(m, g).at(0.5, 0.0)
-    vh = solve_pde(m, g, scheme="harmonic").at(0.5, 0.0)
-    assert abs(vc - vh) > 0.02
 
 
 def test_csv_emit(switch_avg, switch_family, tmp_path):
