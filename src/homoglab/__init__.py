@@ -1,10 +1,10 @@
 """Numerical laboratory for two-scale forward-backward systems with
 Cesaro-averaged, possibly discontinuous, effective coefficients."""
 
-from .families import (AveragedModel, AveragingError, CesaroResult,
-                       CoefficientFamily, FamilyError, audit_assumptions,
-                       build_averaged, cesaro_average, closed_form_averaged,
-                       geometric_schedule, make_family)
+from .families import (DEFAULT_SCHEDULE, AveragedModel, AveragingError,
+                       CesaroResult, CoefficientFamily, FamilyError,
+                       audit_assumptions, build_averaged, cesaro_average,
+                       closed_form_averaged, make_family)
 from .simulate import (PathBundle, SimGrid, SimulationError, moment_report,
                        occupation_time, simulate_avg, simulate_eps)
 from .bsde import (BsdeSolution, BsdeSpec, PicardError, RegressionError,

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import os
+import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -59,7 +60,9 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """An int or float that is a finite float: no NaN, inf or huge int."""
+    return (_is_int(value) or isinstance(value, float)) \
+        and abs(value) <= sys.float_info.max
 
 
 def _is_list_of(value, ok, n=None) -> bool:
@@ -80,16 +83,17 @@ def _is_monotone(value, sign: int, min_len: int) -> bool:
 # rules: (check, what the check asks for)
 _INTEGER = (_is_int, "an integer")
 _COUNT = (lambda v: _is_int(v) and v >= 1, "at least 1 and an integer")
-_NUMBER = (_is_number, "a number")
+_NUMBER = (_is_number, "a finite number")
+_POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive finite number")
 _STRING = (lambda v: isinstance(v, str), "a string")
 _BOOL = (lambda v: isinstance(v, bool), "true or false")
-_PAIR = (lambda v: _is_list_of(v, _is_number, 2), "one [lo, hi] number pair")
-_NUMBERS = (lambda v: _is_list_of(v, _is_number), "a list of numbers")
+_PAIR = (lambda v: _is_list_of(v, _is_number, 2), "one finite [lo, hi] pair")
+_NUMBERS = (lambda v: _is_list_of(v, _is_number), "a list of finite numbers")
 _EPS_LADDER = (lambda v: _is_monotone(v, -1, 1),
-               "a positive, strictly decreasing list of numbers")
+               "a positive, strictly decreasing list of finite numbers")
 _SCHEDULE = (lambda v: _is_monotone(v, 1, 4),
-             "at least 4 positive, strictly increasing numbers")
-_BOX = (lambda v: _is_list_of(v, _PAIR[0], 2), "two [lo, hi] number pairs")
+             "at least 4 positive, strictly increasing finite numbers")
+_BOX = (lambda v: _is_list_of(v, _PAIR[0], 2), "two finite [lo, hi] pairs")
 _N_GRID = (lambda v: _is_list_of(v, _COUNT[0], 3),
            "three integers of at least 1")
 _FORMATS = (lambda v: _is_list_of(v, lambda f: f in ("csv", "json"))
@@ -115,7 +119,7 @@ _SCHEMA = {
             "substeps_cap": (_COUNT, 64)}, _REQUIRED),
     "bsde": ({"basis_degree": (_INTEGER, 3), "sign_feature": (_BOOL, True),
               "n_picard": (_INTEGER, 3)}, {}),
-    "averaging": ({"tol": (_NUMBER, 1e-4), "schedule": (_SCHEDULE, None)}, {}),
+    "averaging": ({"tol": (_POSITIVE, 1e-4), "schedule": (_SCHEDULE, None)}, {}),
     "fd": ({"L1": (_NUMBER, _REQUIRED), "L2": (_NUMBER, _REQUIRED),
             "n1": (_INTEGER, _REQUIRED), "n2": (_INTEGER, _REQUIRED),
             "dt_fd": (_NUMBER, _REQUIRED)}, None),
@@ -387,7 +391,7 @@ def _drift_gap_row(st: Stages, bundle: PathBundle, sol: BsdeSolution):
 class ConvergenceReport:
     """The report of one sweep; ``run_convergence`` creates it empty and
     its stages fill it in."""
-    report_version: int
+    report_version: int = field(default=1, init=False)
     config_digest: str
     rows: list = field(default_factory=list)
     averaged: dict = field(default_factory=dict)
@@ -413,7 +417,7 @@ def run_convergence(cfg: ExperimentConfig, n_threads: int = 1):
     assembled so far is attached to the error as ``.partial`` with the
     incomplete marker set.
     """
-    report = ConvergenceReport(report_version=1, config_digest=cfg.digest())
+    report = ConvergenceReport(cfg.digest())
     stage = "setup"
     try:
         st = Stages(cfg)
@@ -485,8 +489,7 @@ def run_convergence(cfg: ExperimentConfig, n_threads: int = 1):
 
         stage = "tightness"
         report.tightness = tightness_certificate(
-            [sol for _, sol in results], bands=[(-0.5, 0.5)],
-            dt=cfg.grid().dt)
+            [sol for _, sol in results], dt=cfg.grid().dt)
 
         stage = "flags"
         report.flags = _compute_flags(cfg, report)

@@ -68,6 +68,8 @@ class Grid2D:
                 raise PdeError(f"{name} must be positive")
         if not 0 < self.dt_fd <= self.t_end / 10:
             raise PdeError("dt_fd must be in (0, t_end / 10]")
+        if not np.isfinite(self.t_end / self.dt_fd):
+            raise PdeError("dt_fd must give a finite step count t_end / dt_fd")
         if abs(self.n_steps * self.dt_fd - self.t_end) > 1e-9 * self.t_end:
             raise PdeError("dt_fd must divide t_end")
 

@@ -66,7 +66,7 @@ def test_criterion_01_cesaro_oracle_suite():
     for fid in CATALOG_IDS:
         fam = hl.make_family(fid)
         numeric = hl.AveragedModel(fam, a_trans, a_sin)
-        dev = _compare_models(numeric, fam.closed_form_limits, grid_n=21)
+        dev = _compare_models(numeric, hl.closed_form_averaged(fam))
         worst = max(worst, dev)
     elapsed = time.time() - t0
     ok = worst <= 1e-4 and elapsed <= 30.0

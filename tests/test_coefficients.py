@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import homoglab as hl
-from homoglab.families import (AveragingError, FamilyError, transition,
-                               cesaro_average, geometric_schedule)
+from homoglab.families import (DEFAULT_SCHEDULE, AveragingError, FamilyError,
+                               transition, cesaro_average)
 
 
 # -- Cesaro engine ----------------------------------------------------------
@@ -45,7 +45,7 @@ def test_cesaro_nonconvergent_reported():
 @settings(max_examples=20, deadline=None)
 @given(a=st.floats(-2, 2), b=st.floats(-2, 2))
 def test_cesaro_linearity(a, b):
-    sched = geometric_schedule(50.0, 2.0, 5)
+    sched = 50.0 * 2.0 ** np.arange(5)
     res = cesaro_average(
         lambda t: np.stack(
             [transition(t), np.sin(t), a * transition(t) + b * np.sin(t)],
@@ -114,44 +114,61 @@ def test_averaged_a00_is_inverse_mean_rho(switch_family, switch_avg):
 
 
 def test_numeric_vs_closed_form_within_tol(switch_family):
-    # re-run the numeric engine and compare against the attached closed form
+    # re-run the numeric engine and compare against the closed form
     avg = hl.build_averaged(switch_family, tol=1e-4)
     # numeric path validated and replaced by closed form
-    assert avg is switch_family.closed_form_limits
+    assert avg == hl.closed_form_averaged(switch_family)
+    assert avg.fam is switch_family
+    assert (avg.a_trans, avg.a_sin) == ((1.0, -1.0), (0.0, 0.0))
 
 
-def test_build_averaged_rejects_bad_closed_form(switch_family):
-    import copy
-    fam = copy.copy(switch_family)
-    fam.closed_form_limits = hl.closed_form_averaged(hl.make_family("const"))
+def test_family_holds_no_reference_cycle():
+    # the closed form is built on demand, not stored on the family, so a
+    # family is freed as soon as its last reference goes, without the
+    # cycle collector
+    import gc
+    import weakref
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        ref = weakref.ref(hl.make_family("switch"))
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_build_averaged_rejects_bad_closed_form(switch_family, monkeypatch):
+    const = hl.closed_form_averaged(hl.make_family("const"))
+    monkeypatch.setattr(hl.families, "closed_form_averaged", lambda fam: const)
     with pytest.raises(AveragingError):
-        hl.build_averaged(fam)
+        hl.build_averaged(switch_family)
 
 
 @pytest.mark.parametrize("side", ["plus", "minus"])
-def test_build_averaged_oracle_resolves_one_weight(switch_family, side):
+def test_build_averaged_oracle_resolves_one_weight(switch_family, side,
+                                                   monkeypatch):
     # one limit of the closed form (the T limit on one side, so with
     # r1 = 1 rho on that side) off by 2*tol is refused, off by tol/2 is
     # accepted: the numeric check resolves it
-    import copy
     import dataclasses
     tol = 1e-4
-    exact = switch_family.closed_form_limits
+    exact = hl.closed_form_averaged(switch_family)
     i = 0 if side == "plus" else 1
     for delta, refused in ((2 * tol, True), (tol / 2, False)):
         a_trans = list(exact.a_trans)
         a_trans[i] += delta
-        fam = copy.copy(switch_family)
-        fam.closed_form_limits = dataclasses.replace(exact,
-                                                     a_trans=tuple(a_trans))
+        shifted = dataclasses.replace(exact, a_trans=tuple(a_trans))
+        monkeypatch.setattr(hl.families, "closed_form_averaged",
+                            lambda fam: shifted)
         x1 = 1.0 if side == "plus" else -1.0
-        assert fam.closed_form_limits.rho(x1, np.zeros((1, 1)))[0] == \
+        assert shifted.rho(x1, np.zeros((1, 1)))[0] == \
             pytest.approx(exact.rho(x1, np.zeros((1, 1)))[0] + delta)
         if refused:
             with pytest.raises(AveragingError):
-                hl.build_averaged(fam, tol=tol)
+                hl.build_averaged(switch_family, tol=tol)
         else:
-            assert hl.build_averaged(fam, tol=tol) is fam.closed_form_limits
+            assert hl.build_averaged(switch_family, tol=tol) is shifted
 
 
 def test_basis_limits_match_pi_start_reference():
@@ -160,7 +177,7 @@ def test_basis_limits_match_pi_start_reference():
     # a 4*pi start moves the sin limit by ~5e-13
     from homoglab.families import _basis_limits_numeric
     from homoglab.quadrature import cumulative
-    schedule = geometric_schedule()
+    schedule = np.asarray(DEFAULT_SCHEDULE)
     a_trans, a_sin = _basis_limits_numeric(schedule, 1e-4)
     basis = lambda t: np.stack([transition(t), np.sin(t)], axis=-1)
     for i, sign in enumerate((1.0, -1.0)):
@@ -194,7 +211,7 @@ def test_averaged_model_is_family_on_limit_basis(fid, monkeypatch):
     # one coefficient interface: every shared name of the averaged model
     # equals the family's own evaluated on the limit basis
     fam = hl.make_family(fid)
-    avg = fam.closed_form_limits
+    avg = hl.closed_form_averaged(fam)
     rng = np.random.default_rng(9)
     x1 = np.concatenate([[0.0, -0.0, 1e-12, -1e-12], 3.0 * rng.normal(size=12)])
     x2 = rng.normal(size=(x1.size, fam.d))

@@ -126,3 +126,19 @@ def test_quadratic_growth_envelope(switch_family, switch_avg):
               / (x1 ** 2 * (1 + x2 ** 2 + y ** 2)) for x1, x2, y in pts]
     C = max(ratios)
     assert np.isfinite(C) and C < 2.0
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.3])
+def test_decay_table_sup_V_matches_corrector_value(switch_family, switch_avg,
+                                                   eps):
+    # the two implementations of V: decay_table's cumulative x1*Q1 - Qt
+    # and the pointwise iterated integral, on the same (x1, x2, y) grid
+    box, y_box, n_grid = ((-2, 2), (-1, 1)), (-1, 1), (11, 5, 5)
+    table = decay_table(switch_family, switch_avg, [eps], box, y_box,
+                        n_grid=n_grid)
+    field = CorrectorField(switch_family, switch_avg, eps)
+    ref = max(abs(corrector_value(field, x1, [x2], y))
+              for x1 in np.linspace(*box[0], n_grid[0])
+              for x2 in np.linspace(*box[1], n_grid[1])
+              for y in np.linspace(*y_box, n_grid[2]))
+    assert table.rows[0].sup_V == pytest.approx(ref, rel=1e-9)

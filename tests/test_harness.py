@@ -256,7 +256,7 @@ def test_emit_refuses_nan(small_report, tmp_path):
 
 def test_emit_empty_report(tmp_path):
     rep = hl.ConvergenceReport(
-        report_version=1, config_digest="0" * 16, rows=[], averaged={},
+        config_digest="0" * 16, rows=[], averaged={},
         drift_gap=[], decay=None, occupation=None, tightness=None, flags={})
     files = emit(rep, tmp_path / "d", ("csv", "json"))
     csvs = [f for f in files if f.endswith("convergence.csv")]
@@ -589,7 +589,15 @@ def test_cli_corrector_rejects_bad_sizes(tmp_path, capsys, key, value):
     ("converge", "fd.L1", 0.0),
     ("converge", "fd.dt_fd", 0.3),
     ("converge", "fd.dt_fd", 0.03),
-    ("average", "outputs.formats", [])])
+    ("average", "outputs.formats", []),
+    ("converge", "x0", [float("nan"), 0.0]),
+    ("converge", "fd.L1", float("inf")),
+    ("average", "averaging.tol", float("nan")),
+    ("converge", "tolerances.final_error", float("nan")),
+    ("corrector", "corrector.box", [[float("-inf"), 2], [-1, 1]]),
+    pytest.param("converge", "t_end", 10 ** 400, id="converge-t_end-1e400"),
+    ("converge", "fd.dt_fd", 1e-320),
+    ("average", "averaging.tol", 0)])
 def test_cli_rejects_malformed_blocks(tmp_path, capsys, cmd, name, value):
     # refused by name before any output: a missing fd key or a block that
     # is not an object used to escape main as a KeyError, TypeError or
@@ -603,7 +611,13 @@ def test_cli_rejects_malformed_blocks(tmp_path, capsys, cmd, name, value):
     # degree of 9, no Picard sweep, a negative horizon, a grid with no x1
     # node at 0 or a dt_fd that does not divide t_end) used to fail only
     # in the stage that built the object, after the averaging stage or
-    # the whole eps sweep, and left the output directory behind
+    # the whole eps sweep, and left the output directory behind.  A NaN or
+    # infinite number (which json.load reads) or an integer too large for a
+    # float failed late, in a quadrature or at the FD stage, turned a flag
+    # false or went unnoticed; a dt_fd so small that t_end / dt_fd
+    # overflows, and a 401-digit t_end, escaped the loader as an
+    # OverflowError traceback; an averaging.tol of 0, which no Cesaro check
+    # can meet, failed in stage 'average' without naming the key
     doc = _tiny_doc()
     *block, key = name.split(".")
     node = doc[block[0]] if block else doc

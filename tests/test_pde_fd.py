@@ -130,7 +130,10 @@ def test_grid_validation():
             ((1.0, 1.0, 11, 2, 0.01, 1.0), "n2 must be at least 3"),
             ((0.0, 1.0, 11, 11, 0.01, 1.0), "L1 must be positive"),
             ((1.0, -1.0, 11, 11, 0.01, 1.0), "L2 must be positive"),
-            ((1.0, 1.0, 11, 11, 0.03, 1.0), "dt_fd must divide t_end")):
+            ((1.0, 1.0, 11, 11, 0.03, 1.0), "dt_fd must divide t_end"),
+            # t_end / dt_fd overflows to inf: no step count
+            ((1.0, 1.0, 11, 11, 1e-320, 0.5), "dt_fd must give a finite"),
+            ((1.0, 1.0, 11, 11, 1e-10, 1e308), "dt_fd must give a finite")):
         with pytest.raises(PdeError, match=message):
             Grid2D(*args)
     g = Grid2D(2.0, 1.0, 11, 5, 0.05, 1.0)
