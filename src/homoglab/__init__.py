@@ -16,7 +16,6 @@ from .pde_fd import (Grid2D, GridSolution, PdeError, PdeModel,
                      richardson_error, solve_pde)
 from .harness import (ConfigError, ConvergenceReport, EmitError,
                       ExperimentConfig, PipelineError, emit,
-                      flow_continuity_check, run_convergence, split_seed,
-                      write_json)
+                      run_convergence, split_seed, write_json)
 
 __version__ = "0.1.0"

@@ -46,11 +46,11 @@ class PicardError(RuntimeError):
 class BsdeSpec:
     """Problem data and regression knobs for one backward solve.
 
-    ``driver(x1_arg, x2)`` evaluates the y-independent factors of the
-    driver once and returns the map ``y -> f``; x1_arg is X1/eps on
-    two-scale bundles and X1 itself on averaged bundles.  ``y_bound`` (when
-    given) clips the regression output to the a-priori band
-    sup|H| + t*sup|f|.
+    ``driver(x1, x2)`` evaluates the y-independent factors of the driver
+    once and returns the map ``y -> f``.  It is evaluated at the bundle's
+    own X1, so the driver of an eps bundle is that of ``fam.at(eps)``,
+    whose model forms X1/eps.  ``y_bound`` (when given) clips the
+    regression output to the a-priori band sup|H| + t*sup|f|.
     """
     terminal: Callable                    # x (..., d+1) -> (...,)
     driver: Callable                      # (x1, x2) -> (y -> (...,))
@@ -188,16 +188,11 @@ def _projector(F, step):
 # Backward solver
 # ---------------------------------------------------------------------------
 
-def _driver_x1(bundle: PathBundle):
-    x1 = bundle.x1()
-    return x1 / bundle.eps if bundle.eps is not None else x1
-
-
 def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
     n, m = bundle.n_paths, bundle.grid.n_steps
     dt = bundle.grid.dt
     k = bundle.k
-    x1a = _driver_x1(bundle)
+    x1 = bundle.x1()
     x2 = bundle.x2()
     Y = np.empty((n, m + 1))
     Z = np.zeros((n, m, k))
@@ -226,7 +221,7 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
                            spec.include_sign_feature)
         fit, conds[s - 1] = _projector(F, s)
         cont = fit(y_next)
-        drive = spec.driver(x1a[:, s], x2[:, s])
+        drive = spec.driver(x1[:, s], x2[:, s])
         y = cont
         for j in range(spec.n_picard):
             y_new = cont + dt * np.asarray(drive(y), dtype=float)
@@ -249,7 +244,7 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
 
     # Step 0: every path sits at x0, so the projection is the plain mean.
     cont0 = float(np.mean(Y[:, 1]))
-    drive = spec.driver(x1a[0, 0], x2[0, 0])
+    drive = spec.driver(x1[0, 0], x2[0, 0])
     y0 = cont0
     for j in range(spec.n_picard):
         y0_new = cont0 + dt * float(np.asarray(drive(y0)))

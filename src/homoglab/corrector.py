@@ -35,14 +35,14 @@ _RTOL = 1e-8
 
 @dataclass
 class CorrectorField:
-    """Corrector data for one (family, averaged model, eps) triple."""
+    """Corrector data for a two-scale model and its averaged model:
+    ``CorrectorField(fam.at(eps), avg)``; eps is the model's."""
     fam: CoefficientFamily
     avg: AveragedModel
-    eps: float
 
-    def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+    @property
+    def eps(self) -> float:
+        return self.fam.eps
 
     @property
     def max_panel(self) -> float:
@@ -50,12 +50,12 @@ class CorrectorField:
         return float(np.pi) * min(1.0, self.eps)
 
     def q(self, t, x2, y):
-        """Weighted driver gap rho * (f - fbar) at fast argument t/eps."""
+        """Weighted driver gap rho * (f - fbar) at t, the two-scale model
+        at fast argument t/eps."""
         t = np.asarray(t, dtype=float)
         x2 = np.asarray(x2, dtype=float).reshape(1, self.fam.d)
-        tf = t / self.eps
-        rho = self.fam.rho(tf, x2)
-        return (self.fam.rho_f(tf, x2, y)
+        rho = self.fam.rho(t, x2)
+        return (self.fam.rho_f(t, x2, y)
                 - rho * self.avg.f(t, x2, float(y)))
 
 
@@ -142,9 +142,8 @@ def residual_check(field: CorrectorField, sample_spec: dict) -> ResidualReport:
         x1, x2, y = float(p[0]), p[1:1 + d], float(p[1 + d])
         d2 = second_difference(field, x1, x2, y, h)
         x2r = x2.reshape(1, d)
-        a00 = float(field.fam.a00(x1 / field.eps, x2r)[0])
-        gap = float(field.fam.f(x1 / field.eps, x2r, y)[0]
-                    - field.avg.f(x1, x2r, y)[0])
+        a00 = float(field.fam.a00(x1, x2r)[0])
+        gap = float(field.fam.f(x1, x2r, y)[0] - field.avg.f(x1, x2r, y)[0])
         resid = abs(a00 * d2 - gap)
         tol = max(1e-4, 1e-3 * abs(gap))
         if resid / tol > worst[1]:
@@ -208,9 +207,9 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
     the grid spec travels with the table.
     """
     eps_list = [float(e) for e in eps_list]
-    if any(b <= a for a, b in zip(eps_list[1:], eps_list[:-1])) or \
-            not all(e > 0 for e in eps_list):
-        raise ValueError("eps_list must be positive and strictly decreasing")
+    if any(b <= a for a, b in zip(eps_list[1:], eps_list[:-1])):
+        raise ValueError("eps_list must be strictly decreasing")
+    scaled = [fam.at(eps) for eps in eps_list]
     if fam.d != 1:
         raise ValueError("decay_table assumes d = 1 boxes")
     (x1lo, x1hi), (x2lo, x2hi) = box
@@ -220,13 +219,13 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
     shape_y = fam.f_y_shape(ys)
     neg, pos = _half_grid(x1lo, x1hi, n1)
     rows = []
-    for eps in eps_list:
+    for eps, model in zip(eps_list, scaled):
         sup_V = sup_b = sup_a = 0.0
         for x2v in x2s:
             x2r = np.array([[x2v]])
 
             def g(t):
-                rho, rhof = fam._combine(t / eps, x2r, fam.rho_t, fam.rhof_t)
+                rho, rhof = model._combine(t, x2r, fam.rho_t, fam.rhof_t)
                 rhof = rhof[:, None] * shape_y
                 rho_bar, rhof_bar = avg._combine(t, x2r, avg.fam.rho_t,
                                                  avg.fam.rhof_t)

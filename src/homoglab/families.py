@@ -3,6 +3,8 @@
 A family bundles the primitives of the two-scale system: the fast-variable
 diffusion amplitude ``phi`` (through ``a00 = phi^2/2``), the slow drift and
 diffusion ``b1``/``sigma1``, the driver ``f`` and the terminal function ``H``.
+``fam.at(eps)`` is the system at fast scale eps, its coefficients evaluated
+at (x1/eps, x2).
 Catalog families follow an oscillation+transition template in the weighted
 quantities
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -54,7 +56,7 @@ class AveragingError(RuntimeError):
 # Cesaro averaging engine
 # ---------------------------------------------------------------------------
 
-# the horizons 100 * sqrt(10)^j, j = 0..8, of an unset ``averaging.schedule``
+# the horizons 100 * sqrt(10)^j, j = 0..8, on which every family is averaged
 DEFAULT_SCHEDULE = tuple((100.0 * math.sqrt(10.0) ** np.arange(9)).tolist())
 
 
@@ -213,6 +215,11 @@ class CoefficientFamily(TemplateCoefficients):
     are declared by the constructor and audited by sampling.  Every family
     is a template in (T, sin), so its effective model has the closed form
     ``closed_form_averaged(fam)``.
+
+    ``eps`` is the fast scale: every coefficient is evaluated at
+    (x1/eps, x2), and ``basis`` is the one place in the package that forms
+    x1/eps.  The catalog builds families at eps = 1 (x1/1.0 is x1 to the
+    bit); ``at(eps)`` gives the two-scale system at another scale.
     """
     family_id: str
     params: tuple
@@ -225,15 +232,24 @@ class CoefficientFamily(TemplateCoefficients):
     f_shape: tuple            # (c0, c1): y-shape c0 + c1*tanh(y)
     H: Callable
     bounds: dict
+    eps: float = 1.0
 
     @property
     def fam(self) -> "CoefficientFamily":
         """A family evaluates its own templates."""
         return self
 
+    def at(self, eps) -> "CoefficientFamily":
+        """The family at fast scale ``eps`` (replacing, not compounding,
+        its own); the one check that eps is positive."""
+        if not eps > 0:
+            raise FamilyError(f"eps must be positive, got {eps}")
+        return replace(self, eps=eps)
+
     def basis(self, x1):
-        """The fast basis, looked up on ``_Template`` at call time."""
-        return _Template.basis(x1)
+        """The fast basis at x1/eps, looked up on ``_Template`` at call
+        time."""
+        return _Template.basis(np.asarray(x1, dtype=float) / self.eps)
 
     def f_y_shape(self, y):
         c0, c1 = self.f_shape
@@ -349,11 +365,10 @@ class AveragedModel(TemplateCoefficients):
 _Y_GRID = np.linspace(-4.0, 4.0, 41)
 
 
-def _basis_limits_numeric(schedule, tol):
+def _basis_limits_numeric(tol):
     """Cesaro limits of the template basis (T, sin) by quadrature."""
     res = cesaro_average(
-        lambda t: np.stack([transition(t), np.sin(t)], axis=-1),
-        schedule=schedule, tol=tol)
+        lambda t: np.stack([transition(t), np.sin(t)], axis=-1), tol=tol)
     if not res.converged:
         raise AveragingError(
             f"basis running averages did not stabilize (residual {res.residual:.3e})")
@@ -381,8 +396,8 @@ def _compare_models(num: AveragedModel, ref: AveragedModel):
     return dev
 
 
-def build_averaged(fam: CoefficientFamily, tol: float = 1e-4,
-                   schedule=None) -> AveragedModel:
+def build_averaged(fam: CoefficientFamily,
+                   tol: float = 1e-4) -> AveragedModel:
     """Numeric Cesaro averaging of a family's weighted coefficients.
 
     The template structure makes every weighted coefficient a fixed linear
@@ -391,7 +406,7 @@ def build_averaged(fam: CoefficientFamily, tol: float = 1e-4,
     agree with the family's closed form within ``tol``; the returned model
     is the closed form, ``closed_form_averaged(fam)``.
     """
-    a_trans, a_sin = _basis_limits_numeric(schedule, tol)
+    a_trans, a_sin = _basis_limits_numeric(tol)
     numeric = AveragedModel(fam, a_trans, a_sin)
     # Positive definiteness at a probe set; failures point at (A3) violations.
     probe_x2 = np.linspace(-3.0, 3.0, 7)[:, None] if fam.d == 1 else \

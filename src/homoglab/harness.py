@@ -1,6 +1,5 @@
 """Experiment orchestration: config parsing, the eps-sweep convergence
-pipeline, drift-gap and flow-continuity checks, and deterministic report
-emission.
+pipeline with its drift-gap check, and deterministic report emission.
 
 All randomness flows from the single config seed through sha256 key
 splitting per (stage, index), so re-running a config is byte-identical
@@ -72,12 +71,10 @@ def _is_list_of(value, ok, n=None) -> bool:
         and all(map(ok, value))
 
 
-def _is_monotone(value, sign: int, min_len: int) -> bool:
-    """At least ``min_len`` positive numbers, strictly increasing (sign 1)
-    or strictly decreasing (sign -1)."""
-    return _is_list_of(value, _is_number) and len(value) >= min_len \
-        and min(value) > 0 \
-        and all(sign * (b - a) > 0 for a, b in zip(value, value[1:]))
+def _is_eps_ladder(value) -> bool:
+    """At least one positive number, strictly decreasing."""
+    return _is_list_of(value, _is_number) and len(value) >= 1 \
+        and min(value) > 0 and all(b < a for a, b in zip(value, value[1:]))
 
 
 # rules: (check, what the check asks for)
@@ -89,10 +86,8 @@ _STRING = (lambda v: isinstance(v, str), "a string")
 _BOOL = (lambda v: isinstance(v, bool), "true or false")
 _PAIR = (lambda v: _is_list_of(v, _is_number, 2), "one finite [lo, hi] pair")
 _NUMBERS = (lambda v: _is_list_of(v, _is_number), "a list of finite numbers")
-_EPS_LADDER = (lambda v: _is_monotone(v, -1, 1),
+_EPS_LADDER = (_is_eps_ladder,
                "a positive, strictly decreasing list of finite numbers")
-_SCHEDULE = (lambda v: _is_monotone(v, 1, 4),
-             "at least 4 positive, strictly increasing finite numbers")
 _BOX = (lambda v: _is_list_of(v, _PAIR[0], 2), "two finite [lo, hi] pairs")
 _N_GRID = (lambda v: _is_list_of(v, _COUNT[0], 3),
            "three integers of at least 1")
@@ -119,7 +114,7 @@ _SCHEMA = {
             "substeps_cap": (_COUNT, 64)}, _REQUIRED),
     "bsde": ({"basis_degree": (_INTEGER, 3), "sign_feature": (_BOOL, True),
               "n_picard": (_INTEGER, 3)}, {}),
-    "averaging": ({"tol": (_POSITIVE, 1e-4), "schedule": (_SCHEDULE, None)}, {}),
+    "averaging": ({"tol": (_POSITIVE, 1e-4)}, {}),
     "fd": ({"L1": (_NUMBER, _REQUIRED), "L2": (_NUMBER, _REQUIRED),
             "n1": (_INTEGER, _REQUIRED), "n2": (_INTEGER, _REQUIRED),
             "dt_fd": (_NUMBER, _REQUIRED)}, None),
@@ -219,6 +214,12 @@ class ExperimentConfig:
         except (SimulationError, pde_fd.PdeError, ValueError) as exc:
             key = _OWNED[str(exc).split(" ", 1)[0]]
             raise ConfigError(f"{exc} (config key {key!r})") from exc
+        if cfg.fd is not None and not cfg.fd.contains(*cfg.x0):
+            # the FD value at x0 would be extrapolated past the boundary
+            raise ConfigError(
+                f"x0 = {cfg.x0.tolist()} lies outside the fd box "
+                f"[-{cfg.fd.L1}, {cfg.fd.L1}] x [-{cfg.fd.L2}, {cfg.fd.L2}] "
+                f"(config key 'x0')")
         return cfg
 
     @classmethod
@@ -263,10 +264,10 @@ def _cell(value, stderr=None):
 class Stages:
     """The pipeline stages of one config.
 
-    Every entry point (``run_convergence``, each CLI subcommand and the
-    stand-alone checks) takes the family, the averaged model, the backward
-    spec, the stage seeds, the substep counts, the FD problem and the
-    corrector table from here, so they all run the same computation.
+    Every entry point (``run_convergence`` and each CLI subcommand) takes
+    the family, the averaged model, the backward spec, the stage seeds,
+    the substep counts, the FD problem and the corrector table from here,
+    so they all run the same computation.
     The averaged model is built on first use; a bad ``averaging`` block
     fails there.
     """
@@ -278,11 +279,8 @@ class Stages:
 
     @cached_property
     def avg(self):
-        ab = self.cfg.averaging
         return families.build_averaged(
-            self.fam, tol=float(ab["tol"]),
-            schedule=None if ab["schedule"] is None
-            else np.asarray(ab["schedule"], dtype=float))
+            self.fam, tol=float(self.cfg.averaging["tol"]))
 
     @cached_property
     def corrector(self) -> dict:
@@ -330,7 +328,8 @@ class Stages:
     def eps_run(self, i: int):
         """(paths, backward solution) for ``eps_list[i]``."""
         bundle = self.eps_paths(i)
-        return bundle, solve_bsde(bundle, self.spec(self.fam.driver))
+        return bundle, solve_bsde(bundle,
+                                  self.spec(self.fam.at(bundle.eps).driver))
 
     def avg_run(self):
         """(paths, backward solution) of the averaged model."""
@@ -367,7 +366,7 @@ class Stages:
     def residual(self) -> corr.ResidualReport:
         """Corrector residual check at the largest eps."""
         cfg = self.cfg
-        field = corr.CorrectorField(self.fam, self.avg, cfg.eps_list[0])
+        field = corr.CorrectorField(self.fam.at(cfg.eps_list[0]), self.avg)
         cc = self.corrector
         return corr.residual_check(field, {
             "box": [*cc["box"], cc["y_box"]], "n_samples": cc["n_samples"],
@@ -376,14 +375,13 @@ class Stages:
 
 def _drift_gap_row(st: Stages, bundle: PathBundle, sol: BsdeSolution):
     """E sup_s |int_0^s (f(X1/eps, X2, Y) - fbar(X1, X2, Y)) du| estimate."""
-    eps = bundle.eps
     x1 = bundle.x1()[:, :-1]
     x2 = bundle.x2()[:, :-1]
     y = sol.Y[:, :-1]
-    gap = st.fam.driver(x1 / eps, x2)(y) - st.avg.driver(x1, x2)(y)
+    gap = st.fam.at(bundle.eps).driver(x1, x2)(y) - st.avg.driver(x1, x2)(y)
     integral = np.cumsum(gap * bundle.grid.dt, axis=1)
     sup = np.max(np.abs(integral), axis=1)
-    return {"eps": eps,
+    return {"eps": bundle.eps,
             "gap": _cell(np.mean(sup), np.std(sup) / np.sqrt(bundle.n_paths))}
 
 
@@ -535,42 +533,6 @@ def _compute_flags(cfg, report):
             report.tightness["ratio_energy"] <= r
             and report.tightness["ratio_cv_plus_sup"] <= r)
     return flags
-
-
-# ---------------------------------------------------------------------------
-# Stand-alone checks
-# ---------------------------------------------------------------------------
-
-def flow_continuity_check(cfg: ExperimentConfig, x0_list) -> list:
-    """Continuity of the averaged flow in the initial point.
-
-    Runs the averaged model from each x0 with common random numbers, then
-    reports per consecutive pair the KS distances of the X_{t_end}
-    marginals and the Y0 difference with combined stderr.
-    """
-    from scipy import stats   # slow to import; only this check uses it
-    st = Stages(cfg)
-    spec = st.spec(st.avg.driver)
-    runs = []
-    for x0 in x0_list:
-        x0 = np.asarray(x0, dtype=float)
-        bundle = simulate_avg(st.avg, x0, cfg.grid(), cfg.mc["n_paths"],
-                              seed=split_seed(cfg.mc["seed"], "flow"),
-                              block_size=cfg.mc["block_size"])
-        runs.append((x0, bundle, solve_bsde(bundle, spec)))
-    table = []
-    for (x0a, ba, sa), (x0b, bb, sb) in zip(runs, runs[1:]):
-        ks = max(float(stats.ks_2samp(ba.X[:, -1, c], bb.X[:, -1, c]).statistic)
-                 for c in range(ba.X.shape[2]))
-        table.append({
-            "x0_a": x0a.tolist(), "x0_b": x0b.tolist(),
-            "dx0": float(np.linalg.norm(x0b - x0a)),
-            "ks_distance": _cell(ks),
-            "Y0_a": _cell(sa.Y0, sa.Y0_stderr),
-            "Y0_b": _cell(sb.Y0, sb.Y0_stderr),
-            "dY0": _cell(abs(sb.Y0 - sa.Y0),
-                         float(np.hypot(sa.Y0_stderr, sb.Y0_stderr)))})
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -226,15 +226,14 @@ def _run_blocks(weighted, x0, grid, n_paths, seed, substeps, d,
 def simulate_eps(fam: CoefficientFamily, eps: float, x0, grid: SimGrid,
                  n_paths: int, seed: int, substeps: int = 1,
                  block_size: int = 4096) -> PathBundle:
-    """Two-scale Euler-Maruyama: coefficients evaluated at (X1/eps, X2).
+    """Two-scale Euler-Maruyama under ``fam.at(eps)``: coefficients
+    evaluated at (X1/eps, X2).
 
     ``substeps`` refines the integration grid without growing the stored
     arrays; stored Brownian increments are aggregated over substeps.
     """
-    if not eps > 0:
-        raise SimulationError("eps must be positive")
-    X, dB = _run_blocks(lambda x1, x2: fam.weighted(x1 / eps, x2), x0, grid,
-                        n_paths, seed, substeps, fam.d, block_size)
+    X, dB = _run_blocks(fam.at(eps).weighted, x0, grid, n_paths, seed,
+                        substeps, fam.d, block_size)
     return PathBundle(n_paths=n_paths, grid=grid, X=X, dB=dB, seed=seed,
                       eps=eps)
 

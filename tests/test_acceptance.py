@@ -62,7 +62,7 @@ def main_report():
 def test_criterion_01_cesaro_oracle_suite():
     t0 = time.time()
     worst = 0.0
-    a_trans, a_sin = _basis_limits_numeric(None, 1e-4)
+    a_trans, a_sin = _basis_limits_numeric(1e-4)
     for fid in CATALOG_IDS:
         fam = hl.make_family(fid)
         numeric = hl.AveragedModel(fam, a_trans, a_sin)
@@ -123,7 +123,7 @@ def test_criterion_04_corrector():
     for fid in CATALOG_IDS:
         fam = hl.make_family(fid)
         avg = hl.build_averaged(fam)
-        field = hl.CorrectorField(fam, avg, eps=0.5)
+        field = hl.CorrectorField(fam.at(0.5), avg)
         rep = hl.residual_check(field, {
             "box": [(-2, 2), (-1, 1), (-1, 1)], "n_samples": 40, "seed": 4})
         results.append(rep.passed)
@@ -203,12 +203,12 @@ def test_criterion_08_main_convergence(main_report):
 
 def test_criterion_09_continuity_spot_checks():
     cfg = _config(eps_list=[1.0], corrector=None)
-    tab = hl.flow_continuity_check(
+    tab = conftest.flow_continuity_check(
         cfg, [[0.5, 0.0], [0.5, 0.5], [0.5, 0.75]])
     d1, d2 = tab[0]["dY0"], tab[1]["dY0"]
     shrink_ok = d2["value"] <= d1["value"] + \
         float(np.hypot(d1["stderr"], d2["stderr"]))
-    cross = hl.flow_continuity_check(
+    cross = conftest.flow_continuity_check(
         cfg, [[-0.1, 0.0], [0.0, 0.0], [0.1, 0.0]])
     y0s = [(cross[0]["Y0_a"]["value"], cross[0]["Y0_a"]["stderr"]),
            (cross[0]["Y0_b"]["value"], cross[0]["Y0_b"]["stderr"]),

@@ -166,23 +166,46 @@ def test_y_bound_clipping(const_family, small_grid):
     assert np.max(np.abs(sol.Y[:, :-1])) <= 0.25 + 1e-12
 
 
-def test_driver_argument_is_fast_variable(switch_family, switch_bundle):
-    seen = {}
+def test_driver_gets_bundle_x1_and_model_scales_it(switch_family,
+                                                   switch_bundle,
+                                                   monkeypatch):
+    # solve_bsde hands the driver the bundle's own X1, unchanged; the
+    # driver of fam.at(eps) evaluates its basis at X1/eps
+    seen = []
 
     def probe_driver(x1, x2):
-        seen["max_abs_x1"] = max(seen.get("max_abs_x1", 0.0),
-                                 float(np.max(np.abs(x1))))
+        seen.append(np.array(x1))
         return lambda y: 0.0 * y
 
     hl.solve_bsde(switch_bundle, BsdeSpec(
         terminal=switch_family.terminal, driver=probe_driver, basis_degree=2))
-    # eps = 0.3 bundle: driver must see X1/eps, much larger than X1 itself
-    assert seen["max_abs_x1"] > np.max(np.abs(switch_bundle.x1())) * 2
+    x1 = switch_bundle.x1()
+    m = switch_bundle.grid.n_steps
+    # steps m-1 .. 1 see every path, step 0 the shared start
+    assert len(seen) == m
+    for s, got in zip(range(m - 1, 0, -1), seen):
+        assert np.array_equal(got, x1[:, s])
+    assert np.array_equal(seen[-1], x1[0, 0])
+
+    args = []
+    basis = hl.families._Template.basis
+
+    def recorded_basis(t):
+        args.append(np.array(t))
+        return basis(t)
+    monkeypatch.setattr(hl.families._Template, "basis",
+                        staticmethod(recorded_basis))
+    eps = switch_bundle.eps
+    switch_family.at(eps).driver(x1[:, 5], switch_bundle.x2()[:, 5])
+    (got,) = args
+    assert np.array_equal(got, x1[:, 5] / eps)
+    assert np.max(np.abs(got)) > 2 * np.max(np.abs(x1[:, 5]))
 
 
 def test_solution_container_roundtrip(switch_family, switch_bundle, tmp_path):
     sol = hl.solve_bsde(switch_bundle, BsdeSpec(
-        terminal=switch_family.terminal, driver=switch_family.driver,
+        terminal=switch_family.terminal,
+        driver=switch_family.at(switch_bundle.eps).driver,
         basis_degree=2, include_sign_feature=True, y_bound=3.0))
     p = tmp_path / "sol.bin"
     sol.save(p, switch_bundle.grid.dt)
@@ -195,7 +218,8 @@ def test_solution_container_roundtrip(switch_family, switch_bundle, tmp_path):
 
 def test_picard_residuals_contract(switch_family, switch_bundle):
     sol = hl.solve_bsde(switch_bundle, BsdeSpec(
-        terminal=switch_family.terminal, driver=switch_family.driver,
+        terminal=switch_family.terminal,
+        driver=switch_family.at(switch_bundle.eps).driver,
         basis_degree=3, include_sign_feature=True, n_picard=4, y_bound=3.0))
     r = sol.picard_residuals
     assert r[1] < r[0] and r[2] < r[1]
@@ -238,7 +262,8 @@ def test_solve_bsde_factors_each_step_once(switch_family, switch_bundle,
     monkeypatch.setattr(np.linalg, "eigh", logged("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "svd", logged("svd", np.linalg.svd))
     hl.solve_bsde(switch_bundle, BsdeSpec(
-        terminal=switch_family.terminal, driver=switch_family.driver,
+        terminal=switch_family.terminal,
+        driver=switch_family.at(switch_bundle.eps).driver,
         basis_degree=2, include_sign_feature=True, y_bound=3.0))
     steps = []
     for key in calls:
@@ -264,9 +289,11 @@ def test_solve_bsde_prepares_driver_once_per_step(switch_family,
         counts["basis"] += 1
         return basis(x1)
 
+    scaled = switch_family.at(switch_bundle.eps)
+
     def driver(x1, x2):
         counts["prepare"] += 1
-        drive = switch_family.driver(x1, x2)
+        drive = scaled.driver(x1, x2)
 
         def apply(y):
             counts["apply"] += 1
@@ -305,7 +332,8 @@ def test_tightness_certificate_structure(switch_family, switch_avg,
         b = hl.simulate_eps(switch_family, eps, [0.5, 0.0], small_grid,
                             1000, seed=13)
         sols.append(hl.solve_bsde(b, BsdeSpec(
-            terminal=switch_family.terminal, driver=switch_family.driver,
+            terminal=switch_family.terminal,
+            driver=switch_family.at(eps).driver,
             basis_degree=3, include_sign_feature=True, y_bound=3.0)))
     cert = hl.tightness_certificate(sols, dt=small_grid.dt)
     assert len(cert["rows"]) == 2

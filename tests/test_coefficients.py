@@ -178,7 +178,7 @@ def test_basis_limits_match_pi_start_reference():
     from homoglab.families import _basis_limits_numeric
     from homoglab.quadrature import cumulative
     schedule = np.asarray(DEFAULT_SCHEDULE)
-    a_trans, a_sin = _basis_limits_numeric(schedule, 1e-4)
+    a_trans, a_sin = _basis_limits_numeric(1e-4)
     basis = lambda t: np.stack([transition(t), np.sin(t)], axis=-1)
     for i, sign in enumerate((1.0, -1.0)):
         grid = np.concatenate(([0.0], sign * schedule))
@@ -197,6 +197,30 @@ def test_weighted_matches_per_coefficient(fid):
     assert np.array_equal(rho, fam.rho(x1, x2))
     assert np.array_equal(rho_b, fam.rhob_t(x1, x2))
     assert np.array_equal(rho_a, fam.rhoa_t(x1, x2))
+
+
+@pytest.mark.parametrize("fid", ["const", "switch", "slowvary"])
+def test_family_at_eps_is_family_at_fast_argument(fid):
+    # fam.at(eps) answers every coefficient question at (x1/eps, x2): the
+    # bits of the unscaled family asked at x1/eps
+    fam = hl.make_family(fid)
+    assert fam.eps == 1.0
+    rng = np.random.default_rng(6)
+    x1 = np.concatenate([[0.0, -0.0], 3.0 * rng.normal(size=30)])
+    x2 = rng.normal(size=(x1.size, fam.d))
+    y = rng.normal(size=x1.size)
+    for eps in (1.0, 0.3, 0.03):
+        scaled = fam.at(eps)
+        assert scaled.eps == eps and fam.eps == 1.0
+        xf = x1 / eps
+        for got, ref in zip(scaled.weighted(x1, x2), fam.weighted(xf, x2)):
+            assert np.array_equal(got, ref), eps
+        assert np.array_equal(scaled.driver(x1, x2)(y), fam.driver(xf, x2)(y))
+        assert np.array_equal(scaled.rho_f_coef(x1, x2),
+                              fam.rho_f_coef(xf, x2))
+    for eps in (0.0, -1.0, float("nan")):
+        with pytest.raises(FamilyError, match="eps must be positive"):
+            fam.at(eps)
 
 
 def _limit_basis(x1):

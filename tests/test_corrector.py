@@ -9,7 +9,7 @@ from homoglab.corrector import (CorrectorField, DecayTable, corrector_dx1,
 
 @pytest.fixture(scope="module")
 def switch_field(switch_family, switch_avg):
-    return CorrectorField(switch_family, switch_avg, eps=0.5)
+    return CorrectorField(switch_family.at(0.5), switch_avg)
 
 
 def test_boundary_conditions(switch_field):
@@ -19,7 +19,7 @@ def test_boundary_conditions(switch_field):
 
 def test_zero_for_fast_independent(slowvary_family):
     avg = hl.build_averaged(slowvary_family)
-    field = CorrectorField(slowvary_family, avg, eps=0.1)
+    field = CorrectorField(slowvary_family.at(0.1), avg)
     # f depends on x1 only through nothing: q has no t-dependence beyond the
     # interpolation mismatch of the y-shape, which vanishes at grid y values
     for x1 in (0.5, -1.2):
@@ -29,7 +29,7 @@ def test_zero_for_fast_independent(slowvary_family):
 
 def test_dx1_matches_brute_force_simpson(switch_family, switch_avg):
     from scipy.integrate import simpson
-    field = CorrectorField(switch_family, switch_avg, eps=0.1)
+    field = CorrectorField(switch_family.at(0.1), switch_avg)
     got = corrector_dx1(field, 1.0, [0.0], 0.0)
     t = np.linspace(0.0, 1.0, 1_000_001)
     t[0] = 1e-13          # stay on the plus branch of fbar at the endpoint
@@ -50,7 +50,7 @@ def test_value_is_integral_of_dx1(switch_field):
 def test_value_decreases_with_eps(switch_family, switch_avg):
     vals = []
     for eps in (1.0, 0.1, 0.01):
-        f = CorrectorField(switch_family, switch_avg, eps)
+        f = CorrectorField(switch_family.at(eps), switch_avg)
         vals.append(abs(corrector_value(f, 1.0, [0.0], 0.0)))
     assert vals[0] > vals[1] > vals[2]
 
@@ -73,7 +73,7 @@ def test_residual_check_passes_switch(switch_field):
 
 def test_residual_trivial_zero_driver(const_family):
     avg = hl.build_averaged(const_family)
-    field = CorrectorField(const_family, avg, eps=0.3)
+    field = CorrectorField(const_family.at(0.3), avg)
     rep = residual_check(field, {
         "box": [(-2, 2), (-1, 1), (-1, 1)], "n_samples": 20, "seed": 6})
     assert rep.max_residual <= 1e-10
@@ -81,7 +81,7 @@ def test_residual_trivial_zero_driver(const_family):
 
 def test_residual_second_order_in_h(switch_family, switch_avg):
     # use a large h so truncation dominates, then halve it
-    field = CorrectorField(switch_family, switch_avg, eps=0.5)
+    field = CorrectorField(switch_family.at(0.5), switch_avg)
     spec = {"box": [(0.5, 2), (-1, 1), (-1, 1)], "n_samples": 15, "seed": 7}
     r1 = residual_check(field, dict(spec, h=0.02))
     r2 = residual_check(field, dict(spec, h=0.01))
@@ -119,7 +119,7 @@ def test_decay_table_rejects_bad_eps_order(switch_family, switch_avg):
 
 def test_quadratic_growth_envelope(switch_family, switch_avg):
     # |V(x1)| <= C x1^2 (1 + |x2|^2 + |y|^2) with one fitted constant
-    field = CorrectorField(switch_family, switch_avg, eps=0.5)
+    field = CorrectorField(switch_family.at(0.5), switch_avg)
     pts = [(x1, x2, y) for x1 in (-2.0, -1.0, 0.5, 1.0, 2.0)
            for x2 in (-1.0, 0.5) for y in (-1.0, 0.8)]
     ratios = [abs(corrector_value(field, x1, [x2], y))
@@ -136,7 +136,7 @@ def test_decay_table_sup_V_matches_corrector_value(switch_family, switch_avg,
     box, y_box, n_grid = ((-2, 2), (-1, 1)), (-1, 1), (11, 5, 5)
     table = decay_table(switch_family, switch_avg, [eps], box, y_box,
                         n_grid=n_grid)
-    field = CorrectorField(switch_family, switch_avg, eps)
+    field = CorrectorField(switch_family.at(eps), switch_avg)
     ref = max(abs(corrector_value(field, x1, [x2], y))
               for x1 in np.linspace(*box[0], n_grid[0])
               for x2 in np.linspace(*box[1], n_grid[1])

@@ -16,7 +16,7 @@ from homoglab import pde_fd
 from homoglab.cli import main as cli_main
 from homoglab.harness import (ConfigError, EmitError, Stages, _scan_nan,
                               emit, split_seed)
-from conftest import base_config
+from conftest import base_config, flow_continuity_check
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                     "switch_demo.json")
@@ -219,7 +219,7 @@ def test_flow_continuity_identical_points():
     doc = base_config()
     doc["mc"] = {"n_paths": 400, "n_steps": 25, "seed": 17}
     cfg = hl.ExperimentConfig.from_dict(doc)
-    tab = hl.flow_continuity_check(cfg, [[0.5, 0.0], [0.5, 0.0]])
+    tab = flow_continuity_check(cfg, [[0.5, 0.0], [0.5, 0.0]])
     assert tab[0]["ks_distance"]["value"] == 0.0
     assert tab[0]["dY0"]["value"] == 0.0
 
@@ -228,7 +228,7 @@ def test_flow_continuity_shrinks():
     doc = base_config()
     doc["mc"] = {"n_paths": 4000, "n_steps": 25, "seed": 18}
     cfg = hl.ExperimentConfig.from_dict(doc)
-    tab = hl.flow_continuity_check(
+    tab = flow_continuity_check(
         cfg, [[0.5, 0.0], [0.5, 0.5], [0.5, 0.75]])
     d1, d2 = tab[0]["dY0"], tab[1]["dY0"]
     assert d2["value"] <= d1["value"] + np.hypot(d1["stderr"], d2["stderr"])
@@ -446,12 +446,16 @@ def test_cli_simulate_matches_converge_paths(tmp_path, monkeypatch):
 @pytest.mark.parametrize("cmd", ["average", "simulate", "bsde", "corrector",
                                  "pde", "converge", "audit"])
 def test_cli_bad_schedule_fails_every_subcommand(tmp_path, capsys, cmd):
+    # averaging.schedule is no longer a key: every family is averaged on
+    # DEFAULT_SCHEDULE, and a config that sets one, even that one, is
+    # refused by name before any output
     doc = _tiny_doc()
-    doc["averaging"]["schedule"] = [100.0, 1000.0]   # needs >= 4 horizons
-    code = cli_main([cmd, _write_cfg(tmp_path, doc),
-                     "--out", str(tmp_path / "out")])
+    doc["averaging"]["schedule"] = list(hl.DEFAULT_SCHEDULE)
+    out = tmp_path / "out"
+    code = cli_main([cmd, _write_cfg(tmp_path, doc), "--out", str(out)])
     assert code == 1
-    assert "schedule" in capsys.readouterr().err
+    assert "unknown config key 'averaging.schedule'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n1", [-1, -3])
@@ -597,7 +601,8 @@ def test_cli_corrector_rejects_bad_sizes(tmp_path, capsys, key, value):
     ("corrector", "corrector.box", [[float("-inf"), 2], [-1, 1]]),
     pytest.param("converge", "t_end", 10 ** 400, id="converge-t_end-1e400"),
     ("converge", "fd.dt_fd", 1e-320),
-    ("average", "averaging.tol", 0)])
+    ("average", "averaging.tol", 0),
+    ("converge", "x0", [0.5, 2.5])])
 def test_cli_rejects_malformed_blocks(tmp_path, capsys, cmd, name, value):
     # refused by name before any output: a missing fd key or a block that
     # is not an object used to escape main as a KeyError, TypeError or
@@ -617,7 +622,8 @@ def test_cli_rejects_malformed_blocks(tmp_path, capsys, cmd, name, value):
     # false or went unnoticed; a dt_fd so small that t_end / dt_fd
     # overflows, and a 401-digit t_end, escaped the loader as an
     # OverflowError traceback; an averaging.tol of 0, which no Cesaro check
-    # can meet, failed in stage 'average' without naming the key
+    # can meet, failed in stage 'average' without naming the key; an x0
+    # outside the fd box gave a v_fd extrapolated past its boundary
     doc = _tiny_doc()
     *block, key = name.split(".")
     node = doc[block[0]] if block else doc

@@ -166,26 +166,19 @@ def test_maximum_principle():
     assert sol.values.max() <= 1.0 + 1e-12
 
 
-def test_eps_form_equals_averaged_for_slow_family(slowvary_family):
-    # the eps-form problem: the family's own coefficients at (x1/eps, x2);
-    # slowvary does not depend on the fast variable, so it is the averaged
-    # problem
-    fam, eps = slowvary_family, 1.0
-
-    def pack(x1, x2):
-        return x1 / eps, x2[..., None]
-    me = PdeModel(a00=lambda x1, x2: fam.a00(*pack(x1, x2)),
-                  a11=lambda x1, x2: fam.a1(*pack(x1, x2))[..., 0, 0],
-                  b1=lambda x1, x2: fam.b1(*pack(x1, x2))[..., 0],
-                  driver=lambda x1, x2: fam.driver(*pack(x1, x2)),
-                  H=lambda x1, x2: fam.terminal(np.stack([x1, x2], axis=-1)),
-                  label="eps-form:slowvary")
-    avg = hl.build_averaged(fam)
-    ma = PdeModel.from_averaged(avg, fam.terminal)
-    g = Grid2D(3.0, 3.0, 41, 41, 0.025, 0.25)
-    ve = solve_pde(me, g).values
-    va = solve_pde(ma, g).values
-    assert np.max(np.abs(ve - va)) <= 1e-12
+def test_eps_form_equals_averaged_for_slow_family():
+    # the eps problem through the one constructor: the family at its fast
+    # scale, fam.at(eps), evaluated at (x1/eps, x2).  const and slowvary do
+    # not depend on the fast variable, so it is the averaged problem, to
+    # the bit
+    g = Grid2D(3.0, 3.0, 51, 27, 0.025, 0.25)
+    for fid in ("const", "slowvary"):
+        fam = hl.make_family(fid)
+        va = solve_pde(PdeModel.from_averaged(hl.build_averaged(fam),
+                                              fam.terminal), g).values
+        for eps in (1.0, 0.1):
+            me = PdeModel.from_averaged(fam.at(eps), fam.terminal)
+            assert np.array_equal(solve_pde(me, g).values, va), (fid, eps)
 
 
 def test_richardson_second_order():
@@ -247,3 +240,16 @@ def test_bilinear_interpolation_consistency():
     sol = solve_pde(heat_model(), g)
     i, j = 5, 7
     assert sol.at(g.x1[i], g.x2[j]) == pytest.approx(sol.values[i, j])
+
+
+def test_at_refuses_points_outside_the_grid():
+    # inside the closed box, corners included, at() interpolates; outside
+    # it used to clip the cell index and extrapolate past the boundary
+    g = Grid2D(2.0, 1.0, 21, 11, 0.02, 0.2)
+    sol = solve_pde(heat_model(), g)
+    assert sol.at(-2.0, -1.0) == sol.values[0, 0]
+    assert sol.at(2.0, 1.0) == sol.values[-1, -1]
+    for x1, x2 in ((2.5, 0.0), (-2.01, 0.0), (0.0, 1.5), (0.0, -3.0),
+                   (float("nan"), 0.0)):
+        with pytest.raises(PdeError, match="outside the grid box"):
+            sol.at(x1, x2)
