@@ -71,7 +71,8 @@ class CesaroResult:
     averages_minus: np.ndarray
 
 
-def cesaro_average(g, schedule=None, tol: float = 1e-4) -> CesaroResult:
+def cesaro_average(g, schedule=None, tol: float = 1e-4,
+                   max_panel=2.0 * np.pi) -> CesaroResult:
     """Running-average limits of ``g(t)`` as t -> +/- infinity.
 
     ``g`` must be vectorized in t and may return several components at once
@@ -80,13 +81,12 @@ def cesaro_average(g, schedule=None, tol: float = 1e-4) -> CesaroResult:
     convergence is declared when the last three values stabilize to ``tol``.
     Non-convergence is reported, never papered over with an extrapolation.
 
-    The panels start at 2*pi, the period of the template's sin(x1).  For
-    the basis on the default schedule every cell settles at the first
-    doubling, so the accepted estimate has pi-wide panels (24 Gauss nodes
-    per period) and agrees with that of a pi start, which evaluates twice
-    the nodes, to ~1e-15 in the basis limits.  A 4*pi start would accept
-    one 12-node rule per period and moves the sin limit by ~5e-13; an
-    8*pi start needs a second doubling.
+    ``max_panel`` is the panel scale of ``g``: the width its panels start
+    at, one number or one width per horizon cell (the cells run from 0 to
+    the first horizon and between consecutive horizons).  The default,
+    2*pi, is the period of the template's sin(x1), for an integrand that
+    mixes T and sin; ``_basis_limits_numeric`` gives each basis function
+    its own scale (``_BASIS_PANELS``).
     """
     schedule = np.asarray(DEFAULT_SCHEDULE if schedule is None
                           else schedule, dtype=float)
@@ -95,7 +95,7 @@ def cesaro_average(g, schedule=None, tol: float = 1e-4) -> CesaroResult:
 
     def one_side(sign):
         grid = np.concatenate(([0.0], sign * schedule))
-        cum = cumulative(g, grid, rtol=tol / 10.0, max_panel=2.0 * np.pi)
+        cum = cumulative(g, grid, rtol=tol / 10.0, max_panel=max_panel)
         # (1/x1) * int_0^{x1}; both signs give the plain ratio.
         return cum[1:] / (sign * schedule)[:, None]
 
@@ -162,7 +162,8 @@ class TemplateCoefficients:
     Every coefficient is the family's ``(T, sin)`` templates evaluated on
     ``self.basis(x1)`` through ``_Template.combine``.  A subclass supplies
     ``basis``, ``d``, the family ``fam`` whose templates and driver
-    y-shape it evaluates, and ``driver``.
+    y-shape it evaluates, ``driver`` and ``label``, the model's name in
+    FD output.
     """
 
     def _combine(self, x1, x2, *templates):
@@ -246,6 +247,11 @@ class CoefficientFamily(TemplateCoefficients):
             raise FamilyError(f"eps must be positive, got {eps}")
         return replace(self, eps=eps)
 
+    @property
+    def label(self) -> str:
+        """The two-scale system named by its fast scale, e.g. ``eps=0.1``."""
+        return f"eps={float(self.eps)!r}"
+
     def basis(self, x1):
         """The fast basis at x1/eps, looked up on ``_Template`` at call
         time."""
@@ -298,6 +304,7 @@ class AveragedModel(TemplateCoefficients):
     fam: CoefficientFamily
     a_trans: tuple          # (plus, minus) limits of T
     a_sin: tuple            # (plus, minus) limits of sin
+    label = "averaged"      # not a field
 
     @property
     def d(self) -> int:
@@ -365,16 +372,33 @@ class AveragedModel(TemplateCoefficients):
 _Y_GRID = np.linspace(-4.0, 4.0, 41)
 
 
+# Each basis function with its panel scale, ``cesaro_average``'s
+# ``max_panel``.  T is smooth away from 0 and flattens as |t| grows, so its
+# panels grow with the horizon cell: 16 per cell to start (every running
+# average within 2.1e-12 of its closed form).  sin is averaged on its
+# period: panels start at 5*pi and settle at the first doubling on 5*pi/2,
+# so consecutive panels are a quarter period out of phase and their Gauss
+# errors, which follow the phase, cancel (within 1.3e-15); whole-period
+# panels would add them up (a 4*pi start moves the sin limit by ~5e-13).
+# T comes first, so a tol below its Cesaro residual (7.0228e-5) is refused
+# before sin is integrated.
+_BASIS_PANELS = (
+    (transition, np.diff(DEFAULT_SCHEDULE, prepend=0.0) / 16.0),
+    (np.sin, 5.0 * np.pi))
+
+
 def _basis_limits_numeric(tol):
-    """Cesaro limits of the template basis (T, sin) by quadrature."""
-    res = cesaro_average(
-        lambda t: np.stack([transition(t), np.sin(t)], axis=-1), tol=tol)
-    if not res.converged:
-        raise AveragingError(
-            f"basis running averages did not stabilize (residual {res.residual:.3e})")
-    a_trans = (float(res.g_plus[0]), float(res.g_minus[0]))
-    a_sin = (float(res.g_plus[1]), float(res.g_minus[1]))
-    return a_trans, a_sin
+    """Cesaro limits of the template basis (T, sin) by quadrature, each
+    function on its own panel scale; (plus, minus) for each."""
+    limits = []
+    for g, max_panel in _BASIS_PANELS:
+        res = cesaro_average(g, tol=tol, max_panel=max_panel)
+        if not res.converged:
+            raise AveragingError(
+                f"basis running averages did not stabilize "
+                f"(residual {res.residual:.3e})")
+        limits.append((float(res.g_plus[0]), float(res.g_minus[0])))
+    return tuple(limits)
 
 
 def closed_form_averaged(fam: CoefficientFamily) -> AveragedModel:

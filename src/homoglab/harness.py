@@ -162,6 +162,12 @@ def _resolve(path: str, block, schema: dict) -> dict:
     return out
 
 
+# The largest path array and FD march a config may ask for: at most this
+# many path states, mc.n_paths * (mc.n_steps + 1) (each d + 1 doubles, with
+# k more for the increments), and at most this many FD node-steps,
+# (fd.n1 + 2) * (fd.n2 + 2) * (t_end / fd.dt_fd).
+MAX_COUNT = 10 ** 8
+
 # the config key of each field whose rule SimGrid, BsdeSpec or Grid2D owns
 _OWNED = {"t_end": "t_end", "n_steps": "mc.n_steps",
           "basis_degree": "bsde.basis_degree", "n_picard": "bsde.n_picard",
@@ -214,6 +220,18 @@ class ExperimentConfig:
         except (SimulationError, pde_fd.PdeError, ValueError) as exc:
             key = _OWNED[str(exc).split(" ", 1)[0]]
             raise ConfigError(f"{exc} (config key {key!r})") from exc
+        grid = cfg.fd
+        for what, count, keys in (
+                ("path states mc.n_paths * (mc.n_steps + 1)",
+                 cfg.mc["n_paths"] * (cfg.mc["n_steps"] + 1),
+                 "'mc.n_paths', 'mc.n_steps'"),
+                ("FD node-steps (fd.n1 + 2) * (fd.n2 + 2) * (t_end / fd.dt_fd)",
+                 0 if grid is None else
+                 (grid.n1 + 2) * (grid.n2 + 2) * grid.n_steps,
+                 "'fd.n1', 'fd.n2', 'fd.dt_fd'")):
+            if count > MAX_COUNT:
+                raise ConfigError(f"{what} exceed the bound {MAX_COUNT:.0e} "
+                                  f"(config keys {keys})")
         if cfg.fd is not None and not cfg.fd.contains(*cfg.x0):
             # the FD value at x0 would be extrapolated past the boundary
             raise ConfigError(

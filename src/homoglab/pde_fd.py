@@ -120,7 +120,8 @@ class PdeModel:
     ``driver(x1, x2)`` returns the map ``v -> f`` on that mesh, as
     ``BsdeSpec.driver``.  ``from_averaged`` builds the averaged model's,
     or that of any d = 1 ``TemplateCoefficients`` model, such as a family
-    at its fast scale, ``fam.at(eps)``.
+    at its fast scale, ``fam.at(eps)``, and takes the model's label
+    (``"averaged"``, or ``"eps=0.1"`` for ``fam.at(0.1)``).
     """
     a00: Callable
     a11: Callable
@@ -143,7 +144,7 @@ class PdeModel:
             b1=lambda x1, x2: model.b1(*pack(x1, x2))[..., 0],
             driver=lambda x1, x2: model.driver(*pack(x1, x2)),
             H=lambda x1, x2: H(np.stack([x1, x2], axis=-1)),
-            label="averaged")
+            label=model.label)
 
 
 @dataclass

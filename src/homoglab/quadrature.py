@@ -114,7 +114,8 @@ def _settle(g, grid, rtol, max_panel):
     """Integrals of ``g`` over the cells of ``grid``, shape ``(cells, m)``.
 
     Every unsettled cell doubles its panel count in the same round, starting
-    from ceil(|cell| / max_panel) panels; zero-length cells are exact zeros.
+    from ceil(|cell| / max_panel) panels (``max_panel`` one width, or one
+    per cell); zero-length cells are exact zeros.
     """
     a, b = grid[:-1], grid[1:]
     n = np.maximum(1, np.ceil(np.abs(b - a) / max_panel)).astype(np.int64)
@@ -152,7 +153,8 @@ def integrate(g, a: float, b: float, rtol: float = 1e-8,
 def cumulative(g, grid, rtol: float = 1e-8, max_panel: float = np.pi):
     """Oriented cumulative integrals of ``g`` from grid[0] to every grid point.
 
-    The grid must be monotone.  All cells are refined together, each to the
+    The grid must be monotone.  Panels start at width ``max_panel``, one
+    number or one per cell.  All cells are refined together, each to the
     module's tolerance policy (a cell that does not settle raises
     ``QuadratureError``); output shape ``(len(grid), m)`` with a zero first
     row.

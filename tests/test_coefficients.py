@@ -172,9 +172,10 @@ def test_build_averaged_oracle_resolves_one_weight(switch_family, side,
 
 
 def test_basis_limits_match_pi_start_reference():
-    # cesaro_average starts its panels at 2*pi; a pi start (the refinement
-    # begins one doubling finer) gives the same limits to round-off, while
-    # a 4*pi start moves the sin limit by ~5e-13
+    # each basis function is averaged on its own panel scale (T on 16
+    # panels per horizon cell to start, sin on 5*pi panels); both limits
+    # agree with those of the stacked (T, sin) on pi-start panels to
+    # round-off, while a 4*pi start for sin would move its limit by ~5e-13
     from homoglab.families import _basis_limits_numeric
     from homoglab.quadrature import cumulative
     schedule = np.asarray(DEFAULT_SCHEDULE)
@@ -185,6 +186,58 @@ def test_basis_limits_match_pi_start_reference():
         ref = cumulative(basis, grid, rtol=1e-5, max_panel=np.pi)[-1] / grid[-1]
         assert abs(a_trans[i] - ref[0]) <= 1e-13
         assert abs(a_sin[i] - ref[1]) <= 1e-13
+
+
+def test_basis_running_averages_match_closed_form():
+    # every horizon, both sides, each function on its own panel scale:
+    # (1/X) int_0^X T = (2/pi)(atan X - log1p(X^2)/(2X)) and
+    # (1/X) int_0^X sin = (1 - cos X)/X, for X of either sign
+    from homoglab.families import _BASIS_PANELS
+    exact = (lambda X: (2 / np.pi) * (np.arctan(X) - np.log1p(X ** 2) / (2 * X)),
+             lambda X: (1.0 - np.cos(X)) / X)
+    horizons = np.asarray(DEFAULT_SCHEDULE)
+    residuals = []
+    for (g, max_panel), ref in zip(_BASIS_PANELS, exact):
+        res = cesaro_average(g, tol=1e-4, max_panel=max_panel)
+        assert res.converged
+        residuals.append(res.residual)
+        for avgs, sign in ((res.averages_plus, 1.0), (res.averages_minus, -1.0)):
+            assert np.max(np.abs(avgs[:, 0] - ref(sign * horizons))) <= 1e-9
+    # T's residual is the one a tol below it is refused with
+    assert residuals[0] == pytest.approx(7.0228e-5, rel=1e-4)
+
+
+@pytest.mark.parametrize("component", [0, 1])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_build_averaged_refuses_unsettled_component(switch_family, component,
+                                                    sign, monkeypatch):
+    # a basis function whose running average grows like log on one side
+    # only: that component alone does not stabilize, and build_averaged
+    # refuses rather than compare its last average to the closed form
+    from homoglab import families
+    panels = list(families._BASIS_PANELS)
+    panels[component] = (lambda t: np.log1p(np.maximum(sign * t, 0.0)),
+                         panels[component][1])
+    monkeypatch.setattr(families, "_BASIS_PANELS", tuple(panels))
+    with pytest.raises(AveragingError, match="did not stabilize"):
+        hl.build_averaged(switch_family)
+
+
+def test_basis_averaging_node_count(monkeypatch):
+    # the integrand nodes the basis check evaluates (4,594,392): T on its
+    # horizon-scaled panels and sin on its period, against 11,459,448 for
+    # the stacked (T, sin) on 2*pi panels
+    from homoglab import quadrature
+    from homoglab.families import _basis_limits_numeric
+    nodes = []
+    panel_integrals = quadrature.panel_integrals
+
+    def counted(g, edges, order=12):
+        nodes.append((len(edges) - 1) * order)
+        return panel_integrals(g, edges, order)
+    monkeypatch.setattr(quadrature, "panel_integrals", counted)
+    _basis_limits_numeric(1e-4)
+    assert sum(nodes) <= 6_000_000
 
 
 @pytest.mark.parametrize("fid", ["switch", "slowvary"])

@@ -92,6 +92,50 @@ def test_shipped_and_benchmark_configs_parse(monkeypatch):
             assert cfg.mc["seed"] == seed, wl.name
 
 
+def _demo_doc():
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    with open(os.path.join(root, "configs", "switch_demo.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("name,value", [
+    ("mc.n_steps", 10 ** 12), ("mc.n_paths", 10 ** 12),
+    ("fd.n1", 10 ** 9 + 1), ("fd.dt_fd", 1e-300),
+    pytest.param("fd.n1", 10 ** 400 + 1, id="fd.n1-1e400")])
+def test_config_refuses_unrunnable_sizes(name, value):
+    # each of these demo copies used to load: 2e16 path states, 5e13, 1e11
+    # FD unknowns per step, ~5e299 FD steps; refused at load by key, and
+    # no run is started
+    doc = _demo_doc()
+    block, key = name.split(".")
+    doc[block][key] = value
+    with pytest.raises(ConfigError, match="exceed the bound 1e\\+08") as exc:
+        hl.ExperimentConfig.from_dict(doc)
+    assert repr(name) in str(exc.value)
+
+
+def test_config_size_bound_is_inclusive():
+    # the demo and the 100k-path reference run load, and so do a path
+    # array and an FD march of exactly MAX_COUNT = 1e8; one more is refused
+    from homoglab.harness import MAX_COUNT
+    assert MAX_COUNT == 10 ** 8
+    hl.ExperimentConfig.from_dict(_demo_doc())
+    doc = _demo_doc()
+    doc["mc"]["n_paths"] = 100000
+    hl.ExperimentConfig.from_dict(doc)
+    # 2e6 paths of 50 states; (623 + 2) * (3998 + 2) nodes over 40 steps
+    for changes, key in (({"mc": {"n_steps": 49, "n_paths": 2000000}},
+                          ("mc", "n_paths")),
+                         ({"fd": {"n1": 623, "n2": 3998}}, ("fd", "n2"))):
+        doc = _demo_doc()
+        for block, values in changes.items():
+            doc[block].update(values)
+        hl.ExperimentConfig.from_dict(doc)
+        doc[key[0]][key[1]] += 1
+        with pytest.raises(ConfigError, match=f"'{key[0]}.{key[1]}'"):
+            hl.ExperimentConfig.from_dict(doc)
+
+
 def test_split_seed_stable_and_distinct():
     a = split_seed(7, "eps", 0)
     assert a == split_seed(7, "eps", 0)

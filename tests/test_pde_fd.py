@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -179,6 +180,22 @@ def test_eps_form_equals_averaged_for_slow_family():
         for eps in (1.0, 0.1):
             me = PdeModel.from_averaged(fam.at(eps), fam.terminal)
             assert np.array_equal(solve_pde(me, g).values, va), (fid, eps)
+
+
+def test_from_averaged_labels_the_model(switch_avg, switch_family, tmp_path):
+    # the averaged model keeps "averaged" (the pde.csv.json bytes of the
+    # FD stage); a family at its fast scale is named by its eps, in the
+    # solution and in the sidecar save_csv writes
+    H = switch_family.terminal
+    assert PdeModel.from_averaged(switch_avg, H).label == "averaged"
+    g = Grid2D(2.0, 2.0, 11, 5, 0.05, 0.5)
+    for eps, label in ((0.1, "eps=0.1"), (1.0, "eps=1.0"), (0.03, "eps=0.03")):
+        sol = solve_pde(PdeModel.from_averaged(switch_family.at(eps), H), g)
+        assert sol.model_label == label
+    path = tmp_path / "eps.csv"
+    sol.save_csv(path)
+    with open(str(path) + ".json") as fh:
+        assert json.load(fh)["model"] == "eps=0.03"
 
 
 def test_richardson_second_order():
