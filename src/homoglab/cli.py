@@ -102,7 +102,7 @@ def cmd_pde(args) -> int:
 
 def cmd_converge(args) -> int:
     cfg = _load(args)
-    report = run_convergence(cfg, n_threads=args.threads)
+    report = run_convergence(cfg, n_workers=args.threads)
     for path in emit(report, cfg.outputs["dir"], cfg.outputs["formats"]):
         print(path)
     return 0 if report.all_pass() else 2
@@ -136,7 +136,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("config", help="path to the JSON experiment config")
         sp.add_argument("--out", default=None, help="output directory override")
         sp.add_argument("--seed-override", default=None, type=int)
-        sp.add_argument("--threads", default=1, type=int)
+        sp.add_argument("--threads", default=1, type=int,
+                        help="worker processes for the eps sweep of bsde "
+                             "and converge (same bytes for every count)")
     return p
 
 

@@ -395,8 +395,8 @@ def _basis_limits_numeric(tol):
         res = cesaro_average(g, tol=tol, max_panel=max_panel)
         if not res.converged:
             raise AveragingError(
-                f"basis running averages did not stabilize "
-                f"(residual {res.residual:.3e})")
+                f"basis running averages did not stabilize: residual "
+                f"{res.residual:.4e} > tol {tol:g}")
         limits.append((float(res.g_plus[0]), float(res.g_minus[0])))
     return tuple(limits)
 

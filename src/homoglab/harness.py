@@ -3,8 +3,9 @@ pipeline with its drift-gap check, and deterministic report emission.
 
 All randomness flows from the single config seed through sha256 key
 splitting per (stage, index), so re-running a config is byte-identical
-regardless of thread count: stages run in parallel but each owns an
-independent counter-based stream and assembly is ordered.
+regardless of worker count: the eps sweep may run its rows on forked
+worker processes, but each row owns an independent counter-based stream
+and assembly is ordered.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ import hashlib
 import json
 import os
 import sys
+import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -297,8 +298,12 @@ class Stages:
 
     @cached_property
     def avg(self):
-        return families.build_averaged(
-            self.fam, tol=float(self.cfg.averaging["tol"]))
+        try:
+            return families.build_averaged(
+                self.fam, tol=float(self.cfg.averaging["tol"]))
+        except families.AveragingError as exc:
+            raise families.AveragingError(
+                f"{exc} (config key 'averaging.tol')") from exc
 
     @cached_property
     def corrector(self) -> dict:
@@ -327,14 +332,19 @@ class Stages:
                 f"{cap}; the fast scale is under-resolved", RuntimeWarning)
         return int(min(cap, max(1, need)))
 
+    @cached_property
+    def row_substeps(self) -> list:
+        """``substeps`` of each eps of ``eps_list``, worked out once, so a
+        binding cap warns once per eps."""
+        return [self.substeps(eps) for eps in self.cfg.eps_list]
+
     def eps_paths(self, i: int) -> PathBundle:
         """Two-scale forward paths for ``eps_list[i]``."""
         cfg, mc = self.cfg, self.cfg.mc
-        eps = cfg.eps_list[i]
         return simulate_eps(
-            self.fam, eps, cfg.x0, cfg.grid(), mc["n_paths"],
+            self.fam, cfg.eps_list[i], cfg.x0, cfg.grid(), mc["n_paths"],
             seed=split_seed(mc["seed"], "eps", i),
-            substeps=self.substeps(eps), block_size=mc["block_size"])
+            substeps=self.row_substeps[i], block_size=mc["block_size"])
 
     def avg_paths(self) -> PathBundle:
         """Forward paths of the averaged model."""
@@ -354,14 +364,35 @@ class Stages:
         bundle = self.avg_paths()
         return bundle, solve_bsde(bundle, self.spec(self.avg.driver))
 
-    def sweep(self, n_threads: int = 1) -> list:
-        """``eps_run`` over every eps, in eps order; stage seeds make the
-        result independent of ``n_threads``."""
-        idx = range(len(self.cfg.eps_list))
-        if n_threads > 1:
-            with ThreadPoolExecutor(max_workers=n_threads) as ex:
-                return list(ex.map(self.eps_run, idx))
-        return [self.eps_run(i) for i in idx]
+    def sweep(self, n_workers: int = 1) -> list:
+        """``eps_run`` over every eps, in eps order.
+
+        With ``n_workers`` > 1 and the ``fork`` start method, the rows run
+        on min(n_workers, rows) forked worker processes, which inherit this
+        ``Stages`` (nothing of it is pickled); the rows are submitted
+        longest first, by substeps.  Otherwise, and when the caller runs
+        other threads (a fork copies any lock one of them holds), they run
+        here, one after the other.  Stage seeds make the result
+        independent of ``n_workers``.
+        """
+        n = len(self.cfg.eps_list)
+        steps = self.row_substeps   # here, so a cap warning reaches the caller
+        if min(n_workers, n) < 2 or threading.active_count() > 1 \
+                or not hasattr(os, "fork"):
+            return [self.eps_run(i) for i in range(n)]
+        # imported here, so a run on one worker never loads multiprocessing
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(
+            min(n_workers, n), mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt_stages, initargs=(self,))
+        try:
+            jobs = {i: pool.submit(_eps_run, i)
+                    for i in sorted(range(n), key=lambda i: -steps[i])}
+            return [jobs[i].result() for i in range(n)]
+        finally:
+            # on a failure the rows not yet started are dropped
+            pool.shutdown(cancel_futures=True)
 
     def fd(self):
         """The averaged FD solve on the config's grid: (solution, its value
@@ -389,6 +420,21 @@ class Stages:
         return corr.residual_check(field, {
             "box": [*cc["box"], cc["y_box"]], "n_samples": cc["n_samples"],
             "seed": split_seed(cfg.mc["seed"], "corrector")})
+
+
+# the Stages of a sweep worker, set in the worker by ``_adopt_stages``
+_worker_stages: Optional[Stages] = None
+
+
+def _adopt_stages(st: Stages) -> None:
+    global _worker_stages
+    _worker_stages = st
+
+
+def _eps_run(i: int):
+    """``eps_run(i)`` of the worker's Stages; only (paths, solution) go
+    back to the caller."""
+    return _worker_stages.eps_run(i)
 
 
 def _drift_gap_row(st: Stages, bundle: PathBundle, sol: BsdeSolution):
@@ -426,8 +472,9 @@ class ConvergenceReport:
         return asdict(self)
 
 
-def run_convergence(cfg: ExperimentConfig, n_threads: int = 1):
+def run_convergence(cfg: ExperimentConfig, n_workers: int = 1):
     """Full eps-sweep pipeline; see module docstring for the seed scheme.
+    The eps sweep runs on ``n_workers`` worker processes (``Stages.sweep``).
 
     Stage errors abort with provenance (PipelineError); the partial report
     assembled so far is attached to the error as ``.partial`` with the
@@ -441,7 +488,7 @@ def run_convergence(cfg: ExperimentConfig, n_threads: int = 1):
         st.avg   # built here, so that its failure names this stage
 
         stage = "eps-sweep"
-        results = st.sweep(n_threads)
+        results = st.sweep(n_workers)
 
         stage = "averaged-run"
         avg_bundle, avg_sol = st.avg_run()

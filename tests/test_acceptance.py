@@ -266,10 +266,10 @@ def test_criterion_11_determinism(tmp_path):
                          mc={"n_paths": 1500, "n_steps": 25, "seed": 321},
                          corrector=None)
     cfg = _config(**doc_overrides)
-    f1 = hl.emit(hl.run_convergence(cfg, n_threads=1), tmp_path / "t1",
+    f1 = hl.emit(hl.run_convergence(cfg, n_workers=1), tmp_path / "t1",
                  ("csv", "json"))
-    f2 = hl.emit(hl.run_convergence(cfg, n_threads=4), tmp_path / "t4",
+    f2 = hl.emit(hl.run_convergence(cfg, n_workers=4), tmp_path / "t4",
                  ("csv", "json"))
     same = all(filecmp.cmp(a, b, shallow=False) for a, b in zip(f1, f2))
-    _verdict(11, same, "1-thread and 4-thread reports byte-identical "
+    _verdict(11, same, "1-worker and 4-worker reports byte-identical "
                        f"across {len(f1)} files")

@@ -50,8 +50,8 @@ def test_seed_reproducibility(switch_family, small_grid):
 
 
 def test_block_and_thread_invariance(switch_family, small_grid):
-    # other block sizes, run on three threads at once as the eps sweep
-    # runs its simulations, give the same paths
+    # other block sizes give the same paths, also when three callers
+    # run simulate_eps at once in one process
     def run(block_size):
         return hl.simulate_eps(switch_family, 0.5, [0.0, 0.0], small_grid,
                                500, seed=9, block_size=block_size)
@@ -124,6 +124,23 @@ def _whole_path_reference(fam, eps, x0, grid, n_paths, seed, substeps):
         X[:, cs + 1, 0], X[:, cs + 1, 1:] = x1, x2
         dB[:, cs] = dW[:, cs * substeps:(cs + 1) * substeps].sum(axis=1)
     return X, dB
+
+
+@pytest.mark.parametrize("substeps", [23, 50])
+def test_stored_increments_keep_the_summed_bits(switch_family, substeps):
+    # the stored dB of each coarse step has the bits of the substeps'
+    # dW[:, f0:f0 + substeps].sum(axis=1), at the fast_scale benchmark's
+    # 2048 paths; the draws are rebuilt chunk by chunk as _run_blocks
+    # draws them (one coarse step per chunk at these substeps)
+    grid = hl.SimGrid(0.5, 5)
+    b = hl.simulate_eps(switch_family, 0.05, [0.5, 0.0], grid, 2048,
+                        seed=23, substeps=substeps)
+    assert max(1, grid.n_steps // substeps) == 1
+    gens = simulate._path_streams(23, range(2048), one_chunk=False)
+    sq = np.sqrt(grid.t_end / (grid.n_steps * substeps))
+    for cs in range(grid.n_steps):
+        dW = simulate._path_normals(gens, substeps, 2, sq)
+        assert b.dB[:, cs].tobytes() == dW.sum(axis=1).tobytes(), cs
 
 
 @pytest.mark.parametrize("substeps", [1, 2, 3, 4, 50])

@@ -1,7 +1,9 @@
+import concurrent.futures
 import filecmp
 import glob
 import importlib.util
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -14,8 +16,10 @@ import homoglab as hl
 import homoglab.harness
 from homoglab import pde_fd
 from homoglab.cli import main as cli_main
+from homoglab.families import AveragingError
 from homoglab.harness import (ConfigError, EmitError, Stages, _scan_nan,
                               emit, split_seed)
+from homoglab.simulate import SimulationError
 from conftest import base_config, flow_continuity_check
 
 DEMO = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
@@ -238,6 +242,18 @@ def test_substeps_warn_when_cap_binds():
     with pytest.warns(RuntimeWarning, match=r"eps = 0.01 needs 200 "
                                             r"substeps but substeps_cap = 64"):
         assert st.substeps(0.01) == 64
+    # a sweep on worker processes works the substeps out in the caller,
+    # so the caller sees the warning, once per capped eps
+    doc["eps_list"] = [0.3, 0.01]
+    doc["mc"]["n_paths"] = 200
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        hl.run_convergence(hl.ExperimentConfig.from_dict(doc), n_workers=2)
+    capped = [str(w.message) for w in caught if w.category is RuntimeWarning
+              and "substeps_cap" in str(w.message)]
+    assert capped == ["eps = 0.01 needs 200 substeps but substeps_cap = 64; "
+                      "the fast scale is under-resolved"]
+    assert multiprocessing.active_children() == []
 
 
 def test_substeps_quiet_on_demo():
@@ -246,6 +262,77 @@ def test_substeps_quiet_on_demo():
         warnings.simplefilter("error")
         got = [st.substeps(eps) for eps in st.cfg.eps_list]
     assert got == [1, 1, 1, 2]
+
+
+def _sweep_doc():
+    # substeps 1, 4 and 16 on dt = 0.02
+    doc = base_config()
+    doc["eps_list"] = [1.0, 0.1, 0.05]
+    doc["mc"] = {"n_paths": 200, "n_steps": 25, "seed": 8}
+    return doc
+
+
+def test_sweep_on_workers_matches_in_process(monkeypatch):
+    # the rows go to the workers longest first and come back in eps order,
+    # with the bits of the in-process sweep; no worker outlives the sweep
+    submitted = []
+
+    class Recording(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(args[0])
+            return super().submit(fn, *args)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    st = Stages(hl.ExperimentConfig.from_dict(_sweep_doc()))
+    assert st.row_substeps == [1, 4, 16]
+    here = st.sweep(1)
+    assert submitted == []
+    for n_workers in (2, 4):
+        there = st.sweep(n_workers)
+        assert [b.eps for b, _ in there] == [1.0, 0.1, 0.05]
+        for (b1, s1), (b2, s2) in zip(here, there):
+            for a1, a2 in ((b1.X, b2.X), (b1.dB, b2.dB), (s1.Y, s2.Y),
+                           (s1.Z, s2.Z)):
+                assert a1.tobytes() == a2.tobytes()
+            assert (s1.Y0, s1.Y0_stderr) == (s2.Y0, s2.Y0_stderr)
+    assert submitted == [2, 1, 0] * 2
+    assert multiprocessing.active_children() == []
+    # called beside another thread, the sweep does not fork
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as ex:
+        beside = ex.submit(st.sweep, 2).result()
+    assert submitted == [2, 1, 0] * 2
+    assert [b.X.tobytes() for b, _ in beside] == \
+        [b.X.tobytes() for b, _ in here]
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_sweep_failure_names_stage_and_cause(monkeypatch, n_workers):
+    # a row that fails in a worker fails the eps-sweep stage with the
+    # worker's exception; the pool is shut down and no worker is left
+    def fail(*args, **kwargs):
+        raise SimulationError("non-finite state at step 3, path 7")
+    monkeypatch.setattr(homoglab.harness, "simulate_eps", fail)
+    with pytest.raises(hl.PipelineError) as exc:
+        hl.run_convergence(hl.ExperimentConfig.from_dict(_sweep_doc()),
+                           n_workers=n_workers)
+    assert exc.value.stage == "eps-sweep"
+    assert type(exc.value.cause) is SimulationError
+    assert str(exc.value.cause) == "non-finite state at step 3, path 7"
+    assert str(exc.value) == ("stage 'eps-sweep' failed: non-finite state "
+                              "at step 3, path 7")
+    assert multiprocessing.active_children() == []
+
+
+def test_averaging_tol_below_residual_names_key():
+    # T's Cesaro residual is 7.0228e-5: a tol below it can never pass, and
+    # the refusal names the key, its value and the residual
+    doc = base_config()
+    doc["averaging"] = {"tol": 1e-6}
+    st = Stages(hl.ExperimentConfig.from_dict(doc))
+    with pytest.raises(AveragingError) as exc:
+        st.avg
+    assert str(exc.value) == (
+        "basis running averages did not stabilize: residual 7.0228e-05 > "
+        "tol 1e-06 (config key 'averaging.tol')")
 
 
 def test_monte_carlo_drift_gap_scaling():
@@ -421,7 +508,9 @@ def _tiny_doc():
 
 def test_converge_does_not_import_scipy_stats(tmp_path):
     # scipy.stats costs ~0.4 s of start-up; neither the set-up of a run nor
-    # a converge with fd and corrector blocks may load it
+    # a converge with fd and corrector blocks may load it.  Nor may a
+    # one-worker converge load multiprocessing, which only the sweep's
+    # worker pool needs
     cfgp = _write_cfg(tmp_path, _tiny_doc())
     script = (
         "import sys\n"
@@ -432,7 +521,8 @@ def test_converge_does_not_import_scipy_stats(tmp_path):
         f"code = homoglab.cli.main(['converge', {cfgp!r}, '--out', "
         f"{str(tmp_path / 'out')!r}])\n"
         "assert code in (0, 2), code\n"
-        "assert 'scipy.stats' not in sys.modules, 'converge'\n")
+        "assert 'scipy.stats' not in sys.modules, 'converge'\n"
+        "assert 'multiprocessing' not in sys.modules, 'converge'\n")
     src = os.path.dirname(os.path.dirname(os.path.abspath(hl.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", script], env=env,
