@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .simulate import PathBundle
+from .simulate import PathBundle, mean_stderr
 
 _MAGIC = b"HMGS1"
 _VERSION = 1
@@ -254,9 +254,7 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
     Y[:, 0] = y0
     rollout += dt * np.asarray(drive(Y[:, 0]), dtype=float)
     Z[:, 0, :] = np.mean(Y[:, 1][:, None] * bundle.dB[:, 0, :] / dt, axis=0)
-    dY = Y[:, 1] - Y[:, 0]
-    dy_fit[0] = dY.mean()
-    dy_floor[0] = float(np.std(dY) / np.sqrt(n))
+    dy_fit[0], dy_floor[0] = mean_stderr(Y[:, 1] - Y[:, 0])
 
     residuals = [float(r) for r in picard]
     for j in range(2, len(residuals)):
@@ -264,11 +262,9 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
             raise PicardError(
                 f"driver fixed point diverging: residuals {residuals}")
 
-    y0_stderr = float(np.std(rollout) / np.sqrt(n))
-
     cv, cv_stderr = conditional_variation(dy_fit, dy_floor)
     return BsdeSolution(
-        Y0=y0, Y0_stderr=y0_stderr, Y=Y, Z=Z,
+        Y0=y0, Y0_stderr=mean_stderr(rollout)[1], Y=Y, Z=Z,
         picard_residuals=residuals, condition_numbers=conds,
         cv=cv, cv_stderr=cv_stderr,
         sup_abs_y=float(np.mean(np.max(np.abs(Y), axis=1))),

@@ -1,12 +1,12 @@
 """Command-line front end.
 
 Every subcommand takes a single positional config path (the JSON schema of
-harness.ExperimentConfig) plus --out / --seed-override / --threads, and
-runs its stages through harness.Stages, so each one sees the same
+harness.ExperimentConfig) plus --out and the flags it reads (``_COMMANDS``),
+and runs its stages through harness.Stages, so each one sees the same
 averaged model, seeds and substeps as ``converge``.
 
 Exit codes: 0 all pass flags true, 2 completed with failing flags,
-1 pipeline error.
+1 pipeline or usage error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .harness import ConfigError, ExperimentConfig, PipelineError, Stages, \
 
 def _load(args) -> ExperimentConfig:
     cfg = ExperimentConfig.load(args.config)
-    if args.seed_override is not None:
+    if getattr(args, "seed_override", None) is not None:
         # the override is part of the config, so of its digest
         cfg = ExperimentConfig.from_dict(
             {**cfg.raw, "mc": {**cfg.raw["mc"], "seed": args.seed_override}})
@@ -48,8 +48,8 @@ def _out(st, name):
 
 def cmd_average(args) -> int:
     st = _stages(args)
-    st.avg.save_json(_out(st, "averaged.json"), np.linspace(-3.0, 3.0, 25))
-    print(_out(st, "averaged.json"))
+    print(write_json(_out(st, "averaged.json"),
+                     st.avg.to_json(np.linspace(-3.0, 3.0, 25))))
     return 0
 
 
@@ -111,41 +111,62 @@ def cmd_converge(args) -> int:
 def cmd_audit(args) -> int:
     st = _stages(args)
     box = [[-5.0, 5.0]] + [[-2.0, 2.0]] * st.fam.d + [[-2.0, 2.0]]
-    rep = families.audit_assumptions(
+    entries = families.audit_assumptions(
         st.fam, {"box": box, "n_samples": 256,
                  "seed": split_seed(st.cfg.mc["seed"], "audit")})
     doc = {aid: {"status": e.status, "residual": e.residual,
                  "witness": list(e.witness) if e.witness else None,
                  "detail": e.detail}
-           for aid, e in rep.entries.items()}
+           for aid, e in entries.items()}
     print(write_json(_out(st, "audit.json"), doc))
-    return 0 if not rep.violated() else 2
+    return 2 if any(e.status == "violated" for e in entries.values()) else 0
 
 
-_COMMANDS = {"average": cmd_average, "simulate": cmd_simulate,
-             "bsde": cmd_bsde, "corrector": cmd_corrector, "pde": cmd_pde,
-             "converge": cmd_converge, "audit": cmd_audit}
+# each subcommand with the flags it reads besides --out
+_COMMANDS = {"average": (cmd_average, ()),
+             "simulate": (cmd_simulate, ("--seed-override",)),
+             "bsde": (cmd_bsde, ("--seed-override", "--threads")),
+             "corrector": (cmd_corrector, ("--seed-override",)),
+             "pde": (cmd_pde, ()),
+             "converge": (cmd_converge, ("--seed-override", "--threads")),
+             "audit": (cmd_audit, ("--seed-override",))}
+
+
+def worker_count(text) -> int:
+    """A ``--threads`` value: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+_FLAGS = {"--seed-override": {"default": None, "type": int},
+          "--threads": {"default": 1, "type": worker_count,
+                        "help": "worker processes for the eps sweep "
+                                "(same bytes for every count)"}}
 
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="homoglab",
                                 description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("config", help="path to the JSON experiment config")
         sp.add_argument("--out", default=None, help="output directory override")
-        sp.add_argument("--seed-override", default=None, type=int)
-        sp.add_argument("--threads", default=1, type=int,
-                        help="worker processes for the eps sweep of bsde "
-                             "and converge (same bytes for every count)")
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # --help exits 0; a usage error exits 1, as a bad config does
+        return 0 if exc.code == 0 else 1
+    try:
+        return _COMMANDS[args.command][0](args)
     except (PipelineError, ConfigError, OSError, ValueError,
             RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

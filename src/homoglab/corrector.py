@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .families import AveragedModel, CoefficientFamily
+from .families import AveragedModel, CoefficientFamily, nonincreasing
 from .quadrature import cumulative, integrate
 
 # Relative tolerance of the pointwise corrector quadratures.
@@ -209,7 +209,7 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
     eps_list = [float(e) for e in eps_list]
     if any(b <= a for a, b in zip(eps_list[1:], eps_list[:-1])):
         raise ValueError("eps_list must be strictly decreasing")
-    scaled = [fam.at(eps) for eps in eps_list]
+    fields = [CorrectorField(fam.at(eps), avg) for eps in eps_list]
     if fam.d != 1:
         raise ValueError("decay_table assumes d = 1 boxes")
     (x1lo, x1hi), (x2lo, x2hi) = box
@@ -219,7 +219,8 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
     shape_y = fam.f_y_shape(ys)
     neg, pos = _half_grid(x1lo, x1hi, n1)
     rows = []
-    for eps, model in zip(eps_list, scaled):
+    for field in fields:
+        eps, model = field.eps, field.fam
         sup_V = sup_b = sup_a = 0.0
         for x2v in x2s:
             x2r = np.array([[x2v]])
@@ -239,7 +240,7 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
                 flim = avg.rho_f_coef(side, x2r)[0]
                 rlim = avg.rho(side, x2r)[0]
                 cum = cumulative(g, grid, rtol=1e-6,
-                                 max_panel=np.pi * min(1.0, eps))
+                                 max_panel=field.max_panel)
                 x1 = grid[1:, None]
                 Q1, Qt = cum[1:, :ny], cum[1:, ny:2 * ny]
                 R1, A1 = cum[1:, 2 * ny:3 * ny], cum[1:, 3 * ny]
@@ -253,10 +254,6 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
                     sup_a = max(sup_a, float(np.max(alpha)))
         rows.append(DecayRow(eps=eps, sup_V=sup_V, sup_beta=sup_b,
                              sup_alpha=sup_a))
-
-    def nonincreasing(vals):
-        vals = np.asarray(vals)
-        return bool(np.all(np.diff(vals) <= 0.05 * vals[:-1] + 1e-12))
 
     spec = (f"x1[{x1lo},{x1hi}]x{n1};x2[{x2lo},{x2hi}]x{n2};"
             f"y[{y_box[0]},{y_box[1]}]x{ny}")

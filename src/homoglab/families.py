@@ -29,7 +29,6 @@ the side convention) and in the operation order of ``driver``.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
@@ -359,10 +358,6 @@ class AveragedModel(TemplateCoefficients):
             }
         return doc
 
-    def save_json(self, path, x2_grid):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(x2_grid), fh, sort_keys=True, indent=1)
-
 
 # ---------------------------------------------------------------------------
 # build_averaged
@@ -557,22 +552,19 @@ class AssumptionEntry:
     detail: str = ""
 
 
-@dataclass
-class AssumptionReport:
-    entries: dict
-
-    def __getitem__(self, key):
-        return self.entries[key]
-
-    def violated(self):
-        return [e for e in self.entries.values() if e.status == "violated"]
+def nonincreasing(values) -> bool:
+    """The one trend rule: no value rises above the one before it by more
+    than 5 % of that value (plus 1e-12)."""
+    values = np.asarray(values)
+    return bool(np.all(np.diff(values) <= 0.05 * values[:-1] + 1e-12))
 
 
-def audit_assumptions(fam: CoefficientFamily, sample_spec: dict) -> AssumptionReport:
+def audit_assumptions(fam: CoefficientFamily, sample_spec: dict) -> dict:
     """Sampled audit of the structural assumptions; never a proof.
 
     ``sample_spec`` = {"box": [(lo, hi), ...] over (x1, x2_1..x2_d, y),
-    "n_samples": int, "seed": int}.  Violations carry a witness point.
+    "n_samples": int, "seed": int}.  Returns {id: AssumptionEntry};
+    violations carry a witness point.
     """
     box = np.asarray(sample_spec["box"], dtype=float)
     n = int(sample_spec["n_samples"])
@@ -660,17 +652,16 @@ def audit_assumptions(fam: CoefficientFamily, sample_spec: dict) -> AssumptionRe
     # each remainder asks the family and its averaged model the same question
     for aid, g in (("B3", lambda model, t: model.rho(t, x2_ref)),
                    ("C2", lambda model, t: model.rho_f(t, x2_ref, 0.0))):
-        rem = []
-        for sgn in (+1.0, -1.0):
-            grid = np.concatenate(([0.0], sgn * horizons))
-            cum = cumulative(lambda t: g(fam, t)[:, None], grid, rtol=1e-6)
-            run = cum[1:, 0] / (sgn * horizons)
-            rem.append(np.abs(run - g(avg, sgn)[0]) / norm)
-        trend = np.maximum(rem[0], rem[1])
-        decreasing = bool(np.all(np.diff(trend) <= 1e-12 + 0.05 * trend[:-1]))
+        # the running averages to rtol tol / 10 = 1e-6, on pi-wide panels
+        res = cesaro_average(lambda t: g(fam, t), schedule=horizons,
+                             tol=1e-5, max_panel=np.pi)
+        rem = [np.abs(run[:, 0] - g(avg, side)[0]) / norm for run, side in
+               ((res.averages_plus, 1.0), (res.averages_minus, -1.0))]
+        trend = np.maximum(*rem)
+        decreasing = nonincreasing(trend)
         entries[aid] = AssumptionEntry(
             aid, "verified-sampled" if decreasing else "violated",
             float(trend[-1]),
             None if decreasing else (float(horizons[int(np.argmax(np.diff(trend) > 0))]),),
             f"remainder along |x1|={list(horizons)}: {[float(t) for t in trend]}")
-    return AssumptionReport(entries=entries)
+    return entries

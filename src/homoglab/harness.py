@@ -26,8 +26,8 @@ import numpy as np
 from . import corrector as corr
 from . import families, pde_fd
 from .bsde import BsdeSpec, BsdeSolution, solve_bsde, tightness_certificate
-from .simulate import PathBundle, SimGrid, SimulationError, occupation_time, \
-    moment_report, simulate_avg, simulate_eps
+from .simulate import PathBundle, SimGrid, SimulationError, mean_stderr, \
+    moment_report, occupation_time, simulate_avg, simulate_eps
 
 
 class ConfigError(ValueError):
@@ -444,9 +444,8 @@ def _drift_gap_row(st: Stages, bundle: PathBundle, sol: BsdeSolution):
     y = sol.Y[:, :-1]
     gap = st.fam.at(bundle.eps).driver(x1, x2)(y) - st.avg.driver(x1, x2)(y)
     integral = np.cumsum(gap * bundle.grid.dt, axis=1)
-    sup = np.max(np.abs(integral), axis=1)
     return {"eps": bundle.eps,
-            "gap": _cell(np.mean(sup), np.std(sup) / np.sqrt(bundle.n_paths))}
+            "gap": _cell(*mean_stderr(np.max(np.abs(integral), axis=1)))}
 
 
 @dataclass
@@ -503,8 +502,8 @@ def run_convergence(cfg: ExperimentConfig, n_workers: int = 1):
                 "Y0": _cell(sol.Y0, sol.Y0_stderr),
                 "error": _cell(err, comb),
                 "cv": _cell(sol.cv, sol.cv_stderr),
-                "sup_abs_y": _cell(sol.sup_abs_y,
-                                   sol.sup_abs_y / np.sqrt(cfg.mc["n_paths"])),
+                "sup_abs_y": _cell(*mean_stderr(
+                    np.max(np.abs(sol.Y), axis=1))),
                 "moments": {str(k): _cell(m, s) for k, (m, s)
                             in moment_report(bundle, [1, 2]).items()},
             })
@@ -535,19 +534,17 @@ def run_convergence(cfg: ExperimentConfig, n_workers: int = 1):
                          for r in table.rows]}
 
         stage = "occupation"
-        ns = [1, 2, 4, 8, 16, 32]
-        occ = occupation_time(avg_bundle, ns)
-        pos = [(o.n, o.mean_occupation, o.std_error) for o in occ
-               if o.mean_occupation > 0]
+        occ = occupation_time(avg_bundle, [1, 2, 4, 8, 16, 32])
+        pos = [(n, m) for n, (m, _) in occ.items() if m > 0]
         if len(pos) >= 3:
-            slope = _cell(np.polyfit(np.log([p[0] for p in pos]),
-                                     np.log([p[1] for p in pos]), 1)[0])
+            ns, means = zip(*pos)
+            slope = _cell(np.polyfit(np.log(ns), np.log(means), 1)[0])
         else:
             # fewer than 3 interface bands were visited: no law to fit
             slope = {"value": None, "tag": "insufficient_data"}
         report.occupation = {
-            "estimates": [{"n": n, "mean": _cell(m, s)} for n, m, s in
-                          ((o.n, o.mean_occupation, o.std_error) for o in occ)],
+            "estimates": [{"n": n, "mean": _cell(m, s)}
+                          for n, (m, s) in occ.items()],
             "slope": slope}
 
         stage = "tightness"
@@ -565,20 +562,24 @@ def run_convergence(cfg: ExperimentConfig, n_workers: int = 1):
     return report
 
 
+def _no_rise(cells) -> bool:
+    """No cell of a ladder exceeds the one before it by more than their
+    combined stderr, hypot(s1, s2)."""
+    return all(b["value"] <= a["value"] + np.hypot(a["stderr"], b["stderr"])
+               for a, b in zip(cells, cells[1:]))
+
+
 def _compute_flags(cfg, report):
     tol = cfg.tolerances
     flags = {}
-    errs = [(r["error"]["value"], r["error"]["stderr"]) for r in report.rows]
-    flags["error_monotone"] = all(
-        e2 <= e1 + np.hypot(s1, s2)
-        for (e1, s1), (e2, s2) in zip(errs, errs[1:]))
+    flags["error_monotone"] = _no_rise([r["error"] for r in report.rows])
     if tol["final_error"] is not None:
-        flags["final_error_ok"] = errs[-1][0] <= float(tol["final_error"])
+        flags["final_error_ok"] = \
+            report.rows[-1]["error"]["value"] <= float(tol["final_error"])
+    flags["drift_gap_monotone"] = _no_rise(
+        [g["gap"] for g in report.drift_gap])
     gaps = [g["gap"]["value"] for g in report.drift_gap]
     gses = [g["gap"]["stderr"] for g in report.drift_gap]
-    flags["drift_gap_monotone"] = all(
-        b <= a + np.hypot(sa, sb) for a, b, sa, sb in
-        zip(gaps, gaps[1:], gses, gses[1:]))
     if tol["drift_gap_factor"] is not None and gaps and gaps[0] > 0:
         flags["drift_gap_factor_ok"] = \
             gaps[-1] <= float(tol["drift_gap_factor"]) * gaps[0] + 2 * gses[-1]

@@ -258,35 +258,28 @@ def simulate_avg(avg: AveragedModel, x0, grid: SimGrid, n_paths: int,
 # Path diagnostics
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OccupationEstimate:
-    n: int
-    mean_occupation: float
-    std_error: float
+def mean_stderr(sample):
+    """(mean, standard error) of a per-path sample: the one Monte Carlo
+    stderr rule, ``np.std(sample) / sqrt(n)``."""
+    return (float(np.mean(sample)),
+            float(np.std(sample) / np.sqrt(len(sample))))
 
 
 def occupation_time(bundle: PathBundle, n_list: Sequence[int]):
-    """Estimates of the expected time X1 spends within 1/n of the interface."""
+    """{n: (mean, stderr)} of the time X1 spends within 1/n of the
+    interface."""
     if bundle.n_paths == 0:
         raise SimulationError("empty bundle")
     dt = bundle.grid.dt
     x1 = np.abs(bundle.x1()[:, :-1])   # left endpoints of each step
-    out = []
-    for n in n_list:
-        occ = dt * np.sum(x1 <= 1.0 / n, axis=1)
-        out.append(OccupationEstimate(
-            n=int(n), mean_occupation=float(np.mean(occ)),
-            std_error=float(np.std(occ) / np.sqrt(bundle.n_paths))))
-    return out
+    return {int(n): mean_stderr(dt * np.sum(x1 <= 1.0 / n, axis=1))
+            for n in n_list}
 
 
 def moment_report(bundle: PathBundle, k_list: Sequence[int]):
-    """E sup_s (|X1_s|^{2k} + |X2_s|^{2k}) per k, with standard errors."""
+    """{k: (mean, stderr)} of sup_s (|X1_s|^{2k} + |X2_s|^{2k})."""
     x1 = np.abs(bundle.x1())
     x2n = np.linalg.norm(bundle.x2(), axis=2)
-    table = {}
-    for kk in k_list:
-        sup = np.max(x1 ** (2 * kk) + x2n ** (2 * kk), axis=1)
-        table[int(kk)] = (float(np.mean(sup)),
-                          float(np.std(sup) / np.sqrt(bundle.n_paths)))
-    return table
+    return {int(kk): mean_stderr(np.max(x1 ** (2 * kk) + x2n ** (2 * kk),
+                                        axis=1))
+            for kk in k_list}

@@ -146,8 +146,8 @@ def test_criterion_05_occupation_time_law():
     grid = hl.SimGrid(0.5, 50)
     b = hl.simulate_avg(avg, [0.5, 0.0], grid, 50000, seed=505)
     occ = hl.occupation_time(b, [1, 2, 4, 8, 16, 32])
-    ns = np.array([o.n for o in occ])
-    means = np.array([o.mean_occupation for o in occ])
+    ns = np.array(list(occ))
+    means = np.array([m for m, _ in occ.values()])
     slope = float(np.polyfit(np.log(ns), np.log(means), 1)[0])
     elapsed = time.time() - t0
     lo, hi = TOL["occupation_slope"]

@@ -312,8 +312,8 @@ def test_averaged_model_is_family_on_limit_basis(fid, monkeypatch):
 
 
 def test_averaged_model_json_roundtrip(switch_avg, tmp_path):
-    path = tmp_path / "avg.json"
-    switch_avg.save_json(path, np.linspace(-2, 2, 9))
+    path = hl.write_json(tmp_path / "avg.json",
+                         switch_avg.to_json(np.linspace(-2, 2, 9)))
     import json
     doc = json.loads(path.read_text())
     assert doc["format"] == "averaged-model"
@@ -335,9 +335,22 @@ def test_audit_clean_on_catalog(switch_family):
     rep = hl.audit_assumptions(
         switch_family,
         {"box": [(-5, 5), (-2, 2), (-2, 2)], "n_samples": 128, "seed": 1})
-    assert not rep.violated()
+    assert all(e.status != "violated" for e in rep.values())
     assert rep["A3"].status == "verified-sampled"
     assert rep["B1"].status == "closed-form"
+
+
+def test_nonincreasing_allows_a_five_percent_rise():
+    # the one trend rule: a rise of at most 5 % of the value before it,
+    # plus 1e-12, on both sides of each boundary
+    from homoglab.families import nonincreasing
+    assert nonincreasing([100.0, 105.0])
+    assert not nonincreasing([100.0, 105.0 + 1e-9])
+    assert nonincreasing([0.0, 1e-12])
+    assert not nonincreasing([0.0, 2e-12])
+    assert nonincreasing([3.0, 1.0, 1.04])
+    assert not nonincreasing([3.0, 1.0, 1.06])
+    assert nonincreasing([7.0])
 
 
 def test_audit_catches_bound_violation(switch_family):

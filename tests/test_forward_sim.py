@@ -312,9 +312,18 @@ def test_x1_independent_matches_avg(slowvary_family, small_grid):
 
 def test_occupation_time_decreases_with_n(avg_bundle):
     out = hl.occupation_time(avg_bundle, [1, 4, 16])
-    means = [o.mean_occupation for o in out]
+    means = [out[n][0] for n in (1, 4, 16)]
     assert means[0] > means[1] > means[2] > 0
-    assert all(o.std_error > 0 for o in out)
+    assert all(se > 0 for _, se in out.values())
+
+
+def test_mean_stderr_is_the_inline_rule():
+    # the same bits as np.std(x) / sqrt(n), here on an odd-length sample
+    from homoglab.simulate import mean_stderr
+    x = np.random.default_rng(3).normal(size=7)
+    assert mean_stderr(x) == (float(np.mean(x)),
+                              float(np.std(x) / np.sqrt(7)))
+    assert mean_stderr(np.full(5, 2.5)) == (2.5, 0.0)
 
 
 def test_moment_report_monotone_in_k(avg_bundle):

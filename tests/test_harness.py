@@ -17,8 +17,8 @@ import homoglab.harness
 from homoglab import pde_fd
 from homoglab.cli import main as cli_main
 from homoglab.families import AveragingError
-from homoglab.harness import (ConfigError, EmitError, Stages, _scan_nan,
-                              emit, split_seed)
+from homoglab.harness import (ConfigError, EmitError, Stages, _cell,
+                              _no_rise, _scan_nan, emit, split_seed)
 from homoglab.simulate import SimulationError
 from conftest import base_config, flow_continuity_check
 
@@ -218,6 +218,48 @@ def test_occupation_slope_insufficient_data(tmp_path):
     assert written["occupation"]["slope"] == {"value": None,
                                               "tag": "insufficient_data"}
     assert written["flags"]["occupation_slope_ok"] is False
+
+
+@pytest.fixture(scope="module")
+def half_ladder():
+    # the shipped demo on eps [1.0, 0.5] at 2000 paths, its own seed
+    doc = _demo_doc()
+    doc["eps_list"] = [1.0, 0.5]
+    doc["mc"]["n_paths"] = 2000
+    doc["fd"] = doc["corrector"] = None
+    cfg = hl.ExperimentConfig.from_dict(doc)
+    return cfg, hl.run_convergence(cfg)
+
+
+def test_sup_abs_y_stderr_is_standard_error(half_ladder):
+    # each row's sup|Y| stderr is std / sqrt(n) of the per-path sup|Y|
+    cfg, report = half_ladder
+    st = Stages(cfg)
+    for i, row in enumerate(report.rows):
+        sup = np.max(np.abs(st.eps_run(i)[1].Y), axis=1)
+        assert row["sup_abs_y"] == {
+            "value": float(np.mean(sup)),
+            "stderr": float(np.std(sup) / np.sqrt(cfg.mc["n_paths"]))}
+
+
+def test_drift_gap_rise_at_half_stays_visible(half_ladder):
+    # the switch family's drift gap rises from eps = 1 to eps = 0.5 by
+    # ~2.9 combined stderrs, and the flag says so
+    _, report = half_ladder
+    a, b = (g["gap"] for g in report.drift_gap)
+    rise = (b["value"] - a["value"]) / np.hypot(a["stderr"], b["stderr"])
+    assert 2.5 < rise < 3.5
+    assert report.flags["drift_gap_monotone"] is False
+
+
+def test_no_rise_allows_the_combined_stderr():
+    # hypot(3, 4) = 5: a rise of exactly 5 passes, a larger one fails
+    assert _no_rise([_cell(0.0, 3.0), _cell(5.0, 4.0)])
+    assert not _no_rise([_cell(0.0, 3.0), _cell(5.0 + 1e-9, 4.0)])
+    assert _no_rise([_cell(9.0, 0.0), _cell(1.0, 0.0), _cell(6.0, 5.0)])
+    assert not _no_rise([_cell(9.0, 0.0), _cell(1.0, 0.0),
+                         _cell(6.0 + 1e-9, 5.0)])
+    assert _no_rise([_cell(1.0, 0.1)])
 
 
 def test_run_convergence_solves_each_fd_grid_once(tmp_path, monkeypatch):
@@ -480,8 +522,30 @@ def test_cli_audit_and_average(tmp_path):
     assert cli_main(["audit", cfgp, "--out", str(tmp_path / "a")]) == 0
     assert (tmp_path / "a" / "audit.json").exists()
     assert cli_main(["average", cfgp, "--out", str(tmp_path / "b")]) == 0
-    doc2 = json.loads((tmp_path / "b" / "averaged.json").read_text())
-    assert doc2["format"] == "averaged-model"
+    text = (tmp_path / "b" / "averaged.json").read_text()
+    assert json.loads(text)["format"] == "averaged-model"
+    assert text.endswith("}\n")   # the layout of write_json
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["converge", "--bogus"], "--bogus"),
+    (["pde", "--threads", "2"], "--threads"),
+    (["average", "--seed-override", "5"], "--seed-override"),
+    (["converge", "--threads", "0"], "--threads")])
+def test_cli_usage_error_exits_one(tmp_path, capsys, argv, flag):
+    # a flag the subcommand does not read, or a worker count below 1, is
+    # a usage error: exit 1, the flag on stderr, no output directory
+    out = tmp_path / "out"
+    argv = [argv[0], _write_cfg(tmp_path, _tiny_doc()), "--out", str(out),
+            *argv[1:]]
+    assert cli_main(argv) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_help_exits_zero(capsys):
+    assert cli_main(["converge", "--help"]) == 0
+    assert "--threads" in capsys.readouterr().out
 
 
 def test_golden_csv_fixture(tmp_path):
