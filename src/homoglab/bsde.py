@@ -333,7 +333,8 @@ def tightness_certificate(solutions: Sequence[BsdeSolution], dt: float) -> dict:
     """Empirical uniform-in-eps boundedness report (not a proof).
 
     Tabulates CV + E sup|Y| and per-band mean up-crossing counts for each
-    solution, plus the max/min ratios across the collection.
+    solution, plus the max/min ratios across the collection: 1.0 when every
+    value is 0, None (unbounded) when the smallest is 0 and another is not.
     """
     if not solutions:
         raise ValueError("need at least one solution")
@@ -352,8 +353,10 @@ def tightness_certificate(solutions: Sequence[BsdeSolution], dt: float) -> dict:
 
     def ratio(vals):
         vals = np.array(vals)
-        lo = float(np.min(vals))
-        return float(np.max(vals) / lo) if lo > 0 else 1.0
+        lo, hi = float(np.min(vals)), float(np.max(vals))
+        if lo > 0:
+            return hi / lo
+        return 1.0 if hi == 0 else None
 
     return {"rows": rows,
             "ratio_cv_plus_sup": ratio([r["cv_plus_sup"] for r in rows]),

@@ -5,12 +5,11 @@ in x1 with V(0) = V'(0) = 0, for frozen (x2, y).  Writing
 q(t) = rho(t/eps, x2) * (f(t/eps, x2, y) - fbar(t, x2, y)), the solution is the
 double primitive
 
-    V(x1)  = int_0^{x1} (x1 - t) q(t) dt,      V'(x1) = int_0^{x1} q(t) dt,
+    V(x1) = int_0^{x1} (x1 - t) q(t) dt,
 
-so everything reduces to single adaptive quadratures (the running-average
-form V'(x1) = x1 * F(x1) has the removable singularity F(0) := 0 handled
-explicitly).  Because q averages to zero on each side of the interface,
-V shrinks with eps; decay_table tabulates that.
+so everything reduces to single adaptive quadratures.  Because q averages
+to zero on each side of the interface, V shrinks with eps; decay_table
+tabulates that.
 
 Second derivatives are never formed by differencing quadrature values
 (catastrophic cancellation at step h = 1e-4*eps); instead the central
@@ -57,16 +56,6 @@ class CorrectorField:
         rho = self.fam.rho(t, x2)
         return (self.fam.rho_f(t, x2, y)
                 - rho * self.avg.f(t, x2, float(y)))
-
-
-def corrector_dx1(field: CorrectorField, x1: float, x2, y: float) -> float:
-    """D_{x1}V = x1 * F(x1) with F the running average of q; F(0) := 0."""
-    x1 = float(x1)
-    if x1 == 0.0:
-        return 0.0
-    val = integrate(lambda t: field.q(t, x2, y), 0.0, x1,
-                    rtol=_RTOL, max_panel=field.max_panel)
-    return float(val[0])
 
 
 def corrector_value(field: CorrectorField, x1: float, x2, y: float) -> float:
@@ -171,10 +160,6 @@ class DecayTable:
     rows: list
     grid_spec: str
     monotone_V: bool
-    monotone_beta: bool
-
-    def sup_V(self):
-        return np.array([r.sup_V for r in self.rows])
 
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -258,5 +243,4 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
     spec = (f"x1[{x1lo},{x1hi}]x{n1};x2[{x2lo},{x2hi}]x{n2};"
             f"y[{y_box[0]},{y_box[1]}]x{ny}")
     return DecayTable(rows=rows, grid_spec=spec,
-                      monotone_V=nonincreasing([r.sup_V for r in rows]),
-                      monotone_beta=nonincreasing([r.sup_beta for r in rows]))
+                      monotone_V=nonincreasing([r.sup_V for r in rows]))

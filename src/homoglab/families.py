@@ -23,8 +23,8 @@ side of the interface ``{x1 = 0}`` (the point 0 itself uses the minus side).
 By linearity it is the family's own templates on the limit basis: ``(T, sin)``
 replaced by its one-sided limits, ``(+1, 0)`` for x1 > 0 and ``(-1, 0)``
 otherwise in closed form.  So both models share one coefficient interface,
-``TemplateCoefficients``, and differ only in the basis (which alone holds
-the side convention) and in the operation order of ``driver``.
+``TemplateCoefficients`` with one driver, and differ only in the basis
+(which alone holds the side convention).
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class CesaroResult:
     g_minus: np.ndarray
     converged: bool
     residual: float
-    horizons: np.ndarray
     averages_plus: np.ndarray   # (n_horizons, m)
     averages_minus: np.ndarray
 
@@ -106,7 +105,7 @@ def cesaro_average(g, schedule=None, tol: float = 1e-4,
     return CesaroResult(
         g_plus=avg_p[-1].copy(), g_minus=avg_m[-1].copy(),
         converged=bool(residual <= tol), residual=residual,
-        horizons=schedule, averages_plus=avg_p, averages_minus=avg_m)
+        averages_plus=avg_p, averages_minus=avg_m)
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +160,7 @@ class TemplateCoefficients:
     Every coefficient is the family's ``(T, sin)`` templates evaluated on
     ``self.basis(x1)`` through ``_Template.combine``.  A subclass supplies
     ``basis``, ``d``, the family ``fam`` whose templates and driver
-    y-shape it evaluates, ``driver`` and ``label``, the model's name in
-    FD output.
+    y-shape it evaluates, and ``label``, the model's name in FD output.
     """
 
     def _combine(self, x1, x2, *templates):
@@ -201,6 +199,15 @@ class TemplateCoefficients:
 
     def sigma1(self, x1, x2):
         return _sym_sqrt(2.0 * self.a1(x1, x2))
+
+    def driver(self, x1, x2):
+        """The driver at (x1, x2) as the map ``y -> f``.  Its y-independent
+        factor ``rho_f / rho`` comes from one basis evaluation and one
+        division, made once however often the map is applied."""
+        rho, rhof = self._combine(x1, x2, self.fam.rho_t, self.fam.rhof_t)
+        coef = rhof / rho
+        shape = self.fam.f_y_shape
+        return lambda y: coef * shape(y)
 
     def f(self, x1, x2, y):
         return self.driver(x1, x2)(y)
@@ -259,13 +266,6 @@ class CoefficientFamily(TemplateCoefficients):
     def f_y_shape(self, y):
         c0, c1 = self.f_shape
         return c0 + c1 * np.tanh(np.asarray(y, dtype=float))
-
-    def driver(self, x1, x2):
-        """The driver at (x1, x2) as the map ``y -> f``.  Its y-independent
-        factors, ``rho*f``'s coefficient and ``rho``, come from one basis
-        evaluation, made once however often the map is applied."""
-        rho, rhof = self._combine(x1, x2, self.rho_t, self.rhof_t)
-        return lambda y: (rhof * self.f_y_shape(y)) / rho
 
     def terminal(self, x):
         x = np.asarray(x, dtype=float)
@@ -326,14 +326,6 @@ class AveragedModel(TemplateCoefficients):
         out[..., 0, 0] = a00
         out[..., 1:, 1:] = a1
         return out
-
-    def driver(self, x1, x2):
-        """The averaged driver at (x1, x2) as the map ``y -> f``, as
-        ``CoefficientFamily.driver``, but with ``rho`` divided out first."""
-        rho, rhof = self._combine(x1, x2, self.fam.rho_t, self.fam.rhof_t)
-        coef = rhof / rho
-        shape = self.fam.f_y_shape
-        return lambda y: coef * shape(y)
 
     # -- serialization ------------------------------------------------------
     def to_json(self, x2_grid):
@@ -540,9 +532,6 @@ def make_family(family_id: str, params: Sequence[float] = (), d: int = 1,
 # Assumption audit
 # ---------------------------------------------------------------------------
 
-_ASSUMPTION_IDS = ("A1", "A2", "A3", "B1", "B2", "B3", "C1", "C2", "C3")
-
-
 @dataclass
 class AssumptionEntry:
     id: str
@@ -552,11 +541,19 @@ class AssumptionEntry:
     detail: str = ""
 
 
-def nonincreasing(values) -> bool:
-    """The one trend rule: no value rises above the one before it by more
-    than 5 % of that value (plus 1e-12)."""
+def _first_rise(values) -> Optional[int]:
+    """The one trend rule: the index of the first value that rises above
+    the one before it by more than 5 % of that value (plus 1e-12), or None
+    when no value does."""
     values = np.asarray(values)
-    return bool(np.all(np.diff(values) <= 0.05 * values[:-1] + 1e-12))
+    ok = np.diff(values) <= 0.05 * values[:-1] + 1e-12
+    bad = np.flatnonzero(~ok)
+    return int(bad[0]) + 1 if bad.size else None
+
+
+def nonincreasing(values) -> bool:
+    """No value breaks the trend rule (``_first_rise``)."""
+    return _first_rise(values) is None
 
 
 def audit_assumptions(fam: CoefficientFamily, sample_spec: dict) -> dict:
@@ -658,10 +655,10 @@ def audit_assumptions(fam: CoefficientFamily, sample_spec: dict) -> dict:
         rem = [np.abs(run[:, 0] - g(avg, side)[0]) / norm for run, side in
                ((res.averages_plus, 1.0), (res.averages_minus, -1.0))]
         trend = np.maximum(*rem)
-        decreasing = nonincreasing(trend)
+        rise = _first_rise(trend)   # the witness is where the rise lands
         entries[aid] = AssumptionEntry(
-            aid, "verified-sampled" if decreasing else "violated",
+            aid, "verified-sampled" if rise is None else "violated",
             float(trend[-1]),
-            None if decreasing else (float(horizons[int(np.argmax(np.diff(trend) > 0))]),),
+            None if rise is None else (float(horizons[rise]),),
             f"remainder along |x1|={list(horizons)}: {[float(t) for t in trend]}")
     return entries

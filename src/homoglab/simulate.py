@@ -60,10 +60,6 @@ class SimGrid:
     def dt(self) -> float:
         return self.t_end / self.n_steps
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.n_steps + 1)
-
 
 @dataclass
 class PathBundle:

@@ -131,7 +131,7 @@ def test_criterion_04_corrector():
     avg = hl.build_averaged(fam)
     table = hl.decay_table(fam, avg, [1.0, 0.3, 0.1, 0.03],
                            ((-2, 2), (-1, 1)), (-1, 1), n_grid=(21, 9, 9))
-    sup = table.sup_V()
+    sup = [r.sup_V for r in table.rows]
     decay_ok = table.monotone_V and sup[-1] <= TOL["decay_factor"] * sup[0]
     ok = all(results) and decay_ok
     _verdict(4, ok, f"residual_check on {CATALOG_IDS}: {results}; sup|V| "

@@ -340,3 +340,27 @@ def test_tightness_certificate_structure(switch_family, switch_avg,
     assert cert["ratio_energy"] >= 1.0
     assert cert["ratio_cv_plus_sup"] >= 1.0
     assert "-0.5:0.5" in cert["ratio_upcrossings"]
+
+
+def _path_solution(path, eps):
+    """A one-path solution whose Y is ``path``, for the certificate."""
+    Y = np.asarray(path, dtype=float)[None, :]
+    return hl.BsdeSolution(
+        Y0=Y[0, 0], Y0_stderr=0.0, Y=Y, Z=np.zeros((1, Y.shape[1] - 1, 1)),
+        picard_residuals=[], condition_numbers=np.zeros(0), cv=1.0,
+        cv_stderr=0.0, sup_abs_y=1.0, eps=eps)
+
+
+def test_tightness_upcrossing_ratio_unbounded_when_one_row_has_none():
+    # counts 0 and 1: max/min is unbounded, not uniform (1.0), so the
+    # ratio is None; rows that all have no up-crossings keep 1.0
+    still = _path_solution([0.2, 0.2, 0.2], 1.0)
+    cross = _path_solution([-1.0, 0.0, 1.0], 0.1)
+    cert = hl.tightness_certificate([still, cross], dt=0.5)
+    assert [r["upcrossings"]["-0.5:0.5"] for r in cert["rows"]] == [0.0, 1.0]
+    assert cert["ratio_upcrossings"] == {"-0.5:0.5": None}
+    assert cert["ratio_energy"] > 0 and cert["ratio_cv_plus_sup"] > 0
+    cert = hl.tightness_certificate([still, still], dt=0.5)
+    assert cert["ratio_upcrossings"] == {"-0.5:0.5": 1.0}
+    cert = hl.tightness_certificate([cross, cross], dt=0.5)
+    assert cert["ratio_upcrossings"] == {"-0.5:0.5": 1.0}

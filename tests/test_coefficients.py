@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +25,7 @@ def test_cesaro_transition_limits():
     assert res.converged
     assert res.g_plus[0] == pytest.approx(1.0, abs=1e-4)
     assert res.g_minus[0] == pytest.approx(-1.0, abs=1e-4)
-    X = res.horizons[-1]
+    X = DEFAULT_SCHEDULE[-1]
     ref = (2 / np.pi) * (np.arctan(X) - np.log1p(X ** 2) / (2 * X))
     assert res.averages_plus[-1, 0] == pytest.approx(ref, rel=1e-6)
 
@@ -295,9 +297,8 @@ def test_averaged_model_is_family_on_limit_basis(fid, monkeypatch):
     y = rng.normal(size=x1.size)
     calls = {name: (x1, x2) for name in ("weighted", "rho", "rho_f_coef", "a00",
                                           "phi", "b1", "a1", "sigma1")}
-    calls["rho_f"] = (x1, x2, y)
+    calls["rho_f"] = calls["f"] = (x1, x2, y)
     got = {name: getattr(avg, name)(*args) for name, args in calls.items()}
-    got_f = avg.f(x1, x2, y)
     monkeypatch.setattr(hl.families._Template, "basis",
                         staticmethod(_limit_basis))
     for name, args in calls.items():
@@ -306,9 +307,31 @@ def test_averaged_model_is_family_on_limit_basis(fid, monkeypatch):
             assert all(np.array_equal(g, r) for g, r in zip(got[name], ref))
         else:
             assert np.array_equal(got[name], ref), name
-    # the two drivers divide by rho in different orders
-    ref_f = fam.f(x1, x2, y)
-    assert np.all(np.abs(got_f - ref_f) <= 1e-15 * np.abs(ref_f))
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.1])
+def test_flat_family_driver_equals_averaged_driver(switch_family, eps):
+    # an x1-independent family with rho = 3: the two-scale and averaged
+    # models share one driver, so they agree to the bit off rho = 1 too
+    from homoglab.families import _const_w
+
+    def no_fast(t, **w):
+        # zero T and sin weights
+        return dataclasses.replace(t, w1=lambda x2: 0.0 * t.w1(x2),
+                                   w2=lambda x2: 0.0 * t.w2(x2), **w)
+    flat = dataclasses.replace(
+        switch_family, rho_t=no_fast(switch_family.rho_t, w0=_const_w(3.0)),
+        rhob_t=no_fast(switch_family.rhob_t),
+        rhoa_t=no_fast(switch_family.rhoa_t),
+        rhof_t=no_fast(switch_family.rhof_t))
+    fam, avg = flat.at(eps), hl.closed_form_averaged(flat)
+    rng = np.random.default_rng(20)
+    x1 = np.concatenate([[0.0, -0.0], 3.0 * rng.normal(size=2000)])
+    x2 = rng.normal(size=(x1.size, 1))
+    y = 2.0 * rng.normal(size=x1.size)
+    assert np.all(fam.rho(x1, x2) == 3.0)
+    assert np.array_equal(fam.driver(x1, x2)(y), avg.driver(x1, x2)(y))
+    assert np.array_equal(fam.f(x1, x2, y), avg.f(x1, x2, y))
 
 
 def test_averaged_model_json_roundtrip(switch_avg, tmp_path):
@@ -351,6 +374,30 @@ def test_nonincreasing_allows_a_five_percent_rise():
     assert nonincreasing([3.0, 1.0, 1.04])
     assert not nonincreasing([3.0, 1.0, 1.06])
     assert nonincreasing([7.0])
+
+
+def test_audit_trend_witness_is_the_breaking_rise(const_family, monkeypatch):
+    # the B3/C2 verdict and its witness follow one rule: the trend
+    # [1.0, 1.02, 0.5, 0.9] rises within 5 % at |x1| = 1e2 and breaks the
+    # rule at 1e4, so 1e4 is the witness
+    from homoglab import families
+    trend = np.array([1.0, 1.02, 0.5, 0.9])
+
+    def fake_cesaro(g, **kw):
+        # the running averages of an x1-independent family are its value;
+        # the plus side gets the trend added
+        base = g(np.array([1.0]))[0]
+        return dataclasses.replace(
+            cesaro_average(g, **kw), averages_plus=(base + trend)[:, None],
+            averages_minus=np.full((trend.size, 1), base))
+    monkeypatch.setattr(families, "cesaro_average", fake_cesaro)
+    rep = hl.audit_assumptions(
+        const_family,
+        {"box": [(-5, 5), (-2, 2), (-2, 2)], "n_samples": 16, "seed": 2})
+    for aid in ("B3", "C2"):
+        assert rep[aid].status == "violated"
+        assert rep[aid].witness == (1e4,)
+        assert rep[aid].residual == pytest.approx(0.9)
 
 
 def test_audit_catches_bound_violation(switch_family):

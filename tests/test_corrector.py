@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import homoglab as hl
-from homoglab.corrector import (CorrectorField, DecayTable, corrector_dx1,
-                                corrector_value, decay_table, residual_check,
-                                second_difference)
+from homoglab.corrector import (CorrectorField, DecayTable, corrector_value,
+                                decay_table, residual_check, second_difference)
+from homoglab.families import nonincreasing
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +14,6 @@ def switch_field(switch_family, switch_avg):
 
 def test_boundary_conditions(switch_field):
     assert corrector_value(switch_field, 0.0, [0.3], 0.2) == 0.0
-    assert corrector_dx1(switch_field, 0.0, [0.3], 0.2) == 0.0
 
 
 def test_zero_for_fast_independent(slowvary_family):
@@ -24,27 +23,17 @@ def test_zero_for_fast_independent(slowvary_family):
     # interpolation mismatch of the y-shape, which vanishes at grid y values
     for x1 in (0.5, -1.2):
         assert abs(corrector_value(field, x1, [0.4], 0.0)) < 1e-10
-        assert abs(corrector_dx1(field, x1, [0.4], 0.0)) < 1e-10
 
 
-def test_dx1_matches_brute_force_simpson(switch_family, switch_avg):
+def test_value_matches_brute_force_simpson(switch_family, switch_avg):
+    # V(1) = int_0^1 (1 - t) q(t) dt on a fine Simpson grid
     from scipy.integrate import simpson
     field = CorrectorField(switch_family.at(0.1), switch_avg)
-    got = corrector_dx1(field, 1.0, [0.0], 0.0)
+    got = corrector_value(field, 1.0, [0.0], 0.0)
     t = np.linspace(0.0, 1.0, 1_000_001)
     t[0] = 1e-13          # stay on the plus branch of fbar at the endpoint
-    oracle = simpson(field.q(t, [0.0], 0.0), x=t)
+    oracle = simpson((1.0 - t) * field.q(t, [0.0], 0.0), x=t)
     assert got == pytest.approx(oracle, rel=1e-6)
-
-
-def test_value_is_integral_of_dx1(switch_field):
-    # V(x1) = int_0^{x1} V'(s) ds, cross-checked on a trapezoid refinement
-    x1 = 1.5
-    s = np.linspace(0.0, x1, 2001)
-    vp = np.array([corrector_dx1(switch_field, si, [0.2], 0.1) for si in s[::50]])
-    coarse = np.trapezoid(vp, s[::50])
-    assert corrector_value(switch_field, x1, [0.2], 0.1) == \
-        pytest.approx(coarse, abs=5e-4)
 
 
 def test_value_decreases_with_eps(switch_family, switch_avg):
@@ -93,12 +82,12 @@ def test_decay_table_switch(switch_family, switch_avg, tmp_path):
                         ((-2, 2), (-1, 1)), (-1, 1), n_grid=(21, 7, 7))
     table.to_csv(tmp_path / "decay.csv")
     assert isinstance(table, DecayTable)
-    sup = table.sup_V()
+    sup = [r.sup_V for r in table.rows]
     assert table.monotone_V
     assert sup[-1] <= 0.2 * sup[0]
     assert all(r.sup_beta >= 0 and r.sup_alpha >= 0 for r in table.rows)
     # beta remainder shrinks along the eps list (non-increasing within 5%)
-    assert table.monotone_beta
+    assert nonincreasing([r.sup_beta for r in table.rows])
     lines = (tmp_path / "decay.csv").read_text().splitlines()
     assert lines[0] == "eps,sup_V,sup_beta,sup_alpha,grid_spec"
     assert len(lines) == 5

@@ -19,7 +19,6 @@ def test_grid_validation():
         hl.SimGrid(1.0, 1)
     g = hl.SimGrid(1.0, 4)
     assert g.dt == 0.25
-    assert g.times[-1] == 1.0
 
 
 def test_bundle_shapes(switch_bundle):
