@@ -9,7 +9,7 @@ from .simulate import (PathBundle, SimGrid, SimulationError, moment_report,
                        occupation_time, simulate_avg, simulate_eps)
 from .bsde import (BsdeSolution, BsdeSpec, PicardError, RegressionError,
                    conditional_variation, solve_bsde, tightness_certificate,
-                   upcrossings)
+                   tightness_row, upcrossings)
 from .corrector import (CorrectorField, corrector_value, decay_table,
                         residual_check, second_difference)
 from .pde_fd import (Grid2D, GridSolution, PdeError, PdeModel,

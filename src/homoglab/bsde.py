@@ -80,10 +80,6 @@ class BsdeSolution:
     sup_abs_y: float               # E sup_s |Y_s|
     eps: Optional[float]
 
-    def z_energy(self, dt):
-        """Estimate of E sum |Z|^2 dt."""
-        return float(np.mean(np.sum(self.Z ** 2, axis=(1, 2))) * dt)
-
     def save(self, path, dt):
         n_paths, n_steps1 = self.Y.shape
         k = self.Z.shape[2]
@@ -329,27 +325,31 @@ def _upcrossings_batch(Y, a, b):
     return float(np.mean(counts))
 
 
-def tightness_certificate(solutions: Sequence[BsdeSolution], dt: float) -> dict:
+def tightness_row(sol: BsdeSolution, dt: float) -> dict:
+    """One solution's row of the tightness certificate: CV + E sup|Y|, the
+    energy E sup|Y|^2 + E sum |Z|^2 dt and the mean up-crossing count of
+    each band of ``UPCROSSING_BANDS``."""
+    return {
+        "eps": sol.eps,
+        "cv": sol.cv,
+        "sup_abs_y": sol.sup_abs_y,
+        "cv_plus_sup": sol.cv + sol.sup_abs_y,
+        "energy": float(np.mean(np.max(np.abs(sol.Y), axis=1) ** 2))
+        + float(np.mean(np.sum(sol.Z ** 2, axis=(1, 2))) * dt),
+        "upcrossings": {f"{a}:{b}": _upcrossings_batch(sol.Y, a, b)
+                        for a, b in UPCROSSING_BANDS},
+    }
+
+
+def tightness_certificate(rows: Sequence[dict]) -> dict:
     """Empirical uniform-in-eps boundedness report (not a proof).
 
-    Tabulates CV + E sup|Y| and per-band mean up-crossing counts for each
-    solution, plus the max/min ratios across the collection: 1.0 when every
-    value is 0, None (unbounded) when the smallest is 0 and another is not.
+    Takes one ``tightness_row`` per solution and adds the max/min ratios
+    across them: 1.0 when every value is 0, None (unbounded) when the
+    smallest is 0 and another is not.
     """
-    if not solutions:
-        raise ValueError("need at least one solution")
-    rows = []
-    for sol in solutions:
-        rows.append({
-            "eps": sol.eps,
-            "cv": sol.cv,
-            "sup_abs_y": sol.sup_abs_y,
-            "cv_plus_sup": sol.cv + sol.sup_abs_y,
-            "energy": float(np.mean(np.max(np.abs(sol.Y), axis=1) ** 2))
-            + sol.z_energy(dt),
-            "upcrossings": {f"{a}:{b}": _upcrossings_batch(sol.Y, a, b)
-                            for a, b in UPCROSSING_BANDS},
-        })
+    if not rows:
+        raise ValueError("need at least one row")
 
     def ratio(vals):
         vals = np.array(vals)

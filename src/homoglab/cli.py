@@ -62,16 +62,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _bsde_row(st, i) -> dict:
+    """The sweep's row job for ``bsde``: eps row i's solution is saved as
+    ``bsde_eps{i}.bin`` where it runs; only its summary entry goes back."""
+    _, sol = st.eps_run(i)
+    sol.save(_out(st, f"bsde_eps{i}.bin"), st.cfg.grid().dt)
+    return {"eps": st.cfg.eps_list[i], "Y0": sol.Y0, "stderr": sol.Y0_stderr}
+
+
 def cmd_bsde(args) -> int:
     st = _stages(args)
-    dt = st.cfg.grid().dt
-    summary = {"eps": []}
-    for i, (_, sol) in enumerate(st.sweep(args.threads)):
-        sol.save(_out(st, f"bsde_eps{i}.bin"), dt)
-        summary["eps"].append({"eps": st.cfg.eps_list[i], "Y0": sol.Y0,
-                               "stderr": sol.Y0_stderr})
+    summary = {"eps": st.sweep(_bsde_row, args.threads)}
     _, sol = st.avg_run()
-    sol.save(_out(st, "bsde_avg.bin"), dt)
+    sol.save(_out(st, "bsde_avg.bin"), st.cfg.grid().dt)
     summary["averaged"] = {"Y0": sol.Y0, "stderr": sol.Y0_stderr}
     print(write_json(_out(st, "bsde_summary.json"), summary))
     return 0

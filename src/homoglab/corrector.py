@@ -213,9 +213,7 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
             def g(t):
                 rho, rhof = model._combine(t, x2r, fam.rho_t, fam.rhof_t)
                 rhof = rhof[:, None] * shape_y
-                rho_bar, rhof_bar = avg._combine(t, x2r, avg.fam.rho_t,
-                                                 avg.fam.rhof_t)
-                q = rhof - (rho * (rhof_bar / rho_bar))[:, None] * shape_y
+                q = rhof - rho[:, None] * avg.driver(t[:, None], x2r)(ys)
                 return np.concatenate(
                     [q, t[:, None] * q, rhof, rho[:, None]], axis=1)
 

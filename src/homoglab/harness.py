@@ -18,14 +18,14 @@ import sys
 import threading
 import warnings
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
 
 from . import corrector as corr
 from . import families, pde_fd
-from .bsde import BsdeSpec, BsdeSolution, solve_bsde, tightness_certificate
+from .bsde import BsdeSpec, solve_bsde, tightness_certificate, tightness_row
 from .simulate import PathBundle, SimGrid, SimulationError, mean_stderr, \
     moment_report, occupation_time, simulate_avg, simulate_eps
 
@@ -364,12 +364,14 @@ class Stages:
         bundle = self.avg_paths()
         return bundle, solve_bsde(bundle, self.spec(self.avg.driver))
 
-    def sweep(self, n_workers: int = 1) -> list:
-        """``eps_run`` over every eps, in eps order.
+    def sweep(self, job, n_workers: int = 1) -> list:
+        """``job(self, i)`` of every eps row i, in eps order.
 
-        With ``n_workers`` > 1 and the ``fork`` start method, the rows run
-        on min(n_workers, rows) forked worker processes, which inherit this
-        ``Stages`` (nothing of it is pickled); the rows are submitted
+        A row job reduces its row where it runs, so only its result, never
+        the row's paths or solution, reaches the caller.  With
+        ``n_workers`` > 1 and the ``fork`` start method, the rows run on
+        min(n_workers, rows) forked worker processes, which inherit this
+        ``Stages`` and ``job`` (neither is pickled); the rows are submitted
         longest first, by substeps.  Otherwise, and when the caller runs
         other threads (a fork copies any lock one of them holds), they run
         here, one after the other.  Stage seeds make the result
@@ -379,15 +381,15 @@ class Stages:
         steps = self.row_substeps   # here, so a cap warning reaches the caller
         if min(n_workers, n) < 2 or threading.active_count() > 1 \
                 or not hasattr(os, "fork"):
-            return [self.eps_run(i) for i in range(n)]
+            return [job(self, i) for i in range(n)]
         # imported here, so a run on one worker never loads multiprocessing
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(
             min(n_workers, n), mp_context=multiprocessing.get_context("fork"),
-            initializer=_adopt_stages, initargs=(self,))
+            initializer=_adopt_job, initargs=(partial(job, self),))
         try:
-            jobs = {i: pool.submit(_eps_run, i)
+            jobs = {i: pool.submit(_row_job, i)
                     for i in sorted(range(n), key=lambda i: -steps[i])}
             return [jobs[i].result() for i in range(n)]
         finally:
@@ -422,30 +424,39 @@ class Stages:
             "seed": split_seed(cfg.mc["seed"], "corrector")})
 
 
-# the Stages of a sweep worker, set in the worker by ``_adopt_stages``
-_worker_stages: Optional[Stages] = None
+# a sweep worker's row job, bound to its Stages by the sweep
+_worker_job = None
 
 
-def _adopt_stages(st: Stages) -> None:
-    global _worker_stages
-    _worker_stages = st
+def _adopt_job(job) -> None:
+    global _worker_job
+    _worker_job = job
 
 
-def _eps_run(i: int):
-    """``eps_run(i)`` of the worker's Stages; only (paths, solution) go
-    back to the caller."""
-    return _worker_stages.eps_run(i)
+def _row_job(i: int):
+    """Row i of the worker's job; only its result goes back to the caller."""
+    return _worker_job(i)
 
 
-def _drift_gap_row(st: Stages, bundle: PathBundle, sol: BsdeSolution):
-    """E sup_s |int_0^s (f(X1/eps, X2, Y) - fbar(X1, X2, Y)) du| estimate."""
-    x1 = bundle.x1()[:, :-1]
-    x2 = bundle.x2()[:, :-1]
-    y = sol.Y[:, :-1]
-    gap = st.fam.at(bundle.eps).driver(x1, x2)(y) - st.avg.driver(x1, x2)(y)
-    integral = np.cumsum(gap * bundle.grid.dt, axis=1)
-    return {"eps": bundle.eps,
-            "gap": _cell(*mean_stderr(np.max(np.abs(integral), axis=1)))}
+def _report_row(st: Stages, i: int) -> dict:
+    """The report's row job: eps row i reduced to its report row (all but
+    ``error``, which needs the averaged run), its drift-gap row (the
+    estimate of E sup_s |int_0^s (f(X1/eps, X2, Y) - fbar(X1, X2, Y)) du|)
+    and its ``tightness_row``."""
+    bundle, sol = st.eps_run(i)
+    eps, dt = bundle.eps, bundle.grid.dt
+    x1, x2, y = bundle.x1()[:, :-1], bundle.x2()[:, :-1], sol.Y[:, :-1]
+    gap = st.fam.at(eps).driver(x1, x2)(y) - st.avg.driver(x1, x2)(y)
+    integral = np.cumsum(gap * dt, axis=1)
+    return {"row": {"eps": eps, "Y0": _cell(sol.Y0, sol.Y0_stderr),
+                    "cv": _cell(sol.cv, sol.cv_stderr),
+                    "sup_abs_y": _cell(*mean_stderr(
+                        np.max(np.abs(sol.Y), axis=1))),
+                    "moments": {str(k): _cell(m, s) for k, (m, s)
+                                in moment_report(bundle, [1, 2]).items()}},
+            "drift_gap": {"eps": eps, "gap": _cell(*mean_stderr(
+                np.max(np.abs(integral), axis=1)))},
+            "tightness": tightness_row(sol, dt)}
 
 
 @dataclass
@@ -487,54 +498,26 @@ def run_convergence(cfg: ExperimentConfig, n_workers: int = 1):
         st.avg   # built here, so that its failure names this stage
 
         stage = "eps-sweep"
-        results = st.sweep(n_workers)
+        records = st.sweep(_report_row, n_workers)
 
         stage = "averaged-run"
-        avg_bundle, avg_sol = st.avg_run()
-        y0_bar, y0_bar_se = avg_sol.Y0, avg_sol.Y0_stderr
+        bundle, sol = st.avg_run()
+        y0_bar, y0_bar_se = sol.Y0, sol.Y0_stderr
+        report.averaged = {"Y0": _cell(y0_bar, y0_bar_se),
+                           "moments": {str(k): _cell(m, s) for k, (m, s)
+                                       in moment_report(bundle, [1, 2]).items()}}
+        occ = occupation_time(bundle, [1, 2, 4, 8, 16, 32])
+        del bundle, sol   # the averaged run's arrays die before the FD solve
 
         stage = "assemble-rows"
-        for i, (bundle, sol) in enumerate(results):
-            err = abs(sol.Y0 - y0_bar)
-            comb = float(np.hypot(sol.Y0_stderr, y0_bar_se))
-            report.rows.append({
-                "eps": cfg.eps_list[i],
-                "Y0": _cell(sol.Y0, sol.Y0_stderr),
-                "error": _cell(err, comb),
-                "cv": _cell(sol.cv, sol.cv_stderr),
-                "sup_abs_y": _cell(*mean_stderr(
-                    np.max(np.abs(sol.Y), axis=1))),
-                "moments": {str(k): _cell(m, s) for k, (m, s)
-                            in moment_report(bundle, [1, 2]).items()},
-            })
-
-        stage = "averaged-record"
-        report.averaged = {"Y0": _cell(y0_bar, y0_bar_se),
-                            "moments": {str(k): _cell(m, s) for k, (m, s)
-                                        in moment_report(avg_bundle, [1, 2]).items()}}
-
-        stage = "fd-crosscheck"
-        if cfg.fd is not None:
-            _, v_fd, v_fd_error = st.fd()
-            report.averaged["v_fd"] = _cell(v_fd, v_fd_error)
-
-        stage = "drift-gap"
-        for bundle, sol in results:
-            report.drift_gap.append(_drift_gap_row(st, bundle, sol))
-
-        stage = "corrector-decay"
-        if cfg.corrector is not None:
-            table = st.decay()
-            report.decay = {
-                "grid_spec": table.grid_spec,
-                "monotone_V": table.monotone_V,
-                "rows": [{"eps": r.eps, "sup_V": _cell(r.sup_V),
-                          "sup_beta": _cell(r.sup_beta),
-                          "sup_alpha": _cell(r.sup_alpha)}
-                         for r in table.rows]}
+        for rec in records:
+            y0 = rec["row"]["Y0"]
+            err = abs(y0["value"] - y0_bar)
+            comb = float(np.hypot(y0["stderr"], y0_bar_se))
+            report.rows.append({**rec["row"], "error": _cell(err, comb)})
+            report.drift_gap.append(rec["drift_gap"])
 
         stage = "occupation"
-        occ = occupation_time(avg_bundle, [1, 2, 4, 8, 16, 32])
         pos = [(n, m) for n, (m, _) in occ.items() if m > 0]
         if len(pos) >= 3:
             ns, means = zip(*pos)
@@ -547,9 +530,25 @@ def run_convergence(cfg: ExperimentConfig, n_workers: int = 1):
                           for n, (m, s) in occ.items()],
             "slope": slope}
 
+        stage = "fd-crosscheck"
+        if cfg.fd is not None:
+            _, v_fd, v_fd_error = st.fd()
+            report.averaged["v_fd"] = _cell(v_fd, v_fd_error)
+
+        stage = "corrector-decay"
+        if cfg.corrector is not None:
+            table = st.decay()
+            report.decay = {
+                "grid_spec": table.grid_spec,
+                "monotone_V": table.monotone_V,
+                "rows": [{"eps": r.eps, "sup_V": _cell(r.sup_V),
+                          "sup_beta": _cell(r.sup_beta),
+                          "sup_alpha": _cell(r.sup_alpha)}
+                         for r in table.rows]}
+
         stage = "tightness"
         report.tightness = tightness_certificate(
-            [sol for _, sol in results], dt=cfg.grid().dt)
+            [rec["tightness"] for rec in records])
 
         stage = "flags"
         report.flags = _compute_flags(cfg, report)

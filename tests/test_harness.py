@@ -5,6 +5,7 @@ import importlib.util
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,8 @@ from homoglab import pde_fd
 from homoglab.cli import main as cli_main
 from homoglab.families import AveragingError
 from homoglab.harness import (ConfigError, EmitError, Stages, _cell,
-                              _no_rise, _scan_nan, emit, split_seed)
+                              _no_rise, _report_row, _scan_nan, emit,
+                              split_seed)
 from homoglab.simulate import SimulationError
 from conftest import base_config, flow_continuity_check
 
@@ -201,8 +203,14 @@ def test_pipeline_error_carries_stage(config_doc, monkeypatch):
     with pytest.raises(hl.PipelineError) as exc:
         hl.run_convergence(cfg)
     assert exc.value.stage == "fd-crosscheck"
-    assert exc.value.partial.incomplete
-    assert len(exc.value.partial.rows) == 2   # earlier stages preserved
+    partial = exc.value.partial
+    assert partial.incomplete
+    # earlier stages preserved: the rows with their drift gaps and the
+    # averaged run's occupation estimates are taken before the FD solve
+    assert len(partial.rows) == 2
+    assert [g["eps"] for g in partial.drift_gap] == [1.0, 0.3]
+    assert [e["n"] for e in partial.occupation["estimates"]] == \
+        [1, 2, 4, 8, 16, 32]
 
 
 def test_occupation_slope_insufficient_data(tmp_path):
@@ -315,8 +323,9 @@ def _sweep_doc():
 
 
 def test_sweep_on_workers_matches_in_process(monkeypatch):
-    # the rows go to the workers longest first and come back in eps order,
-    # with the bits of the in-process sweep; no worker outlives the sweep
+    # the rows go to the workers longest first and their records come back
+    # in eps order, equal to the in-process sweep's; no worker outlives the
+    # sweep
     submitted = []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
@@ -326,24 +335,39 @@ def test_sweep_on_workers_matches_in_process(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     st = Stages(hl.ExperimentConfig.from_dict(_sweep_doc()))
     assert st.row_substeps == [1, 4, 16]
-    here = st.sweep(1)
+    here = st.sweep(_report_row, 1)
     assert submitted == []
+    assert [r["row"]["eps"] for r in here] == [1.0, 0.1, 0.05]
     for n_workers in (2, 4):
-        there = st.sweep(n_workers)
-        assert [b.eps for b, _ in there] == [1.0, 0.1, 0.05]
-        for (b1, s1), (b2, s2) in zip(here, there):
-            for a1, a2 in ((b1.X, b2.X), (b1.dB, b2.dB), (s1.Y, s2.Y),
-                           (s1.Z, s2.Z)):
-                assert a1.tobytes() == a2.tobytes()
-            assert (s1.Y0, s1.Y0_stderr) == (s2.Y0, s2.Y0_stderr)
+        assert st.sweep(_report_row, n_workers) == here
     assert submitted == [2, 1, 0] * 2
     assert multiprocessing.active_children() == []
     # called beside another thread, the sweep does not fork
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as ex:
-        beside = ex.submit(st.sweep, 2).result()
+        beside = ex.submit(st.sweep, _report_row, 2).result()
     assert submitted == [2, 1, 0] * 2
-    assert [b.X.tobytes() for b, _ in beside] == \
-        [b.X.tobytes() for b, _ in here]
+    assert beside == here
+
+
+def test_report_row_record_holds_no_array():
+    # a row's record is built of plain dicts, floats and strings, so no
+    # array of the row travels back from a worker; it pickles to under
+    # 2 KB whatever n_paths is (one demo-size row's arrays pickle to ~54 MB)
+    st = Stages(hl.ExperimentConfig.from_dict(_sweep_doc()))
+    rec = _report_row(st, 2)
+    leaves = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            assert all(type(k) is str for k in node)
+            for v in node.values():
+                walk(v)
+        else:
+            leaves.append(node)
+    walk(rec)
+    assert set(rec) == {"row", "drift_gap", "tightness"}
+    assert {type(v) for v in leaves} == {float}
+    assert len(pickle.dumps(rec)) < 2048
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
