@@ -55,27 +55,26 @@ def cmd_average(args) -> int:
 
 def cmd_simulate(args) -> int:
     st = _stages(args)
-    for i in range(len(st.cfg.eps_list)):
-        st.eps_paths(i).save(_out(st, f"paths_eps{i}.bin"))
-    st.avg_paths().save(_out(st, "paths_avg.bin"))
+    for i, name in enumerate(st.names):
+        st.paths(i).save(_out(st, f"paths_{name}.bin"))
     print(st.cfg.outputs["dir"])
     return 0
 
 
 def _bsde_row(st, i) -> dict:
-    """The sweep's row job for ``bsde``: eps row i's solution is saved as
-    ``bsde_eps{i}.bin`` where it runs; only its summary entry goes back."""
-    _, sol = st.eps_run(i)
-    sol.save(_out(st, f"bsde_eps{i}.bin"), st.cfg.grid().dt)
-    return {"eps": st.cfg.eps_list[i], "Y0": sol.Y0, "stderr": sol.Y0_stderr}
+    """The sweep's row job for ``bsde``: run i's solution is saved as
+    ``bsde_{name}.bin`` where it runs; only its Y0 and stderr go back."""
+    _, sol = st.run(i)
+    sol.save(_out(st, f"bsde_{st.names[i]}.bin"), st.cfg.grid().dt)
+    return {"Y0": sol.Y0, "stderr": sol.Y0_stderr}
 
 
 def cmd_bsde(args) -> int:
     st = _stages(args)
-    summary = {"eps": st.sweep(_bsde_row, args.threads)}
-    _, sol = st.avg_run()
-    sol.save(_out(st, "bsde_avg.bin"), st.cfg.grid().dt)
-    summary["averaged"] = {"Y0": sol.Y0, "stderr": sol.Y0_stderr}
+    *rows, averaged = st.sweep(_bsde_row, args.threads)
+    summary = {"eps": [{"eps": eps, **row}
+                       for eps, row in zip(st.cfg.eps_list, rows)],
+               "averaged": averaged}
     print(write_json(_out(st, "bsde_summary.json"), summary))
     return 0
 

@@ -3,9 +3,10 @@ pipeline with its drift-gap check, and deterministic report emission.
 
 All randomness flows from the single config seed through sha256 key
 splitting per (stage, index), so re-running a config is byte-identical
-regardless of worker count: the eps sweep may run its rows on forked
-worker processes, but each row owns an independent counter-based stream
-and assembly is ordered.
+regardless of worker count: the sweep may run its runs (each eps row and,
+last, the averaged model, all on one path) on forked worker processes,
+but each run owns an independent counter-based stream and assembly is
+ordered.
 """
 
 from __future__ import annotations
@@ -325,7 +326,9 @@ class Stages:
         if not self._fast:
             return 1
         cap = self.cfg.mc["substeps_cap"]
-        need = np.ceil(self.cfg.grid().dt / (0.5 * eps * eps))
+        half_sq = 0.5 * eps * eps
+        # an eps whose square underflows to 0 needs more than any cap
+        need = np.ceil(self.cfg.grid().dt / half_sq) if half_sq > 0 else np.inf
         if need > cap:
             warnings.warn(
                 f"eps = {eps} needs {need:.0f} substeps but substeps_cap = "
@@ -334,54 +337,53 @@ class Stages:
 
     @cached_property
     def row_substeps(self) -> list:
-        """``substeps`` of each eps of ``eps_list``, worked out once, so a
-        binding cap warns once per eps."""
-        return [self.substeps(eps) for eps in self.cfg.eps_list]
+        """``substeps`` of each run, worked out once, so a binding cap warns
+        once per eps: each eps row's, then the averaged model's 1."""
+        return [self.substeps(eps) for eps in self.cfg.eps_list] + [1]
 
-    def eps_paths(self, i: int) -> PathBundle:
-        """Two-scale forward paths for ``eps_list[i]``."""
+    @property
+    def names(self) -> list:
+        """Each run's file stem: ``eps{i}`` of each eps row, then ``avg``."""
+        return [f"eps{i}" for i in range(len(self.cfg.eps_list))] + ["avg"]
+
+    def paths(self, i: int) -> PathBundle:
+        """Forward paths of run i: of ``eps_list[i]``, or of the averaged
+        model for i = len(eps_list)."""
         cfg, mc = self.cfg, self.cfg.mc
-        return simulate_eps(
-            self.fam, cfg.eps_list[i], cfg.x0, cfg.grid(), mc["n_paths"],
-            seed=split_seed(mc["seed"], "eps", i),
-            substeps=self.row_substeps[i], block_size=mc["block_size"])
+        args = (cfg.x0, cfg.grid(), mc["n_paths"])
+        kw = {"substeps": self.row_substeps[i], "block_size": mc["block_size"]}
+        if i == len(cfg.eps_list):
+            return simulate_avg(self.avg, *args,
+                                seed=split_seed(mc["seed"], "avg"), **kw)
+        return simulate_eps(self.fam, cfg.eps_list[i], *args,
+                            seed=split_seed(mc["seed"], "eps", i), **kw)
 
-    def avg_paths(self) -> PathBundle:
-        """Forward paths of the averaged model."""
-        cfg, mc = self.cfg, self.cfg.mc
-        return simulate_avg(self.avg, cfg.x0, cfg.grid(), mc["n_paths"],
-                            seed=split_seed(mc["seed"], "avg"),
-                            block_size=mc["block_size"])
-
-    def eps_run(self, i: int):
-        """(paths, backward solution) for ``eps_list[i]``."""
-        bundle = self.eps_paths(i)
-        return bundle, solve_bsde(bundle,
-                                  self.spec(self.fam.at(bundle.eps).driver))
-
-    def avg_run(self):
-        """(paths, backward solution) of the averaged model."""
-        bundle = self.avg_paths()
-        return bundle, solve_bsde(bundle, self.spec(self.avg.driver))
+    def run(self, i: int):
+        """(paths, backward solution) of run i."""
+        bundle = self.paths(i)
+        model = self.avg if bundle.eps is None else self.fam.at(bundle.eps)
+        return bundle, solve_bsde(bundle, self.spec(model.driver))
 
     def sweep(self, job, n_workers: int = 1) -> list:
-        """``job(self, i)`` of every eps row i, in eps order.
+        """``job(self, i)`` of every run i, the eps rows then the averaged run.
 
-        A row job reduces its row where it runs, so only its result, never
-        the row's paths or solution, reaches the caller.  With
-        ``n_workers`` > 1 and the ``fork`` start method, the rows run on
-        min(n_workers, rows) forked worker processes, which inherit this
-        ``Stages`` and ``job`` (neither is pickled); the rows are submitted
-        longest first, by substeps.  Otherwise, and when the caller runs
-        other threads (a fork copies any lock one of them holds), they run
-        here, one after the other.  Stage seeds make the result
-        independent of ``n_workers``.
+        A row job reduces its run where it runs, so only its result, never
+        the run's paths or solution, reaches the caller.  With
+        ``n_workers`` > 1 and the ``fork`` start method, the runs go to
+        min(n_workers, runs) forked worker processes, which inherit this
+        ``Stages`` (its averaged model built first) and ``job``; neither is
+        pickled.  The runs are submitted longest first, by substeps, so the
+        averaged run, of one substep, goes last.  Otherwise, and when the
+        caller runs other threads (a fork copies any lock one of them
+        holds), they run here, one after the other.  Stage seeds make the
+        result independent of ``n_workers``.
         """
-        n = len(self.cfg.eps_list)
         steps = self.row_substeps   # here, so a cap warning reaches the caller
+        n = len(steps)
         if min(n_workers, n) < 2 or threading.active_count() > 1 \
                 or not hasattr(os, "fork"):
             return [job(self, i) for i in range(n)]
+        self.avg   # built before the fork, so that no worker builds it
         # imported here, so a run on one worker never loads multiprocessing
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
@@ -393,7 +395,7 @@ class Stages:
                     for i in sorted(range(n), key=lambda i: -steps[i])}
             return [jobs[i].result() for i in range(n)]
         finally:
-            # on a failure the rows not yet started are dropped
+            # on a failure the runs not yet started are dropped
             pool.shutdown(cancel_futures=True)
 
     def fd(self):
@@ -434,26 +436,41 @@ def _adopt_job(job) -> None:
 
 
 def _row_job(i: int):
-    """Row i of the worker's job; only its result goes back to the caller."""
+    """Run i of the worker's job; only its result goes back to the caller."""
     return _worker_job(i)
 
 
 def _report_row(st: Stages, i: int) -> dict:
-    """The report's row job: eps row i reduced to its report row (all but
-    ``error``, which needs the averaged run), its drift-gap row (the
+    """The report's row job.  An eps row is reduced to its report row (all
+    but ``error``, which needs the averaged run), its drift-gap row (the
     estimate of E sup_s |int_0^s (f(X1/eps, X2, Y) - fbar(X1, X2, Y)) du|)
-    and its ``tightness_row``."""
-    bundle, sol = st.eps_run(i)
+    and its ``tightness_row``; the averaged run to the report's
+    ``averaged`` cells (Y0 and moments) and its ``occupation``."""
+    bundle, sol = st.run(i)
     eps, dt = bundle.eps, bundle.grid.dt
+    y0 = _cell(sol.Y0, sol.Y0_stderr)
+    moments = {str(k): _cell(m, s)
+               for k, (m, s) in moment_report(bundle, [1, 2]).items()}
+    if eps is None:
+        occ = occupation_time(bundle, [1, 2, 4, 8, 16, 32])
+        pos = [(n, m) for n, (m, _) in occ.items() if m > 0]
+        if len(pos) >= 3:
+            ns, means = zip(*pos)
+            slope = _cell(np.polyfit(np.log(ns), np.log(means), 1)[0])
+        else:
+            # fewer than 3 interface bands were visited: no law to fit
+            slope = {"value": None, "tag": "insufficient_data"}
+        return {"averaged": {"Y0": y0, "moments": moments},
+                "occupation": {"estimates": [{"n": n, "mean": _cell(m, s)}
+                                             for n, (m, s) in occ.items()],
+                               "slope": slope}}
     x1, x2, y = bundle.x1()[:, :-1], bundle.x2()[:, :-1], sol.Y[:, :-1]
     gap = st.fam.at(eps).driver(x1, x2)(y) - st.avg.driver(x1, x2)(y)
     integral = np.cumsum(gap * dt, axis=1)
-    return {"row": {"eps": eps, "Y0": _cell(sol.Y0, sol.Y0_stderr),
-                    "cv": _cell(sol.cv, sol.cv_stderr),
+    return {"row": {"eps": eps, "Y0": y0, "cv": _cell(sol.cv, sol.cv_stderr),
                     "sup_abs_y": _cell(*mean_stderr(
                         np.max(np.abs(sol.Y), axis=1))),
-                    "moments": {str(k): _cell(m, s) for k, (m, s)
-                                in moment_report(bundle, [1, 2]).items()}},
+                    "moments": moments},
             "drift_gap": {"eps": eps, "gap": _cell(*mean_stderr(
                 np.max(np.abs(integral), axis=1)))},
             "tightness": tightness_row(sol, dt)}
@@ -484,7 +501,7 @@ class ConvergenceReport:
 
 def run_convergence(cfg: ExperimentConfig, n_workers: int = 1):
     """Full eps-sweep pipeline; see module docstring for the seed scheme.
-    The eps sweep runs on ``n_workers`` worker processes (``Stages.sweep``).
+    The sweep runs on ``n_workers`` worker processes (``Stages.sweep``).
 
     Stage errors abort with provenance (PipelineError); the partial report
     assembled so far is attached to the error as ``.partial`` with the
@@ -498,37 +515,18 @@ def run_convergence(cfg: ExperimentConfig, n_workers: int = 1):
         st.avg   # built here, so that its failure names this stage
 
         stage = "eps-sweep"
-        records = st.sweep(_report_row, n_workers)
-
-        stage = "averaged-run"
-        bundle, sol = st.avg_run()
-        y0_bar, y0_bar_se = sol.Y0, sol.Y0_stderr
-        report.averaged = {"Y0": _cell(y0_bar, y0_bar_se),
-                           "moments": {str(k): _cell(m, s) for k, (m, s)
-                                       in moment_report(bundle, [1, 2]).items()}}
-        occ = occupation_time(bundle, [1, 2, 4, 8, 16, 32])
-        del bundle, sol   # the averaged run's arrays die before the FD solve
+        *records, last = st.sweep(_report_row, n_workers)
+        report.averaged, report.occupation = \
+            last["averaged"], last["occupation"]
 
         stage = "assemble-rows"
+        y0_bar = report.averaged["Y0"]
         for rec in records:
             y0 = rec["row"]["Y0"]
-            err = abs(y0["value"] - y0_bar)
-            comb = float(np.hypot(y0["stderr"], y0_bar_se))
+            err = abs(y0["value"] - y0_bar["value"])
+            comb = float(np.hypot(y0["stderr"], y0_bar["stderr"]))
             report.rows.append({**rec["row"], "error": _cell(err, comb)})
             report.drift_gap.append(rec["drift_gap"])
-
-        stage = "occupation"
-        pos = [(n, m) for n, (m, _) in occ.items() if m > 0]
-        if len(pos) >= 3:
-            ns, means = zip(*pos)
-            slope = _cell(np.polyfit(np.log(ns), np.log(means), 1)[0])
-        else:
-            # fewer than 3 interface bands were visited: no law to fit
-            slope = {"value": None, "tag": "insufficient_data"}
-        report.occupation = {
-            "estimates": [{"n": n, "mean": _cell(m, s)}
-                          for n, (m, s) in occ.items()],
-            "slope": slope}
 
         stage = "fd-crosscheck"
         if cfg.fd is not None:

@@ -244,7 +244,7 @@ def test_sup_abs_y_stderr_is_standard_error(half_ladder):
     cfg, report = half_ladder
     st = Stages(cfg)
     for i, row in enumerate(report.rows):
-        sup = np.max(np.abs(st.eps_run(i)[1].Y), axis=1)
+        sup = np.max(np.abs(st.run(i)[1].Y), axis=1)
         assert row["sup_abs_y"] == {
             "value": float(np.mean(sup)),
             "stderr": float(np.std(sup) / np.sqrt(cfg.mc["n_paths"]))}
@@ -323,9 +323,9 @@ def _sweep_doc():
 
 
 def test_sweep_on_workers_matches_in_process(monkeypatch):
-    # the rows go to the workers longest first and their records come back
-    # in eps order, equal to the in-process sweep's; no worker outlives the
-    # sweep
+    # the runs go to the workers longest first, the averaged run last, and
+    # their records come back in run order, equal to the in-process
+    # sweep's; no worker outlives the sweep
     submitted = []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
@@ -334,39 +334,44 @@ def test_sweep_on_workers_matches_in_process(monkeypatch):
             return super().submit(fn, *args)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
     st = Stages(hl.ExperimentConfig.from_dict(_sweep_doc()))
-    assert st.row_substeps == [1, 4, 16]
+    assert st.row_substeps == [1, 4, 16, 1]
     here = st.sweep(_report_row, 1)
     assert submitted == []
-    assert [r["row"]["eps"] for r in here] == [1.0, 0.1, 0.05]
+    assert [r["row"]["eps"] for r in here[:-1]] == [1.0, 0.1, 0.05]
+    assert set(here[-1]) == {"averaged", "occupation"}
     for n_workers in (2, 4):
         assert st.sweep(_report_row, n_workers) == here
-    assert submitted == [2, 1, 0] * 2
+    assert submitted == [2, 1, 0, 3] * 2
     assert multiprocessing.active_children() == []
     # called beside another thread, the sweep does not fork
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as ex:
         beside = ex.submit(st.sweep, _report_row, 2).result()
-    assert submitted == [2, 1, 0] * 2
+    assert submitted == [2, 1, 0, 3] * 2
     assert beside == here
 
 
 def test_report_row_record_holds_no_array():
-    # a row's record is built of plain dicts, floats and strings, so no
-    # array of the row travels back from a worker; it pickles to under
+    # a run's record is built of plain dicts, lists and Python scalars, so
+    # no array of the run travels back from a worker; it pickles to under
     # 2 KB whatever n_paths is (one demo-size row's arrays pickle to ~54 MB)
     st = Stages(hl.ExperimentConfig.from_dict(_sweep_doc()))
-    rec = _report_row(st, 2)
-    leaves = []
 
-    def walk(node):
+    def leaves(node):
         if isinstance(node, dict):
             assert all(type(k) is str for k in node)
-            for v in node.values():
-                walk(v)
-        else:
-            leaves.append(node)
-    walk(rec)
+            node = list(node.values())
+        if isinstance(node, list):
+            return [leaf for v in node for leaf in leaves(v)]
+        return [node]
+    rec = _report_row(st, 2)
     assert set(rec) == {"row", "drift_gap", "tightness"}
-    assert {type(v) for v in leaves} == {float}
+    assert {type(v) for v in leaves(rec)} == {float}
+    assert len(pickle.dumps(rec)) < 2048
+    # the averaged run's record: its report cells, the occupation estimates
+    # with their n and the slope's tag among them
+    rec = _report_row(st, 3)
+    assert set(rec) == {"averaged", "occupation"}
+    assert {type(v) for v in leaves(rec)} == {float, int, str}
     assert len(pickle.dumps(rec)) < 2048
 
 
@@ -385,6 +390,39 @@ def test_sweep_failure_names_stage_and_cause(monkeypatch, n_workers):
     assert str(exc.value.cause) == "non-finite state at step 3, path 7"
     assert str(exc.value) == ("stage 'eps-sweep' failed: non-finite state "
                               "at step 3, path 7")
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_averaged_run_failure_names_stage_and_cause(monkeypatch, n_workers):
+    # the averaged run is the sweep's last run: its failure, in process or
+    # in a worker, fails the eps-sweep stage with its own exception, and no
+    # worker is left
+    def fail(*args, **kwargs):
+        raise SimulationError("non-finite state at step 5, path 2")
+    monkeypatch.setattr(homoglab.harness, "simulate_avg", fail)
+    with pytest.raises(hl.PipelineError) as exc:
+        hl.run_convergence(hl.ExperimentConfig.from_dict(_sweep_doc()),
+                           n_workers=n_workers)
+    assert exc.value.stage == "eps-sweep"
+    assert type(exc.value.cause) is SimulationError
+    assert str(exc.value.cause) == "non-finite state at step 5, path 2"
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_sweep_builds_averaged_model_once_in_caller(monkeypatch):
+    # a pooled sweep on fresh stages builds the averaged model before it
+    # forks, so the workers inherit it and none builds its own
+    pids = []
+
+    def counted(*args, _fn=homoglab.families.build_averaged, **kwargs):
+        pids.append(os.getpid())
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(homoglab.families, "build_averaged", counted)
+    st = Stages(hl.ExperimentConfig.from_dict(_sweep_doc()))
+    assert pids == []
+    st.sweep(_report_row, 2)
+    assert pids == [os.getpid()]
     assert multiprocessing.active_children() == []
 
 
@@ -663,6 +701,31 @@ def test_cli_simulate_matches_converge_paths(tmp_path, monkeypatch):
         saved = hl.PathBundle.load(tmp_path / "s" / name)
         assert np.array_equal(saved.X, seen[eps].X), name
         assert np.array_equal(saved.dB, seen[eps].dB), name
+
+
+def test_cli_tiny_eps_takes_the_cap(tmp_path, monkeypatch):
+    # 1e-200 ** 2 underflows to 0: the eps takes substeps_cap with the
+    # under-resolved warning, where it raised ZeroDivisionError, and its
+    # paths stay finite
+    doc = base_config()
+    doc["eps_list"] = [1.0, 1e-200]
+    doc["mc"] = {"n_paths": 200, "n_steps": 25, "seed": 3}
+    cfgp = _write_cfg(tmp_path, doc)
+    substeps = []
+
+    def record(*args, _fn=homoglab.harness.simulate_eps, **kwargs):
+        substeps.append(kwargs["substeps"])
+        return _fn(*args, **kwargs)
+    monkeypatch.setattr(homoglab.harness, "simulate_eps", record)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(["simulate", cfgp, "--out", str(tmp_path / "s")]) == 0
+    assert [str(w.message) for w in caught] == [
+        "eps = 1e-200 needs inf substeps but substeps_cap = 64; the fast "
+        "scale is under-resolved"]
+    assert substeps == [1, 64]
+    saved = hl.PathBundle.load(tmp_path / "s" / "paths_eps1.bin")
+    assert np.isfinite(saved.X).all()
 
 
 @pytest.mark.parametrize("cmd", ["average", "simulate", "bsde", "corrector",
