@@ -164,10 +164,12 @@ def _resolve(path: str, block, schema: dict) -> dict:
     return out
 
 
-# The largest path array and FD march a config may ask for: at most this
-# many path states, mc.n_paths * (mc.n_steps + 1) (each d + 1 doubles, with
-# k more for the increments), and at most this many FD node-steps,
-# (fd.n1 + 2) * (fd.n2 + 2) * (t_end / fd.dt_fd).
+# The largest path array, FD march and corrector quadrature a config may
+# ask for: at most this many path states, mc.n_paths * (mc.n_steps + 1)
+# (each d + 1 doubles, with k more for the increments), at most this many
+# FD node-steps, (fd.n1 + 2) * (fd.n2 + 2) * (t_end / fd.dt_fd), and at most
+# this many starting panels over the decay table's x1 range at the smallest
+# eps, whose panels are pi * min(1, eps) wide.
 MAX_COUNT = 10 ** 8
 
 # the config key of each field whose rule SimGrid, BsdeSpec or Grid2D owns
@@ -210,6 +212,14 @@ class ExperimentConfig:
         except families.FamilyError as exc:
             raise ConfigError(f"{exc} (config key 'family')") from exc
         fd = cfg.fd
+        if fd is not None:
+            # the FD solve's sparse LU: a run that solves the PDE pays the
+            # import here, and a run without an fd block never loads SciPy
+            try:
+                pde_fd.load_solver()
+            except ImportError as exc:
+                raise ConfigError(f"the FD solve needs scipy.sparse: {exc} "
+                                  f"(config key 'fd')") from exc
         try:
             # each of these messages starts with the field it refuses
             cfg.grid()
@@ -230,7 +240,13 @@ class ExperimentConfig:
                 ("FD node-steps (fd.n1 + 2) * (fd.n2 + 2) * (t_end / fd.dt_fd)",
                  0 if grid is None else
                  (grid.n1 + 2) * (grid.n2 + 2) * grid.n_steps,
-                 "'fd.n1', 'fd.n2', 'fd.dt_fd'")):
+                 "'fd.n1', 'fd.n2', 'fd.dt_fd'"),
+                ("decay-table starting panels |corrector.box x1 range| / "
+                 "(pi * min(1, smallest eps))",
+                 0 if cfg.corrector is None else
+                 abs(np.subtract(*cfg.corrector["box"][0]))
+                 / (np.pi * min(1.0, cfg.eps_list[-1])),
+                 "'eps_list', 'corrector.box'")):
             if count > MAX_COUNT:
                 raise ConfigError(f"{what} exceed the bound {MAX_COUNT:.0e} "
                                   f"(config keys {keys})")

@@ -29,6 +29,13 @@ motion, so x itself is its scale function and harmonic profiles are linear
 with matching slopes).  A conservation-form flux scheme would enforce
 continuity of a00*dv/dx1 instead and would not match the Monte Carlo
 representation when a00 jumps.
+
+SciPy (``scipy.sparse`` and its ``splu``) is this module's one dependency
+beyond numpy, and it is imported on first use (``load_solver``), not with
+the module: ``import homoglab`` loads numpy alone, and a config without an
+fd block never loads SciPy.  ``ExperimentConfig.from_dict`` calls
+``load_solver`` for a config with one, so such a run pays the import at
+load, not inside its FD stage, and a missing SciPy is refused there.
 """
 
 from __future__ import annotations
@@ -39,12 +46,23 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 
 class PdeError(RuntimeError):
     """Grid construction or linear-solve failure."""
+
+
+def load_solver():
+    """``scipy.sparse``, with ``scipy.sparse.linalg`` imported (an
+    ``ImportError`` when SciPy is missing or broken)."""
+    import scipy.sparse.linalg
+    return scipy.sparse
+
+
+def splu(M, **kwargs):
+    """``scipy.sparse.linalg.splu`` of M; ``solve_pde`` factors through
+    this module-level name."""
+    return load_solver().linalg.splu(M, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -208,8 +226,8 @@ def _assemble(model: PdeModel, grid: Grid2D):
     cols = r + np.array([-ny, ny, -1, 1, 0])
     rows = np.broadcast_to(r, cols.shape)
     vals = np.stack([cw, ce, cs, cn, diag], axis=-1)
-    A = sparse.csc_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                          shape=(nx * ny, nx * ny))
+    A = load_solver().csc_matrix(
+        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(nx * ny, nx * ny))
     return A, X1, X2
 
 
@@ -223,7 +241,7 @@ def solve_pde(model: PdeModel, grid: Grid2D) -> GridSolution:
     """
     A, X1, X2 = _assemble(model, grid)
     nx, ny = X1.shape
-    M = sparse.identity(nx * ny, format="csc") - grid.dt_fd * A
+    M = load_solver().identity(nx * ny, format="csc") - grid.dt_fd * A
     try:
         lu = splu(M, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:

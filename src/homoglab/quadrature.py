@@ -85,6 +85,9 @@ def panel_integrals(g, edges, order: int = 12):
 # that cancels to ~0 over a few hundred O(1) panel values.
 _ATOL = 1e-12
 _MAX_ROUNDS = 8
+# A cell's starting panel count must be below this, so that it stays a
+# finite int64 through its ``_MAX_ROUNDS`` doublings.
+_MAX_START = 2.0 ** (63 - _MAX_ROUNDS)
 
 
 def _estimates(g, a, b, n, cells):
@@ -115,10 +118,21 @@ def _settle(g, grid, rtol, max_panel):
 
     Every unsettled cell doubles its panel count in the same round, starting
     from ceil(|cell| / max_panel) panels (``max_panel`` one width, or one
-    per cell); zero-length cells are exact zeros.
+    per cell); zero-length cells are exact zeros.  A cell whose starting
+    count is not below ``_MAX_START`` (too long for its panel width, or not
+    finite) raises ``QuadratureError`` naming it.
     """
     a, b = grid[:-1], grid[1:]
-    n = np.maximum(1, np.ceil(np.abs(b - a) / max_panel)).astype(np.int64)
+    n = np.maximum(1, np.ceil(np.abs(b - a) / max_panel))
+    # a NaN count fails the comparison too
+    big = np.flatnonzero(~(n < _MAX_START))
+    if big.size:
+        i = big[0]
+        raise QuadratureError(
+            f"starting panel count {n[i]:.3g} on [{float(a[i])}, "
+            f"{float(b[i])}] is not below {_MAX_START:.3g}, so its "
+            f"{_MAX_ROUNDS} doublings would not stay finite int64s")
+    n = n.astype(np.int64)
     todo = np.flatnonzero(a != b)
     if todo.size == 0:
         m = _eval(g, grid[:1]).shape[1]

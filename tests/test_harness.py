@@ -656,6 +656,84 @@ def test_converge_does_not_import_scipy_stats(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_fd_less_run_never_loads_scipy(tmp_path):
+    # import homoglab loads numpy alone: a config without an fd block loads
+    # no SciPy module in set-up, nor in converge on one or two workers, and
+    # the tracer's getattr(pde_fd, "splu") resolves without loading it; a
+    # config with an fd block imports the sparse LU at load, before any
+    # stage runs
+    doc = _tiny_doc()
+    del doc["fd"]
+    bare = str(tmp_path / "bare.json")
+    (tmp_path / "bare.json").write_text(json.dumps(doc))
+    with_fd = _write_cfg(tmp_path, _tiny_doc())
+    out = str(tmp_path / "out")
+    script = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+        "import homoglab.cli\n"
+        "import homoglab.pde_fd\n"
+        "from homoglab.harness import ExperimentConfig\n"
+        "assert callable(getattr(homoglab.pde_fd, 'splu'))\n"
+        "assert not scipy_modules(), ('import', scipy_modules())\n"
+        f"ExperimentConfig.load({bare!r}).family()\n"
+        "assert not scipy_modules(), ('set-up', scipy_modules())\n"
+        "for n in ('1', '2'):\n"
+        f"    code = homoglab.cli.main(['converge', {bare!r}, '--out', "
+        f"{out!r} + n, '--threads', n])\n"
+        "    assert code in (0, 2), code\n"
+        "    assert not scipy_modules(), ('converge', n, scipy_modules())\n"
+        f"ExperimentConfig.load({with_fd!r})\n"
+        "assert 'scipy.sparse.linalg' in sys.modules, 'fd load'\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hl.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_refused_scipy_fails_fd_config_at_load(tmp_path, monkeypatch, capsys):
+    # a missing or broken SciPy: a config with an fd block is refused at
+    # load naming fd, before any output; one without still loads and runs
+    monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", None)
+    with pytest.raises(ImportError):
+        pde_fd.load_solver()
+    with pytest.raises(ConfigError, match=r"\(config key 'fd'\)"):
+        hl.ExperimentConfig.from_dict(_tiny_doc())
+    out = tmp_path / "fd"
+    assert cli_main(["converge", _write_cfg(tmp_path, _tiny_doc()),
+                     "--out", str(out)]) == 1
+    assert "(config key 'fd')" in capsys.readouterr().err
+    assert not out.exists()
+    doc = _tiny_doc()
+    del doc["fd"]
+    assert cli_main(["converge", _write_cfg(tmp_path, doc),
+                     "--out", str(tmp_path / "bare")]) in (0, 2)
+
+
+def test_cli_tiny_eps_corrector_refused(tmp_path, capsys):
+    # at eps = 1e-200 the decay table would start from ~1e200 panels, a
+    # count past int64: with a corrector block the eps is refused at load by
+    # name; without one, `corrector` fails naming the quadrature cell.
+    # Neither warns nor leaves a traceback
+    doc = _tiny_doc()
+    doc["eps_list"] = [1.0, 1e-200]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for cmd in ("corrector", "converge"):
+            out = tmp_path / cmd
+            assert cli_main([cmd, _write_cfg(tmp_path, doc),
+                             "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert "(config keys 'eps_list', 'corrector.box')" in err, err
+            assert not out.exists()
+    del doc["corrector"]
+    assert cli_main(["corrector", _write_cfg(tmp_path, doc),
+                     "--out", str(tmp_path / "bare")]) == 1
+    assert "starting panel count" in capsys.readouterr().err
+
+
 def test_cli_subcommands_smoke(tmp_path):
     cfgp = _write_cfg(tmp_path, _tiny_doc())
     expect = {

@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -165,6 +168,22 @@ def test_unsettled_cell_raises_naming_it():
 
     with pytest.raises(QuadratureError, match=r"\[1\.0, 2\.0\].*last error"):
         cumulative(g, [0.0, 1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("grid, max_panel, cell", [
+    ([0.0, -0.2], np.pi * 1e-200, "[0.0, -0.2]"),
+    ([0.0, 1.0, 1e200], np.pi, "[1.0, 1e+200]"),
+    ([0.0, 1.0, np.inf], np.pi, "[1.0, inf]")],
+    ids=["narrow-panels", "wide-cell", "infinite-cell"])
+def test_overflowing_panel_count_raises_naming_cell(grid, max_panel, cell):
+    # ceil(|b - a| / max_panel) beyond int64 was cast to a negative count
+    # (numpy's "invalid value encountered in cast", then "repeats may not
+    # contain negative values"); it is refused, naming the cell and count
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match=r"starting panel count "
+                           r"\S+ on " + re.escape(cell)):
+            cumulative(np.cos, grid, max_panel=max_panel)
 
 
 def test_integrate_is_one_cell_of_cumulative():
