@@ -32,6 +32,18 @@ from .quadrature import cumulative, integrate
 _RTOL = 1e-8
 
 
+def _panel_width(eps: float) -> float:
+    """The width the corrector's panels start at: pi * min(1, eps)
+    resolves the t/eps oscillation scale."""
+    return float(np.pi) * min(1.0, eps)
+
+
+def start_panels(box, eps: float) -> float:
+    """The decay table's starting panel count at fast scale ``eps``: the
+    x1 range of ``box`` over the panel width."""
+    return abs(np.subtract(*box[0])) / _panel_width(eps)
+
+
 @dataclass
 class CorrectorField:
     """Corrector data for a two-scale model and its averaged model:
@@ -45,8 +57,7 @@ class CorrectorField:
 
     @property
     def max_panel(self) -> float:
-        # resolve the t/eps oscillation scale
-        return float(np.pi) * min(1.0, self.eps)
+        return _panel_width(self.eps)
 
     def q(self, t, x2, y):
         """Weighted driver gap rho * (f - fbar) at t, the two-scale model

@@ -168,11 +168,6 @@ class TemplateCoefficients:
         basis = self.basis(x1)
         return [t.combine(basis, x2) for t in templates]
 
-    def weighted(self, x1, x2):
-        """``(rho, rho_b, rho_a)`` at once, the basis evaluated once."""
-        fam = self.fam
-        return tuple(self._combine(x1, x2, fam.rho_t, fam.rhob_t, fam.rhoa_t))
-
     def rho(self, x1, x2):
         return self._combine(x1, x2, self.fam.rho_t)[0]
 
@@ -186,9 +181,6 @@ class TemplateCoefficients:
     def a00(self, x1, x2):
         return 1.0 / self.rho(x1, x2)
 
-    def phi(self, x1, x2):
-        return np.sqrt(2.0 / self.rho(x1, x2))
-
     def b1(self, x1, x2):
         rho, rho_b = self._combine(x1, x2, self.fam.rho_t, self.fam.rhob_t)
         return rho_b / rho[..., None]
@@ -197,8 +189,14 @@ class TemplateCoefficients:
         rho, rho_a = self._combine(x1, x2, self.fam.rho_t, self.fam.rhoa_t)
         return rho_a / rho[..., None, None]
 
-    def sigma1(self, x1, x2):
-        return _sym_sqrt(2.0 * self.a1(x1, x2))
+    def forward(self, x1, x2):
+        """The Euler step's ``(phi, b1, sigma1)`` from one basis evaluation:
+        phi = sqrt(2/rho), b1 = rho_b/rho, sigma1 = sqrt(2*rho_a/rho)."""
+        fam = self.fam
+        rho, rho_b, rho_a = self._combine(x1, x2, fam.rho_t, fam.rhob_t,
+                                          fam.rhoa_t)
+        return (np.sqrt(2.0 / rho), rho_b / rho[..., None],
+                _sym_sqrt(2.0 * rho_a / rho[..., None, None]))
 
     def driver(self, x1, x2):
         """The driver at (x1, x2) as the map ``y -> f``.  Its y-independent
@@ -304,6 +302,7 @@ class AveragedModel(TemplateCoefficients):
     a_trans: tuple          # (plus, minus) limits of T
     a_sin: tuple            # (plus, minus) limits of sin
     label = "averaged"      # not a field
+    eps = None              # not a field: the limit has no fast scale
 
     @property
     def d(self) -> int:
@@ -588,17 +587,16 @@ def audit_assumptions(fam: CoefficientFamily, sample_spec: dict) -> dict:
     res_a3 = np.maximum(res_a3, growth)
     i_a3 = int(np.argmax(res_a3))
 
-    # (A1): sampled Lipschitz quotients of phi, b1, sigma1.
+    # (A1): sampled Lipschitz quotients of the Euler step's phi, b1, sigma1.
     rng = np.random.default_rng(seed + 1)
     j = rng.permutation(n)
     dx = np.sqrt((x1 - x1[j]) ** 2 + np.sum((x2 - x2[j]) ** 2, axis=-1))
     ok = dx > 1e-9
-    def lip_of(fn):
-        v = fn(x1, x2)
+    def lip_of(v):
         dv = np.abs(v - v[j]).reshape(n, -1).max(axis=-1)
         return np.where(ok, dv / np.where(ok, dx, 1.0), 0.0)
-    q = np.maximum(lip_of(fam.phi),
-                   np.maximum(lip_of(fam.b1), lip_of(fam.sigma1)))
+    phi, b1, sigma1 = fam.forward(x1, x2)
+    q = np.maximum(lip_of(phi), np.maximum(lip_of(b1), lip_of(sigma1)))
     res_a1 = q - b["lip"]
     i_a1 = int(np.argmax(res_a1))
 
@@ -607,7 +605,9 @@ def audit_assumptions(fam: CoefficientFamily, sample_spec: dict) -> dict:
     def d2_x2(fn):
         e = np.zeros_like(x2); e[:, 0] = h
         return np.abs(fn(x1, x2 + e) - 2.0 * fn(x1, x2) + fn(x1, x2 - e)).max() / h ** 2
-    res_a2 = max(d2_x2(fam.phi), d2_x2(lambda a, c: fam.b1(a, c)[..., 0])) - b["deriv_bound"]
+    res_a2 = max(d2_x2(lambda a, c: fam.forward(a, c)[0]),
+                 d2_x2(lambda a, c: fam.forward(a, c)[1][..., 0])) \
+        - b["deriv_bound"]
     res_c3 = d2_x2(lambda a, c: fam.rho_f(a, c, 0.0)) - b["deriv_bound"]
 
     # (C1): bounded driver and terminal condition.

@@ -169,8 +169,19 @@ def _resolve(path: str, block, schema: dict) -> dict:
 # (each d + 1 doubles, with k more for the increments), at most this many
 # FD node-steps, (fd.n1 + 2) * (fd.n2 + 2) * (t_end / fd.dt_fd), and at most
 # this many starting panels over the decay table's x1 range at the smallest
-# eps, whose panels are pi * min(1, eps) wide.
+# eps (``corrector.start_panels``).
 MAX_COUNT = 10 ** 8
+
+
+def _decay_within_bound(corrector: dict, eps_list) -> None:
+    """Refuse a decay table on the corrector block ``corrector`` whose
+    starting panel count at the smallest eps exceeds ``MAX_COUNT``."""
+    if corr.start_panels(corrector["box"], eps_list[-1]) > MAX_COUNT:
+        raise ConfigError(
+            f"decay-table starting panels |corrector.box x1 range| / "
+            f"(pi * min(1, smallest eps)) exceed the bound {MAX_COUNT:.0e} "
+            f"(config keys 'eps_list', 'corrector.box')")
+
 
 # the config key of each field whose rule SimGrid, BsdeSpec or Grid2D owns
 _OWNED = {"t_end": "t_end", "n_steps": "mc.n_steps",
@@ -240,16 +251,12 @@ class ExperimentConfig:
                 ("FD node-steps (fd.n1 + 2) * (fd.n2 + 2) * (t_end / fd.dt_fd)",
                  0 if grid is None else
                  (grid.n1 + 2) * (grid.n2 + 2) * grid.n_steps,
-                 "'fd.n1', 'fd.n2', 'fd.dt_fd'"),
-                ("decay-table starting panels |corrector.box x1 range| / "
-                 "(pi * min(1, smallest eps))",
-                 0 if cfg.corrector is None else
-                 abs(np.subtract(*cfg.corrector["box"][0]))
-                 / (np.pi * min(1.0, cfg.eps_list[-1])),
-                 "'eps_list', 'corrector.box'")):
+                 "'fd.n1', 'fd.n2', 'fd.dt_fd'")):
             if count > MAX_COUNT:
                 raise ConfigError(f"{what} exceed the bound {MAX_COUNT:.0e} "
                                   f"(config keys {keys})")
+        if cfg.corrector is not None:
+            _decay_within_bound(cfg.corrector, cfg.eps_list)
         if cfg.fd is not None and not cfg.fd.contains(*cfg.x0):
             # the FD value at x0 would be extrapolated past the boundary
             raise ConfigError(
@@ -277,7 +284,7 @@ class ExperimentConfig:
 
 def _fast_dependent(fam) -> bool:
     x2 = np.zeros((1, fam.d))
-    v0, v1 = ([*fam.weighted(x1, x2), fam.rho_f_coef(x1, x2)]
+    v0, v1 = ([*fam.forward(x1, x2), fam.rho_f_coef(x1, x2)]
               for x1 in (np.array([0.0]), np.array([7.0])))
     return any(np.max(np.abs(b - a)) > 1e-12 for a, b in zip(v0, v1))
 
@@ -426,8 +433,10 @@ class Stages:
                 pde_fd.richardson_error(model, sol))
 
     def decay(self) -> corr.DecayTable:
-        """Corrector decay table over ``eps_list``."""
+        """Corrector decay table over ``eps_list``, on the block or its
+        defaults, each held to the load-time panel bound."""
         cc = self.corrector
+        _decay_within_bound(cc, self.cfg.eps_list)
         return corr.decay_table(
             self.fam, self.avg, self.cfg.eps_list, cc["box"], cc["y_box"],
             n_grid=tuple(cc["n_grid"]))

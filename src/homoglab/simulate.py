@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .families import AveragedModel, CoefficientFamily, _sym_sqrt
+from .families import AveragedModel, CoefficientFamily
 
 _MAGIC = b"HMGB1"
 _VERSION = 1
@@ -63,12 +63,15 @@ class SimGrid:
 
 @dataclass
 class PathBundle:
-    n_paths: int
     grid: SimGrid
     X: np.ndarray          # (n_paths, n_steps+1, d+1)
     dB: np.ndarray         # (n_paths, n_steps, k)
     seed: int
     eps: Optional[float]   # None for averaged-model paths
+
+    @property
+    def n_paths(self) -> int:
+        return self.X.shape[0]
 
     @property
     def d(self) -> int:
@@ -123,9 +126,8 @@ class PathBundle:
             n_paths, n_steps + 1, d + 1).copy()
         dB = np.frombuffer(raw, "<f8", offset=size + 8 * nX).reshape(
             n_paths, n_steps, k).copy()
-        return cls(n_paths=int(n_paths), grid=SimGrid(t_end, int(n_steps)),
-                   X=X, dB=dB, seed=int(seed),
-                   eps=None if np.isnan(eps) else float(eps))
+        return cls(grid=SimGrid(t_end, int(n_steps)), X=X, dB=dB,
+                   seed=int(seed), eps=None if np.isnan(eps) else float(eps))
 
 
 class _Rekeyed:
@@ -170,15 +172,14 @@ def _path_normals(gens, n_fine: int, k: int, scale: float) -> np.ndarray:
     return out
 
 
-def _run_blocks(weighted, x0, grid, n_paths, seed, substeps, d,
-                block_size):
-    """Euler-Maruyama paths in blocks.  ``weighted(x1, x2)`` gives the
-    ``(rho, rho_b, rho_a)`` of the system being simulated; every fine step
-    turns them into phi = sqrt(2/rho), b1 = rho_b/rho and
-    sigma1 = sqrt(2*rho_a/rho)."""
+def _run_blocks(model, x0, grid, n_paths, seed, substeps, block_size):
+    """Euler-Maruyama paths of ``model`` in blocks, as a ``PathBundle`` of
+    the model's ``eps``: every fine step takes its (phi, b1, sigma1) from
+    ``model.forward(x1, x2)``."""
     for name, value in (("block_size", block_size), ("substeps", substeps)):
         if value < 1:
             raise SimulationError(f"{name} must be at least 1, got {value}")
+    d = model.d
     x0 = np.asarray(x0, dtype=float).reshape(d + 1)
     dt_f = grid.t_end / (grid.n_steps * substeps)
     sq = np.sqrt(dt_f)
@@ -201,10 +202,7 @@ def _run_blocks(weighted, x0, grid, n_paths, seed, substeps, d,
             for cs in range(c0, c1):
                 f0 = (cs - c0) * substeps
                 for fs in range(f0, f0 + substeps):
-                    rho, rho_b, rho_a = weighted(x1, x2)
-                    phi = np.sqrt(2.0 / rho)
-                    b1 = rho_b / rho[:, None]
-                    s1 = _sym_sqrt(2.0 * rho_a / rho[:, None, None])
+                    phi, b1, s1 = model.forward(x1, x2)
                     x1 = x1 + phi * dW[:, fs, 0]
                     x2 = x2 + b1 * dt_f + np.einsum("pij,pj->pi", s1,
                                                     dW[:, fs, 1:])
@@ -222,7 +220,7 @@ def _run_blocks(weighted, x0, grid, n_paths, seed, substeps, d,
                 for fs in range(f0 + 1, f0 + substeps):
                     acc += dW[:, fs]
                 dB[lo:hi, cs] = acc
-    return X, dB
+    return PathBundle(grid=grid, X=X, dB=dB, seed=seed, eps=model.eps)
 
 
 def simulate_eps(fam: CoefficientFamily, eps: float, x0, grid: SimGrid,
@@ -234,20 +232,15 @@ def simulate_eps(fam: CoefficientFamily, eps: float, x0, grid: SimGrid,
     ``substeps`` refines the integration grid without growing the stored
     arrays; stored Brownian increments are aggregated over substeps.
     """
-    X, dB = _run_blocks(fam.at(eps).weighted, x0, grid, n_paths, seed,
-                        substeps, fam.d, block_size)
-    return PathBundle(n_paths=n_paths, grid=grid, X=X, dB=dB, seed=seed,
-                      eps=eps)
+    return _run_blocks(fam.at(eps), x0, grid, n_paths, seed, substeps,
+                       block_size)
 
 
 def simulate_avg(avg: AveragedModel, x0, grid: SimGrid, n_paths: int,
                  seed: int, substeps: int = 1,
                  block_size: int = 4096) -> PathBundle:
     """Euler-Maruyama under the averaged coefficients (minus branch at x1=0)."""
-    X, dB = _run_blocks(avg.weighted, x0, grid, n_paths, seed, substeps,
-                        avg.d, block_size)
-    return PathBundle(n_paths=n_paths, grid=grid, X=X, dB=dB, seed=seed,
-                      eps=None)
+    return _run_blocks(avg, x0, grid, n_paths, seed, substeps, block_size)
 
 
 # ---------------------------------------------------------------------------

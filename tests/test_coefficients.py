@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import homoglab as hl
 from homoglab.families import (DEFAULT_SCHEDULE, AveragingError, FamilyError,
-                               transition, cesaro_average)
+                               _sym_sqrt, transition, cesaro_average)
 
 
 # -- Cesaro engine ----------------------------------------------------------
@@ -76,7 +76,7 @@ def test_switch_pointwise_values(switch_family):
     # at x1 = 0: T = 0, sin = 0 so rho = r0 = 2
     assert switch_family.rho(0.0, x2)[0] == pytest.approx(2.0)
     assert switch_family.a00(0.0, x2)[0] == pytest.approx(0.5)
-    assert switch_family.phi(0.0, x2)[0] == pytest.approx(1.0)
+    assert switch_family.forward(0.0, x2)[0][0] == pytest.approx(1.0)
     # consistency: f = (rho f)/rho
     v = switch_family.f(1.3, x2, 0.7)
     ref = switch_family.rho_f(1.3, x2, 0.7) / switch_family.rho(1.3, x2)
@@ -242,16 +242,28 @@ def test_basis_averaging_node_count(monkeypatch):
     assert sum(nodes) <= 6_000_000
 
 
-@pytest.mark.parametrize("fid", ["switch", "slowvary"])
-def test_weighted_matches_per_coefficient(fid):
+@pytest.mark.parametrize("fid", ["const", "switch", "slowvary"])
+def test_forward_matches_per_coefficient(fid):
+    # the Euler step's (phi, b1, sigma1) are the bits of sqrt(2/rho), b1()
+    # and the square root of 2*a1(), for the family at two fast scales and
+    # for its averaged model
     fam = hl.make_family(fid)
     rng = np.random.default_rng(4)
-    x1 = 5.0 * rng.normal(size=300)
-    x2 = rng.normal(size=(300, fam.d))
-    rho, rho_b, rho_a = fam.weighted(x1, x2)
-    assert np.array_equal(rho, fam.rho(x1, x2))
-    assert np.array_equal(rho_b, fam.rhob_t(x1, x2))
-    assert np.array_equal(rho_a, fam.rhoa_t(x1, x2))
+    x1 = np.concatenate([[0.0, -0.0], 5.0 * rng.normal(size=300)])
+    x2 = rng.normal(size=(x1.size, fam.d))
+    for model in (fam.at(1.0), fam.at(0.1), hl.closed_form_averaged(fam)):
+        phi, b1, sigma1 = model.forward(x1, x2)
+        assert np.array_equal(phi, np.sqrt(2.0 / model.rho(x1, x2)))
+        assert np.array_equal(b1, model.b1(x1, x2))
+        assert np.array_equal(sigma1, _sym_sqrt(2.0 * model.a1(x1, x2)))
+        # the Euler step and the FD operator are one generator: a00 =
+        # phi^2/2 and a11 = sigma1^2/2 to rounding, the same drift b1
+        pde = hl.PdeModel.from_averaged(model, fam.terminal)
+        assert np.allclose(pde.a00(x1, x2[:, 0]), phi ** 2 / 2.0,
+                           rtol=1e-15, atol=0.0)
+        assert np.allclose(pde.a11(x1, x2[:, 0]), sigma1[:, 0, 0] ** 2 / 2.0,
+                           rtol=1e-15, atol=0.0)
+        assert np.array_equal(pde.b1(x1, x2[:, 0]), b1[:, 0])
 
 
 @pytest.mark.parametrize("fid", ["const", "switch", "slowvary"])
@@ -268,7 +280,7 @@ def test_family_at_eps_is_family_at_fast_argument(fid):
         scaled = fam.at(eps)
         assert scaled.eps == eps and fam.eps == 1.0
         xf = x1 / eps
-        for got, ref in zip(scaled.weighted(x1, x2), fam.weighted(xf, x2)):
+        for got, ref in zip(scaled.forward(x1, x2), fam.forward(xf, x2)):
             assert np.array_equal(got, ref), eps
         assert np.array_equal(scaled.driver(x1, x2)(y), fam.driver(xf, x2)(y))
         assert np.array_equal(scaled.rho_f_coef(x1, x2),
@@ -295,15 +307,15 @@ def test_averaged_model_is_family_on_limit_basis(fid, monkeypatch):
     x1 = np.concatenate([[0.0, -0.0, 1e-12, -1e-12], 3.0 * rng.normal(size=12)])
     x2 = rng.normal(size=(x1.size, fam.d))
     y = rng.normal(size=x1.size)
-    calls = {name: (x1, x2) for name in ("weighted", "rho", "rho_f_coef", "a00",
-                                          "phi", "b1", "a1", "sigma1")}
+    calls = {name: (x1, x2) for name in ("forward", "rho", "rho_f_coef",
+                                          "a00", "b1", "a1")}
     calls["rho_f"] = calls["f"] = (x1, x2, y)
     got = {name: getattr(avg, name)(*args) for name, args in calls.items()}
     monkeypatch.setattr(hl.families._Template, "basis",
                         staticmethod(_limit_basis))
     for name, args in calls.items():
         ref = getattr(fam, name)(*args)
-        if name == "weighted":
+        if name == "forward":
             assert all(np.array_equal(g, r) for g, r in zip(got[name], ref))
         else:
             assert np.array_equal(got[name], ref), name

@@ -273,7 +273,6 @@ def test_container_roundtrip_hypothesis(tmp_path_factory, data):
     d = data.draw(st.integers(1, 3), label="d")
     finite = st.floats(allow_nan=False, allow_infinity=False)
     bundle = hl.PathBundle(
-        n_paths=n_paths,
         grid=hl.SimGrid(data.draw(st.floats(1e-3, 1e3), label="t_end"),
                         n_steps),
         X=data.draw(hnp.arrays(np.float64, (n_paths, n_steps + 1, d + 1),

@@ -712,26 +712,33 @@ def test_refused_scipy_fails_fd_config_at_load(tmp_path, monkeypatch, capsys):
                      "--out", str(tmp_path / "bare")]) in (0, 2)
 
 
-def test_cli_tiny_eps_corrector_refused(tmp_path, capsys):
+def test_cli_tiny_eps_corrector_refused(tmp_path, capsys, monkeypatch):
     # at eps = 1e-200 the decay table would start from ~1e200 panels, a
     # count past int64: with a corrector block the eps is refused at load by
-    # name; without one, `corrector` fails naming the quadrature cell.
-    # Neither warns nor leaves a traceback
+    # name; without one, `corrector` runs the table on the block's defaults
+    # and refuses it by name before any row is integrated.  None of them
+    # warns, leaves a traceback or an output directory
+    calls = []
+    cumulative = hl.corrector.cumulative
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return cumulative(*args, **kwargs)
+    monkeypatch.setattr(hl.corrector, "cumulative", counted)
     doc = _tiny_doc()
     doc["eps_list"] = [1.0, 1e-200]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for cmd in ("corrector", "converge"):
-            out = tmp_path / cmd
-            assert cli_main([cmd, _write_cfg(tmp_path, doc),
-                             "--out", str(out)]) == 1
+        for cmd, block in (("corrector", doc["corrector"]),
+                           ("converge", doc["corrector"]),
+                           ("corrector", None)):
+            out = tmp_path / f"{cmd}-{block is None}"
+            cfg = _write_cfg(tmp_path, {**doc, "corrector": block})
+            assert cli_main([cmd, cfg, "--out", str(out)]) == 1
             err = capsys.readouterr().err
             assert "(config keys 'eps_list', 'corrector.box')" in err, err
             assert not out.exists()
-    del doc["corrector"]
-    assert cli_main(["corrector", _write_cfg(tmp_path, doc),
-                     "--out", str(tmp_path / "bare")]) == 1
-    assert "starting panel count" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_cli_subcommands_smoke(tmp_path):
