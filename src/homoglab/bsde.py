@@ -49,15 +49,15 @@ class BsdeSpec:
     ``driver(x1, x2)`` evaluates the y-independent factors of the driver
     once and returns the map ``y -> f``.  It is evaluated at the bundle's
     own X1, so the driver of an eps bundle is that of ``fam.at(eps)``,
-    whose model forms X1/eps.  ``y_bound`` (when given) clips the
-    regression output to the a-priori band sup|H| + t*sup|f|.
+    whose model forms X1/eps.  ``y_bound`` clips the regression output
+    to the a-priori band sup|H| + t*sup|f|.
     """
     terminal: Callable                    # x (..., d+1) -> (...,)
     driver: Callable                      # (x1, x2) -> (y -> (...,))
     basis_degree: int = 3
     include_sign_feature: bool = False
     n_picard: int = 3
-    y_bound: Optional[float] = None
+    y_bound: float = np.inf
 
     def __post_init__(self):
         # the knobs' ranges; each message starts with the field it refuses
@@ -197,11 +197,6 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
     conds = np.zeros(m - 1)
     picard = np.zeros(spec.n_picard)
 
-    def clip(v):
-        if spec.y_bound is not None:
-            return np.clip(v, -spec.y_bound, spec.y_bound)
-        return v
-
     # per step: fitted conditional mean of the increment Y[:, s+1] - Y[:, s]
     # and its noise floor, for the conditional variation
     dy_fit = np.empty((m, n))
@@ -223,7 +218,7 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
             y_new = cont + dt * np.asarray(drive(y), dtype=float)
             picard[j] = max(picard[j], float(np.sqrt(np.mean((y_new - y) ** 2))))
             y = y_new
-        Y[:, s] = y = clip(y)
+        Y[:, s] = y = np.clip(y, -spec.y_bound, spec.y_bound)
         rollout += dt * np.asarray(drive(y), dtype=float)
         # one fit for the k Z columns and the increment of Y
         targets = np.empty((n, k + 1))
@@ -246,7 +241,7 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
         y0_new = cont0 + dt * float(np.asarray(drive(y0)))
         picard[j] = max(picard[j], abs(y0_new - y0))
         y0 = y0_new
-    y0 = float(clip(np.asarray(y0)))
+    y0 = float(np.clip(y0, -spec.y_bound, spec.y_bound))
     Y[:, 0] = y0
     rollout += dt * np.asarray(drive(Y[:, 0]), dtype=float)
     Z[:, 0, :] = np.mean(Y[:, 1][:, None] * bundle.dB[:, 0, :] / dt, axis=0)

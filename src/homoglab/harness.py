@@ -268,7 +268,12 @@ class ExperimentConfig:
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except ValueError as exc:   # not JSON, or not UTF-8
+                raise ConfigError(f"{path} is not a JSON config: {exc}") \
+                    from None
+        return cls.from_dict(doc)
 
     def digest(self) -> str:
         return hashlib.sha256(

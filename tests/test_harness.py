@@ -556,6 +556,21 @@ def test_cli_exit_one_on_bad_config(tmp_path):
     assert cli_main(["converge", str(p)]) == 1
 
 
+@pytest.mark.parametrize("text", [b'{"family": ', b'{"x0": "\xff\xfe"}'],
+                         ids=["truncated", "not-utf8"])
+def test_cli_config_not_json_names_its_file(tmp_path, capsys, text):
+    # a truncated file and one whose bytes are not UTF-8 are refused by the
+    # file's name; json.load's message alone named a line and column, or a
+    # codec, but not the file
+    p = tmp_path / "broken.json"
+    p.write_bytes(text)
+    out = tmp_path / "out"
+    assert cli_main(["average", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p} is not a JSON config: "), err
+    assert not out.exists()
+
+
 def test_cli_seed_override_changes_output(tmp_path):
     doc = base_config()
     doc["mc"] = {"n_paths": 300, "n_steps": 25, "seed": 10}
@@ -744,8 +759,9 @@ def test_cli_tiny_eps_corrector_refused(tmp_path, capsys, monkeypatch):
 def test_cli_subcommands_smoke(tmp_path):
     cfgp = _write_cfg(tmp_path, _tiny_doc())
     expect = {
-        "simulate": ["paths_eps0.bin", "paths_eps0.bin.json",
-                     "paths_eps1.bin", "paths_avg.bin"],
+        "simulate": ["paths_avg.bin", "paths_avg.bin.json", "paths_eps0.bin",
+                     "paths_eps0.bin.json", "paths_eps1.bin",
+                     "paths_eps1.bin.json"],
         "bsde": ["bsde_eps0.bin", "bsde_eps1.bin.json", "bsde_avg.bin",
                  "bsde_summary.json"],
         "corrector": ["decay.csv", "corrector.json"],
@@ -756,6 +772,9 @@ def test_cli_subcommands_smoke(tmp_path):
         assert cli_main([cmd, cfgp, "--out", str(out)]) == 0, cmd
         for name in files:
             assert (out / name).stat().st_size > 0, (cmd, name)
+    # simulate writes one container and its sidecar per run, each eps row
+    # and then the averaged model, and nothing else
+    assert sorted(os.listdir(tmp_path / "simulate")) == expect["simulate"]
     summary = json.loads((tmp_path / "bsde" / "bsde_summary.json").read_text())
     assert [r["eps"] for r in summary["eps"]] == [1.0, 0.3]
     assert cli_main(["bsde", cfgp, "--out", str(tmp_path / "bsde2"),
@@ -763,6 +782,26 @@ def test_cli_subcommands_smoke(tmp_path):
     for name in expect["bsde"]:
         assert filecmp.cmp(tmp_path / "bsde" / name,
                            tmp_path / "bsde2" / name, shallow=False), name
+
+
+def test_cli_sweep_worker_count_keeps_the_bytes(tmp_path):
+    # converge and bsde on 1 and 2 worker processes write the same files,
+    # byte for byte (bsde writes each run's container in the worker that
+    # solves it); the smallest eps takes several substeps
+    doc = _sweep_doc()
+    assert Stages(hl.ExperimentConfig.from_dict(doc)).row_substeps[-2] > 1
+    cfgp = _write_cfg(tmp_path, doc)
+    for cmd, count in (("converge", 3), ("bsde", 9)):
+        outs = [tmp_path / f"{cmd}{n}" for n in (1, 2)]
+        for n, out in zip((1, 2), outs):
+            code = cli_main([cmd, cfgp, "--out", str(out), "--threads", str(n)])
+            assert code in (0, 2), (cmd, n)
+        names = sorted(os.listdir(outs[0]))
+        assert len(names) == count, names
+        assert sorted(os.listdir(outs[1])) == names
+        for name in names:
+            assert filecmp.cmp(outs[0] / name, outs[1] / name,
+                               shallow=False), (cmd, name)
 
 
 def test_cli_simulate_matches_converge_paths(tmp_path, monkeypatch):
@@ -972,7 +1011,8 @@ def test_cli_corrector_rejects_bad_sizes(tmp_path, capsys, key, value):
     pytest.param("converge", "t_end", 10 ** 400, id="converge-t_end-1e400"),
     ("converge", "fd.dt_fd", 1e-320),
     ("average", "averaging.tol", 0),
-    ("converge", "x0", [0.5, 2.5])])
+    ("converge", "x0", [0.5, 2.5]),
+    ("converge", "mc.n_steps", 10 ** 12)])
 def test_cli_rejects_malformed_blocks(tmp_path, capsys, cmd, name, value):
     # refused by name before any output: a missing fd key or a block that
     # is not an object used to escape main as a KeyError, TypeError or
