@@ -71,7 +71,9 @@ def _bsde_row(st, i) -> dict:
 
 def cmd_bsde(args) -> int:
     st = _stages(args)
-    *rows, averaged = st.sweep(_bsde_row, args.threads)
+    jobs = st.runs(_bsde_row)
+    done = dict(zip(jobs, st.sweep(jobs, args.threads)))
+    *rows, averaged = (done[_bsde_row, i].result() for i in range(len(jobs)))
     summary = {"eps": [{"eps": eps, **row}
                        for eps, row in zip(st.cfg.eps_list, rows)],
                "averaged": averaged}
@@ -95,7 +97,8 @@ def cmd_corrector(args) -> int:
 
 def cmd_pde(args) -> int:
     st = _stages(args)
-    sol, value, error = st.fd()
+    fine, sol = (h.result() for h in st.sweep(st.fd_jobs(), 1))
+    value, error = st.v_fd(fine, sol)
     sol.save_csv(_out(st, "pde.csv"))
     print(write_json(_out(st, "pde_summary.json"),
                      {"value_at_x0": value, "richardson_error": error}))
@@ -144,8 +147,8 @@ def worker_count(text) -> int:
 
 _FLAGS = {"--seed-override": {"default": None, "type": int},
           "--threads": {"default": 1, "type": worker_count,
-                        "help": "worker processes for the eps sweep "
-                                "(same bytes for every count)"}}
+                        "help": "worker processes for the sweep's runs and "
+                                "FD solves (same bytes for every count)"}}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,10 +3,10 @@ pipeline with its drift-gap check, and deterministic report emission.
 
 All randomness flows from the single config seed through sha256 key
 splitting per (stage, index), so re-running a config is byte-identical
-regardless of worker count: the sweep may run its runs (each eps row and,
-last, the averaged model, all on one path) on forked worker processes,
-but each run owns an independent counter-based stream and assembly is
-ordered.
+regardless of worker count: the sweep may run its jobs (the FD solves,
+each eps row and the averaged model, all on one path) on forked worker
+processes, but each run owns an independent counter-based stream and
+assembly is ordered.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import threading
 import warnings
 from dataclasses import asdict, dataclass, field
 from functools import cached_property, partial
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -314,7 +315,7 @@ class Stages:
 
     Every entry point (``run_convergence`` and each CLI subcommand) takes
     the family, the averaged model, the backward spec, the stage seeds,
-    the substep counts, the FD problem and the corrector table from here,
+    the substep counts, the FD solves and the corrector table from here,
     so they all run the same computation.
     The averaged model is built on first use; a bad ``averaging`` block
     fails there.
@@ -392,50 +393,60 @@ class Stages:
         model = self.avg if bundle.eps is None else self.fam.at(bundle.eps)
         return bundle, solve_bsde(bundle, self.spec(model.driver))
 
-    def sweep(self, job, n_workers: int = 1) -> list:
-        """``job(self, i)`` of every run i, the eps rows then the averaged run.
+    def runs(self, job) -> list:
+        """``(job, i)`` of every run i, longest first by substeps (worked
+        out here, so a cap warning reaches the caller): the averaged run,
+        of one substep, goes last."""
+        steps = self.row_substeps
+        return [(job, i)
+                for i in sorted(range(len(steps)), key=lambda i: -steps[i])]
 
-        A row job reduces its run where it runs, so only its result, never
-        the run's paths or solution, reaches the caller.  With
-        ``n_workers`` > 1 and the ``fork`` start method, the runs go to
-        min(n_workers, runs) forked worker processes, which inherit this
-        ``Stages`` (its averaged model built first) and ``job``; neither is
-        pickled.  The runs are submitted longest first, by substeps, so the
-        averaged run, of one substep, goes last.  Otherwise, and when the
-        caller runs other threads (a fork copies any lock one of them
-        holds), they run here, one after the other.  Stage seeds make the
-        result independent of ``n_workers``.
+    def fd_jobs(self) -> list:
+        """The averaged FD solves as sweep jobs, longest first: on the fd
+        block's grid refined by 2, then on the grid itself."""
+        grid = self.cfg.fd
+        if grid is None:
+            raise ConfigError("the FD problem needs an fd block in the config")
+        return [(Stages.fd_solve, grid.refined()), (Stages.fd_solve, grid)]
+
+    def fd_solve(self, grid: pde_fd.Grid2D) -> pde_fd.GridSolution:
+        """The averaged FD solve on ``grid``."""
+        return pde_fd.solve_pde(
+            pde_fd.PdeModel.from_averaged(self.avg, self.fam.terminal), grid)
+
+    def v_fd(self, fine, coarse) -> tuple:
+        """The FD value at x0 and its Richardson estimate, from the FD
+        solutions of ``fd_jobs``."""
+        return coarse.at(*self.cfg.x0), pde_fd.richardson_error(coarse, fine)
+
+    def sweep(self, jobs, n_workers: int = 1) -> list:
+        """A handle of each ``(job, key)`` of ``jobs``, in list order, whose
+        ``result()`` returns ``job(self, key)`` or raises its exception.
+
+        A job reduces its work where it runs, so only its result, never a
+        run's paths or solution, reaches the caller.  With ``n_workers`` > 1
+        and the ``fork`` start method, the jobs are submitted in list order
+        to min(n_workers, jobs) forked worker processes, which inherit this
+        ``Stages`` (its averaged model built first), and the sweep returns
+        when every job has ended.  Otherwise, and when the caller runs
+        other threads (a fork copies any lock one of them holds), a job
+        runs here when its result is asked for.  Stage seeds make the
+        results independent of ``n_workers``.
         """
-        steps = self.row_substeps   # here, so a cap warning reaches the caller
-        n = len(steps)
+        n = len(jobs)
         if min(n_workers, n) < 2 or threading.active_count() > 1 \
                 or not hasattr(os, "fork"):
-            return [job(self, i) for i in range(n)]
+            return [SimpleNamespace(result=partial(job, self, key))
+                    for job, key in jobs]
         self.avg   # built before the fork, so that no worker builds it
         # imported here, so a run on one worker never loads multiprocessing
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(
-            min(n_workers, n), mp_context=multiprocessing.get_context("fork"),
-            initializer=_adopt_job, initargs=(partial(job, self),))
-        try:
-            jobs = {i: pool.submit(_row_job, i)
-                    for i in sorted(range(n), key=lambda i: -steps[i])}
-            return [jobs[i].result() for i in range(n)]
-        finally:
-            # on a failure the runs not yet started are dropped
-            pool.shutdown(cancel_futures=True)
-
-    def fd(self):
-        """The averaged FD solve on the config's grid: (solution, its value
-        at x0, its Richardson estimate)."""
-        cfg = self.cfg
-        if cfg.fd is None:
-            raise ConfigError("the FD problem needs an fd block in the config")
-        model = pde_fd.PdeModel.from_averaged(self.avg, self.fam.terminal)
-        sol = pde_fd.solve_pde(model, cfg.fd)
-        return (sol, sol.at(cfg.x0[0], cfg.x0[1]),
-                pde_fd.richardson_error(model, sol))
+        with ProcessPoolExecutor(
+                min(n_workers, n),
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_adopt_stages, initargs=(self,)) as pool:
+            return [pool.submit(_worker_job, job, key) for job, key in jobs]
 
     def decay(self) -> corr.DecayTable:
         """Corrector decay table over ``eps_list``, on the block or its
@@ -456,18 +467,19 @@ class Stages:
             "seed": split_seed(cfg.mc["seed"], "corrector")})
 
 
-# a sweep worker's row job, bound to its Stages by the sweep
-_worker_job = None
+# a sweep worker's Stages, inherited from the caller by the fork
+_worker_stages = None
 
 
-def _adopt_job(job) -> None:
-    global _worker_job
-    _worker_job = job
+def _adopt_stages(st: Stages) -> None:
+    global _worker_stages
+    _worker_stages = st
 
 
-def _row_job(i: int):
-    """Run i of the worker's job; only its result goes back to the caller."""
-    return _worker_job(i)
+def _worker_job(job, key):
+    """``job`` of the worker's stages at ``key``; only its result goes
+    back to the caller."""
+    return job(_worker_stages, key)
 
 
 def _report_row(st: Stages, i: int) -> dict:
@@ -531,7 +543,8 @@ class ConvergenceReport:
 
 def run_convergence(cfg: ExperimentConfig, n_workers: int = 1):
     """Full eps-sweep pipeline; see module docstring for the seed scheme.
-    The sweep runs on ``n_workers`` worker processes (``Stages.sweep``).
+    Its runs and FD solves are one sweep on ``n_workers`` worker processes
+    (``Stages.sweep``).
 
     Stage errors abort with provenance (PipelineError); the partial report
     assembled so far is attached to the error as ``.partial`` with the
@@ -545,7 +558,11 @@ def run_convergence(cfg: ExperimentConfig, n_workers: int = 1):
         st.avg   # built here, so that its failure names this stage
 
         stage = "eps-sweep"
-        *records, last = st.sweep(_report_row, n_workers)
+        fd = st.fd_jobs() if cfg.fd is not None else []
+        jobs = fd + st.runs(_report_row)
+        done = dict(zip(jobs, st.sweep(jobs, n_workers)))
+        *records, last = (done[_report_row, i].result()
+                          for i in range(len(st.names)))
         report.averaged, report.occupation = \
             last["averaged"], last["occupation"]
 
@@ -559,9 +576,9 @@ def run_convergence(cfg: ExperimentConfig, n_workers: int = 1):
             report.drift_gap.append(rec["drift_gap"])
 
         stage = "fd-crosscheck"
-        if cfg.fd is not None:
-            _, v_fd, v_fd_error = st.fd()
-            report.averaged["v_fd"] = _cell(v_fd, v_fd_error)
+        if fd:
+            report.averaged["v_fd"] = _cell(
+                *st.v_fd(*(done[job].result() for job in fd)))
 
         stage = "corrector-decay"
         if cfg.corrector is not None:

@@ -262,13 +262,11 @@ def solve_pde(model: PdeModel, grid: Grid2D) -> GridSolution:
     return GridSolution(grid=grid, values=v, model_label=model.label)
 
 
-def richardson_error(model: PdeModel, coarse: GridSolution) -> float:
+def richardson_error(coarse: GridSolution, fine: GridSolution) -> float:
     """Sup-norm change under one nested refinement by 2 (``Grid2D.refined``:
-    h halves, dt quarters), over the coarse grid's nodes.
-
-    ``coarse`` is the caller's solution on the coarse grid; only the
-    refined grid is solved here.
-    """
-    fine = solve_pde(model, coarse.grid.refined())
+    h halves, dt quarters), over the coarse grid's nodes: ``fine`` is the
+    solution on ``coarse.grid.refined()``.  Nothing is solved here."""
+    if fine.grid != coarse.grid.refined():
+        raise PdeError(f"the fine solution's grid {fine.grid} is not the "
+                       f"refinement of the coarse grid {coarse.grid}")
     return float(np.max(np.abs(coarse.values - fine.values[::2, ::2])))
-

@@ -177,8 +177,9 @@ def test_criterion_07_fd_bsde_oracle_triangle():
     g = Grid2D(5.0, 5.0, 199, 199, 0.0125, 0.5)
     model = PdeModel.from_averaged(avg, fam.terminal)
     v_fd = solve_pde(model, g).at(0.5, 0.0)
-    rich = richardson_error(
-        model, solve_pde(model, Grid2D(5.0, 5.0, 99, 99, 0.025, 0.5)))
+    coarse = Grid2D(5.0, 5.0, 99, 99, 0.025, 0.5)
+    rich = richardson_error(solve_pde(model, coarse),
+                            solve_pde(model, coarse.refined()))
     gap = abs(v_fd - sol.Y0)
     allow = 3 * sol.Y0_stderr + rich + 2 * grid.dt
     elapsed = time.time() - t0

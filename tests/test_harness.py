@@ -190,8 +190,11 @@ def test_trivial_driver_y0_one(const_family):
         assert g["gap"]["value"] <= 5 * max(g["gap"]["stderr"], 1e-12) + 1e-12
 
 
-def test_pipeline_error_carries_stage(config_doc, monkeypatch):
-    # a bad grid is refused at load, so the FD solve itself fails here
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_pipeline_error_carries_stage(config_doc, monkeypatch, n_workers):
+    # a bad grid is refused at load, so the FD solve itself fails here; on
+    # a pool it fails in a worker, as a job of the sweep, and still fails
+    # the fd-crosscheck stage, not the eps-sweep, with its own exception
     config_doc["fd"] = {"L1": 1.0, "L2": 1.0, "n1": 11, "n2": 11,
                         "dt_fd": 0.01}
     config_doc["mc"] = {"n_paths": 200, "n_steps": 25, "seed": 6}
@@ -201,8 +204,10 @@ def test_pipeline_error_carries_stage(config_doc, monkeypatch):
         raise pde_fd.PdeError("implicit-step factorization failed")
     monkeypatch.setattr(pde_fd, "solve_pde", fail)
     with pytest.raises(hl.PipelineError) as exc:
-        hl.run_convergence(cfg)
+        hl.run_convergence(cfg, n_workers)
     assert exc.value.stage == "fd-crosscheck"
+    assert type(exc.value.cause) is pde_fd.PdeError
+    assert str(exc.value.cause) == "implicit-step factorization failed"
     partial = exc.value.partial
     assert partial.incomplete
     # earlier stages preserved: the rows with their drift gaps and the
@@ -211,6 +216,7 @@ def test_pipeline_error_carries_stage(config_doc, monkeypatch):
     assert [g["eps"] for g in partial.drift_gap] == [1.0, 0.3]
     assert [e["n"] for e in partial.occupation["estimates"]] == \
         [1, 2, 4, 8, 16, 32]
+    assert multiprocessing.active_children() == []
 
 
 def test_occupation_slope_insufficient_data(tmp_path):
@@ -271,18 +277,35 @@ def test_no_rise_allows_the_combined_stderr():
 
 
 def test_run_convergence_solves_each_fd_grid_once(tmp_path, monkeypatch):
-    # the Richardson estimate reuses the cross-check's coarse solution
+    # the Richardson estimate compares the cross-check's coarse solution
+    # with one solve on the refined grid: each grid is solved once, the
+    # refined one first.  On one worker both solves run in the caller after
+    # the last Monte Carlo run, so the runs' arrays are freed before the FD
+    # solves start; on a pool they are jobs beside the runs.  Each process
+    # appends its calls to one log
     doc = _tiny_doc()
     del doc["corrector"]
-    calls = []
-
-    def counted(*args, _fn=pde_fd.solve_pde, **kwargs):
-        calls.append(args[1])
-        return _fn(*args, **kwargs)
-    monkeypatch.setattr(pde_fd, "solve_pde", counted)
-    rep = hl.run_convergence(hl.ExperimentConfig.from_dict(doc))
-    assert "v_fd" in rep.averaged
-    assert len(calls) == 2 and calls[1] == calls[0].refined()
+    cfg = hl.ExperimentConfig.from_dict(doc)
+    for module, name in ((pde_fd, "solve_pde"),
+                         (homoglab.harness, "simulate_eps"),
+                         (homoglab.harness, "simulate_avg")):
+        def logged(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            with open(tmp_path / "calls.log", "a") as fh:
+                fh.write(f"{_name} n1={args[1].n1}\n"
+                         if _name == "solve_pde" else "simulate\n")
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, logged)
+    fine, coarse = f"solve_pde n1={cfg.fd.refined().n1}", \
+        f"solve_pde n1={cfg.fd.n1}"
+    for n_workers in (1, 2):
+        rep = hl.run_convergence(cfg, n_workers)
+        assert "v_fd" in rep.averaged
+        calls = (tmp_path / "calls.log").read_text().splitlines()
+        (tmp_path / "calls.log").unlink()
+        assert sorted(calls) == sorted([fine, coarse] + ["simulate"] * 3)
+        if n_workers == 1:
+            assert calls == ["simulate"] * 3 + [fine, coarse]
+    assert multiprocessing.active_children() == []
 
 
 def test_substeps_warn_when_cap_binds():
@@ -314,6 +337,10 @@ def test_substeps_quiet_on_demo():
     assert got == [1, 1, 1, 2]
 
 
+# an fd block small enough for the sweep tests
+_FD_BLOCK = {"L1": 2.0, "L2": 2.0, "n1": 11, "n2": 11, "dt_fd": 0.05}
+
+
 def _sweep_doc():
     # substeps 1, 4 and 16 on dt = 0.02
     doc = base_config()
@@ -322,32 +349,57 @@ def _sweep_doc():
     return doc
 
 
+def _results(handles) -> list:
+    # a sweep's results, an FD solution as its grid, label and values
+    return [(r.grid, r.model_label, r.values.tolist())
+            if isinstance(r, pde_fd.GridSolution) else r
+            for r in (h.result() for h in handles)]
+
+
 def test_sweep_on_workers_matches_in_process(monkeypatch):
-    # the runs go to the workers longest first, the averaged run last, and
-    # their records come back in run order, equal to the in-process
-    # sweep's; no worker outlives the sweep
+    # the jobs go to the workers in list order, longest first: the refined
+    # FD solve, the FD solve on the fd block's grid, then the runs by
+    # substeps, the averaged run last, as converge lists them; each
+    # handle's result equals the in-process sweep's; no worker outlives
+    # the sweep
     submitted = []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
         def submit(self, fn, *args):
-            submitted.append(args[0])
+            submitted.append(args[1])
             return super().submit(fn, *args)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-    st = Stages(hl.ExperimentConfig.from_dict(_sweep_doc()))
+    for fd in (None, _FD_BLOCK):
+        submitted.clear()
+        _sweep_matches_in_process(
+            Stages(hl.ExperimentConfig.from_dict({**_sweep_doc(), "fd": fd})),
+            submitted)
+
+
+def _sweep_matches_in_process(st, submitted):
+    # the keys of the FD jobs, the refined grid first, then the runs'
+    fd = [] if st.cfg.fd is None else [st.cfg.fd.refined(), st.cfg.fd]
+    order = fd + [2, 1, 0, 3]
     assert st.row_substeps == [1, 4, 16, 1]
-    here = st.sweep(_report_row, 1)
+    jobs = (st.fd_jobs() if fd else []) + st.runs(_report_row)
+    assert [key for _, key in jobs] == order
+    here = _results(st.sweep(jobs, 1))
     assert submitted == []
-    assert [r["row"]["eps"] for r in here[:-1]] == [1.0, 0.1, 0.05]
+    assert [r["row"]["eps"] for r in here[len(fd):-1]] == [0.05, 0.1, 1.0]
     assert set(here[-1]) == {"averaged", "occupation"}
     for n_workers in (2, 4):
-        assert st.sweep(_report_row, n_workers) == here
-    assert submitted == [2, 1, 0, 3] * 2
+        assert _results(st.sweep(jobs, n_workers)) == here
+    assert submitted == order * 2
     assert multiprocessing.active_children() == []
     # called beside another thread, the sweep does not fork
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as ex:
-        beside = ex.submit(st.sweep, _report_row, 2).result()
-    assert submitted == [2, 1, 0, 3] * 2
-    assert beside == here
+        beside = ex.submit(st.sweep, jobs, 2).result()
+    assert submitted == order * 2
+    assert _results(beside) == here
+    # converge submits its FD solves and runs in the same order
+    submitted.clear()
+    hl.run_convergence(st.cfg, 2)
+    assert submitted == order
 
 
 def test_report_row_record_holds_no_array():
@@ -421,7 +473,7 @@ def test_pooled_sweep_builds_averaged_model_once_in_caller(monkeypatch):
     monkeypatch.setattr(homoglab.families, "build_averaged", counted)
     st = Stages(hl.ExperimentConfig.from_dict(_sweep_doc()))
     assert pids == []
-    st.sweep(_report_row, 2)
+    st.sweep(st.runs(_report_row), 2)
     assert pids == [os.getpid()]
     assert multiprocessing.active_children() == []
 
@@ -787,8 +839,15 @@ def test_cli_subcommands_smoke(tmp_path):
 def test_cli_sweep_worker_count_keeps_the_bytes(tmp_path):
     # converge and bsde on 1 and 2 worker processes write the same files,
     # byte for byte (bsde writes each run's container in the worker that
-    # solves it); the smallest eps takes several substeps
-    doc = _sweep_doc()
+    # solves it, and converge's FD solves are jobs of the sweep when the
+    # config has an fd block); the smallest eps takes several substeps
+    for fd in (None, _FD_BLOCK):
+        _worker_count_keeps_the_bytes(tmp_path / f"fd{fd is not None}",
+                                      {**_sweep_doc(), "fd": fd})
+
+
+def _worker_count_keeps_the_bytes(tmp_path, doc):
+    tmp_path.mkdir()
     assert Stages(hl.ExperimentConfig.from_dict(doc)).row_substeps[-2] > 1
     cfgp = _write_cfg(tmp_path, doc)
     for cmd, count in (("converge", 3), ("bsde", 9)):

@@ -201,8 +201,10 @@ def test_from_averaged_labels_the_model(switch_avg, switch_family, tmp_path):
 def test_richardson_second_order():
     m = heat_model()
     g = Grid2D(4.0, 4.0, 49, 49, 0.02, 0.2)
-    e1 = richardson_error(m, solve_pde(m, g))
-    e2 = richardson_error(m, solve_pde(m, g.refined()))
+    coarse, fine, finest = (solve_pde(m, grid) for grid in
+                            (g, g.refined(), g.refined().refined()))
+    e1 = richardson_error(coarse, fine)
+    e2 = richardson_error(fine, finest)
     assert e1 / e2 >= 3.0
 
 
@@ -213,14 +215,29 @@ def test_richardson_zero_for_constant_solution():
                  driver=constant_driver(0.0),
                  H=lambda x1, x2: np.ones_like(x1), label="one")
     g = Grid2D(2.0, 2.0, 21, 21, 0.02, 0.2)
-    assert richardson_error(m, solve_pde(m, g)) <= 1e-10
+    assert richardson_error(solve_pde(m, g),
+                            solve_pde(m, g.refined())) <= 1e-10
 
 
 def test_averaged_switch_finite_richardson(switch_avg, switch_family):
     m = PdeModel.from_averaged(switch_avg, switch_family.terminal)
     g = Grid2D(4.0, 4.0, 81, 41, 0.025, 0.5)
-    est = richardson_error(m, solve_pde(m, g))
+    est = richardson_error(solve_pde(m, g), solve_pde(m, g.refined()))
     assert np.isfinite(est) and est > 0
+
+
+def test_richardson_refuses_a_fine_solution_off_the_refined_grid():
+    # a fine solution on any grid but coarse.grid.refined() is refused
+    # naming both grids, where the comparison would raise a bare numpy
+    # broadcast error or compare nodes that do not coincide
+    m = heat_model()
+    g = Grid2D(2.0, 2.0, 5, 5, 0.05, 0.5)
+    coarse = solve_pde(m, g)
+    for other in (g, Grid2D(2.0, 2.0, 13, 11, 0.0125, 0.5),
+                  Grid2D(2.0, 2.0, 11, 11, 0.05, 0.5)):
+        with pytest.raises(PdeError) as exc:
+            richardson_error(coarse, solve_pde(m, other))
+        assert repr(other) in str(exc.value) and repr(g) in str(exc.value)
 
 
 def test_interface_slope_continuity_centered(switch_avg, switch_family):
