@@ -7,13 +7,20 @@ Gauss rule per short panel is accurate and cheap; adaptivity doubles the
 panel count until two consecutive estimates agree.
 
 One engine serves ``cumulative`` and ``integrate`` (its one-cell case): in
-each doubling round every unsettled cell of a grid is integrated by one
-``panel_integrals`` call per run of adjacent cells, and a cell leaves the
-round once it settles (per-interval termination, Gander & Gautschi 2000,
-"Adaptive quadrature - revisited", BIT 40).  Each cell keeps its own panel
-sequence and is summed on its own, so its estimate is bit-identical to a
-one-cell refinement.  One tolerance policy holds for every cell (see
-``_ATOL``); a cell that does not settle raises ``QuadratureError`` naming it.
+each doubling round every unsettled cell of a grid is integrated, and a
+cell leaves the round once it settles (per-interval termination, Gander &
+Gautschi 2000, "Adaptive quadrature - revisited", BIT 40).  Each cell keeps
+its own panel sequence and is summed on its own, so its estimate is
+bit-identical to a one-cell refinement.  One tolerance policy holds for
+every cell (see ``_ATOL``); a cell that does not settle raises
+``QuadratureError`` naming it.
+
+One value budget, ``_VALUES`` integrand values (nodes x components), bounds
+the working set: each integrand call takes at most that many, and a round
+makes one ``panel_integrals`` call per group of adjacent cells whose values
+fit it (a bigger cell is a group of its own).  What still grows with the
+panel count is one cell's edges and panel integrals, the latter kept whole
+so that the cell's sum keeps its bits.
 
 Integrands must be vectorized: ``g(t)`` maps a 1-d node array to an array
 of shape ``(nt,)`` or ``(nt, m)`` for m simultaneously integrated
@@ -31,8 +38,12 @@ class QuadratureError(RuntimeError):
 
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-# Nodes per integrand call in ``panel_integrals``.
-_CHUNK_NODES = 1 << 16
+# Gauss nodes per panel
+_ORDER = 12
+# The one value budget: integrand values (nodes x components, 0.5 MB as
+# float64) per integrand call in ``panel_integrals``, and per group of
+# cells in ``_estimates``.
+_VALUES = 1 << 16
 
 
 def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -50,29 +61,35 @@ def _eval(g, t):
     return v
 
 
-def panel_integrals(g, edges, order: int = 12):
+def _rule(g, edges, x, w):
+    """The Gauss rule (nodes ``x``, weights ``w``) on each panel of
+    ``edges``, as ``(n_panels, m)``.  A function of its own, so that one
+    chunk's nodes and values are freed before the next chunk's are built."""
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    fv = _eval(g, (mid[:, None] + half[:, None] * x[None, :]).ravel())
+    return (np.einsum("pnm,n->pm", fv.reshape(mid.size, x.size, -1), w)
+            * half[:, None])
+
+
+def panel_integrals(g, edges, order: int = _ORDER):
     """One Gauss-Legendre rule per panel; returns per-panel integrals.
 
     ``edges`` may be decreasing, in which case the integrals are oriented
     (negative for a positive integrand).  Output shape is ``(n_panels, m)``.
+    Each integrand call takes at most ``_VALUES`` values (one panel at
+    least), sized from the component count of ``g`` at the first edge.
     """
     edges = np.asarray(edges, dtype=float)
+    npan = edges.shape[0] - 1
+    if npan < 1:
+        return np.zeros((0, 1))
     x, w = _gl(order)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    npan = mid.shape[0]
-    step = max(1, _CHUNK_NODES // order)
-    out = None
+    m = _eval(g, edges[:1]).shape[1]
+    step = max(1, _VALUES // (order * max(m, 1)))
+    out = np.empty((npan, m))
     for lo in range(0, npan, step):
-        hi = min(npan, lo + step)
-        nodes = (mid[lo:hi, None] + half[lo:hi, None] * x[None, :]).ravel()
-        fv = _eval(g, nodes).reshape(hi - lo, order, -1)
-        part = np.einsum("pnm,n->pm", fv, w) * half[lo:hi, None]
-        if out is None:
-            out = np.empty((npan, part.shape[1]))
-        out[lo:hi] = part
-    if out is None:
-        out = np.zeros((0, 1))
+        out[lo:lo + step] = _rule(g, edges[lo:lo + step + 1], x, w)
     return out
 
 
@@ -90,27 +107,42 @@ _MAX_ROUNDS = 8
 _MAX_START = 2.0 ** (63 - _MAX_ROUNDS)
 
 
-def _estimates(g, a, b, n, cells):
+def _edges(a, b, k):
+    """Edges of adjacent cells [a[i], b[i]] of k[i] panels each: those of
+    ``np.linspace(a[i], b[i], k[i] + 1)``, each shared end once.  Its index
+    arrays are freed before the group is integrated."""
+    stops = np.cumsum(k)
+    j = np.arange(stops[-1]) - np.repeat(stops - k, k)
+    return np.append(j * np.repeat((b - a) / k, k) + np.repeat(a, k), b[-1])
+
+
+def _estimates(g, a, b, n, cells, m):
     """Composite estimates of ``cells`` over [a[i], b[i]] with n[i] panels.
 
-    One ``panel_integrals`` call per run of adjacent cells.  The edges are
-    those of ``np.linspace(a[i], b[i], n[i] + 1)`` and each cell is summed
-    on its own, so every estimate is bit-identical to a one-cell call.
+    One ``panel_integrals`` call per group of adjacent cells whose values
+    (panels x ``_ORDER`` x ``m`` components) fit ``_VALUES``; a cell bigger
+    than that is a group of its own.  Each cell is summed on its own, so
+    every estimate is bit-identical to a one-cell call.
     """
-    k = n[cells]
-    stops = np.cumsum(k)
-    starts = stops - k
-    j = np.arange(stops[-1]) - np.repeat(starts, k)
-    step = (b[cells] - a[cells]) / k
-    left = j * np.repeat(step, k) + np.repeat(a[cells], k)
-    first = np.flatnonzero(np.diff(cells, prepend=-2) != 1)
-    last = np.append(first[1:], cells.size) - 1
-    parts = np.concatenate([
-        panel_integrals(g, np.append(left[starts[f]:stops[e]], b[cells[e]]))
-        for f, e in zip(first, last)])
-    # np.add.reduceat would sum each cell in another order than a one-cell
-    # ``.sum(axis=0)`` does
-    return np.stack([parts[s:e].sum(axis=0) for s, e in zip(starts, stops)])
+    cap = _VALUES // (_ORDER * max(m, 1))
+    ids, k = cells.tolist(), n[cells].tolist()
+    bounds, size = [0], k[0]
+    for i in range(1, len(ids)):
+        if ids[i] != ids[i - 1] + 1 or size + k[i] > cap:
+            bounds.append(i)
+            size = 0
+        size += k[i]
+    bounds.append(len(ids))
+    out = np.empty((cells.size, m))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        c = cells[lo:hi]
+        parts = panel_integrals(g, _edges(a[c], b[c], n[c]))
+        stops = np.cumsum(n[c])
+        # np.add.reduceat would sum each cell in another order than a
+        # one-cell ``.sum(axis=0)`` does
+        for i, s, e in zip(range(lo, hi), stops - n[c], stops):
+            out[i] = parts[s:e].sum(axis=0)
+    return out
 
 
 def _settle(g, grid, rtol, max_panel):
@@ -134,14 +166,14 @@ def _settle(g, grid, rtol, max_panel):
             f"{_MAX_ROUNDS} doublings would not stay finite int64s")
     n = n.astype(np.int64)
     todo = np.flatnonzero(a != b)
+    m = _eval(g, grid[:1]).shape[1]
+    out = np.zeros((a.size, m))
     if todo.size == 0:
-        m = _eval(g, grid[:1]).shape[1]
-        return np.zeros((a.size, m))
-    prev = _estimates(g, a, b, n, todo)
-    out = np.zeros((a.size, prev.shape[1]))
+        return out
+    prev = _estimates(g, a, b, n, todo, m)
     for _ in range(_MAX_ROUNDS):
         n[todo] *= 2
-        cur = _estimates(g, a, b, n, todo)
+        cur = _estimates(g, a, b, n, todo, m)
         err = np.abs(cur - prev)
         ok = np.all(err <= _ATOL + rtol * np.abs(cur), axis=1)
         out[todo[ok]] = cur[ok]

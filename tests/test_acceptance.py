@@ -21,7 +21,8 @@ from homoglab.families import _basis_limits_numeric, _compare_models
 from homoglab.pde_fd import Grid2D, PdeModel, richardson_error, solve_pde
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
-TOL = json.load(open(os.path.join(FIXTURES, "reference_tolerances.json")))
+with open(os.path.join(FIXTURES, "reference_tolerances.json")) as _f:
+    TOL = json.load(_f)
 
 CATALOG_IDS = ("const", "switch", "slowvary")
 

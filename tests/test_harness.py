@@ -547,9 +547,10 @@ def test_emit_empty_report(tmp_path):
         drift_gap=[], decay=None, occupation=None, tightness=None, flags={})
     files = emit(rep, tmp_path / "d", ("csv", "json"))
     csvs = [f for f in files if f.endswith("convergence.csv")]
-    assert (open(csvs[0]).read().splitlines()[0]
-            .startswith("eps,Y0,Y0_stderr"))
-    assert len(open(csvs[0]).read().splitlines()) == 1
+    with open(csvs[0]) as f:
+        lines = f.read().splitlines()
+    assert lines[0].startswith("eps,Y0,Y0_stderr")
+    assert len(lines) == 1
 
 
 def test_scan_nan_names_nested_cell():
@@ -685,10 +686,10 @@ def test_golden_csv_fixture(tmp_path):
     cfg = hl.ExperimentConfig.from_dict(doc)
     rep = hl.run_convergence(cfg)
     files = emit(rep, tmp_path / "golden", ("csv",))
-    got = open(files[0], "rb").read()
     fixture = os.path.join(os.path.dirname(__file__), "fixtures",
                            "golden_convergence.csv")
-    assert got == open(fixture, "rb").read()
+    with open(files[0], "rb") as f, open(fixture, "rb") as ref:
+        assert f.read() == ref.read()
 
 
 def _tiny_doc():

@@ -1,10 +1,12 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from homoglab import quadrature
+from homoglab.families import _basis_limits_numeric
 from homoglab.quadrature import (QuadratureError, cumulative, integrate,
                                  panel_integrals)
 
@@ -109,6 +111,11 @@ def _bumps(t):
             + np.exp(-((t - 5.7) / 0.03) ** 2))
 
 
+def _cos64(t):
+    # 64 components, frequencies 1 to 2 - 1/64
+    return np.cos(t[:, None] * (1 + np.arange(64) / 64))
+
+
 _CASES = {
     "zero-length cells": (lambda t: np.exp(-t) * np.cos(3 * t),
                           [0.0, 0.5, 0.5, 2.0, 2.0, 2.0, 3.7]),
@@ -120,6 +127,14 @@ _CASES = {
     "long cells, one component": (lambda t: np.sin(t) + 1.0 / (1.0 + t * t),
                                   [0.0, 50.0, 400.0, 3000.0]),
     "bumps settle late": (_bumps, np.arange(9.0)),
+    "no components": (lambda t: np.zeros((t.size, 0)), [0.0, 1.0, 3.0]),
+    # a group holds _VALUES // (12 * 64) = 85 panels of 64 components: the
+    # nine 20-wide cells (7, then 14 panels each) split into groups once
+    # doubled, and the last cell (262 panels to start) is a group of its
+    # own that panel_integrals evaluates in chunks
+    "groups overflow the budget": (_cos64,
+                                   np.append(np.arange(0.0, 200.0, 20.0),
+                                             1000.0)),
 }
 
 
@@ -190,3 +205,22 @@ def test_integrate_is_one_cell_of_cumulative():
     g = lambda t: np.stack([np.sin(t), np.exp(-t)], axis=-1)
     assert np.array_equal(integrate(g, 0.3, 9.0),
                           cumulative(g, [0.3, 9.0])[1])
+
+
+@pytest.mark.parametrize("call, bound_mb", [
+    (lambda: _basis_limits_numeric(1e-4), 4.5),
+    (lambda: cumulative(_cos64, [0.0, 3000.0], max_panel=np.pi / 4), 12.0)],
+    ids=["basis-limits", "64-components"])
+def test_traced_peak_is_bounded(call, bound_mb):
+    # integrand values are held one budget (quadrature._VALUES) at a time,
+    # per call and per group of cells; only one cell's panel integrals grow
+    # with its panel count (the sin cell up to 1e6 has 87,062 panels, the
+    # 64-component cell 7,640).  Holding every unsettled cell's panels at
+    # once peaked at 8.6 and 65 MB.
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 1e6
