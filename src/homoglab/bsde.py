@@ -52,7 +52,7 @@ class BsdeSpec:
     whose model forms X1/eps.  ``y_bound`` clips the regression output
     to the a-priori band sup|H| + t*sup|f|.
     """
-    terminal: Callable                    # x (..., d+1) -> (...,)
+    terminal: Callable                    # x (..., 2) -> (...,)
     driver: Callable                      # (x1, x2) -> (y -> (...,))
     basis_degree: int = 3
     include_sign_feature: bool = False

@@ -115,7 +115,7 @@ def cmd_converge(args) -> int:
 
 def cmd_audit(args) -> int:
     st = _stages(args)
-    box = [[-5.0, 5.0]] + [[-2.0, 2.0]] * st.fam.d + [[-2.0, 2.0]]
+    box = [[-5.0, 5.0], [-2.0, 2.0], [-2.0, 2.0]]   # x1, x2, y
     entries = families.audit_assumptions(
         st.fam, {"box": box, "n_samples": 256,
                  "seed": split_seed(st.cfg.mc["seed"], "audit")})

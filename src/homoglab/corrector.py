@@ -63,7 +63,6 @@ class CorrectorField:
         """Weighted driver gap rho * (f - fbar) at t, the two-scale model
         at fast argument t/eps."""
         t = np.asarray(t, dtype=float)
-        x2 = np.asarray(x2, dtype=float).reshape(1, self.fam.d)
         rho = self.fam.rho(t, x2)
         return (self.fam.rho_f(t, x2, y)
                 - rho * self.avg.f(t, x2, float(y)))
@@ -122,7 +121,7 @@ class ResidualReport:
 def residual_check(field: CorrectorField, sample_spec: dict) -> ResidualReport:
     """Check a00(x1/eps) * D2 V - (f - fbar) ~ 0 at sampled points.
 
-    ``sample_spec``: {"box": [(x1lo, x1hi), x2 ranges..., (ylo, yhi)],
+    ``sample_spec``: {"box": [(x1lo, x1hi), (x2lo, x2hi), (ylo, yhi)],
     "n_samples": int, "seed": int, optional "h"}.  The second derivative is
     the central difference at step h (default 1e-4*eps) via the hat-kernel
     identity; the per-point tolerance is max(1e-4, 1e-3*|f - fbar|).
@@ -135,19 +134,17 @@ def residual_check(field: CorrectorField, sample_spec: dict) -> ResidualReport:
     pts = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((n, box.shape[0]))
     # keep samples off the interface per the one-sided-stencil contract
     pts[:, 0] = np.where(np.abs(pts[:, 0]) < 1e-6, 1e-6, pts[:, 0])
-    d = field.fam.d
     worst = (-1.0, -1.0, None)
     n_failed = 0
     for p in pts:
-        x1, x2, y = float(p[0]), p[1:1 + d], float(p[1 + d])
+        x1, x2, y = map(float, p)
         d2 = second_difference(field, x1, x2, y, h)
-        x2r = x2.reshape(1, d)
-        a00 = float(field.fam.a00(x1, x2r)[0])
-        gap = float(field.fam.f(x1, x2r, y)[0] - field.avg.f(x1, x2r, y)[0])
+        a00 = float(field.fam.a00(x1, x2))
+        gap = float(field.fam.f(x1, x2, y) - field.avg.f(x1, x2, y))
         resid = abs(a00 * d2 - gap)
         tol = max(1e-4, 1e-3 * abs(gap))
         if resid / tol > worst[1]:
-            worst = (resid, resid / tol, (x1, *x2.tolist(), y))
+            worst = (resid, resid / tol, (x1, x2, y))
         if resid > tol:
             n_failed += 1
     return ResidualReport(max_residual=worst[0], max_scaled=worst[1],
@@ -195,7 +192,7 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
                 n_grid) -> DecayTable:
     """Sampled sup norms of V and of the averaging remainders per eps.
 
-    ``box`` = ((x1lo, x1hi), (x2lo, x2hi)) at d = 1, ``y_box`` = (ylo, yhi),
+    ``box`` = ((x1lo, x1hi), (x2lo, x2hi)), ``y_box`` = (ylo, yhi),
     ``n_grid`` = (x1, x2, y) sample counts.
     For each (eps, x2) the x1 profiles of all y values come from one
     cumulative quadrature of the stacked integrand (q, t*q, rho*f, rho),
@@ -206,8 +203,6 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
     if any(b <= a for a, b in zip(eps_list[1:], eps_list[:-1])):
         raise ValueError("eps_list must be strictly decreasing")
     fields = [CorrectorField(fam.at(eps), avg) for eps in eps_list]
-    if fam.d != 1:
-        raise ValueError("decay_table assumes d = 1 boxes")
     (x1lo, x1hi), (x2lo, x2hi) = box
     n1, n2, ny = n_grid
     x2s = np.linspace(x2lo, x2hi, n2)
@@ -218,21 +213,20 @@ def decay_table(fam: CoefficientFamily, avg: AveragedModel,
     for field in fields:
         eps, model = field.eps, field.fam
         sup_V = sup_b = sup_a = 0.0
-        for x2v in x2s:
-            x2r = np.array([[x2v]])
+        for x2 in x2s:
 
             def g(t):
-                rho, rhof = model._combine(t, x2r, fam.rho_t, fam.rhof_t)
+                rho, rhof = model._combine(t, x2, fam.rho_t, fam.rhof_t)
                 rhof = rhof[:, None] * shape_y
-                q = rhof - rho[:, None] * avg.driver(t[:, None], x2r)(ys)
+                q = rhof - rho[:, None] * avg.driver(t[:, None], x2)(ys)
                 return np.concatenate(
                     [q, t[:, None] * q, rhof, rho[:, None]], axis=1)
 
             for side, grid in ((-1.0, neg), (1.0, pos)):
                 if grid.shape[0] < 2:
                     continue
-                flim = avg.rho_f_coef(side, x2r)[0]
-                rlim = avg.rho(side, x2r)[0]
+                flim = avg.rho_f_coef(side, x2)
+                rlim = avg.rho(side, x2)
                 cum = cumulative(g, grid, rtol=1e-6,
                                  max_panel=field.max_panel)
                 x1 = grid[1:, None]

@@ -102,10 +102,11 @@ _REQUIRED = object()   # the default of a key that every config must give
 # key -> (rule, default) of the config and, nested, of each of its blocks;
 # a block's rule is its own table.  An absent key takes its default.  An
 # absent or null fd or corrector block is None, and its stage does not run;
-# a None default inside a block means "not set".  The ranges of t_end,
-# mc.n_steps, the bsde knobs and the fd grid are not here: the objects that
-# use them own them (see ``_OWNED``), as the family catalog owns which
-# family blocks it can build.
+# a None default inside a block means "not set", and such a key takes null,
+# so a resolved config loads back.  The ranges of t_end, mc.n_steps, the
+# bsde knobs and the fd grid are not here: the objects that use them own
+# them (see ``_OWNED``), as the family catalog owns which family blocks it
+# can build.
 _SCHEMA = {
     "family": ({"id": (_STRING, _REQUIRED), "params": (_NUMBERS, ()),
                 "d": (_INTEGER, 1), "k": (_INTEGER, 2)}, _REQUIRED),
@@ -158,7 +159,8 @@ def _resolve(path: str, block, schema: dict) -> dict:
             # a block; an absent or null fd or corrector block stays None
             if value is not None or default is not None:
                 value = _resolve(name(key), value, rule)
-        elif key in block and not rule[0](value):
+        elif key in block and not rule[0](value) \
+                and not (value is None and default is None):
             raise ConfigError(f"{name(key)} must be {rule[1]}, "
                               f"got {value!r}")
         out[key] = value
@@ -289,8 +291,7 @@ class ExperimentConfig:
 
 
 def _fast_dependent(fam) -> bool:
-    x2 = np.zeros((1, fam.d))
-    v0, v1 = ([*fam.forward(x1, x2), fam.rho_f_coef(x1, x2)]
+    v0, v1 = ([*fam.forward(x1, 0.0), fam.rho_f_coef(x1, 0.0)]
               for x1 in (np.array([0.0]), np.array([7.0])))
     return any(np.max(np.abs(b - a)) > 1e-12 for a, b in zip(v0, v1))
 

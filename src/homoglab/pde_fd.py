@@ -137,8 +137,8 @@ class PdeModel:
 
     ``driver(x1, x2)`` returns the map ``v -> f`` on that mesh, as
     ``BsdeSpec.driver``.  ``from_averaged`` builds the averaged model's,
-    or that of any d = 1 ``TemplateCoefficients`` model, such as a family
-    at its fast scale, ``fam.at(eps)``, and takes the model's label
+    or that of any ``TemplateCoefficients`` model, such as a family at its
+    fast scale, ``fam.at(eps)``, and takes the model's label
     (``"averaged"``, or ``"eps=0.1"`` for ``fam.at(0.1)``).
     """
     a00: Callable
@@ -150,19 +150,10 @@ class PdeModel:
 
     @classmethod
     def from_averaged(cls, model, H) -> "PdeModel":
-        if model.d != 1:
-            raise PdeError("FD solver is d = 1 only")
-
-        def pack(x1, x2):
-            return x1, x2[..., None]
-
-        return cls(
-            a00=lambda x1, x2: model.a00(*pack(x1, x2)),
-            a11=lambda x1, x2: model.a1(*pack(x1, x2))[..., 0, 0],
-            b1=lambda x1, x2: model.b1(*pack(x1, x2))[..., 0],
-            driver=lambda x1, x2: model.driver(*pack(x1, x2)),
-            H=lambda x1, x2: H(np.stack([x1, x2], axis=-1)),
-            label=model.label)
+        return cls(a00=model.a00, a11=model.a1, b1=model.b1,
+                   driver=model.driver,
+                   H=lambda x1, x2: H(np.stack([x1, x2], axis=-1)),
+                   label=model.label)
 
 
 @dataclass

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import homoglab as hl
 from homoglab.families import (DEFAULT_SCHEDULE, AveragingError, FamilyError,
-                               _sym_sqrt, transition, cesaro_average)
+                               _Template, transition, cesaro_average)
 
 
 # -- Cesaro engine ----------------------------------------------------------
@@ -250,20 +250,32 @@ def test_forward_matches_per_coefficient(fid):
     fam = hl.make_family(fid)
     rng = np.random.default_rng(4)
     x1 = np.concatenate([[0.0, -0.0], 5.0 * rng.normal(size=300)])
-    x2 = rng.normal(size=(x1.size, fam.d))
+    x2 = rng.normal(size=x1.size)
     for model in (fam.at(1.0), fam.at(0.1), hl.closed_form_averaged(fam)):
         phi, b1, sigma1 = model.forward(x1, x2)
         assert np.array_equal(phi, np.sqrt(2.0 / model.rho(x1, x2)))
         assert np.array_equal(b1, model.b1(x1, x2))
-        assert np.array_equal(sigma1, _sym_sqrt(2.0 * model.a1(x1, x2)))
+        assert np.array_equal(sigma1, np.sqrt(2 * model.a1(x1, x2)))
         # the Euler step and the FD operator are one generator: a00 =
         # phi^2/2 and a11 = sigma1^2/2 to rounding, the same drift b1
         pde = hl.PdeModel.from_averaged(model, fam.terminal)
-        assert np.allclose(pde.a00(x1, x2[:, 0]), phi ** 2 / 2.0,
+        assert np.allclose(pde.a00(x1, x2), phi ** 2 / 2.0,
                            rtol=1e-15, atol=0.0)
-        assert np.allclose(pde.a11(x1, x2[:, 0]), sigma1[:, 0, 0] ** 2 / 2.0,
+        assert np.allclose(pde.a11(x1, x2), sigma1 ** 2 / 2.0,
                            rtol=1e-15, atol=0.0)
-        assert np.array_equal(pde.b1(x1, x2[:, 0]), b1[:, 0])
+        assert np.array_equal(pde.b1(x1, x2), b1)
+
+
+def test_forward_refuses_negative_slow_diffusion(switch_family):
+    # the switch family with its constant rho*a1 weight negated has a
+    # negative slow diffusion everywhere; the Euler step's map refuses it
+    # for the family at two fast scales and for its averaged model
+    t = switch_family.rhoa_t
+    fam = dataclasses.replace(
+        switch_family, rhoa_t=_Template(lambda x2: -t.w0(x2), t.w1, t.w2))
+    for model in (fam.at(1.0), fam.at(0.1), hl.closed_form_averaged(fam)):
+        with pytest.raises(AveragingError):
+            model.forward(0.3, np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("fid", ["const", "switch", "slowvary"])
@@ -354,6 +366,18 @@ def test_averaged_model_json_roundtrip(switch_avg, tmp_path):
     assert doc["format"] == "averaged-model"
     assert doc["branches"]["plus"]["rho"][0] == pytest.approx(3.0)
     assert doc["branches"]["minus"]["rho"][0] == pytest.approx(1.0)
+    # the layout: d = 1, k = 2, each x2 and b_bar a one-element list and
+    # a_bar the 2x2 block with a00 and a1 on its diagonal
+    assert doc["d"] == 1 and doc["k"] == 2
+    assert doc["x2_grid"] == [[x] for x in np.linspace(-2, 2, 9).tolist()]
+    for side, x1 in (("plus", 1.0), ("minus", -1.0)):
+        branch = doc["branches"][side]
+        assert np.shape(branch["b_bar"]) == (9, 1)
+        a_bar = np.array(branch["a_bar"])
+        assert a_bar.shape == (9, 2, 2)
+        assert np.all(a_bar[:, 0, 1] == 0.0) and np.all(a_bar[:, 1, 0] == 0.0)
+        assert np.array_equal(a_bar[..., 1, 1], np.ravel(
+            switch_avg.a1(x1, np.linspace(-2, 2, 9)[:, None])))
 
 
 def test_f_bar_y_shape(switch_avg, switch_family):

@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 import homoglab as hl
 from homoglab import simulate
-from homoglab.families import _sym_sqrt
 from homoglab.simulate import SimulationError
 
 
@@ -108,19 +107,19 @@ def _whole_path_reference(fam, eps, x0, grid, n_paths, seed, substeps):
                    .standard_normal((n_fine, fam.k))
                    for p in range(n_paths)]) * np.sqrt(dt_f)
     x1 = np.full(n_paths, float(x0[0]))
-    x2 = np.tile(np.asarray(x0[1:], dtype=float), (n_paths, 1))
+    x2 = np.full(n_paths, float(x0[1]))
     X = np.empty((n_paths, grid.n_steps + 1, fam.d + 1))
     dB = np.empty((n_paths, grid.n_steps, fam.k))
-    X[:, 0, 0], X[:, 0, 1:] = x1, x2
+    X[:, 0, 0], X[:, 0, 1] = x1, x2
     for cs in range(grid.n_steps):
         for fs in range(cs * substeps, (cs + 1) * substeps):
             rho, rho_b, rho_a = coeffs(x1, x2)
             phi = np.sqrt(2.0 / rho)
-            b1 = rho_b / rho[:, None]
-            s1 = _sym_sqrt(2.0 * rho_a / rho[:, None, None])
+            b1 = rho_b / rho
+            s1 = np.sqrt(2.0 * rho_a / rho)
             x1 = x1 + phi * dW[:, fs, 0]
-            x2 = x2 + b1 * dt_f + np.einsum("pij,pj->pi", s1, dW[:, fs, 1:])
-        X[:, cs + 1, 0], X[:, cs + 1, 1:] = x1, x2
+            x2 = x2 + b1 * dt_f + s1 * dW[:, fs, 1]
+        X[:, cs + 1, 0], X[:, cs + 1, 1] = x1, x2
         dB[:, cs] = dW[:, cs * substeps:(cs + 1) * substeps].sum(axis=1)
     return X, dB
 

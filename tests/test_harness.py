@@ -49,6 +49,20 @@ def test_config_refuses_bad_family(config_doc, family, x0):
         hl.ExperimentConfig.from_dict(config_doc)
 
 
+def test_resolved_config_loads_back():
+    # the demo config with every default filled in survives a JSON round
+    # trip: a null "not set" tolerance loads, and resolving the loaded
+    # document again gives the same JSON
+    with open(DEMO) as fh:
+        doc = json.load(fh)
+    resolved = json.dumps(homoglab.harness._resolve(
+        "", doc, homoglab.harness._SCHEMA), sort_keys=True)
+    again = json.loads(resolved)
+    hl.ExperimentConfig.from_dict(again)
+    assert json.dumps(homoglab.harness._resolve(
+        "", again, homoglab.harness._SCHEMA), sort_keys=True) == resolved
+
+
 def test_config_rejects_bad_eps(config_doc):
     config_doc["eps_list"] = [0.3, 1.0]
     with pytest.raises(ConfigError):

@@ -94,7 +94,7 @@ def test_fd_matches_colamd_reference(switch_avg, switch_family, g):
     edge[1:-1, 1:-1] = False
     v = h = m.H(X1, X2)
     for _ in range(20):
-        rhs = v + g.dt_fd * switch_avg.f(X1, X2[..., None], v)
+        rhs = v + g.dt_fd * switch_avg.f(X1, X2, v)
         rhs[edge] = h[edge]
         v = lu.solve(rhs.ravel()).reshape(nx, ny)
     got = solve_pde(m, g).values
