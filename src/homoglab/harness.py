@@ -87,11 +87,13 @@ _NUMBER = (_is_number, "a finite number")
 _POSITIVE = (lambda v: _is_number(v) and v > 0, "a positive finite number")
 _STRING = (lambda v: isinstance(v, str), "a string")
 _BOOL = (lambda v: isinstance(v, bool), "true or false")
-_PAIR = (lambda v: _is_list_of(v, _is_number, 2), "one finite [lo, hi] pair")
+_PAIR = (lambda v: _is_list_of(v, _is_number, 2) and v[0] < v[1],
+         "one finite [lo, hi] pair with lo < hi")
 _NUMBERS = (lambda v: _is_list_of(v, _is_number), "a list of finite numbers")
 _EPS_LADDER = (_is_eps_ladder,
                "a positive, strictly decreasing list of finite numbers")
-_BOX = (lambda v: _is_list_of(v, _PAIR[0], 2), "two finite [lo, hi] pairs")
+_BOX = (lambda v: _is_list_of(v, _PAIR[0], 2),
+        "two finite [lo, hi] pairs, each with lo < hi")
 _N_GRID = (lambda v: _is_list_of(v, _COUNT[0], 3),
            "three integers of at least 1")
 _FORMATS = (lambda v: _is_list_of(v, lambda f: f in ("csv", "json"))

@@ -16,11 +16,11 @@ every cell (see ``_ATOL``); a cell that does not settle raises
 ``QuadratureError`` naming it.
 
 One value budget, ``_VALUES`` integrand values (nodes x components), bounds
-the working set: each integrand call takes at most that many, and a round
-makes one ``panel_integrals`` call per group of adjacent cells whose values
-fit it (a bigger cell is a group of its own).  What still grows with the
-panel count is one cell's edges and panel integrals, the latter kept whole
-so that the cell's sum keeps its bits.
+the working set, and only ``_estimates`` applies it: a round groups adjacent
+cells whose values fit it (a bigger cell is a group of its own) and cuts
+each group into ``panel_integrals`` calls of at most that many values.
+What still grows with the panel count is one cell's edges and panel
+integrals, the latter kept whole so that the cell's sum keeps its bits.
 
 Integrands must be vectorized: ``g(t)`` maps a 1-d node array to an array
 of shape ``(nt,)`` or ``(nt, m)`` for m simultaneously integrated
@@ -41,8 +41,7 @@ _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 # Gauss nodes per panel
 _ORDER = 12
 # The one value budget: integrand values (nodes x components, 0.5 MB as
-# float64) per integrand call in ``panel_integrals``, and per group of
-# cells in ``_estimates``.
+# float64) per integrand call, and per group of cells in ``_estimates``.
 _VALUES = 1 << 16
 
 
@@ -61,36 +60,23 @@ def _eval(g, t):
     return v
 
 
-def _rule(g, edges, x, w):
-    """The Gauss rule (nodes ``x``, weights ``w``) on each panel of
-    ``edges``, as ``(n_panels, m)``.  A function of its own, so that one
-    chunk's nodes and values are freed before the next chunk's are built."""
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    fv = _eval(g, (mid[:, None] + half[:, None] * x[None, :]).ravel())
-    return (np.einsum("pnm,n->pm", fv.reshape(mid.size, x.size, -1), w)
-            * half[:, None])
-
-
 def panel_integrals(g, edges, order: int = _ORDER):
     """One Gauss-Legendre rule per panel; returns per-panel integrals.
 
     ``edges`` may be decreasing, in which case the integrals are oriented
     (negative for a positive integrand).  Output shape is ``(n_panels, m)``.
-    Each integrand call takes at most ``_VALUES`` values (one panel at
-    least), sized from the component count of ``g`` at the first edge.
+    All nodes go to ``g`` in one call: the rule sizes nothing, and its
+    callers keep ``n_panels x order x m`` within what they can hold.
     """
     edges = np.asarray(edges, dtype=float)
-    npan = edges.shape[0] - 1
-    if npan < 1:
+    if edges.shape[0] < 2:
         return np.zeros((0, 1))
     x, w = _gl(order)
-    m = _eval(g, edges[:1]).shape[1]
-    step = max(1, _VALUES // (order * max(m, 1)))
-    out = np.empty((npan, m))
-    for lo in range(0, npan, step):
-        out[lo:lo + step] = _rule(g, edges[lo:lo + step + 1], x, w)
-    return out
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    fv = _eval(g, (mid[:, None] + half[:, None] * x[None, :]).ravel())
+    return (np.einsum("pnm,n->pm", fv.reshape(mid.size, x.size, -1), w)
+            * half[:, None])
 
 
 # One tolerance policy for every cell: two consecutive estimates agree to
@@ -119,12 +105,13 @@ def _edges(a, b, k):
 def _estimates(g, a, b, n, cells, m):
     """Composite estimates of ``cells`` over [a[i], b[i]] with n[i] panels.
 
-    One ``panel_integrals`` call per group of adjacent cells whose values
-    (panels x ``_ORDER`` x ``m`` components) fit ``_VALUES``; a cell bigger
-    than that is a group of its own.  Each cell is summed on its own, so
-    every estimate is bit-identical to a one-cell call.
+    The one place that sizes integrand calls: adjacent cells are grouped
+    while their panels (``_ORDER`` x ``m`` values each) fit ``_VALUES``, a
+    bigger cell being a group of its own, and a group goes to
+    ``panel_integrals`` ``cap`` panels at a time.  Each cell is summed on
+    its own, so every estimate is bit-identical to a one-cell call.
     """
-    cap = _VALUES // (_ORDER * max(m, 1))
+    cap = max(1, _VALUES // (_ORDER * max(m, 1)))
     ids, k = cells.tolist(), n[cells].tolist()
     bounds, size = [0], k[0]
     for i in range(1, len(ids)):
@@ -136,7 +123,10 @@ def _estimates(g, a, b, n, cells, m):
     out = np.empty((cells.size, m))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         c = cells[lo:hi]
-        parts = panel_integrals(g, _edges(a[c], b[c], n[c]))
+        edges = _edges(a[c], b[c], n[c])
+        parts = np.empty((edges.size - 1, m))
+        for p in range(0, parts.shape[0], cap):
+            parts[p:p + cap] = panel_integrals(g, edges[p:p + cap + 1])
         stops = np.cumsum(n[c])
         # np.add.reduceat would sum each cell in another order than a
         # one-cell ``.sum(axis=0)`` does

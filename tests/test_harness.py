@@ -1086,7 +1086,10 @@ def test_cli_corrector_rejects_bad_sizes(tmp_path, capsys, key, value):
     ("converge", "fd.dt_fd", 1e-320),
     ("average", "averaging.tol", 0),
     ("converge", "x0", [0.5, 2.5]),
-    ("converge", "mc.n_steps", 10 ** 12)])
+    ("converge", "mc.n_steps", 10 ** 12),
+    ("converge", "tolerances.occupation_slope", [0.6, 0.4]),
+    ("corrector", "corrector.box", [[0, 0], [-1, 1]]),
+    ("corrector", "corrector.y_box", [1, -1])])
 def test_cli_rejects_malformed_blocks(tmp_path, capsys, cmd, name, value):
     # refused by name before any output: a missing fd key or a block that
     # is not an object used to escape main as a KeyError, TypeError or
@@ -1107,7 +1110,9 @@ def test_cli_rejects_malformed_blocks(tmp_path, capsys, cmd, name, value):
     # overflows, and a 401-digit t_end, escaped the loader as an
     # OverflowError traceback; an averaging.tol of 0, which no Cesaro check
     # can meet, failed in stage 'average' without naming the key; an x0
-    # outside the fd box gave a v_fd extrapolated past its boundary
+    # outside the fd box gave a v_fd extrapolated past its boundary; a
+    # [lo, hi] pair whose lo was not below hi gave an all-zero decay table
+    # or an occupation_slope_ok that could never be true
     doc = _tiny_doc()
     *block, key = name.split(".")
     node = doc[block[0]] if block else doc

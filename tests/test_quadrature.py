@@ -131,7 +131,7 @@ _CASES = {
     # a group holds _VALUES // (12 * 64) = 85 panels of 64 components: the
     # nine 20-wide cells (7, then 14 panels each) split into groups once
     # doubled, and the last cell (262 panels to start) is a group of its
-    # own that panel_integrals evaluates in chunks
+    # own that _estimates cuts into several panel_integrals calls
     "groups overflow the budget": (_cos64,
                                    np.append(np.arange(0.0, 200.0, 20.0),
                                              1000.0)),
@@ -174,6 +174,22 @@ def test_settled_grid_takes_two_calls(monkeypatch):
     cum = cumulative(np.cos, grid)
     assert len(calls) == 2
     assert cum[:, 0] == pytest.approx(np.sin(grid), abs=1e-13)
+
+
+def test_integrand_calls_fit_the_budget_without_probes():
+    # _settle probes the component count once; every other call is one
+    # Gauss rule of whole 12-node panels within _VALUES values, also for a
+    # cell too big for one call
+    nodes = []
+
+    def g(t):
+        nodes.append(t.size)
+        return _cos64(t)
+
+    cumulative(g, _CASES["groups overflow the budget"][1])
+    assert nodes.count(1) == 1
+    rest = [k for k in nodes if k != 1]
+    assert all(k % 12 == 0 and k <= quadrature._VALUES // 64 for k in rest)
 
 
 def test_unsettled_cell_raises_naming_it():
