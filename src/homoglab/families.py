@@ -115,7 +115,8 @@ def cesaro_average(g, schedule=None, tol: float = 1e-4,
 @dataclass(frozen=True)
 class _Template:
     """Weights of c0(x2) + c1(x2)*T(x1) + c2(x2)*sin(x1), each a scalar
-    function of the scalar x2."""
+    function of the scalar x2; a constant weight returns a Python float
+    (``_const_w``), which the template broadcasts."""
     w0: Callable
     w1: Callable
     w2: Callable
@@ -129,14 +130,29 @@ class _Template:
         x1 = np.asarray(x1, dtype=float)
         return transition(x1), np.sin(x1)
 
-    def combine(self, basis, x2):
+    def combine(self, basis, x2, out=None):
+        """The template on ``basis`` at x2, in the broadcast shape of the
+        basis and x2 (into ``out`` when given), summed as
+        ``w0 + w1*T + w2*sin``."""
         trans, sin = basis
-        return self.w0(x2) + self.w1(x2) * trans + self.w2(x2) * sin
+        if out is None:
+            out = np.empty(_shape(trans, x2))
+        np.multiply(self.w1(x2), trans, out=out)
+        out += self.w0(x2)
+        out += self.w2(x2) * sin
+        return out
+
+
+def _shape(a, b):
+    """The broadcast shape of ``a`` and ``b``."""
+    sa, sb = np.shape(a), np.shape(b)
+    return sa if sa == sb else np.broadcast_shapes(sa, sb)
 
 
 def _const_w(value):
-    """Constant weight: ``value`` in the shape of x2."""
-    return lambda x2: np.full(np.shape(x2), float(value))
+    """Constant weight: ``value`` as a Python float, whatever x2 is."""
+    value = float(value)
+    return lambda x2: value
 
 
 class TemplateCoefficients:
@@ -154,8 +170,14 @@ class TemplateCoefficients:
     k = 2
 
     def _combine(self, x1, x2, *templates):
+        """The templates at (x1, x2) from one basis evaluation, as views of
+        one stacked array, each in the broadcast shape of x1 and x2."""
         basis = self.basis(x1)
-        return [t.combine(basis, x2) for t in templates]
+        out = np.empty((len(templates),) + _shape(basis[0], x2))
+        rows = [out[i, ...] for i in range(len(templates))]
+        for t, row in zip(templates, rows):
+            t.combine(basis, x2, out=row)
+        return rows
 
     def rho(self, x1, x2):
         return self._combine(x1, x2, self.fam.rho_t)[0]
@@ -180,15 +202,20 @@ class TemplateCoefficients:
 
     def forward(self, x1, x2):
         """The Euler step's ``(phi, b1, sigma1)`` from one basis evaluation:
-        phi = sqrt(2/rho), b1 = rho_b/rho, sigma1 = sqrt(2*rho_a/rho).  A
+        phi = sqrt(2/rho), b1 = rho_b/rho, sigma1 = sqrt(2*rho_a/rho), the
+        rows of one fresh array, which the caller may update in place.  A
         negative slow diffusion is refused (``AveragingError``)."""
         fam = self.fam
-        rho, rho_b, rho_a = self._combine(x1, x2, fam.rho_t, fam.rhob_t,
-                                          fam.rhoa_t)
-        sigma1_sq = 2.0 * rho_a / rho
-        if np.any(sigma1_sq < 0):
+        rho, b1, sigma1 = self._combine(x1, x2, fam.rho_t, fam.rhob_t,
+                                        fam.rhoa_t)
+        # in place on the stacked rows, each in the order written above
+        sigma1 *= 2.0
+        sigma1 /= rho
+        if np.any(sigma1 < 0):
             raise AveragingError("negative slow diffusion 2*rho_a/rho")
-        return np.sqrt(2.0 / rho), rho_b / rho, np.sqrt(sigma1_sq)
+        b1 /= rho
+        phi = np.divide(2.0, rho, out=rho)
+        return np.sqrt(phi, out=phi), b1, np.sqrt(sigma1, out=sigma1)
 
     def driver(self, x1, x2):
         """The driver at (x1, x2) as the map ``y -> f``.  Its y-independent

@@ -10,18 +10,20 @@ Randomness is counter-based: each path owns a Philox stream keyed by
 block size, and the eps sweep may run its simulations on several forked
 worker processes (``harness.Stages.sweep``).  A stream is a pure function
 of its key and counter, so a stream drawn in chunks yields the same
-numbers as one whole-path draw.  Each block draws the normals of
-``max(1, n_steps // substeps)`` coarse steps at a time: the normals buffer
-holds at most ``block_size * max(n_steps, substeps) * k`` doubles, about
-the size of the block's stored increments, whatever eps and substeps are.
+numbers as one whole-path draw.  Each block draws the normals of as
+many coarse steps at a time as fit the budget ``_NORMALS`` (2**20
+doubles, 8 MiB), and of at least one: the normals buffer holds at most
+``max(_NORMALS, block_size * substeps * k)`` doubles whatever eps is.  The
+Euler loop reads one coarse step's normals at a time, copied fine step
+first.
 
 How a block reaches its streams depends on its chunk count.  When each
-path is drawn in one chunk (``substeps`` 1), the block re-keys one shared
-generator to each path's fresh stream through ``bit_generator.state``,
-several times cheaper than building a generator per path.  Paths drawn in
-several chunks keep one live generator each, which carries its stream
-position from chunk to chunk.  Every chunk is drawn by ``_path_normals``
-either way.
+path is drawn in one chunk, the block re-keys one shared generator to
+each path's fresh stream through ``bit_generator.state``, several times
+cheaper than building a generator per path.  Paths drawn in several
+chunks keep one live generator each, which carries its stream position
+from chunk to chunk.  Every chunk is drawn by ``_path_normals`` either
+way.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .families import AveragedModel, CoefficientFamily
+
+# the normals a block draws at a time, in doubles (8 MiB), unless one
+# coarse step's draws need more
+_NORMALS = 1 << 20
 
 _MAGIC = b"HMGB1"
 _VERSION = 1
@@ -183,14 +189,14 @@ def _run_blocks(model, x0, grid, n_paths, seed, substeps, block_size):
     dt_f = grid.t_end / (grid.n_steps * substeps)
     sq = np.sqrt(dt_f)
     k = model.k
-    # coarse steps per draw: at most max(n_steps, substeps) fine steps
-    chunk = max(1, grid.n_steps // substeps)
     X = np.empty((n_paths, grid.n_steps + 1, 2))
     dB = np.empty((n_paths, grid.n_steps, k))
 
     for lo in range(0, n_paths, block_size):
         hi = min(lo + block_size, n_paths)
-        gens = _path_streams(seed, range(lo, hi), chunk == grid.n_steps)
+        # coarse steps per draw: the budget's worth, at least one
+        chunk = max(1, _NORMALS // ((hi - lo) * substeps * k))
+        gens = _path_streams(seed, range(lo, hi), chunk >= grid.n_steps)
         x1 = np.full(hi - lo, x0[0])
         x2 = np.full(hi - lo, x0[1])
         X[lo:hi, 0] = x0
@@ -198,11 +204,20 @@ def _run_blocks(model, x0, grid, n_paths, seed, substeps, block_size):
             c1 = min(c0 + chunk, grid.n_steps)
             dW = _path_normals(gens, (c1 - c0) * substeps, k, sq)
             for cs in range(c0, c1):
+                # the coarse step's normals fine step first, so that each
+                # step reads two contiguous columns (dW0, dW1)
                 f0 = (cs - c0) * substeps
-                for fs in range(f0, f0 + substeps):
+                steps = dW[:, f0:f0 + substeps].transpose(1, 2, 0).copy()
+                for dw0, dw1 in steps:
+                    # in place on forward's fresh arrays: x1 + phi dW0 and
+                    # (x2 + b1 dt) + sigma1 dW1
                     phi, b1, s1 = model.forward(x1, x2)
-                    x1 = x1 + phi * dW[:, fs, 0]
-                    x2 = x2 + b1 * dt_f + s1 * dW[:, fs, 1]
+                    phi *= dw0
+                    x1 += phi
+                    b1 *= dt_f
+                    x2 += b1
+                    s1 *= dw1
+                    x2 += s1
                 finite = np.isfinite(x1) & np.isfinite(x2)
                 if not finite.all():
                     bad = np.flatnonzero(~finite)[0]
@@ -210,13 +225,9 @@ def _run_blocks(model, x0, grid, n_paths, seed, substeps, block_size):
                                           f"{cs + 1}, path {lo + int(bad)}")
                 X[lo:hi, cs + 1, 0] = x1
                 X[lo:hi, cs + 1, 1] = x2
-                # the substeps summed left to right in a contiguous copy:
-                # the bits of dW[:, f0:f0 + substeps].sum(axis=1), at about
-                # a third of its cost for 50 substeps
-                acc = dW[:, f0].copy()
-                for fs in range(f0 + 1, f0 + substeps):
-                    acc += dW[:, fs]
-                dB[lo:hi, cs] = acc
+                # summed over the leading axis, left to right: the bits of
+                # dW[:, f0:f0 + substeps].sum(axis=1)
+                dB[lo:hi, cs] = steps.sum(axis=0).T
     return PathBundle(grid=grid, X=X, dB=dB, seed=seed, eps=model.eps)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -358,10 +359,64 @@ def test_flat_family_driver_equals_averaged_driver(switch_family, eps):
     assert np.array_equal(fam.f(x1, x2, y), avg.f(x1, x2, y))
 
 
+def _full_weights(fam):
+    """The family with every template weight an array of x2's shape, as
+    ``np.full`` builds it."""
+    def full(t):
+        return _Template(*(lambda x2, w=w: np.full(np.shape(x2), w(x2))
+                           for w in (t.w0, t.w1, t.w2)))
+    return dataclasses.replace(fam, rho_t=full(fam.rho_t),
+                               rhob_t=full(fam.rhob_t),
+                               rhoa_t=full(fam.rhoa_t),
+                               rhof_t=full(fam.rhof_t))
+
+
+def _full_reference(model, x1, x2, y):
+    """Each coefficient of ``model`` written out term by term on its own
+    basis, with np.full weights."""
+    fam = _full_weights(model.fam)
+    trans, sin = model.basis(x1)
+    rho, rho_b, rho_a, rho_f = (t.w0(x2) + t.w1(x2) * trans + t.w2(x2) * sin
+                                for t in (fam.rho_t, fam.rhob_t, fam.rhoa_t,
+                                          fam.rhof_t))
+    return {"rho": rho, "a00": 1.0 / rho, "b1": rho_b / rho,
+            "a1": rho_a / rho,
+            "forward": (np.sqrt(2.0 / rho), rho_b / rho,
+                        np.sqrt(2.0 * rho_a / rho)),
+            "driver": (rho_f / rho * fam.f_y_shape(y),)}
+
+
+@pytest.mark.parametrize("fid", ["const", "switch", "slowvary"])
+def test_coefficients_keep_bits_and_broadcast_shape(fid):
+    # constant weights are floats: every coefficient still has the bits
+    # and the broadcast shape of (x1, x2) that np.full weights give, for
+    # scalar x1 with array x2 and array x1 with scalar x2 too
+    fam = hl.make_family(fid)
+    rng = np.random.default_rng(30)
+    xs = np.concatenate([[0.0, -0.0], 2.0 * rng.normal(size=14)])
+    x2s = rng.normal(size=xs.size)
+    y = rng.normal(size=xs.size)
+    for model in (fam, fam.at(0.1), hl.closed_form_averaged(fam)):
+        for x1, x2 in ((xs, x2s), (0.7, x2s), (-0.3, x2s), (xs, 0.4)):
+            ref = _full_reference(model, x1, x2, y)
+            got = {"rho": model.rho(x1, x2), "a00": model.a00(x1, x2),
+                   "b1": model.b1(x1, x2), "a1": model.a1(x1, x2),
+                   "forward": model.forward(x1, x2),
+                   "driver": (model.driver(x1, x2)(y),)}
+            for name, values in got.items():
+                if name not in ("forward", "driver"):
+                    values, ref[name] = (values,), (ref[name],)
+                for g, r in zip(values, ref[name], strict=True):
+                    assert np.shape(g) == np.shape(r) == (xs.size,), name
+                    assert np.asarray(g).tobytes() == r.tobytes(), name
+    grid = np.linspace(-3.0, 3.0, 25)
+    assert json.dumps(hl.closed_form_averaged(fam).to_json(grid)) == \
+        json.dumps(hl.closed_form_averaged(_full_weights(fam)).to_json(grid))
+
+
 def test_averaged_model_json_roundtrip(switch_avg, tmp_path):
     path = hl.write_json(tmp_path / "avg.json",
                          switch_avg.to_json(np.linspace(-2, 2, 9)))
-    import json
     doc = json.loads(path.read_text())
     assert doc["format"] == "averaged-model"
     assert doc["branches"]["plus"]["rho"][0] == pytest.approx(3.0)

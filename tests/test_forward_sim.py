@@ -86,7 +86,7 @@ def _averaged_branch(tmpl, x1, x2):
     """A template's averaged value from its weights at T = +1 (x1 > 0) or
     T = -1 (x1 <= 0), sin = 0."""
     w0, w1, w2 = tmpl.w0(x2), tmpl.w1(x2), tmpl.w2(x2)
-    trans = np.where(x1 > 0, 1.0, -1.0).reshape(x1.shape + (1,) * (w0.ndim - 1))
+    trans = np.where(x1 > 0, 1.0, -1.0).reshape(x1.shape + (1,) * (np.ndim(w0) - 1))
     return w0 + w1 * trans + w2 * 0.0
 
 
@@ -128,8 +128,8 @@ def _whole_path_reference(fam, eps, x0, grid, n_paths, seed, substeps):
 def test_stored_increments_keep_the_summed_bits(switch_family, substeps):
     # the stored dB of each coarse step has the bits of the substeps'
     # dW[:, f0:f0 + substeps].sum(axis=1), at the fast_scale benchmark's
-    # 2048 paths; the draws are rebuilt chunk by chunk as _run_blocks
-    # draws them (one coarse step per chunk at these substeps)
+    # 2048 paths; the draws are rebuilt one coarse step per chunk (a
+    # stream gives the same numbers however it is chunked)
     grid = hl.SimGrid(0.5, 5)
     b = hl.simulate_eps(switch_family, 0.05, [0.5, 0.0], grid, 2048,
                         seed=23, substeps=substeps)
@@ -141,6 +141,20 @@ def test_stored_increments_keep_the_summed_bits(switch_family, substeps):
         assert b.dB[:, cs].tobytes() == dW.sum(axis=1).tobytes(), cs
 
 
+def _record_draws(monkeypatch):
+    """Patch ``simulate._path_normals`` to record, per draw, whether it
+    reads live generators and the bytes it returns."""
+    draws = []
+    draw = simulate._path_normals
+
+    def recorded(gens, *args):
+        out = draw(gens, *args)
+        draws.append((isinstance(gens, list), out.nbytes))
+        return out
+    monkeypatch.setattr(simulate, "_path_normals", recorded)
+    return draws
+
+
 @pytest.mark.parametrize("substeps", [1, 2, 3, 4, 50])
 @pytest.mark.parametrize("block_size", [23, 7])
 @pytest.mark.parametrize("n_threads", [1, 2])
@@ -148,21 +162,19 @@ def test_streams_match_whole_path_draws(monkeypatch, switch_family,
                                         switch_avg, substeps, block_size,
                                         n_threads):
     # chunked draws give the whole-path streams, also with n_threads
-    # simulations running at once.  Substeps 1 draws each path in one
-    # chunk, from re-keyed streams; more substeps draw it in several
-    # chunks from live generators: on 10 steps 2, 4, 5 and 10 chunks, the
-    # last short for substeps 3 (3,3,3,1); on 11 steps 3, 4, 6 and 11
-    # chunks, the last short for substeps 2 (5,5,1), 3 (3,3,3,2) and 4.
-    # The averaged paths start on the interface, whose first step takes
-    # the minus side.
-    live = set()
-    draw = simulate._path_normals
-
-    def recorded(gens, *args):
-        live.add(isinstance(gens, list))
-        return draw(gens, *args)
-    monkeypatch.setattr(simulate, "_path_normals", recorded)
+    # simulations running at once.  The budget of 23 * 11 * 2 normals
+    # draws a 23-path block of substeps 1 in one chunk, from re-keyed
+    # streams; more substeps draw it in several chunks from live
+    # generators: on 10 steps 2, 4, 5 and 10 chunks, the last short for
+    # substeps 3 (3,3,3,1); on 11 steps 3, 4, 6 and 11 chunks, the last
+    # short for substeps 2 (5,5,1), 3 (3,3,3,2) and 4.  Blocks of 7 and 2
+    # paths fit more coarse steps into the same budget.  The averaged
+    # paths start on the interface, whose first step takes the minus side.
+    budget = 23 * 11 * 2
+    monkeypatch.setattr(simulate, "_NORMALS", budget)
+    draws = _record_draws(monkeypatch)
     kw = dict(seed=17, substeps=substeps, block_size=block_size)
+    blocks = [min(block_size, 23 - lo) for lo in range(0, 23, block_size)]
     for n_steps in (10, 11):
         grid = hl.SimGrid(0.5, n_steps)
         for eps, x0, simulate_fn in (
@@ -180,7 +192,33 @@ def test_streams_match_whole_path_draws(monkeypatch, switch_family,
             for b in bundles:
                 assert np.array_equal(b.X, X), (n_steps, eps)
                 assert np.array_equal(b.dB, dB), (n_steps, eps)
-    assert live == {substeps > 1}
+    # live generators exactly for the blocks drawn in several chunks
+    live = {max(1, budget // (n * substeps * 2)) < n_steps
+            for n in blocks for n_steps in (10, 11)}
+    assert {is_live for is_live, _ in draws} == live
+    if block_size == 23:
+        assert live == {substeps > 1}
+
+
+@pytest.mark.parametrize("substeps", [23, 50])
+def test_fast_scale_draws_match_whole_path_draws(monkeypatch, switch_family,
+                                                 substeps):
+    # the fast_scale benchmark's shape at the module's budget: 2048 paths
+    # of 12 steps draw in chunks of 11 coarse steps (11,1) at substeps 23
+    # and of 5 (5,5,2) at 50, each within the budget
+    draws = _record_draws(monkeypatch)
+    grid = hl.SimGrid(0.5, 12)
+    b = hl.simulate_eps(switch_family, 0.05, [0.5, 0.0], grid, 2048,
+                        seed=29, substeps=substeps)
+    X, dB = _whole_path_reference(switch_family, 0.05, [0.5, 0.0], grid,
+                                  2048, 29, substeps)
+    assert np.array_equal(b.X, X)
+    assert np.array_equal(b.dB, dB)
+    chunk = {23: 11, 50: 5}[substeps]
+    assert [nbytes for _, nbytes in draws] == [
+        2048 * min(chunk, 12 - c0) * substeps * 2 * 8
+        for c0 in range(0, 12, chunk)]
+    assert all(is_live for is_live, _ in draws)
 
 
 @pytest.mark.parametrize("n_steps,substeps", [(10, 1), (10, 3), (4, 50),
@@ -188,14 +226,11 @@ def test_streams_match_whole_path_draws(monkeypatch, switch_family,
 @pytest.mark.parametrize("block_size", [64, 9])
 def test_normals_buffer_is_bounded(monkeypatch, switch_family, switch_avg,
                                    n_steps, substeps, block_size):
-    sizes = []
-    draw = simulate._path_normals
-
-    def recorded(*args, **kwargs):
-        out = draw(*args, **kwargs)
-        sizes.append(out.nbytes)
-        return out
-    monkeypatch.setattr(simulate, "_path_normals", recorded)
+    # each draw holds at most the budget of normals, or one coarse step's
+    # draws where that is larger (here at substeps 50 and 40)
+    budget = 500
+    monkeypatch.setattr(simulate, "_NORMALS", budget)
+    draws = _record_draws(monkeypatch)
     grid = hl.SimGrid(0.5, n_steps)
     n_paths, k = 40, switch_family.k
     hl.simulate_eps(switch_family, 0.3, [0.5, 0.0], grid, n_paths, seed=1,
@@ -203,8 +238,9 @@ def test_normals_buffer_is_bounded(monkeypatch, switch_family, switch_avg,
     hl.simulate_avg(switch_avg, [0.5, 0.0], grid, n_paths, seed=1,
                     substeps=substeps, block_size=block_size)
     block = min(block_size, n_paths)
-    assert sizes
-    assert max(sizes) <= block * max(n_steps, substeps) * k * 8
+    assert draws
+    assert max(nbytes for _, nbytes in draws) <= \
+        max(budget, block * substeps * k) * 8
 
 
 def test_substeps_aggregate_dB(switch_family, small_grid):
