@@ -1,20 +1,19 @@
-"""Fast-variable corrector: construction by quadrature and decay checks.
+"""Fast-variable corrector: the decay table in closed form, residual checks
+by quadrature.
 
 The corrector V solves  a00(x1/eps, x2) * V'' = f(x1/eps, x2, y) - fbar(x1, x2, y)
 in x1 with V(0) = V'(0) = 0, for frozen (x2, y).  Writing
 q(t) = rho(t/eps, x2) * (f(t/eps, x2, y) - fbar(t, x2, y)), the solution is the
 double primitive
 
-    V(x1) = int_0^{x1} (x1 - t) q(t) dt,
+    V(x1) = int_0^{x1} (x1 - t) q(t) dt.
 
-so everything reduces to single adaptive quadratures.  Because q averages
-to zero on each side of the interface, V shrinks with eps; decay_table
-tabulates that.
-
-Second derivatives are never formed by differencing quadrature values
-(catastrophic cancellation at step h = 1e-4*eps); instead the central
-second difference of a double primitive is written exactly as a hat-kernel
-integral, which is evaluated directly.
+Because q averages to zero on each side of the interface, V shrinks with
+eps; decay_table tabulates that from the basis primitives, since every
+template is linear in {1, T, sin}.  The residual check is independent of
+them: it writes the central second difference of V exactly as a hat-kernel
+integral, evaluated by adaptive quadrature, never by differencing values
+(catastrophic cancellation at step h = 1e-4*eps).
 """
 
 from __future__ import annotations
@@ -25,23 +24,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .families import AveragedModel, CoefficientFamily, nonincreasing
-from .quadrature import cumulative, integrate
+from .families import (AveragedModel, CoefficientFamily, _Template,
+                       closed_form_averaged, nonincreasing)
+from .quadrature import integrate
 
 # Relative tolerance of the pointwise corrector quadratures.
 _RTOL = 1e-8
-
-
-def _panel_width(eps: float) -> float:
-    """The width the corrector's panels start at: pi * min(1, eps)
-    resolves the t/eps oscillation scale."""
-    return float(np.pi) * min(1.0, eps)
-
-
-def start_panels(box, eps: float) -> float:
-    """The decay table's starting panel count at fast scale ``eps``: the
-    x1 range of ``box`` over the panel width."""
-    return abs(np.subtract(*box[0])) / _panel_width(eps)
 
 
 @dataclass
@@ -57,7 +45,9 @@ class CorrectorField:
 
     @property
     def max_panel(self) -> float:
-        return _panel_width(self.eps)
+        """The width the corrector's panels start at: pi * min(1, eps)
+        resolves the t/eps oscillation scale."""
+        return float(np.pi) * min(1.0, self.eps)
 
     def q(self, t, x2, y):
         """Weighted driver gap rho * (f - fbar) at t, the two-scale model
@@ -66,16 +56,6 @@ class CorrectorField:
         rho = self.fam.rho(t, x2)
         return (self.fam.rho_f(t, x2, y)
                 - rho * self.avg.f(t, x2, float(y)))
-
-
-def corrector_value(field: CorrectorField, x1: float, x2, y: float) -> float:
-    """V(x1) = int_0^{x1} (x1 - t) q(t) dt (the iterated integral collapsed)."""
-    x1 = float(x1)
-    if x1 == 0.0:
-        return 0.0
-    val = integrate(lambda t: (x1 - t) * field.q(t, x2, y),
-                    0.0, x1, rtol=_RTOL, max_panel=field.max_panel)
-    return float(val[0])
 
 
 def second_difference(field: CorrectorField, x1: float, x2, y: float,
@@ -122,14 +102,14 @@ def residual_check(field: CorrectorField, sample_spec: dict) -> ResidualReport:
     """Check a00(x1/eps) * D2 V - (f - fbar) ~ 0 at sampled points.
 
     ``sample_spec``: {"box": [(x1lo, x1hi), (x2lo, x2hi), (ylo, yhi)],
-    "n_samples": int, "seed": int, optional "h"}.  The second derivative is
-    the central difference at step h (default 1e-4*eps) via the hat-kernel
-    identity; the per-point tolerance is max(1e-4, 1e-3*|f - fbar|).
-    Violations are reported, not raised.
+    "n_samples": int, "seed": int}.  The second derivative is the central
+    difference at step h = 1e-4*eps via the hat-kernel identity; the
+    per-point tolerance is max(1e-4, 1e-3*|f - fbar|).  Violations are
+    reported, not raised.
     """
     box = np.asarray(sample_spec["box"], dtype=float)
     n = int(sample_spec["n_samples"])
-    h = float(sample_spec.get("h", 1e-4 * field.eps))
+    h = 1e-4 * field.eps
     rng = np.random.default_rng(int(sample_spec["seed"]))
     pts = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((n, box.shape[0]))
     # keep samples off the interface per the one-sided-stencil contract
@@ -179,69 +159,49 @@ class DecayTable:
                             self.grid_spec])
 
 
-def _half_grid(lo, hi, n):
-    """Split an x1 grid into monotone halves anchored at 0."""
-    pts = np.linspace(lo, hi, n)
-    neg = np.concatenate(([0.0], np.sort(pts[pts < 0])[::-1]))
-    pos = np.concatenate(([0.0], np.sort(pts[pts > 0])))
-    return neg, pos
-
-
-def decay_table(fam: CoefficientFamily, avg: AveragedModel,
-                eps_list: Sequence[float], box, y_box,
-                n_grid) -> DecayTable:
+def decay_table(fam: CoefficientFamily, eps_list: Sequence[float], box,
+                y_box, n_grid) -> DecayTable:
     """Sampled sup norms of V and of the averaging remainders per eps.
 
     ``box`` = ((x1lo, x1hi), (x2lo, x2hi)), ``y_box`` = (ylo, yhi),
-    ``n_grid`` = (x1, x2, y) sample counts.
-    For each (eps, x2) the x1 profiles of all y values come from one
-    cumulative quadrature of the stacked integrand (q, t*q, rho*f, rho),
-    using V = x1 * Q1 - Qt.  Sup norms are grid samples, not certificates;
-    the grid spec travels with the table.
+    ``n_grid`` = (x1, x2, y) sample counts.  With r_j and q_j the (T, sin)
+    weights of rho and rho*f at x2, fbar_s = ``rho_f_coef / rho`` of
+    ``closed_form_averaged`` on the side s of x1, c_j = q_j - fbar_s*r_j and
+    the basis primitives of ``_Template.averages`` at x1/eps, each row is,
+    vectorized over (x1, x2, y) with x1 = 0 (where all vanish) left out,
+
+        V     = x1^2 * shape(y) * (c1*M_T + c2*M_sin)
+        beta  = |shape(y)| * |q1*A_T + q2*A_sin|    (|x1| >= sqrt(eps))
+        alpha = |r1*A_T + r2*A_sin|                 (|x1| >= sqrt(eps))
+
+    Sup norms are grid samples, not certificates; the grid spec travels
+    with the table.
     """
     eps_list = [float(e) for e in eps_list]
     if any(b <= a for a, b in zip(eps_list[1:], eps_list[:-1])):
         raise ValueError("eps_list must be strictly decreasing")
-    fields = [CorrectorField(fam.at(eps), avg) for eps in eps_list]
     (x1lo, x1hi), (x2lo, x2hi) = box
     n1, n2, ny = n_grid
-    x2s = np.linspace(x2lo, x2hi, n2)
-    ys = np.linspace(y_box[0], y_box[1], ny)
-    shape_y = fam.f_y_shape(ys)
-    neg, pos = _half_grid(x1lo, x1hi, n1)
+    x1 = np.linspace(x1lo, x1hi, n1)
+    x1 = x1[x1 != 0.0][:, None, None]
+    x2 = np.linspace(x2lo, x2hi, n2)[:, None]
+    shape = fam.f_y_shape(np.linspace(y_box[0], y_box[1], ny))
+    avg = closed_form_averaged(fam)
+    fbar = avg.rho_f_coef(x1, x2) / avg.rho(x1, x2)
+    r1, r2 = fam.rho_t.w1(x2), fam.rho_t.w2(x2)
+    q1, q2 = fam.rhof_t.w1(x2), fam.rhof_t.w2(x2)
+    c1, c2 = q1 - fbar * r1, q2 - fbar * r2
     rows = []
-    for field in fields:
-        eps, model = field.eps, field.fam
-        sup_V = sup_b = sup_a = 0.0
-        for x2 in x2s:
-
-            def g(t):
-                rho, rhof = model._combine(t, x2, fam.rho_t, fam.rhof_t)
-                rhof = rhof[:, None] * shape_y
-                q = rhof - rho[:, None] * avg.driver(t[:, None], x2)(ys)
-                return np.concatenate(
-                    [q, t[:, None] * q, rhof, rho[:, None]], axis=1)
-
-            for side, grid in ((-1.0, neg), (1.0, pos)):
-                if grid.shape[0] < 2:
-                    continue
-                flim = avg.rho_f_coef(side, x2)
-                rlim = avg.rho(side, x2)
-                cum = cumulative(g, grid, rtol=1e-6,
-                                 max_panel=field.max_panel)
-                x1 = grid[1:, None]
-                Q1, Qt = cum[1:, :ny], cum[1:, ny:2 * ny]
-                R1, A1 = cum[1:, 2 * ny:3 * ny], cum[1:, 3 * ny]
-                sup_V = max(sup_V, float(np.max(np.abs(x1 * Q1 - Qt))))
-                far = np.abs(grid[1:]) >= np.sqrt(eps)
-                if far.any():
-                    beta = np.abs(R1[far] / x1[far]
-                                  - flim * shape_y[None, :])
-                    alpha = np.abs(A1[far] / grid[1:][far] - rlim)
-                    sup_b = max(sup_b, float(np.max(beta)))
-                    sup_a = max(sup_a, float(np.max(alpha)))
-        rows.append(DecayRow(eps=eps, sup_V=sup_V, sup_beta=sup_b,
-                             sup_alpha=sup_a))
+    for eps in eps_list:
+        (a_t, a_sin), (m_t, m_sin) = _Template.averages(x1, eps)
+        far = np.abs(x1) >= np.sqrt(eps)
+        V = x1 ** 2 * shape * (c1 * m_t + c2 * m_sin)
+        beta = np.abs(shape) * np.abs(q1 * a_t + q2 * a_sin)
+        alpha = np.abs(r1 * a_t + r2 * a_sin)
+        rows.append(DecayRow(
+            eps=eps, sup_V=float(np.max(np.abs(V), initial=0.0)),
+            sup_beta=float(np.max(np.where(far, beta, 0.0), initial=0.0)),
+            sup_alpha=float(np.max(np.where(far, alpha, 0.0), initial=0.0))))
 
     spec = (f"x1[{x1lo},{x1hi}]x{n1};x2[{x2lo},{x2hi}]x{n2};"
             f"y[{y_box[0]},{y_box[1]}]x{ny}")

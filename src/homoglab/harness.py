@@ -169,23 +169,11 @@ def _resolve(path: str, block, schema: dict) -> dict:
     return out
 
 
-# The largest path array, FD march and corrector quadrature a config may
-# ask for: at most this many path states, mc.n_paths * (mc.n_steps + 1)
-# (each d + 1 doubles, with k more for the increments), at most this many
-# FD node-steps, (fd.n1 + 2) * (fd.n2 + 2) * (t_end / fd.dt_fd), and at most
-# this many starting panels over the decay table's x1 range at the smallest
-# eps (``corrector.start_panels``).
+# The largest path array and FD march a config may ask for: at most this
+# many path states, mc.n_paths * (mc.n_steps + 1) (each d + 1 doubles, with
+# k more for the increments), and at most this many FD node-steps,
+# (fd.n1 + 2) * (fd.n2 + 2) * (t_end / fd.dt_fd).
 MAX_COUNT = 10 ** 8
-
-
-def _decay_within_bound(corrector: dict, eps_list) -> None:
-    """Refuse a decay table on the corrector block ``corrector`` whose
-    starting panel count at the smallest eps exceeds ``MAX_COUNT``."""
-    if corr.start_panels(corrector["box"], eps_list[-1]) > MAX_COUNT:
-        raise ConfigError(
-            f"decay-table starting panels |corrector.box x1 range| / "
-            f"(pi * min(1, smallest eps)) exceed the bound {MAX_COUNT:.0e} "
-            f"(config keys 'eps_list', 'corrector.box')")
 
 
 # the config key of each field whose rule SimGrid, BsdeSpec or Grid2D owns
@@ -260,8 +248,6 @@ class ExperimentConfig:
             if count > MAX_COUNT:
                 raise ConfigError(f"{what} exceed the bound {MAX_COUNT:.0e} "
                                   f"(config keys {keys})")
-        if cfg.corrector is not None:
-            _decay_within_bound(cfg.corrector, cfg.eps_list)
         if cfg.fd is not None and not cfg.fd.contains(*cfg.x0):
             # the FD value at x0 would be extrapolated past the boundary
             raise ConfigError(
@@ -453,11 +439,10 @@ class Stages:
 
     def decay(self) -> corr.DecayTable:
         """Corrector decay table over ``eps_list``, on the block or its
-        defaults, each held to the load-time panel bound."""
+        defaults."""
         cc = self.corrector
-        _decay_within_bound(cc, self.cfg.eps_list)
         return corr.decay_table(
-            self.fam, self.avg, self.cfg.eps_list, cc["box"], cc["y_box"],
+            self.fam, self.cfg.eps_list, cc["box"], cc["y_box"],
             n_grid=tuple(cc["n_grid"]))
 
     def residual(self) -> corr.ResidualReport:

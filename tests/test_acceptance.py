@@ -130,7 +130,7 @@ def test_criterion_04_corrector():
         results.append(rep.passed)
     fam = hl.make_family("switch")
     avg = hl.build_averaged(fam)
-    table = hl.decay_table(fam, avg, [1.0, 0.3, 0.1, 0.03],
+    table = hl.decay_table(fam, [1.0, 0.3, 0.1, 0.03],
                            ((-2, 2), (-1, 1)), (-1, 1), n_grid=(21, 9, 9))
     sup = [r.sup_V for r in table.rows]
     decay_ok = table.monotone_V and sup[-1] <= TOL["decay_factor"] * sup[0]

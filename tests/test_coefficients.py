@@ -210,6 +210,42 @@ def test_basis_running_averages_match_closed_form():
     assert residuals[0] == pytest.approx(7.0228e-5, rel=1e-4)
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1.0, 1e3])
+def test_basis_primitives_match_quadrature(eps):
+    # the closed forms, and the Taylor series below |X| = 0.01, against the
+    # quadrature of (T - s, sin) and (X - u) (T - s, sin) over [0, X], at
+    # X = x1/eps on both sides of 0 and of each switch (|X| = 0.01 and 1)
+    from homoglab.quadrature import integrate
+    X = np.array([-50.0, -3.0, -0.02, -0.005, 1e-6, 0.009, 0.011, 0.7, 1.3,
+                  40.0])
+    (a_t, a_sin), (m_t, m_sin) = _Template.averages(X * eps, eps)
+    for i, x in enumerate(X):
+        s = np.sign(x)
+
+        def g(u):
+            basis = np.stack([transition(u) - s, np.sin(u)], axis=-1)
+            return np.concatenate([basis, (x - u)[:, None] * basis], axis=-1)
+        ref = integrate(g, 0.0, x, rtol=1e-12) / np.array([x, x, x * x, x * x])
+        got = np.array([a_t[i], a_sin[i], m_t[i], m_sin[i]])
+        assert np.max(np.abs(got - ref)) <= 1e-13, (x, got, ref)
+
+
+def test_basis_primitives_finite_at_extreme_eps():
+    # no overflow, division by zero or NaN where x1/eps overflows or
+    # underflows (numpy's underflow to subnormals or 0 is harmless): at eps
+    # 1e-310 the sin terms drop and A_T, M_T are of order eps*ln(1/eps), and
+    # at eps 1e300 every primitive is its value at X = 0
+    x1 = np.array([-2.0, -0.2, 0.2, 2.0])
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        (a_t, a_sin), (m_t, m_sin) = _Template.averages(x1, 1e-310)
+        assert np.all(np.abs(np.stack([a_t, m_t])) < 1e-306)
+        assert np.all(a_sin == 0.0) and np.all(np.isfinite(m_sin))
+        (a_t, a_sin), (m_t, m_sin) = _Template.averages(x1, 1e300)
+        assert np.array_equal(a_t, -np.sign(x1))
+        assert np.array_equal(m_t, -0.5 * np.sign(x1))
+        assert np.all(np.abs(np.stack([a_sin, m_sin])) < 1e-299)
+
+
 @pytest.mark.parametrize("component", [0, 1])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_build_averaged_refuses_unsettled_component(switch_family, component,

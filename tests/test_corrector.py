@@ -2,9 +2,18 @@ import numpy as np
 import pytest
 
 import homoglab as hl
-from homoglab.corrector import (CorrectorField, DecayTable, corrector_value,
-                                decay_table, residual_check, second_difference)
+from homoglab.corrector import (CorrectorField, DecayTable, decay_table,
+                                residual_check, second_difference)
 from homoglab.families import nonincreasing
+from homoglab.quadrature import integrate
+
+
+def corrector_value(field, x1, x2, y):
+    """The quadrature oracle of V(x1) = int_0^{x1} (x1 - t) q(t) dt."""
+    if x1 == 0.0:
+        return 0.0
+    return float(integrate(lambda t: (x1 - t) * field.q(t, x2, y), 0.0, x1,
+                           rtol=1e-8, max_panel=field.max_panel)[0])
 
 
 @pytest.fixture(scope="module")
@@ -69,16 +78,24 @@ def test_residual_trivial_zero_driver(const_family):
 
 
 def test_residual_second_order_in_h(switch_family, switch_avg):
-    # use a large h so truncation dominates, then halve it
+    # at a large h truncation dominates the residual a00 * D2 V - (f - fbar)
+    # at the 15 points residual_check samples for this box and seed, and
+    # halving h quarters it
     field = CorrectorField(switch_family.at(0.5), switch_avg)
-    spec = {"box": [(0.5, 2), (-1, 1), (-1, 1)], "n_samples": 15, "seed": 7}
-    r1 = residual_check(field, dict(spec, h=0.02))
-    r2 = residual_check(field, dict(spec, h=0.01))
-    assert 3.0 <= r1.max_residual / r2.max_residual <= 5.0
+    box = np.array([(0.5, 2), (-1, 1), (-1, 1)], dtype=float)
+    pts = box[:, 0] + (box[:, 1] - box[:, 0]) \
+        * np.random.default_rng(7).random((15, 3))
+
+    def max_residual(h):
+        return max(abs(field.fam.a00(x1, x2)
+                       * second_difference(field, x1, x2, y, h)
+                       - (field.fam.f(x1, x2, y) - field.avg.f(x1, x2, y)))
+                   for x1, x2, y in pts)
+    assert 3.0 <= max_residual(0.02) / max_residual(0.01) <= 5.0
 
 
 def test_decay_table_switch(switch_family, switch_avg, tmp_path):
-    table = decay_table(switch_family, switch_avg, [1.0, 0.3, 0.1, 0.03],
+    table = decay_table(switch_family, [1.0, 0.3, 0.1, 0.03],
                         ((-2, 2), (-1, 1)), (-1, 1), n_grid=(21, 7, 7))
     table.to_csv(tmp_path / "decay.csv")
     assert isinstance(table, DecayTable)
@@ -93,16 +110,20 @@ def test_decay_table_switch(switch_family, switch_avg, tmp_path):
     assert len(lines) == 5
 
 
-def test_decay_table_zero_for_trivial(const_family):
-    avg = hl.build_averaged(const_family)
-    table = decay_table(const_family, avg, [1.0, 0.1], ((-1, 1), (-1, 1)),
-                        (-1, 1), n_grid=(11, 5, 5))
-    assert all(r.sup_V == 0.0 for r in table.rows)
+def test_decay_table_zero_for_trivial(const_family, slowvary_family):
+    # neither family's rho nor rho*f depends on x1, so every weight of the
+    # driver gap and of the remainders is 0, and so is every cell
+    for fam in (const_family, slowvary_family):
+        table = decay_table(fam, [1.0, 0.1], ((-1, 1), (-1, 1)), (-1, 1),
+                            n_grid=(11, 5, 5))
+        for r in table.rows:
+            assert (r.sup_V, r.sup_beta, r.sup_alpha) == (0.0, 0.0, 0.0), \
+                (fam.family_id, r)
 
 
 def test_decay_table_rejects_bad_eps_order(switch_family, switch_avg):
     with pytest.raises(ValueError):
-        decay_table(switch_family, switch_avg, [0.1, 1.0],
+        decay_table(switch_family, [0.1, 1.0],
                     ((-1, 1), (-1, 1)), (-1, 1), n_grid=(11, 5, 5))
 
 
@@ -117,17 +138,68 @@ def test_quadratic_growth_envelope(switch_family, switch_avg):
     assert np.isfinite(C) and C < 2.0
 
 
-@pytest.mark.parametrize("eps", [1.0, 0.3])
+_GRID = dict(box=((-2, 2), (-1, 1)), y_box=(-1, 1), n_grid=(11, 5, 5))
+
+
+def _grid_points():
+    box, y_box, n_grid = _GRID["box"], _GRID["y_box"], _GRID["n_grid"]
+    return (np.linspace(*box[0], n_grid[0]), np.linspace(*box[1], n_grid[1]),
+            np.linspace(*y_box, n_grid[2]))
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.3, 0.1, 0.01, 1e-3])
 def test_decay_table_sup_V_matches_corrector_value(switch_family, switch_avg,
                                                    eps):
-    # the two implementations of V: decay_table's cumulative x1*Q1 - Qt
-    # and the pointwise iterated integral, on the same (x1, x2, y) grid
-    box, y_box, n_grid = ((-2, 2), (-1, 1)), (-1, 1), (11, 5, 5)
-    table = decay_table(switch_family, switch_avg, [eps], box, y_box,
-                        n_grid=n_grid)
+    # the closed form of V against the quadrature of the iterated integral,
+    # on the same (x1, x2, y) grid
+    table = decay_table(switch_family, [eps], **_GRID)
     field = CorrectorField(switch_family.at(eps), switch_avg)
-    ref = max(abs(corrector_value(field, x1, [x2], y))
-              for x1 in np.linspace(*box[0], n_grid[0])
-              for x2 in np.linspace(*box[1], n_grid[1])
-              for y in np.linspace(*y_box, n_grid[2]))
-    assert table.rows[0].sup_V == pytest.approx(ref, rel=1e-9)
+    x1s, x2s, ys = _grid_points()
+    ref = max(abs(corrector_value(field, x1, x2, y))
+              for x1 in x1s for x2 in x2s for y in ys)
+    assert table.rows[0].sup_V == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.3, 0.1, 0.01, 1e-3])
+def test_decay_table_remainders_match_quadrature(switch_family, switch_avg,
+                                                 eps):
+    # sup_beta and sup_alpha against the quadrature of rho*f and rho from 0
+    # to each far point |x1| >= sqrt(eps), over x1, less their Cesaro limits
+    table = decay_table(switch_family, [eps], **_GRID)
+    model = switch_family.at(eps)
+    x1s, x2s, ys = _grid_points()
+    shape = np.max(np.abs(switch_family.f_y_shape(ys)))
+    max_panel = CorrectorField(model, switch_avg).max_panel
+    sup_b = sup_a = 0.0
+    for x1 in x1s[np.abs(x1s) >= np.sqrt(eps)]:
+        for x2 in x2s:
+            rhof, rho = integrate(
+                lambda t: np.stack([model.rho_f_coef(t, x2), model.rho(t, x2)],
+                                   axis=-1),
+                0.0, x1, rtol=1e-8, max_panel=max_panel) / x1
+            rhof_gap = rhof - switch_avg.rho_f_coef(x1, x2)
+            sup_b = max(sup_b, shape * abs(rhof_gap))
+            sup_a = max(sup_a, abs(rho - switch_avg.rho(x1, x2)))
+    row = table.rows[0]
+    assert row.sup_beta == pytest.approx(sup_b, rel=1e-12)
+    assert row.sup_alpha == pytest.approx(sup_a, rel=1e-12)
+
+
+def test_decay_table_tiny_eps_law(switch_family):
+    # on the default block the rows stay finite and non-increasing down to
+    # eps 1e-12, and sup V / eps grows like (2/pi) max|c1| max|shape| x_max
+    # ln(1/eps): by 1.2144 from eps 1e-11 to 1e-12 (c1 = -0.3 on the minus
+    # side, max|shape| = 1 + tanh(1)/2, x_max = 2)
+    eps = [10.0 ** -k for k in range(13)]
+    table = decay_table(switch_family, eps, ((-2, 2), (-1, 1)), (-1, 1),
+                        n_grid=(21, 9, 9))
+    for key in ("sup_V", "sup_beta", "sup_alpha"):
+        col = [getattr(r, key) for r in table.rows]
+        assert np.isfinite(col).all(), key
+        assert nonincreasing(col), (key, col)
+    sup_V = [r.sup_V for r in table.rows]
+    step = (2.0 / np.pi) * 0.3 * (1.0 + 0.5 * np.tanh(1.0)) * 2.0 \
+        * np.log(10.0)
+    assert step == pytest.approx(1.2144, abs=1e-4)
+    assert sup_V[12] / eps[12] - sup_V[11] / eps[11] == pytest.approx(
+        step, abs=1e-3)

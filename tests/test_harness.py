@@ -794,33 +794,25 @@ def test_refused_scipy_fails_fd_config_at_load(tmp_path, monkeypatch, capsys):
                      "--out", str(tmp_path / "bare")]) in (0, 2)
 
 
-def test_cli_tiny_eps_corrector_refused(tmp_path, capsys, monkeypatch):
-    # at eps = 1e-200 the decay table would start from ~1e200 panels, a
-    # count past int64: with a corrector block the eps is refused at load by
-    # name; without one, `corrector` runs the table on the block's defaults
-    # and refuses it by name before any row is integrated.  None of them
-    # warns, leaves a traceback or an output directory
-    calls = []
-    cumulative = hl.corrector.cumulative
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return cumulative(*args, **kwargs)
-    monkeypatch.setattr(hl.corrector, "cumulative", counted)
+def test_cli_tiny_eps_corrector_runs(tmp_path):
+    # the decay table is in closed form, so `corrector` runs at eps 1e-200
+    # and at eps 1e-310, where x1/eps overflows: each row is finite and
+    # non-negative, no remainder rises from eps 1 to the tiny eps, and
+    # nothing warns
     doc = _tiny_doc()
-    doc["eps_list"] = [1.0, 1e-200]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for cmd, block in (("corrector", doc["corrector"]),
-                           ("converge", doc["corrector"]),
-                           ("corrector", None)):
-            out = tmp_path / f"{cmd}-{block is None}"
-            cfg = _write_cfg(tmp_path, {**doc, "corrector": block})
-            assert cli_main([cmd, cfg, "--out", str(out)]) == 1
-            err = capsys.readouterr().err
-            assert "(config keys 'eps_list', 'corrector.box')" in err, err
-            assert not out.exists()
-    assert calls == []
+    for tiny in (1e-200, 1e-310):
+        doc["eps_list"] = [1.0, tiny]
+        out = tmp_path / f"out{tiny}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["corrector", _write_cfg(tmp_path, doc),
+                             "--out", str(out)]) == 0
+        rows = json.loads((out / "corrector.json").read_text())["decay"]
+        assert [r["eps"] for r in rows] == [1.0, tiny]
+        for key in ("sup_V", "sup_beta", "sup_alpha"):
+            first, last = (r[key] for r in rows)
+            assert np.isfinite([first, last]).all(), key
+            assert 0.0 <= last <= first, (key, first, last)
 
 
 def test_cli_subcommands_smoke(tmp_path):
