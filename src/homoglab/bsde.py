@@ -220,9 +220,13 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
             y = y_new
         Y[:, s] = y = np.clip(y, -spec.y_bound, spec.y_bound)
         rollout += dt * np.asarray(drive(y), dtype=float)
-        # one fit for the k Z columns and the increment of Y
+        # one fit for the k Z columns and the increment of Y; Z is fitted
+        # on the martingale increment (y_next - cont) dB/dt, whose
+        # conditional mean is that of y_next dB/dt (E[dB | F_s] = 0) and
+        # whose spread is about |Z| rather than |Y|/sqrt(dt)
         targets = np.empty((n, k + 1))
-        np.multiply(y_next[:, None], bundle.dB[:, s, :], out=targets[:, :k])
+        np.multiply((y_next - cont)[:, None], bundle.dB[:, s, :],
+                    out=targets[:, :k])
         targets[:, :k] /= dt
         dY = np.subtract(y_next, y, out=targets[:, k])
         fitted = fit(targets)
@@ -244,7 +248,8 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
     y0 = float(np.clip(y0, -spec.y_bound, spec.y_bound))
     Y[:, 0] = y0
     rollout += dt * np.asarray(drive(Y[:, 0]), dtype=float)
-    Z[:, 0, :] = np.mean(Y[:, 1][:, None] * bundle.dB[:, 0, :] / dt, axis=0)
+    Z[:, 0, :] = np.mean((Y[:, 1] - cont0)[:, None] * bundle.dB[:, 0, :] / dt,
+                         axis=0)
     dy_fit[0], dy_floor[0] = mean_stderr(Y[:, 1] - Y[:, 0])
 
     residuals = [float(r) for r in picard]

@@ -43,12 +43,6 @@ class CorrectorField:
     def eps(self) -> float:
         return self.fam.eps
 
-    @property
-    def max_panel(self) -> float:
-        """The width the corrector's panels start at: pi * min(1, eps)
-        resolves the t/eps oscillation scale."""
-        return float(np.pi) * min(1.0, self.eps)
-
     def q(self, t, x2, y):
         """Weighted driver gap rho * (f - fbar) at t, the two-scale model
         at fast argument t/eps."""
@@ -78,10 +72,9 @@ def second_difference(field: CorrectorField, x1: float, x2, y: float,
         def g(t):
             w = (t - a) if left else (b - t)
             return w * field.q(t, x2, y)
-        return integrate(g, a, b, rtol=_RTOL, max_panel=field.max_panel)[0]
+        return integrate(g, a, b, rtol=_RTOL)
 
-    total = hat_part(c - h, c, True) + hat_part(c, c + h, False)
-    return float(total) / h ** 2
+    return (hat_part(c - h, c, True) + hat_part(c, c + h, False)) / h ** 2
 
 
 @dataclass(frozen=True)

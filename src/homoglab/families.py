@@ -61,11 +61,13 @@ DEFAULT_SCHEDULE = tuple((100.0 * math.sqrt(10.0) ** np.arange(9)).tolist())
 
 @dataclass(frozen=True)
 class CesaroResult:
-    g_plus: np.ndarray
-    g_minus: np.ndarray
+    """Running averages of a scalar ``g`` on both sides of 0: one per
+    horizon of the schedule, the last of each side taken as its limit."""
+    g_plus: float
+    g_minus: float
     converged: bool
     residual: float
-    averages_plus: np.ndarray   # (n_horizons, m)
+    averages_plus: np.ndarray   # (n_horizons,)
     averages_minus: np.ndarray
 
 
@@ -73,10 +75,10 @@ def cesaro_average(g, schedule=None, tol: float = 1e-4,
                    max_panel=2.0 * np.pi) -> CesaroResult:
     """Running-average limits of ``g(t)`` as t -> +/- infinity.
 
-    ``g`` must be vectorized in t and may return several components at once
-    (shape ``(nt, m)``).  The average A(X) = (1/X) * int_0^X g is evaluated
-    on a geometric horizon schedule via adaptive panel quadrature, and
-    convergence is declared when the last three values stabilize to ``tol``.
+    ``g`` is a scalar integrand, vectorized in t.  The average
+    A(X) = (1/X) * int_0^X g is evaluated on a geometric horizon schedule
+    via adaptive panel quadrature, and convergence is declared when the
+    last three values stabilize to ``tol``.
     Non-convergence is reported, never papered over with an extrapolation.
 
     ``max_panel`` is the panel scale of ``g``: the width its panels start
@@ -95,7 +97,7 @@ def cesaro_average(g, schedule=None, tol: float = 1e-4,
         grid = np.concatenate(([0.0], sign * schedule))
         cum = cumulative(g, grid, rtol=tol / 10.0, max_panel=max_panel)
         # (1/x1) * int_0^{x1}; both signs give the plain ratio.
-        return cum[1:] / (sign * schedule)[:, None]
+        return cum[1:] / (sign * schedule)
 
     avg_p = one_side(+1.0)
     avg_m = one_side(-1.0)
@@ -103,7 +105,7 @@ def cesaro_average(g, schedule=None, tol: float = 1e-4,
     res_m = np.max(np.abs(avg_m[-3:] - avg_m[-1]))
     residual = float(max(res_p, res_m))
     return CesaroResult(
-        g_plus=avg_p[-1].copy(), g_minus=avg_m[-1].copy(),
+        g_plus=float(avg_p[-1]), g_minus=float(avg_m[-1]),
         converged=bool(residual <= tol), residual=residual,
         averages_plus=avg_p, averages_minus=avg_m)
 
@@ -416,7 +418,7 @@ def _basis_limits_numeric(tol):
             raise AveragingError(
                 f"basis running averages did not stabilize: residual "
                 f"{res.residual:.4e} > tol {tol:g}")
-        limits.append((float(res.g_plus[0]), float(res.g_minus[0])))
+        limits.append((res.g_plus, res.g_minus))
     return tuple(limits)
 
 
@@ -671,7 +673,7 @@ def audit_assumptions(fam: CoefficientFamily, sample_spec: dict) -> dict:
         res = cesaro_average(lambda t: g(fam, t), schedule=horizons,
                              tol=1e-5, max_panel=np.pi)
         # at x2 = 0 the remainder's norm 1 + |x2|^2 is 1
-        rem = [np.abs(run[:, 0] - g(avg, side)[0]) for run, side in
+        rem = [np.abs(run - g(avg, side)[0]) for run, side in
                ((res.averages_plus, 1.0), (res.averages_minus, -1.0))]
         trend = np.maximum(*rem)
         rise = _first_rise(trend)   # the witness is where the rise lands

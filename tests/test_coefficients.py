@@ -14,33 +14,33 @@ from homoglab.families import (DEFAULT_SCHEDULE, AveragingError, FamilyError,
 # -- Cesaro engine ----------------------------------------------------------
 
 def test_cesaro_constant():
-    res = cesaro_average(lambda t: np.ones_like(t)[:, None] * 3.5)
+    res = cesaro_average(lambda t: np.ones_like(t) * 3.5)
     assert res.converged
-    assert res.g_plus[0] == pytest.approx(3.5, abs=1e-10)
-    assert res.g_minus[0] == pytest.approx(3.5, abs=1e-10)
+    assert res.g_plus == pytest.approx(3.5, abs=1e-10)
+    assert res.g_minus == pytest.approx(3.5, abs=1e-10)
 
 
 def test_cesaro_transition_limits():
     # closed form: (1/X) int_0^X (2/pi) atan = (2/pi)(atan X - log(1+X^2)/(2X))
-    res = cesaro_average(lambda t: transition(t)[:, None], tol=1e-4)
+    res = cesaro_average(transition, tol=1e-4)
     assert res.converged
-    assert res.g_plus[0] == pytest.approx(1.0, abs=1e-4)
-    assert res.g_minus[0] == pytest.approx(-1.0, abs=1e-4)
+    assert res.g_plus == pytest.approx(1.0, abs=1e-4)
+    assert res.g_minus == pytest.approx(-1.0, abs=1e-4)
     X = DEFAULT_SCHEDULE[-1]
     ref = (2 / np.pi) * (np.arctan(X) - np.log1p(X ** 2) / (2 * X))
-    assert res.averages_plus[-1, 0] == pytest.approx(ref, rel=1e-6)
+    assert res.averages_plus[-1] == pytest.approx(ref, rel=1e-6)
 
 
 def test_cesaro_sin_vanishes():
-    res = cesaro_average(lambda t: np.sin(t)[:, None], tol=1e-4)
+    res = cesaro_average(np.sin, tol=1e-4)
     assert res.converged
-    assert abs(res.g_plus[0]) < 1e-4
-    assert abs(res.g_minus[0]) < 1e-4
+    assert abs(res.g_plus) < 1e-4
+    assert abs(res.g_minus) < 1e-4
 
 
 def test_cesaro_nonconvergent_reported():
     # log t grows without a Cesaro limit; must be flagged, not extrapolated
-    res = cesaro_average(lambda t: np.log1p(np.abs(t))[:, None])
+    res = cesaro_average(lambda t: np.log1p(np.abs(t)))
     assert not res.converged
     assert res.residual > 1e-2
 
@@ -49,12 +49,11 @@ def test_cesaro_nonconvergent_reported():
 @given(a=st.floats(-2, 2), b=st.floats(-2, 2))
 def test_cesaro_linearity(a, b):
     sched = 50.0 * 2.0 ** np.arange(5)
-    res = cesaro_average(
-        lambda t: np.stack(
-            [transition(t), np.sin(t), a * transition(t) + b * np.sin(t)],
-            axis=-1), schedule=sched)
-    combo = a * res.g_plus[0] + b * res.g_plus[1]
-    assert res.g_plus[2] == pytest.approx(combo, abs=1e-10)
+    g_t, g_sin, g_combo = (
+        cesaro_average(g, schedule=sched).g_plus
+        for g in (transition, np.sin,
+                  lambda t: a * transition(t) + b * np.sin(t)))
+    assert g_combo == pytest.approx(a * g_t + b * g_sin, abs=1e-10)
 
 
 # -- catalog families -------------------------------------------------------
@@ -177,18 +176,17 @@ def test_build_averaged_oracle_resolves_one_weight(switch_family, side,
 def test_basis_limits_match_pi_start_reference():
     # each basis function is averaged on its own panel scale (T on 16
     # panels per horizon cell to start, sin on 5*pi panels); both limits
-    # agree with those of the stacked (T, sin) on pi-start panels to
-    # round-off, while a 4*pi start for sin would move its limit by ~5e-13
+    # agree with those on pi-start panels to round-off, while a 4*pi start
+    # for sin would move its limit by ~5e-13
     from homoglab.families import _basis_limits_numeric
     from homoglab.quadrature import cumulative
     schedule = np.asarray(DEFAULT_SCHEDULE)
     a_trans, a_sin = _basis_limits_numeric(1e-4)
-    basis = lambda t: np.stack([transition(t), np.sin(t)], axis=-1)
     for i, sign in enumerate((1.0, -1.0)):
         grid = np.concatenate(([0.0], sign * schedule))
-        ref = cumulative(basis, grid, rtol=1e-5, max_panel=np.pi)[-1] / grid[-1]
-        assert abs(a_trans[i] - ref[0]) <= 1e-13
-        assert abs(a_sin[i] - ref[1]) <= 1e-13
+        for got, g in ((a_trans[i], transition), (a_sin[i], np.sin)):
+            ref = cumulative(g, grid, rtol=1e-5, max_panel=np.pi)[-1] / grid[-1]
+            assert abs(got - ref) <= 1e-13
 
 
 def test_basis_running_averages_match_closed_form():
@@ -205,7 +203,7 @@ def test_basis_running_averages_match_closed_form():
         assert res.converged
         residuals.append(res.residual)
         for avgs, sign in ((res.averages_plus, 1.0), (res.averages_minus, -1.0)):
-            assert np.max(np.abs(avgs[:, 0] - ref(sign * horizons))) <= 1e-9
+            assert np.max(np.abs(avgs - ref(sign * horizons))) <= 1e-9
     # T's residual is the one a tol below it is refused with
     assert residuals[0] == pytest.approx(7.0228e-5, rel=1e-4)
 
@@ -222,10 +220,11 @@ def test_basis_primitives_match_quadrature(eps):
     for i, x in enumerate(X):
         s = np.sign(x)
 
-        def g(u):
-            basis = np.stack([transition(u) - s, np.sin(u)], axis=-1)
-            return np.concatenate([basis, (x - u)[:, None] * basis], axis=-1)
-        ref = integrate(g, 0.0, x, rtol=1e-12) / np.array([x, x, x * x, x * x])
+        basis = (lambda u: transition(u) - s, np.sin)
+        ref = np.array(
+            [integrate(b, 0.0, x, rtol=1e-12) / x for b in basis]
+            + [integrate(lambda u: (x - u) * b(u), 0.0, x, rtol=1e-12) / (x * x)
+               for b in basis])
         got = np.array([a_t[i], a_sin[i], m_t[i], m_sin[i]])
         assert np.max(np.abs(got - ref)) <= 1e-13, (x, got, ref)
 
@@ -515,8 +514,8 @@ def test_audit_trend_witness_is_the_breaking_rise(const_family, monkeypatch):
         # the plus side gets the trend added
         base = g(np.array([1.0]))[0]
         return dataclasses.replace(
-            cesaro_average(g, **kw), averages_plus=(base + trend)[:, None],
-            averages_minus=np.full((trend.size, 1), base))
+            cesaro_average(g, **kw), averages_plus=base + trend,
+            averages_minus=np.full(trend.size, base))
     monkeypatch.setattr(families, "cesaro_average", fake_cesaro)
     rep = hl.audit_assumptions(
         const_family,

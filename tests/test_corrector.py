@@ -9,11 +9,12 @@ from homoglab.quadrature import integrate
 
 
 def corrector_value(field, x1, x2, y):
-    """The quadrature oracle of V(x1) = int_0^{x1} (x1 - t) q(t) dt."""
+    """The quadrature oracle of V(x1) = int_0^{x1} (x1 - t) q(t) dt, on
+    panels of width pi * min(1, eps) to start, the t/eps oscillation scale."""
     if x1 == 0.0:
         return 0.0
-    return float(integrate(lambda t: (x1 - t) * field.q(t, x2, y), 0.0, x1,
-                           rtol=1e-8, max_panel=field.max_panel)[0])
+    return integrate(lambda t: (x1 - t) * field.q(t, x2, y), 0.0, x1,
+                     rtol=1e-8, max_panel=np.pi * min(1, field.eps))
 
 
 @pytest.fixture(scope="module")
@@ -169,14 +170,13 @@ def test_decay_table_remainders_match_quadrature(switch_family, switch_avg,
     model = switch_family.at(eps)
     x1s, x2s, ys = _grid_points()
     shape = np.max(np.abs(switch_family.f_y_shape(ys)))
-    max_panel = CorrectorField(model, switch_avg).max_panel
     sup_b = sup_a = 0.0
     for x1 in x1s[np.abs(x1s) >= np.sqrt(eps)]:
         for x2 in x2s:
-            rhof, rho = integrate(
-                lambda t: np.stack([model.rho_f_coef(t, x2), model.rho(t, x2)],
-                                   axis=-1),
-                0.0, x1, rtol=1e-8, max_panel=max_panel) / x1
+            rhof, rho = (
+                integrate(lambda t: g(t, x2), 0.0, x1, rtol=1e-8,
+                          max_panel=np.pi * min(1, eps)) / x1
+                for g in (model.rho_f_coef, model.rho))
             rhof_gap = rhof - switch_avg.rho_f_coef(x1, x2)
             sup_b = max(sup_b, shape * abs(rhof_gap))
             sup_a = max(sup_a, abs(rho - switch_avg.rho(x1, x2)))

@@ -13,25 +13,20 @@ from homoglab.quadrature import (QuadratureError, cumulative, integrate,
 
 def test_polynomial_exact():
     val = integrate(lambda t: t ** 3 - 2 * t, 0.0, 2.0)
-    assert val[0] == pytest.approx(4.0 - 4.0, abs=1e-13)
+    assert val == pytest.approx(4.0 - 4.0, abs=1e-13)
 
 
 def test_oriented_reversal():
     fwd = integrate(lambda t: np.sin(t) + 0.5, 0.0, 3.0)
     bwd = integrate(lambda t: np.sin(t) + 0.5, 3.0, 0.0)
-    assert bwd[0] == pytest.approx(-fwd[0], rel=1e-12)
-
-
-def test_multi_component():
-    val = integrate(lambda t: np.stack([t, t ** 2], axis=-1), 0.0, 1.0)
-    assert val == pytest.approx([0.5, 1.0 / 3.0], rel=1e-12)
+    assert bwd == pytest.approx(-fwd, rel=1e-12)
 
 
 def test_oscillatory_long_range():
     # int_0^X sin = 1 - cos X, even over many periods
     X = 200.0
     val = integrate(lambda t: np.sin(t), 0.0, X, rtol=1e-10)
-    assert val[0] == pytest.approx(1.0 - np.cos(X), abs=1e-9)
+    assert val == pytest.approx(1.0 - np.cos(X), abs=1e-9)
 
 
 def test_arctan_transition_closed_form():
@@ -39,25 +34,25 @@ def test_arctan_transition_closed_form():
     X = 1e4
     val = integrate(lambda t: (2 / np.pi) * np.arctan(t), 0.0, X, rtol=1e-10)
     ref = (2 / np.pi) * (X * np.arctan(X) - 0.5 * np.log1p(X ** 2))
-    assert val[0] == pytest.approx(ref, rel=1e-9)
+    assert val == pytest.approx(ref, rel=1e-9)
 
 
 def test_cumulative_matches_pointwise():
     grid = np.array([0.0, 0.5, 1.5, 4.0])
     cum = cumulative(lambda t: np.cos(t), grid)
-    assert cum[:, 0] == pytest.approx(np.sin(grid), abs=1e-12)
+    assert cum == pytest.approx(np.sin(grid), abs=1e-12)
 
 
 def test_cumulative_decreasing_grid():
     grid = np.array([0.0, -1.0, -3.0])
     cum = cumulative(lambda t: np.ones_like(t), grid)
-    assert cum[:, 0] == pytest.approx(grid, abs=1e-13)
+    assert cum == pytest.approx(grid, abs=1e-13)
 
 
 def test_panel_integrals_shape_and_sum():
     edges = np.linspace(0.0, np.pi, 7)
     parts = panel_integrals(lambda t: np.sin(t), edges)
-    assert parts.shape == (6, 1)
+    assert parts.shape == (6,)
     assert parts.sum() == pytest.approx(2.0, rel=1e-10)
 
 
@@ -67,40 +62,35 @@ def test_unvectorized_integrand_rejected():
 
 
 def test_zero_length_interval():
-    assert integrate(lambda t: np.exp(t), 2.0, 2.0)[0] == 0.0
+    assert integrate(lambda t: np.exp(t), 2.0, 2.0) == 0.0
+
+
 
 
 # ---------------------------------------------------------------------------
-# Batched engine: every estimate equals that of a per-cell refinement loop
+# Per-cell rule: every estimate equals that of a one-call refinement loop
 # ---------------------------------------------------------------------------
 
 def _per_cell_cumulative(g, grid, rtol=1e-8, max_panel=np.pi, order=12):
     """Reference: each cell refined on its own, panel count doubled from
     ceil(|cell| / max_panel) until two consecutive estimates agree to
-    ``rtol`` or 1e-12 absolute (at most 8 doublings); partial sums in grid
-    order."""
-    parts = []
-    for a, b in zip(grid[:-1], grid[1:]):
-        if a == b:
-            parts.append(None)
-            continue
-        n = max(1, int(np.ceil(abs(b - a) / max_panel)))
-        prev = panel_integrals(g, np.linspace(a, b, n + 1), order).sum(axis=0)
-        for _ in range(8):
-            n *= 2
-            cur = panel_integrals(g, np.linspace(a, b, n + 1), order).sum(axis=0)
-            if np.all(np.abs(cur - prev) <= 1e-12 + rtol * np.abs(cur)):
-                break
-            prev = cur
-        else:
-            raise AssertionError(f"reference cell [{a}, {b}] unsettled")
-        parts.append(cur)
-    m = next(p.shape[0] for p in parts if p is not None)
-    acc = np.zeros(m)
+    ``rtol`` or 1e-12 absolute (at most 8 doublings), every estimate one
+    ``panel_integrals`` call; partial sums in grid order."""
+    acc = 0.0
     rows = [acc]
-    for p in parts:
-        if p is not None:
-            acc = acc + p
+    for a, b in zip(grid[:-1], grid[1:]):
+        if a != b:
+            n = max(1, int(np.ceil(abs(b - a) / max_panel)))
+            prev = panel_integrals(g, np.linspace(a, b, n + 1), order).sum()
+            for _ in range(8):
+                n *= 2
+                cur = panel_integrals(g, np.linspace(a, b, n + 1), order).sum()
+                if abs(cur - prev) <= 1e-12 + rtol * abs(cur):
+                    break
+                prev = cur
+            else:
+                raise AssertionError(f"reference cell [{a}, {b}] unsettled")
+            acc = acc + cur
         rows.append(acc)
     return np.array(rows)
 
@@ -111,85 +101,44 @@ def _bumps(t):
             + np.exp(-((t - 5.7) / 0.03) ** 2))
 
 
-def _cos64(t):
-    # 64 components, frequencies 1 to 2 - 1/64
-    return np.cos(t[:, None] * (1 + np.arange(64) / 64))
-
-
+# (integrand, grid, max_panel)
 _CASES = {
     "zero-length cells": (lambda t: np.exp(-t) * np.cos(3 * t),
-                          [0.0, 0.5, 0.5, 2.0, 2.0, 2.0, 3.7]),
-    "decreasing": (lambda t: np.sin(t) + 0.2 * t, [0.0, -0.3, -1.7, -4.0, -9.5]),
-    "several components": (
-        lambda t: np.stack([np.cos(t), t * np.sin(t), np.exp(-t * t),
-                            (2 / np.pi) * np.arctan(t)], axis=-1),
-        [0.0, 0.1, 1.0, 7.0, 60.0, 400.0]),
+                          [0.0, 0.5, 0.5, 2.0, 2.0, 2.0, 3.7], np.pi),
+    "decreasing": (lambda t: np.sin(t) + 0.2 * t,
+                   [0.0, -0.3, -1.7, -4.0, -9.5], np.pi),
     "long cells, one component": (lambda t: np.sin(t) + 1.0 / (1.0 + t * t),
-                                  [0.0, 50.0, 400.0, 3000.0]),
-    "bumps settle late": (_bumps, np.arange(9.0)),
-    "no components": (lambda t: np.zeros((t.size, 0)), [0.0, 1.0, 3.0]),
-    # a group holds _VALUES // (12 * 64) = 85 panels of 64 components: the
-    # nine 20-wide cells (7, then 14 panels each) split into groups once
-    # doubled, and the last cell (262 panels to start) is a group of its
-    # own that _estimates cuts into several panel_integrals calls
-    "groups overflow the budget": (_cos64,
-                                   np.append(np.arange(0.0, 200.0, 20.0),
-                                             1000.0)),
+                                  [0.0, 50.0, 400.0, 3000.0], np.pi),
+    "bumps settle late": (_bumps, np.arange(9.0), np.pi),
+    # 38,198 panels to start, more than the _VALUES // 12 = 5461 of one
+    # integrand call, so every estimate of the cell takes several calls
+    "one cell over several calls": (np.cos, [0.0, 3e4], np.pi / 4),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_CASES))
 def test_cumulative_matches_per_cell_loop(case):
-    g, grid = _CASES[case]
-    got = cumulative(g, grid)
-    assert np.array_equal(got, _per_cell_cumulative(g, grid))
-
-
-def _record_calls(monkeypatch):
-    calls = []
-
-    def recording(g, edges, order=12, **kw):
-        calls.append(np.array(edges))
-        return panel_integrals(g, edges, order, **kw)
-
-    monkeypatch.setattr(quadrature, "panel_integrals", recording)
-    return calls
-
-
-def test_unsettled_cells_refine_without_gap_panels(monkeypatch):
-    calls = _record_calls(monkeypatch)
-    cumulative(_bumps, np.arange(9.0))
-    # two rounds over all eight adjacent cells, then one call per round for
-    # each of the non-adjacent cells 2 and 5, with edges inside its cell
-    assert [c[[0, -1]].tolist() for c in calls[:2]] == [[0.0, 8.0]] * 2
-    spans = [c[[0, -1]].tolist() for c in calls[2:]]
-    assert set(map(tuple, spans)) == {(2.0, 3.0), (5.0, 6.0)}
-    # the narrower bump in cell 2 settles in a later round
-    assert spans.count([2.0, 3.0]) > spans.count([5.0, 6.0])
-
-
-def test_settled_grid_takes_two_calls(monkeypatch):
-    calls = _record_calls(monkeypatch)
-    grid = np.linspace(0.0, 3.0, 31)
-    cum = cumulative(np.cos, grid)
-    assert len(calls) == 2
-    assert cum[:, 0] == pytest.approx(np.sin(grid), abs=1e-13)
+    g, grid, max_panel = _CASES[case]
+    got = cumulative(g, grid, max_panel=max_panel)
+    assert np.array_equal(got, _per_cell_cumulative(g, grid,
+                                                    max_panel=max_panel))
 
 
 def test_integrand_calls_fit_the_budget_without_probes():
-    # _settle probes the component count once; every other call is one
-    # Gauss rule of whole 12-node panels within _VALUES values, also for a
-    # cell too big for one call
+    # every integrand call is one Gauss rule of whole 12-node panels within
+    # _VALUES values, also for a cell too big for one call, and no call
+    # probes the integrand
     nodes = []
 
     def g(t):
         nodes.append(t.size)
-        return _cos64(t)
+        return np.cos(t)
 
-    cumulative(g, _CASES["groups overflow the budget"][1])
-    assert nodes.count(1) == 1
-    rest = [k for k in nodes if k != 1]
-    assert all(k % 12 == 0 and k <= quadrature._VALUES // 64 for k in rest)
+    _, grid, max_panel = _CASES["one cell over several calls"]
+    cumulative(g, grid, max_panel=max_panel)
+    assert all(k % 12 == 0 and k <= quadrature._VALUES for k in nodes)
+    # the 38,198 starting panels take seven calls: six full ones and the rest
+    assert nodes[:7] == [12 * 5461] * 6 + [12 * (38198 - 6 * 5461)]
 
 
 def test_unsettled_cell_raises_naming_it():
@@ -218,21 +167,20 @@ def test_overflowing_panel_count_raises_naming_cell(grid, max_panel, cell):
 
 
 def test_integrate_is_one_cell_of_cumulative():
-    g = lambda t: np.stack([np.sin(t), np.exp(-t)], axis=-1)
-    assert np.array_equal(integrate(g, 0.3, 9.0),
-                          cumulative(g, [0.3, 9.0])[1])
+    g = lambda t: np.sin(t) * np.exp(-0.1 * t)
+    assert integrate(g, 0.3, 9.0) == cumulative(g, [0.3, 9.0])[1]
 
 
 @pytest.mark.parametrize("call, bound_mb", [
     (lambda: _basis_limits_numeric(1e-4), 4.5),
-    (lambda: cumulative(_cos64, [0.0, 3000.0], max_panel=np.pi / 4), 12.0)],
-    ids=["basis-limits", "64-components"])
+    (lambda: cumulative(np.cos, [0.0, 3e4], max_panel=np.pi / 4), 4.5)],
+    ids=["basis-limits", "long-cell"])
 def test_traced_peak_is_bounded(call, bound_mb):
-    # integrand values are held one budget (quadrature._VALUES) at a time,
-    # per call and per group of cells; only one cell's panel integrals grow
-    # with its panel count (the sin cell up to 1e6 has 87,062 panels, the
-    # 64-component cell 7,640).  Holding every unsettled cell's panels at
-    # once peaked at 8.6 and 65 MB.
+    # integrand values are held one call (quadrature._VALUES) at a time;
+    # only one cell's edges and panel integrals grow with its panel count
+    # (the sin cell up to 1e6 has 87,062 panels, the cos cell 76,396).
+    # Holding every unsettled cell's panels at once peaked at 8.6 MB on
+    # the basis limits.
     tracemalloc.start()
     try:
         call()
