@@ -17,6 +17,15 @@ identity row) is built once in CSC and factored once, with a minimum-degree
 ordering of M^T + M (the 5-point stencil is structurally symmetric but for
 the boundary rows, and this ordering fills about half as much as SuperLU's
 default COLAMD); every time step is then one pair of triangular solves.
+SuperLU factors a panel of columns at a time, with a workspace of about
+16 bytes per unknown and panel column beside the growing factor.  At its
+default width of 20, on a 301 x 153 node grid whose factor holds 21.3 MB,
+the factorization peaked 36.4 MB above its input; at width 1, 21.4 MB.
+Widths 1, 2 and 4 took the same time there and on 161k unknowns, and the
+width moves the factor by round-off only (it reorders the column
+updates), so it is the constant ``_PANEL``, not a setting.  A is released
+before the factorization and M after it: while it runs, only M and the
+growing factor are alive.
 The driver is prepared once per solve (``PdeModel.driver`` evaluates its
 x-dependent factor on the mesh and returns the map v -> f); each step
 applies only that map.
@@ -46,6 +55,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+
+# SuperLU's panel width: its workspace grows with the width, its speed did not
+_PANEL = 1
 
 
 class PdeError(RuntimeError):
@@ -233,10 +246,12 @@ def solve_pde(model: PdeModel, grid: Grid2D) -> GridSolution:
     A, X1, X2 = _assemble(model, grid)
     nx, ny = X1.shape
     M = load_solver().identity(nx * ny, format="csc") - grid.dt_fd * A
+    del A   # while splu runs, only M and the growing factor are alive
     try:
-        lu = splu(M, permc_spec="MMD_AT_PLUS_A")
+        lu = splu(M, permc_spec="MMD_AT_PLUS_A", panel_size=_PANEL)
     except RuntimeError as exc:
         raise PdeError(f"implicit-step factorization failed: {exc}") from exc
+    del M
 
     v = np.asarray(model.H(X1, X2), dtype=float)
     drive = model.driver(X1, X2)

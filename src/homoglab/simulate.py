@@ -186,6 +186,13 @@ def _run_blocks(model, x0, grid, n_paths, seed, substeps, block_size):
         if value < 1:
             raise SimulationError(f"{name} must be at least 1, got {value}")
     x0 = np.asarray(x0, dtype=float).reshape(2)
+    # every block starts at x0, so one check refuses, before any step, a
+    # fast start x0[0]/eps that overflows (Python floats: inf, no warning)
+    if model.eps is not None:
+        eps, start = float(model.eps), float(x0[0])
+        if not np.isfinite(start / eps):
+            raise SimulationError(f"eps = {eps}: the fast start x0[0]/eps "
+                                  f"= {start}/{eps} overflows")
     dt_f = grid.t_end / (grid.n_steps * substeps)
     sq = np.sqrt(dt_f)
     k = model.k

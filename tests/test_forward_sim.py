@@ -1,3 +1,4 @@
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -73,6 +74,29 @@ def test_nonpositive_block_size_or_substeps_refused(switch_family, switch_avg,
                            match=f"{name} must be at least 1, got {value}"):
             simulate_fn(*args, [0.0, 0.0], small_grid, 10, seed=1,
                         **{name: value})
+
+
+def test_overflowing_fast_start_refused_before_stepping(monkeypatch,
+                                                         switch_family,
+                                                         small_grid):
+    # x0[0]/eps overflows at eps 1e-310: the run is refused before its first
+    # Euler step, naming eps, with no numpy warning; it failed at step 1 as
+    # a non-finite state, after overflow and invalid-value warnings.  At
+    # x0[0] = 0 the start is finite and the run is not refused here
+    steps = []
+    forward = hl.CoefficientFamily.forward
+    monkeypatch.setattr(hl.CoefficientFamily, "forward",
+                        lambda *a: steps.append(1) or forward(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError, match=r"^eps = 1e-310: the fast "
+                           r"start x0\[0\]/eps = 0.5/1e-310 overflows$"):
+            hl.simulate_eps(switch_family, 1e-310, [0.5, 0.0], small_grid, 10,
+                            seed=1, block_size=4)
+    assert steps == []
+    b = hl.simulate_eps(switch_family, 1e-300, [0.0, 0.0], small_grid, 3,
+                        seed=1)
+    assert np.all(b.X[:, 0] == 0.0)
 
 
 def test_path_prefix_stability(switch_family, small_grid):

@@ -296,7 +296,12 @@ def test_run_convergence_solves_each_fd_grid_once(tmp_path, monkeypatch):
     # refined one first.  On one worker both solves run in the caller after
     # the last Monte Carlo run, so the runs' arrays are freed before the FD
     # solves start; on a pool they are jobs beside the runs.  Each process
-    # appends its calls to one log
+    # appends its calls to one log.  The one-worker order is measured, by
+    # the peak RSS of one converge in a fresh process: asking for the FD
+    # results first lowers the demo benchmark workload's peak from 84.5 to
+    # 77.9 MB but raises the full-size demo's at --threads 1 from 163.0 to
+    # 167.6 MB, so the runs go first (the parent, with SuperLU's default
+    # panel width, read 85.6 -> 81.2 and 163.0 -> 168.1 MB)
     doc = _tiny_doc()
     del doc["corrector"]
     cfg = hl.ExperimentConfig.from_dict(doc)
@@ -813,6 +818,26 @@ def test_cli_tiny_eps_corrector_runs(tmp_path):
             first, last = (r[key] for r in rows)
             assert np.isfinite([first, last]).all(), key
             assert 0.0 <= last <= first, (key, first, last)
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "bsde", "converge"])
+def test_cli_overflowing_fast_start_fails_naming_eps(tmp_path, capsys, cmd):
+    # at eps 1e-310 the fast start x0[0]/eps overflows: each subcommand that
+    # steps the paths exits 1 naming eps before the row's first Euler step,
+    # where it failed with "non-finite state at step 1, path 0" after numpy's
+    # overflow and invalid-value warnings; the one warning left is the
+    # substeps cap's (`corrector` runs on this ladder, see above)
+    doc = _tiny_doc()
+    doc["eps_list"] = [1.0, 1e-310]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main([cmd, _write_cfg(tmp_path, doc),
+                         "--out", str(tmp_path / "out")]) == 1
+    assert "eps = 1e-310: the fast start x0[0]/eps = 0.5/1e-310 overflows" \
+        in capsys.readouterr().err
+    assert [str(w.message) for w in caught] == [
+        "eps = 1e-310 needs inf substeps but substeps_cap = 64; the fast "
+        "scale is under-resolved"]
 
 
 def test_cli_subcommands_smoke(tmp_path):

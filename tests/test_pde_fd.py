@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -80,11 +84,86 @@ def test_dirichlet_step_rows(monkeypatch):
             assert np.array_equal(M[r], expect), (i, j)
 
 
-@pytest.mark.parametrize("g", [Grid2D(4.0, 4.0, 41, 21, 0.025, 0.5)],
-                         ids=["centered-dirichlet"])
+def test_factor_takes_the_panel_constant_with_the_operator_released(
+        monkeypatch):
+    # solve_pde factors M with the module's small panel width (SuperLU's
+    # default of 20 holds a workspace 20 columns wide), and the operator
+    # that _assemble returned is dead by then: only M and the growing factor
+    # are alive while splu runs
+    ops, seen = [], []
+
+    def assemble(*args, _fn=_assemble):
+        out = _fn(*args)
+        ops.append(weakref.ref(out[0]))
+        return out
+
+    def capture(M, **kwargs):
+        seen.append((kwargs, [op() for op in ops]))
+        return splu(M, **kwargs)
+    monkeypatch.setattr(pde_fd, "_assemble", assemble)
+    monkeypatch.setattr(pde_fd, "splu", capture)
+    solve_pde(jump_model(), Grid2D(1.0, 1.0, 5, 3, 0.01, 0.1))
+    assert pde_fd._PANEL in (1, 2, 4)
+    assert seen == [({"permc_spec": "MMD_AT_PLUS_A",
+                      "panel_size": pde_fd._PANEL}, [None])]
+
+
+def test_factorization_peak_is_the_factor():
+    # one solve on the fd_corrector benchmark's refined grid (301 x 153
+    # nodes), in a fresh process: splu's peak above its input is the
+    # factor's own resident growth plus at most MARGIN MB.  Measured, the
+    # factor grows 21.3-22.5 MB and the peak exceeds it by -0.6 to +1.7 MB
+    # at widths 1, 2 and 4, by 6.7 MB at width 8 and by 15.1 MB at
+    # SuperLU's default width of 20 (36.4 MB above the input).  The peak is
+    # the process's own high-water mark, VmHWM: a child's ru_maxrss starts
+    # at the high-water mark of the process that spawned it (Linux carries
+    # it over the exec), here the test runner's
+    script = """
+import json
+import homoglab as hl
+from homoglab import pde_fd
+
+def status(key):
+    # the /proc/self/status line of key, in MB
+    with open("/proc/self/status") as fh:
+        for line in fh:
+            if line.startswith(key + ":"):
+                return int(line.split()[1]) / 1024
+
+fam = hl.make_family("slowvary")
+model = pde_fd.PdeModel.from_averaged(hl.build_averaged(fam), fam.terminal)
+grid = pde_fd.Grid2D(5.0, 3.0, 149, 75, 0.0125, 0.5).refined()
+seen, splu = {}, pde_fd.splu
+
+def measured(M, **kwargs):
+    before = status("VmRSS")
+    lu = splu(M, **kwargs)
+    seen.update(factor=status("VmRSS") - before,
+                peak=status("VmHWM") - before)
+    return lu
+pde_fd.splu = measured
+pde_fd.solve_pde(model, grid)
+print(json.dumps(seen))
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hl.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    MARGIN = 3.0
+    assert seen["factor"] > 15.0, seen      # the factor holds ~21 MB
+    assert seen["peak"] <= seen["factor"] + MARGIN, seen
+
+
+@pytest.mark.parametrize("g", [Grid2D(4.0, 4.0, 41, 21, 0.025, 0.5),
+                               Grid2D(5.0, 3.0, 199, 99, 0.003125, 0.5)],
+                         ids=["centered-dirichlet", "demo-refined"])
 def test_fd_matches_colamd_reference(switch_avg, switch_family, g):
-    # reference time loop: SuperLU's default COLAMD ordering and the full
-    # driver f(x, v) on every step; solve_pde differs only in round-off
+    # reference time loop: SuperLU's default COLAMD ordering and panel
+    # width and the full driver f(x, v) on every step; solve_pde differs
+    # only in round-off, also on the demo benchmark's refined grid
+    # (201 x 101 nodes, 160 steps)
     m = PdeModel.from_averaged(switch_avg, switch_family.terminal)
     A, X1, X2 = _assemble(m, g)
     nx, ny = X1.shape
@@ -93,7 +172,7 @@ def test_fd_matches_colamd_reference(switch_avg, switch_family, g):
     edge = np.ones((nx, ny), dtype=bool)
     edge[1:-1, 1:-1] = False
     v = h = m.H(X1, X2)
-    for _ in range(20):
+    for _ in range(g.n_steps):
         rhs = v + g.dt_fd * switch_avg.f(X1, X2, v)
         rhs[edge] = h[edge]
         v = lu.solve(rhs.ravel()).reshape(nx, ny)
