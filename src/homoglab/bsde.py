@@ -13,14 +13,13 @@ grid conditional variation and up-crossing counts.
 from __future__ import annotations
 
 import itertools
-import json
 import struct
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .simulate import PathBundle, mean_stderr
+from .simulate import PathBundle, mean_stderr, write_container
 
 _MAGIC = b"HMGS1"
 _VERSION = 1
@@ -77,8 +76,13 @@ class BsdeSolution:
     condition_numbers: np.ndarray  # per interior step
     cv: float                      # grid conditional variation of Y (debiased)
     cv_stderr: float
-    sup_abs_y: float               # E sup_s |Y_s|
+    sup_y: np.ndarray              # (n_paths,) sup_s |Y_s| of each path
     eps: Optional[float]
+
+    @property
+    def sup_abs_y(self) -> float:
+        """E sup_s |Y_s|."""
+        return float(np.mean(self.sup_y))
 
     def save(self, path, dt):
         n_paths, n_steps1 = self.Y.shape
@@ -86,18 +90,13 @@ class BsdeSolution:
         header = struct.pack(
             "<5sIQQQdd", _MAGIC, _VERSION, n_paths, n_steps1 - 1, k,
             float("nan") if self.eps is None else self.eps, dt)
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(self.Y, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.Z, dtype="<f8").tobytes())
-        meta = {"Y0": self.Y0, "Y0_stderr": self.Y0_stderr,
-                "picard_residuals": list(self.picard_residuals),
-                "max_condition_number": float(np.max(self.condition_numbers))
-                if self.condition_numbers.size else 0.0,
-                "cv": self.cv, "cv_stderr": self.cv_stderr,
-                "sup_abs_y": self.sup_abs_y, "eps": self.eps}
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(meta, fh, sort_keys=True)
+        write_container(path, header, (self.Y, self.Z), {
+            "Y0": self.Y0, "Y0_stderr": self.Y0_stderr,
+            "picard_residuals": list(self.picard_residuals),
+            "max_condition_number": float(np.max(self.condition_numbers))
+            if self.condition_numbers.size else 0.0,
+            "cv": self.cv, "cv_stderr": self.cv_stderr,
+            "sup_abs_y": self.sup_abs_y, "eps": self.eps})
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +193,7 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
     Z = np.zeros((n, m, k))
     Y[:, m] = np.asarray(spec.terminal(bundle.X[:, m, :]), dtype=float)
     y_next = Y[:, m].copy()     # contiguous copy of the column Y[:, s + 1]
+    sup_y = np.abs(y_next)      # running sup_s |Y_s| of each path
     conds = np.zeros(m - 1)
     picard = np.zeros(spec.n_picard)
 
@@ -219,6 +219,7 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
             picard[j] = max(picard[j], float(np.sqrt(np.mean((y_new - y) ** 2))))
             y = y_new
         Y[:, s] = y = np.clip(y, -spec.y_bound, spec.y_bound)
+        np.maximum(sup_y, np.abs(y), out=sup_y)
         rollout += dt * np.asarray(drive(y), dtype=float)
         # one fit for the k Z columns and the increment of Y; Z is fitted
         # on the martingale increment (y_next - cont) dB/dt, whose
@@ -247,6 +248,7 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
         y0 = y0_new
     y0 = float(np.clip(y0, -spec.y_bound, spec.y_bound))
     Y[:, 0] = y0
+    np.maximum(sup_y, abs(y0), out=sup_y)
     rollout += dt * np.asarray(drive(Y[:, 0]), dtype=float)
     Z[:, 0, :] = np.mean((Y[:, 1] - cont0)[:, None] * bundle.dB[:, 0, :] / dt,
                          axis=0)
@@ -262,9 +264,7 @@ def solve_bsde(bundle: PathBundle, spec: BsdeSpec) -> BsdeSolution:
     return BsdeSolution(
         Y0=y0, Y0_stderr=mean_stderr(rollout)[1], Y=Y, Z=Z,
         picard_residuals=residuals, condition_numbers=conds,
-        cv=cv, cv_stderr=cv_stderr,
-        sup_abs_y=float(np.mean(np.max(np.abs(Y), axis=1))),
-        eps=bundle.eps)
+        cv=cv, cv_stderr=cv_stderr, sup_y=sup_y, eps=bundle.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +334,7 @@ def tightness_row(sol: BsdeSolution, dt: float) -> dict:
         "cv": sol.cv,
         "sup_abs_y": sol.sup_abs_y,
         "cv_plus_sup": sol.cv + sol.sup_abs_y,
-        "energy": float(np.mean(np.max(np.abs(sol.Y), axis=1) ** 2))
+        "energy": float(np.mean(sol.sup_y ** 2))
         + float(np.mean(np.sum(sol.Z ** 2, axis=(1, 2))) * dt),
         "upcrossings": {f"{a}:{b}": _upcrossings_batch(sol.Y, a, b)
                         for a, b in UPCROSSING_BANDS},

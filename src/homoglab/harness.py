@@ -19,7 +19,7 @@ import sys
 import threading
 import warnings
 from dataclasses import asdict, dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from types import SimpleNamespace
 from typing import Optional
 
@@ -28,8 +28,8 @@ import numpy as np
 from . import corrector as corr
 from . import families, pde_fd
 from .bsde import BsdeSpec, solve_bsde, tightness_certificate, tightness_row
-from .simulate import PathBundle, SimGrid, SimulationError, mean_stderr, \
-    moment_report, occupation_time, simulate_avg, simulate_eps
+from .simulate import PathBundle, SimGrid, SimulationError, drift_gap, \
+    mean_stderr, moment_report, occupation_time, simulate_avg, simulate_eps
 
 
 class ConfigError(ValueError):
@@ -412,21 +412,23 @@ class Stages:
         """A handle of each ``(job, key)`` of ``jobs``, in list order, whose
         ``result()`` returns ``job(self, key)`` or raises its exception.
 
-        A job reduces its work where it runs, so only its result, never a
-        run's paths or solution, reaches the caller.  With ``n_workers`` > 1
-        and the ``fork`` start method, the jobs are submitted in list order
-        to min(n_workers, jobs) forked worker processes, which inherit this
-        ``Stages`` (its averaged model built first), and the sweep returns
-        when every job has ended.  Otherwise, and when the caller runs
-        other threads (a fork copies any lock one of them holds), a job
-        runs here when its result is asked for.  Stage seeds make the
-        results independent of ``n_workers``.
+        The jobs start in list order, and each handle holds its job's
+        result or exception until it is asked for, as a ``Future`` does;
+        the sweep returns when every job has ended.  A job reduces its work
+        where it runs, so only its result, never a run's paths or solution,
+        outlives it.  With ``n_workers`` > 1 and the ``fork`` start method,
+        the jobs go to min(n_workers, jobs) forked worker processes, which
+        inherit this ``Stages`` (its averaged model built first).
+        Otherwise, and when the caller runs other threads (a fork copies
+        any lock one of them holds), they run here, one after another, so
+        the memory of one job (an FD factor, a run's paths) is freed before
+        the next starts.
+        Stage seeds make the results independent of ``n_workers``.
         """
         n = len(jobs)
         if min(n_workers, n) < 2 or threading.active_count() > 1 \
                 or not hasattr(os, "fork"):
-            return [SimpleNamespace(result=partial(job, self, key))
-                    for job, key in jobs]
+            return [_ran(job, self, key) for job, key in jobs]
         self.avg   # built before the fork, so that no worker builds it
         # imported here, so a run on one worker never loads multiprocessing
         import multiprocessing
@@ -470,6 +472,21 @@ def _worker_job(job, key):
     return job(_worker_stages, key)
 
 
+def _ran(job, st: Stages, key):
+    """The handle of ``job(st, key)``, run now: its ``result()`` returns the
+    job's result or raises the job's exception."""
+    try:
+        value, error = job(st, key), None
+    except Exception as exc:
+        value, error = None, exc
+
+    def result():
+        if error is not None:
+            raise error
+        return value
+    return SimpleNamespace(result=result)
+
+
 def _report_row(st: Stages, i: int) -> dict:
     """The report's row job.  An eps row is reduced to its report row (all
     but ``error``, which needs the averaged run), its drift-gap row (the
@@ -494,15 +511,11 @@ def _report_row(st: Stages, i: int) -> dict:
                 "occupation": {"estimates": [{"n": n, "mean": _cell(m, s)}
                                              for n, (m, s) in occ.items()],
                                "slope": slope}}
-    x1, x2, y = bundle.x1()[:, :-1], bundle.x2()[:, :-1], sol.Y[:, :-1]
-    gap = st.fam.at(eps).driver(x1, x2)(y) - st.avg.driver(x1, x2)(y)
-    integral = np.cumsum(gap * dt, axis=1)
     return {"row": {"eps": eps, "Y0": y0, "cv": _cell(sol.cv, sol.cv_stderr),
-                    "sup_abs_y": _cell(*mean_stderr(
-                        np.max(np.abs(sol.Y), axis=1))),
+                    "sup_abs_y": _cell(*mean_stderr(sol.sup_y)),
                     "moments": moments},
-            "drift_gap": {"eps": eps, "gap": _cell(*mean_stderr(
-                np.max(np.abs(integral), axis=1)))},
+            "drift_gap": {"eps": eps, "gap": _cell(
+                *drift_gap(bundle, sol.Y, st.fam.at(eps), st.avg))},
             "tightness": tightness_row(sol, dt)}
 
 

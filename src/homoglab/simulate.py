@@ -36,6 +36,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .families import AveragedModel, CoefficientFamily
+from .quadrature import _VALUES
 
 # the normals a block draws at a time, in doubles (8 MiB), unless one
 # coarse step's draws need more
@@ -99,19 +100,16 @@ class PathBundle:
             _HEADER, _MAGIC, _VERSION, self.n_paths, self.grid.n_steps,
             self.d, self.k, self.seed & 0xFFFFFFFFFFFFFFFF,
             float("nan") if self.eps is None else self.eps, self.grid.t_end)
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(np.ascontiguousarray(self.X, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.dB, dtype="<f8").tobytes())
-        sidecar = {"magic": _MAGIC.decode(), "version": _VERSION,
-                   "n_paths": self.n_paths, "n_steps": self.grid.n_steps,
-                   "d": self.d, "k": self.k, "seed": self.seed,
-                   "eps": self.eps, "t_end": self.grid.t_end}
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(sidecar, fh, sort_keys=True)
+        write_container(path, header, (self.X, self.dB), {
+            "magic": _MAGIC.decode(), "version": _VERSION,
+            "n_paths": self.n_paths, "n_steps": self.grid.n_steps,
+            "d": self.d, "k": self.k, "seed": self.seed, "eps": self.eps,
+            "t_end": self.grid.t_end})
 
     @classmethod
     def load(cls, path):
+        """The bundle saved at ``path``; refuses a bad header, a payload of
+        the wrong size and a file whose sha256 is not its sidecar's."""
         with open(path, "rb") as fh:
             raw = fh.read()
         size = struct.calcsize(_HEADER)
@@ -128,12 +126,41 @@ class PathBundle:
             raise SimulationError(
                 f"container payload is {len(raw) - size} bytes, "
                 f"expected {expected}")
+        with open(str(path) + ".json") as fh:
+            recorded = json.load(fh).get("sha256")
+        digest = _sha256([raw])
+        if digest != recorded:
+            raise SimulationError(f"{path} has sha256 {digest}, but its "
+                                  f"sidecar records {recorded}")
         X = np.frombuffer(raw, "<f8", count=nX, offset=size).reshape(
             n_paths, n_steps + 1, d + 1).copy()
         dB = np.frombuffer(raw, "<f8", offset=size + 8 * nX).reshape(
             n_paths, n_steps, k).copy()
         return cls(grid=SimGrid(t_end, int(n_steps)), X=X, dB=dB,
                    seed=int(seed), eps=None if np.isnan(eps) else float(eps))
+
+
+def write_container(path, header: bytes, arrays, sidecar: dict) -> None:
+    """A binary container: ``header`` then each array as little-endian
+    doubles at ``path``, and at ``path.json`` the ``sidecar`` with the
+    file's sha256."""
+    parts = [header] + [np.ascontiguousarray(a, dtype="<f8") for a in arrays]
+    with open(path, "wb") as fh:
+        for part in parts:
+            fh.write(part)
+    with open(str(path) + ".json", "w") as fh:
+        json.dump({**sidecar, "sha256": _sha256(parts)}, fh, sort_keys=True)
+
+
+def _sha256(parts) -> str:
+    """The sha256 of the concatenated ``parts`` (bytes or arrays)."""
+    # imported on use: OpenSSL loaded while the package still compiles its
+    # modules raised the peak RSS of `import homoglab.cli` by ~0.35 MB
+    import hashlib
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
 
 
 class _Rekeyed:
@@ -269,21 +296,59 @@ def mean_stderr(sample):
             float(np.std(sample) / np.sqrt(len(sample))))
 
 
+def _column_blocks(paths: np.ndarray) -> list:
+    """Column slices that cut an ``(n_paths, n_cols)`` path array into
+    blocks of at most ``quadrature._VALUES`` values (and at least one
+    column), so a reduction over the paths holds no full-size temporary."""
+    n_paths, n_cols = paths.shape
+    width = max(1, _VALUES // max(n_paths, 1))
+    return [slice(c, min(c + width, n_cols)) for c in range(0, n_cols, width)]
+
+
 def occupation_time(bundle: PathBundle, n_list: Sequence[int]):
     """{n: (mean, stderr)} of the time X1 spends within 1/n of the
     interface."""
     if bundle.n_paths == 0:
         raise SimulationError("empty bundle")
-    dt = bundle.grid.dt
-    x1 = np.abs(bundle.x1()[:, :-1])   # left endpoints of each step
-    return {int(n): mean_stderr(dt * np.sum(x1 <= 1.0 / n, axis=1))
-            for n in n_list}
+    x1 = bundle.x1()[:, :-1]   # left endpoints of each step
+    counts = {int(n): np.zeros(bundle.n_paths, dtype=int) for n in n_list}
+    for cols in _column_blocks(x1):
+        near = np.abs(x1[:, cols])
+        for n, count in counts.items():
+            count += np.sum(near <= 1.0 / n, axis=1)
+    return {n: mean_stderr(bundle.grid.dt * count)
+            for n, count in counts.items()}
 
 
 def moment_report(bundle: PathBundle, k_list: Sequence[int]):
     """{k: (mean, stderr)} of sup_s (|X1_s|^{2k} + |X2_s|^{2k})."""
-    x1 = np.abs(bundle.x1())
-    x2 = np.abs(bundle.x2())
-    return {int(kk): mean_stderr(np.max(x1 ** (2 * kk) + x2 ** (2 * kk),
-                                        axis=1))
-            for kk in k_list}
+    sups = {int(kk): np.full(bundle.n_paths, -np.inf) for kk in k_list}
+    for cols in _column_blocks(bundle.x1()):
+        x1 = np.abs(bundle.x1()[:, cols])
+        x2 = np.abs(bundle.x2()[:, cols])
+        for kk, sup in sups.items():
+            np.maximum(sup, np.max(x1 ** (2 * kk) + x2 ** (2 * kk), axis=1),
+                       out=sup)
+    return {kk: mean_stderr(sup) for kk, sup in sups.items()}
+
+
+def drift_gap(bundle: PathBundle, Y: np.ndarray, model: CoefficientFamily,
+              avg: AveragedModel):
+    """(mean, stderr) of sup_s |int_0^s (f - fbar)(X1_u, X2_u, Y_u) du|, the
+    gap between the drivers of ``model`` (the bundle's eps model) and of
+    the averaged model along the paths and the backward solution ``Y``,
+    integrated by left endpoints.
+
+    The running integral and its running sup go a column block at a time:
+    each block's first column adds the integral so far, so the sums run
+    left to right as ``np.cumsum(axis=1)`` does, to the bit."""
+    integral, sup = 0.0, np.zeros(bundle.n_paths)
+    for cols in _column_blocks(Y[:, :-1]):
+        x1, x2, y = bundle.x1()[:, cols], bundle.x2()[:, cols], Y[:, cols]
+        gap = model.driver(x1, x2)(y) - avg.driver(x1, x2)(y)
+        gap *= bundle.grid.dt
+        gap[:, 0] += integral
+        np.cumsum(gap, axis=1, out=gap)
+        integral = gap[:, -1].copy()
+        np.maximum(sup, np.max(np.abs(gap), axis=1), out=sup)
+    return mean_stderr(sup)

@@ -210,10 +210,13 @@ def test_solution_container_roundtrip(switch_family, switch_bundle, tmp_path):
     p = tmp_path / "sol.bin"
     sol.save(p, switch_bundle.grid.dt)
     assert p.read_bytes()[:5] == b"HMGS1"
+    import hashlib
     import json
     meta = json.loads((tmp_path / "sol.bin.json").read_text())
     assert meta["Y0"] == pytest.approx(sol.Y0)
     assert meta["eps"] == 0.3
+    # the sidecar holds the sha256 of the binary file
+    assert meta["sha256"] == hashlib.sha256(p.read_bytes()).hexdigest()
 
 
 def test_picard_residuals_contract(switch_family, switch_bundle):
@@ -349,7 +352,7 @@ def _path_row(path, eps):
     return hl.tightness_row(hl.BsdeSolution(
         Y0=Y[0, 0], Y0_stderr=0.0, Y=Y, Z=np.zeros((1, Y.shape[1] - 1, 1)),
         picard_residuals=[], condition_numbers=np.zeros(0), cv=1.0,
-        cv_stderr=0.0, sup_abs_y=1.0, eps=eps), dt=0.5)
+        cv_stderr=0.0, sup_y=np.ones(1), eps=eps), dt=0.5)
 
 
 def test_tightness_upcrossing_ratio_unbounded_when_one_row_has_none():

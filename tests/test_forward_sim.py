@@ -1,3 +1,5 @@
+import hashlib
+import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -295,6 +297,24 @@ def test_container_rejects_bad_magic(switch_bundle, tmp_path):
     p.write_bytes(bytes(raw))
     with pytest.raises(SimulationError):
         hl.PathBundle.load(p)
+
+
+def test_container_refuses_a_flipped_payload_byte(switch_bundle, tmp_path):
+    # the sidecar holds the sha256 of the whole file; one flipped payload
+    # byte keeps the header and the size, and is refused naming the file
+    # and both digests
+    p = tmp_path / "paths.bin"
+    switch_bundle.save(p)
+    raw = bytearray(p.read_bytes())
+    recorded = json.loads((tmp_path / "paths.bin.json").read_text())["sha256"]
+    assert recorded == hashlib.sha256(raw).hexdigest()
+    raw[len(raw) // 2] ^= 0x01
+    p.write_bytes(bytes(raw))
+    flipped = hashlib.sha256(raw).hexdigest()
+    with pytest.raises(SimulationError) as exc:
+        hl.PathBundle.load(p)
+    assert str(exc.value) == (f"{p} has sha256 {flipped}, but its sidecar "
+                              f"records {recorded}")
 
 
 @pytest.fixture(scope="module")

@@ -293,15 +293,11 @@ def test_no_rise_allows_the_combined_stderr():
 def test_run_convergence_solves_each_fd_grid_once(tmp_path, monkeypatch):
     # the Richardson estimate compares the cross-check's coarse solution
     # with one solve on the refined grid: each grid is solved once, the
-    # refined one first.  On one worker both solves run in the caller after
-    # the last Monte Carlo run, so the runs' arrays are freed before the FD
-    # solves start; on a pool they are jobs beside the runs.  Each process
-    # appends its calls to one log.  The one-worker order is measured, by
-    # the peak RSS of one converge in a fresh process: asking for the FD
-    # results first lowers the demo benchmark workload's peak from 84.5 to
-    # 77.9 MB but raises the full-size demo's at --threads 1 from 163.0 to
-    # 167.6 MB, so the runs go first (the parent, with SuperLU's default
-    # panel width, read 85.6 -> 81.2 and 163.0 -> 168.1 MB)
+    # refined one first.  On one worker the sweep runs its jobs in list
+    # order, so both solves run in the caller before the first Monte Carlo
+    # run, and each factor is freed before any path array is allocated; on
+    # a pool they are jobs beside the runs.  Each process appends its calls
+    # to one log.
     doc = _tiny_doc()
     del doc["corrector"]
     cfg = hl.ExperimentConfig.from_dict(doc)
@@ -323,7 +319,7 @@ def test_run_convergence_solves_each_fd_grid_once(tmp_path, monkeypatch):
         (tmp_path / "calls.log").unlink()
         assert sorted(calls) == sorted([fine, coarse] + ["simulate"] * 3)
         if n_workers == 1:
-            assert calls == ["simulate"] * 3 + [fine, coarse]
+            assert calls == [fine, coarse] + ["simulate"] * 3
     assert multiprocessing.active_children() == []
 
 
@@ -419,6 +415,93 @@ def _sweep_matches_in_process(st, submitted):
     submitted.clear()
     hl.run_convergence(st.cfg, 2)
     assert submitted == order
+
+
+def test_one_worker_sweep_runs_every_job_in_list_order():
+    # at one worker the sweep has called every job, in list order, before
+    # it returns: the refined FD grid, the fd block's grid, then the runs
+    # longest first by substeps, the averaged run last, as converge lists
+    # them; each handle holds its job's result or exception, and only its
+    # own result() raises that exception
+    st = Stages(hl.ExperimentConfig.from_dict({**_sweep_doc(),
+                                               "fd": _FD_BLOCK}))
+    called = []
+
+    def job(_, key):
+        called.append(key)
+        if key == 1:
+            raise SimulationError("run 1 failed")
+        return key
+    jobs = [(job, key) for _, key in st.fd_jobs()] + st.runs(job)
+    order = [st.cfg.fd.refined(), st.cfg.fd, 2, 1, 0, 3]
+    handles = st.sweep(jobs, 1)
+    assert called == order
+    for (_, key), handle in zip(jobs, handles):
+        if key == 1:
+            with pytest.raises(SimulationError, match="run 1 failed"):
+                handle.result()
+        else:
+            assert handle.result() == key
+    assert called == order
+
+
+def _full_array_cells(bundle, sol, st):
+    """The full-array formulas of a row's path reductions, the bit oracle
+    of the column-blocked ones: the drift gap sup_s |cumsum of the gap dt|,
+    the moments' and sup|Y|'s running max, and the occupation counts."""
+    dt = bundle.grid.dt
+    x1, x2 = np.abs(bundle.x1()), np.abs(bundle.x2())
+    cells = {
+        "moments": {k: hl.simulate.mean_stderr(
+            np.max(x1 ** (2 * k) + x2 ** (2 * k), axis=1)) for k in (1, 2)},
+        "occupation": {n: hl.simulate.mean_stderr(
+            dt * np.sum(x1[:, :-1] <= 1.0 / n, axis=1))
+            for n in (1, 2, 4, 8, 16, 32)},
+        "sup_y": np.max(np.abs(sol.Y), axis=1)}
+    if bundle.eps is not None:
+        a, b, y = bundle.x1()[:, :-1], bundle.x2()[:, :-1], sol.Y[:, :-1]
+        gap = st.fam.at(bundle.eps).driver(a, b)(y) - st.avg.driver(a, b)(y)
+        cells["gap"] = hl.simulate.mean_stderr(
+            np.max(np.abs(np.cumsum(gap * dt, axis=1)), axis=1))
+    return cells
+
+
+def test_column_blocked_reductions_keep_the_full_array_bits():
+    # 3000 paths take 21-column blocks of quadrature._VALUES = 65536
+    # values: the 51 path columns are blocks of 21, 21 and a ragged 9, and
+    # the 50 step columns 21, 21 and 8.  Every reduced cell equals the
+    # full-array formula to the bit
+    doc = base_config(eps_list=[0.5])
+    doc["mc"] = {"n_paths": 3000, "n_steps": 50, "seed": 17}
+    st = Stages(hl.ExperimentConfig.from_dict(doc))
+    runs = {i: st.run(i) for i in (0, 1)}
+    st.run = runs.__getitem__
+    bundle = runs[0][0]
+    assert [c.stop - c.start for c in hl.simulate._column_blocks(
+        bundle.x1())] == [21, 21, 9]
+    assert [c.stop - c.start for c in hl.simulate._column_blocks(
+        bundle.x1()[:, :-1])] == [21, 21, 8]
+    for i, rec in ((i, _report_row(st, i)) for i in (0, 1)):
+        bundle, sol = runs[i]
+        want = _full_array_cells(bundle, sol, st)
+        assert np.array_equal(sol.sup_y, want["sup_y"])
+        assert hl.simulate.moment_report(bundle, [1, 2]) == want["moments"]
+        assert hl.simulate.occupation_time(bundle, [1, 2, 4, 8, 16, 32]) \
+            == want["occupation"]
+        moments = {str(k): _cell(*ms) for k, ms in want["moments"].items()}
+        if bundle.eps is None:
+            assert rec["averaged"]["moments"] == moments
+            assert rec["occupation"]["estimates"] == [
+                {"n": n, "mean": _cell(*ms)}
+                for n, ms in want["occupation"].items()]
+            continue
+        assert rec["row"]["moments"] == moments
+        assert rec["row"]["sup_abs_y"] == _cell(
+            *hl.simulate.mean_stderr(want["sup_y"]))
+        assert rec["drift_gap"]["gap"] == _cell(*want["gap"])
+        assert rec["tightness"]["energy"] == \
+            float(np.mean(want["sup_y"] ** 2)) \
+            + float(np.mean(np.sum(sol.Z ** 2, axis=(1, 2))) * bundle.grid.dt)
 
 
 def test_report_row_record_holds_no_array():
