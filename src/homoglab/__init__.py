@@ -12,8 +12,8 @@ from .bsde import (BsdeSolution, BsdeSpec, PicardError, RegressionError,
                    tightness_row, upcrossings)
 from .corrector import (CorrectorField, decay_table, residual_check,
                         second_difference)
-from .pde_fd import (Grid2D, GridSolution, PdeError, PdeModel,
-                     richardson_error, solve_pde)
+from .pde_fd import (Grid2D, GridSolution, PdeError, richardson_error,
+                     solve_pde)
 from .harness import (ConfigError, ConvergenceReport, EmitError,
                       ExperimentConfig, PipelineError, emit,
                       run_convergence, split_seed, write_json)

@@ -205,8 +205,10 @@ class TemplateCoefficients:
     slow dimension ``d`` is 1, the Brownian dimension ``k`` 2), so x1 and
     x2 broadcast against each other and every coefficient is a scalar
     array.  A subclass supplies ``basis``, the family ``fam`` whose
-    templates and driver y-shape it evaluates, and ``label``, the model's
-    name in FD output.
+    templates, driver y-shape and terminal data H it evaluates, and
+    ``label``, the model's name in FD output.  A model is the problem:
+    ``solve_pde`` reads its a00, a1, b1, driver, terminal and label,
+    ``solve_bsde`` its terminal and driver, of any object that has them.
     """
     d = 1
     k = 2
@@ -262,7 +264,9 @@ class TemplateCoefficients:
     def driver(self, x1, x2):
         """The driver at (x1, x2) as the map ``y -> f``.  Its y-independent
         factor ``rho_f / rho`` comes from one basis evaluation and one
-        division, made once however often the map is applied."""
+        division, made once however often the map is applied: the one
+        driver contract, which ``solve_bsde`` prepares once per backward
+        step at the bundle's own X1, and ``solve_pde`` once on its mesh."""
         rho, rhof = self._combine(x1, x2, self.fam.rho_t, self.fam.rhof_t)
         coef = rhof / rho
         shape = self.fam.f_y_shape
@@ -270,6 +274,10 @@ class TemplateCoefficients:
 
     def f(self, x1, x2, y):
         return self.driver(x1, x2)(y)
+
+    def terminal(self, x):
+        """The terminal data H at the points ``x``, of shape (..., 2)."""
+        return self.fam.H(np.asarray(x, dtype=float))
 
 
 @dataclass
@@ -323,10 +331,6 @@ class CoefficientFamily(TemplateCoefficients):
     def f_y_shape(self, y):
         c0, c1 = self.f_shape
         return c0 + c1 * np.tanh(np.asarray(y, dtype=float))
-
-    def terminal(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.H(x)
 
 
 # ---------------------------------------------------------------------------

@@ -227,8 +227,7 @@ class ExperimentConfig:
         try:
             # each of these messages starts with the field it refuses
             cfg.grid()
-            BsdeSpec(None, None, cfg.bsde["basis_degree"],
-                     n_picard=cfg.bsde["n_picard"])
+            BsdeSpec(cfg.bsde["basis_degree"], n_picard=cfg.bsde["n_picard"])
             if fd is not None:
                 cfg.fd = pde_fd.Grid2D(float(fd["L1"]), float(fd["L2"]),
                                        fd["n1"], fd["n2"],
@@ -330,10 +329,11 @@ class Stages:
         return self.cfg.corrector or _resolve("corrector", {},
                                               _SCHEMA["corrector"][0])
 
-    def spec(self, driver) -> BsdeSpec:
+    @cached_property
+    def spec(self) -> BsdeSpec:
+        """The regression knobs of every run's backward solve."""
         b = self.cfg.bsde
-        return BsdeSpec(terminal=self.fam.terminal, driver=driver,
-                        basis_degree=b["basis_degree"],
+        return BsdeSpec(basis_degree=b["basis_degree"],
                         include_sign_feature=b["sign_feature"],
                         n_picard=b["n_picard"],
                         y_bound=_y_bound(self.fam, self.cfg.t_end))
@@ -380,7 +380,7 @@ class Stages:
         """(paths, backward solution) of run i."""
         bundle = self.paths(i)
         model = self.avg if bundle.eps is None else self.fam.at(bundle.eps)
-        return bundle, solve_bsde(bundle, self.spec(model.driver))
+        return bundle, solve_bsde(bundle, model, self.spec)
 
     def runs(self, job) -> list:
         """``(job, i)`` of every run i, longest first by substeps (worked
@@ -400,8 +400,7 @@ class Stages:
 
     def fd_solve(self, grid: pde_fd.Grid2D) -> pde_fd.GridSolution:
         """The averaged FD solve on ``grid``."""
-        return pde_fd.solve_pde(
-            pde_fd.PdeModel.from_averaged(self.avg, self.fam.terminal), grid)
+        return pde_fd.solve_pde(self.avg, grid)
 
     def v_fd(self, fine, coarse) -> tuple:
         """The FD value at x0 and its Richardson estimate, from the FD

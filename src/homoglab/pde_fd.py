@@ -1,14 +1,14 @@
 """Semi-implicit finite differences for the d = 1 parabolic problems.
 
 Monte-Carlo-independent cross-check of the probabilistic solvers, run on
-the averaged model (``PdeModel.from_averaged``, which also takes a family
-at its fast scale, ``fam.at(eps)``).  The averaged PDE has
+a model, the averaged one or a family at its fast scale ``fam.at(eps)``,
+whose a00, a1, b1, driver, terminal and label it reads.  The averaged PDE has
 discontinuous coefficients and is meant in the L^p-viscosity sense; it is
 solved on one truncation, the Dirichlet box [-L1, L1] x [-L2, L2] whose
 boundary holds the terminal data H for all time.  The operator matches the
 generator of the simulated process,
 
-    a00(x1, x2) d2/dx1^2 + a11(x1, x2) d2/dx2^2 + b1(x1, x2) d/dx2,
+    a00(x1, x2) d2/dx1^2 + a1(x1, x2) d2/dx2^2 + b1(x1, x2) d/dx2,
 
 with no mixed term and no x1 drift (block diffusion structure).  Diffusion
 and drift are implicit, the semi-linear driver explicit.  The step matrix
@@ -26,7 +26,7 @@ width moves the factor by round-off only (it reorders the column
 updates), so it is the constant ``_PANEL``, not a setting.  A is released
 before the factorization and M after it: while it runs, only M and the
 growing factor are alive.
-The driver is prepared once per solve (``PdeModel.driver`` evaluates its
+The driver is prepared once per solve (``model.driver`` evaluates its
 x-dependent factor on the mesh and returns the map v -> f); each step
 applies only that map.
 
@@ -52,7 +52,6 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -145,31 +144,6 @@ class Grid2D:
 
 
 @dataclass
-class PdeModel:
-    """Coefficient callables on (x1, x2) meshes.
-
-    ``driver(x1, x2)`` returns the map ``v -> f`` on that mesh, as
-    ``BsdeSpec.driver``.  ``from_averaged`` builds the averaged model's,
-    or that of any ``TemplateCoefficients`` model, such as a family at its
-    fast scale, ``fam.at(eps)``, and takes the model's label
-    (``"averaged"``, or ``"eps=0.1"`` for ``fam.at(0.1)``).
-    """
-    a00: Callable
-    a11: Callable
-    b1: Callable
-    driver: Callable
-    H: Callable
-    label: str = "custom"
-
-    @classmethod
-    def from_averaged(cls, model, H) -> "PdeModel":
-        return cls(a00=model.a00, a11=model.a1, b1=model.b1,
-                   driver=model.driver,
-                   H=lambda x1, x2: H(np.stack([x1, x2], axis=-1)),
-                   label=model.label)
-
-
-@dataclass
 class GridSolution:
     grid: Grid2D
     values: np.ndarray         # (n1+2, n2+2) final time slice
@@ -208,7 +182,7 @@ class GridSolution:
             json.dump(header, fh, sort_keys=True)
 
 
-def _assemble(model: PdeModel, grid: Grid2D):
+def _assemble(model, grid: Grid2D):
     """Sparse operator A (CSC) over all nodes, boundary rows left empty."""
     x1, x2 = grid.x1, grid.x2
     nx, ny = x1.size, x2.size
@@ -217,13 +191,13 @@ def _assemble(model: PdeModel, grid: Grid2D):
     def interior(coeff):
         return np.broadcast_to(np.asarray(coeff(X1, X2), dtype=float),
                                X1.shape)[1:-1, 1:-1]
-    a00, a11, b1 = interior(model.a00), interior(model.a11), interior(model.b1)
+    a00, a1, b1 = interior(model.a00), interior(model.a1), interior(model.b1)
     h1, h2 = grid.h1, grid.h2
 
     cw = ce = a00 / h1 ** 2
-    cs = a11 / h2 ** 2 - b1 / (2 * h2)
-    cn = a11 / h2 ** 2 + b1 / (2 * h2)
-    diag = -(cw + ce) - 2 * a11 / h2 ** 2
+    cs = a1 / h2 ** 2 - b1 / (2 * h2)
+    cn = a1 / h2 ** 2 + b1 / (2 * h2)
+    diag = -(cw + ce) - 2 * a1 / h2 ** 2
     # per interior node (i, j), flat index i * ny + j: the west, east,
     # south, north and centre entries of its row
     r = (np.arange(1, nx - 1)[:, None] * ny + np.arange(1, ny - 1))[..., None]
@@ -235,13 +209,14 @@ def _assemble(model: PdeModel, grid: Grid2D):
     return A, X1, X2
 
 
-def solve_pde(model: PdeModel, grid: Grid2D) -> GridSolution:
-    """March the terminal-value problem backward over [0, t_end].
+def solve_pde(model, grid: Grid2D) -> GridSolution:
+    """March the terminal-value problem of ``model`` backward over
+    [0, t_end].
 
     In the time-to-maturity variable the problem is a forward heat flow
-    from v(0) = H; the reported slice is remaining time t_end, so
-    values[i, j] ~ v(0, x) for terminal data at t_end.  The boundary
-    nodes keep H throughout.
+    from v(0) = H (``model.terminal``); the reported slice is remaining
+    time t_end, so values[i, j] ~ v(0, x) for terminal data at t_end.
+    The boundary nodes keep H throughout.
     """
     A, X1, X2 = _assemble(model, grid)
     nx, ny = X1.shape
@@ -253,7 +228,7 @@ def solve_pde(model: PdeModel, grid: Grid2D) -> GridSolution:
         raise PdeError(f"implicit-step factorization failed: {exc}") from exc
     del M
 
-    v = np.asarray(model.H(X1, X2), dtype=float)
+    v = np.asarray(model.terminal(np.stack([X1, X2], axis=-1)), dtype=float)
     drive = model.driver(X1, X2)
     boundary = np.ones((nx, ny), dtype=bool)
     boundary[1:-1, 1:-1] = False

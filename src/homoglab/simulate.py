@@ -226,42 +226,47 @@ def _run_blocks(model, x0, grid, n_paths, seed, substeps, block_size):
     X = np.empty((n_paths, grid.n_steps + 1, 2))
     dB = np.empty((n_paths, grid.n_steps, k))
 
-    for lo in range(0, n_paths, block_size):
-        hi = min(lo + block_size, n_paths)
-        # coarse steps per draw: the budget's worth, at least one
-        chunk = max(1, _NORMALS // ((hi - lo) * substeps * k))
-        gens = _path_streams(seed, range(lo, hi), chunk >= grid.n_steps)
-        x1 = np.full(hi - lo, x0[0])
-        x2 = np.full(hi - lo, x0[1])
-        X[lo:hi, 0] = x0
-        for c0 in range(0, grid.n_steps, chunk):
-            c1 = min(c0 + chunk, grid.n_steps)
-            dW = _path_normals(gens, (c1 - c0) * substeps, k, sq)
-            for cs in range(c0, c1):
-                # the coarse step's normals fine step first, so that each
-                # step reads two contiguous columns (dW0, dW1)
-                f0 = (cs - c0) * substeps
-                steps = dW[:, f0:f0 + substeps].transpose(1, 2, 0).copy()
-                for dw0, dw1 in steps:
-                    # in place on forward's fresh arrays: x1 + phi dW0 and
-                    # (x2 + b1 dt) + sigma1 dW1
-                    phi, b1, s1 = model.forward(x1, x2)
-                    phi *= dw0
-                    x1 += phi
-                    b1 *= dt_f
-                    x2 += b1
-                    s1 *= dw1
-                    x2 += s1
-                finite = np.isfinite(x1) & np.isfinite(x2)
-                if not finite.all():
-                    bad = np.flatnonzero(~finite)[0]
-                    raise SimulationError(f"non-finite state at step "
-                                          f"{cs + 1}, path {lo + int(bad)}")
-                X[lo:hi, cs + 1, 0] = x1
-                X[lo:hi, cs + 1, 1] = x2
-                # summed over the leading axis, left to right: the bits of
-                # dW[:, f0:f0 + substeps].sum(axis=1)
-                dB[lo:hi, cs] = steps.sum(axis=0).T
+    run = "" if model.eps is None else f"eps = {float(model.eps)}: "
+    # a state past the float range (x1/eps at a tiny eps) is refused by the
+    # finiteness check after its coarse step, with no numpy warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, n_paths, block_size):
+            hi = min(lo + block_size, n_paths)
+            # coarse steps per draw: the budget's worth, at least one
+            chunk = max(1, _NORMALS // ((hi - lo) * substeps * k))
+            gens = _path_streams(seed, range(lo, hi), chunk >= grid.n_steps)
+            x1 = np.full(hi - lo, x0[0])
+            x2 = np.full(hi - lo, x0[1])
+            X[lo:hi, 0] = x0
+            for c0 in range(0, grid.n_steps, chunk):
+                c1 = min(c0 + chunk, grid.n_steps)
+                dW = _path_normals(gens, (c1 - c0) * substeps, k, sq)
+                for cs in range(c0, c1):
+                    # the coarse step's normals fine step first, so that each
+                    # step reads two contiguous columns (dW0, dW1)
+                    f0 = (cs - c0) * substeps
+                    steps = dW[:, f0:f0 + substeps].transpose(1, 2, 0).copy()
+                    for dw0, dw1 in steps:
+                        # in place on forward's fresh arrays: x1 + phi dW0 and
+                        # (x2 + b1 dt) + sigma1 dW1
+                        phi, b1, s1 = model.forward(x1, x2)
+                        phi *= dw0
+                        x1 += phi
+                        b1 *= dt_f
+                        x2 += b1
+                        s1 *= dw1
+                        x2 += s1
+                    finite = np.isfinite(x1) & np.isfinite(x2)
+                    if not finite.all():
+                        bad = np.flatnonzero(~finite)[0]
+                        raise SimulationError(
+                            f"{run}non-finite state at step {cs + 1}, "
+                            f"path {lo + int(bad)}")
+                    X[lo:hi, cs + 1, 0] = x1
+                    X[lo:hi, cs + 1, 1] = x2
+                    # summed over the leading axis, left to right: the bits of
+                    # dW[:, f0:f0 + substeps].sum(axis=1)
+                    dB[lo:hi, cs] = steps.sum(axis=0).T
     return PathBundle(grid=grid, X=X, dB=dB, seed=seed, eps=model.eps)
 
 

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,15 @@ def avg_bundle(switch_avg, small_grid):
                            n_paths=2000, seed=12)
 
 
+def problem(model=None, **parts):
+    """A fake model: an object with the attributes the solvers read,
+    ``a00``, ``a1``, ``b1``, ``driver``, ``terminal`` and ``label``, taken
+    from ``model`` unless given in ``parts``."""
+    names = ("a00", "a1", "b1", "driver", "terminal", "label")
+    base = {} if model is None else {n: getattr(model, n) for n in names}
+    return SimpleNamespace(**{**base, **parts})
+
+
 def base_config(**overrides):
     doc = {
         "family": {"id": "switch", "params": [], "d": 1, "k": 2},
@@ -72,14 +83,14 @@ def flow_continuity_check(cfg, x0_list) -> list:
     """
     from scipy import stats
     st = Stages(cfg)
-    spec = st.spec(st.avg.driver)
     runs = []
     for x0 in x0_list:
         x0 = np.asarray(x0, dtype=float)
         bundle = hl.simulate_avg(st.avg, x0, cfg.grid(), cfg.mc["n_paths"],
                                  seed=hl.split_seed(cfg.mc["seed"], "flow"),
                                  block_size=cfg.mc["block_size"])
-        runs.append((x0, bundle, hl.solve_bsde(bundle, spec)))
+        sol = hl.solve_bsde(bundle, st.avg, st.spec)
+        runs.append((x0, bundle, sol))
     table = []
     for (x0a, ba, sa), (x0b, bb, sb) in zip(runs, runs[1:]):
         ks = max(float(stats.ks_2samp(ba.X[:, -1, c], bb.X[:, -1, c]).statistic)

@@ -18,7 +18,7 @@ import conftest
 import homoglab as hl
 from homoglab.bsde import BsdeSpec
 from homoglab.families import _basis_limits_numeric, _compare_models
-from homoglab.pde_fd import Grid2D, PdeModel, richardson_error, solve_pde
+from homoglab.pde_fd import Grid2D, richardson_error, solve_pde
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 with open(os.path.join(FIXTURES, "reference_tolerances.json")) as _f:
@@ -98,20 +98,19 @@ def test_criterion_03_bsde_closed_forms():
     zero = lambda x: np.zeros(np.asarray(x).shape[:-1])
     t, dt = grid.t_end, grid.dt
 
-    s1 = hl.solve_bsde(b, BsdeSpec(terminal=ones,
-                                   driver=lambda x1, x2: lambda y: 0.0 * y,
-                                   basis_degree=2))
+    spec = BsdeSpec(basis_degree=2)
+
+    s1 = hl.solve_bsde(b, conftest.problem(
+        terminal=ones, driver=lambda x1, x2: lambda y: 0.0 * y), spec)
     ok1 = abs(s1.Y0 - 1.0) <= max(s1.Y0_stderr, 1e-12)
 
     c = 0.8
-    s2 = hl.solve_bsde(b, BsdeSpec(terminal=zero,
-                                   driver=lambda x1, x2: lambda y: c + 0.0 * y,
-                                   basis_degree=2))
+    s2 = hl.solve_bsde(b, conftest.problem(
+        terminal=zero, driver=lambda x1, x2: lambda y: c + 0.0 * y), spec)
     ok2 = abs(s2.Y0 - c * t) <= 3 * s2.Y0_stderr + dt * abs(c)
 
-    s3 = hl.solve_bsde(b, BsdeSpec(terminal=ones,
-                                   driver=lambda x1, x2: lambda y: -y,
-                                   basis_degree=2))
+    s3 = hl.solve_bsde(b, conftest.problem(
+        terminal=ones, driver=lambda x1, x2: lambda y: -y), spec)
     ok3 = abs(s3.Y0 - np.exp(-t)) <= 3 * s3.Y0_stderr + 5 * dt
 
     ok = ok1 and ok2 and ok3
@@ -172,15 +171,13 @@ def test_criterion_07_fd_bsde_oracle_triangle():
     avg = hl.build_averaged(fam)
     grid = hl.SimGrid(0.5, 50)
     b = hl.simulate_avg(avg, [0.5, 0.0], grid, 20000, seed=707)
-    sol = hl.solve_bsde(b, BsdeSpec(
-        terminal=fam.terminal, driver=avg.driver, basis_degree=3,
-        include_sign_feature=True, y_bound=3.0))
+    sol = hl.solve_bsde(b, avg, BsdeSpec(
+        basis_degree=3, include_sign_feature=True, y_bound=3.0))
     g = Grid2D(5.0, 5.0, 199, 199, 0.0125, 0.5)
-    model = PdeModel.from_averaged(avg, fam.terminal)
-    v_fd = solve_pde(model, g).at(0.5, 0.0)
+    v_fd = solve_pde(avg, g).at(0.5, 0.0)
     coarse = Grid2D(5.0, 5.0, 99, 99, 0.025, 0.5)
-    rich = richardson_error(solve_pde(model, coarse),
-                            solve_pde(model, coarse.refined()))
+    rich = richardson_error(solve_pde(avg, coarse),
+                            solve_pde(avg, coarse.refined()))
     gap = abs(v_fd - sol.Y0)
     allow = 3 * sol.Y0_stderr + rich + 2 * grid.dt
     elapsed = time.time() - t0
@@ -242,13 +239,11 @@ def test_criterion_10_comparison_monotonicity():
         ys = np.linspace(-2, 2, 81)
         fy = avg.f(0.5, np.zeros((1, 1)), ys[:, None])[:, 0]
         L = float(np.max(np.abs(np.diff(fy) / np.diff(ys))))
-        base = BsdeSpec(terminal=fam.terminal, driver=avg.driver,
-                        basis_degree=3, include_sign_feature=True)
-        lifted = BsdeSpec(
-            terminal=lambda x, H=fam.terminal: H(x) + 0.1,
-            driver=avg.driver, basis_degree=3, include_sign_feature=True)
-        y0a = hl.solve_bsde(b, base)
-        y0b = hl.solve_bsde(b, lifted)
+        spec = BsdeSpec(basis_degree=3, include_sign_feature=True)
+        lifted = conftest.problem(
+            avg, terminal=lambda x, H=avg.terminal: H(x) + 0.1)
+        y0a = hl.solve_bsde(b, avg, spec)
+        y0b = hl.solve_bsde(b, lifted, spec)
         dy = y0b.Y0 - y0a.Y0
         se = float(np.hypot(y0a.Y0_stderr, y0b.Y0_stderr))
         t = grid.t_end

@@ -4,6 +4,7 @@ import pytest
 import homoglab as hl
 from homoglab.bsde import (BsdeSpec, _projector, _upcrossings_batch,
                            feature_matrix, upcrossings)
+from conftest import problem
 
 
 def ones_terminal(x):
@@ -125,12 +126,23 @@ def test_projector_refuses_only_zero_matrix(gap):
         _projector(np.zeros((10, 3)), 5)
 
 
+def test_spec_bounds_picard_sweeps():
+    # a sweep passes the driver over every path at every backward step, and
+    # past a handful of sweeps the residual is below round-off: a count
+    # above MAX_PICARD is refused by name, not run
+    assert BsdeSpec(n_picard=hl.bsde.MAX_PICARD).n_picard == 64
+    for n in (0, hl.bsde.MAX_PICARD + 1, 10 ** 9):
+        with pytest.raises(ValueError,
+                           match=r"^n_picard must be in \[1, 64\]$"):
+            BsdeSpec(n_picard=n)
+
+
 def test_terminal_only_mean(const_family, small_grid):
     avg = hl.build_averaged(const_family)
     b = hl.simulate_avg(avg, [0.5, 0.0], small_grid, 500, seed=1)
-    sol = hl.solve_bsde(b, BsdeSpec(terminal=ones_terminal,
-                                    driver=lambda x1, x2: lambda y: 0.0 * y,
-                                    basis_degree=2))
+    sol = hl.solve_bsde(b, problem(terminal=ones_terminal,
+                                   driver=lambda x1, x2: lambda y: 0.0 * y),
+                        BsdeSpec(basis_degree=2))
     assert sol.Y0 == pytest.approx(1.0, abs=1e-12)
     assert abs(sol.cv) < 1e-8
 
@@ -139,18 +151,18 @@ def test_constant_driver_linear_value(const_family, small_grid):
     avg = hl.build_averaged(const_family)
     b = hl.simulate_avg(avg, [0.5, 0.0], small_grid, 500, seed=2)
     c = 0.7
-    sol = hl.solve_bsde(b, BsdeSpec(
+    sol = hl.solve_bsde(b, problem(
         terminal=lambda x: np.zeros(np.asarray(x).shape[:-1]),
-        driver=lambda x1, x2: lambda y: c + 0.0 * y, basis_degree=2))
+        driver=lambda x1, x2: lambda y: c + 0.0 * y), BsdeSpec(basis_degree=2))
     assert sol.Y0 == pytest.approx(c * small_grid.t_end, abs=1e-10)
 
 
 def test_exponential_decay_driver(const_family, small_grid):
     avg = hl.build_averaged(const_family)
     b = hl.simulate_avg(avg, [0.5, 0.0], small_grid, 2000, seed=3)
-    sol = hl.solve_bsde(b, BsdeSpec(terminal=ones_terminal,
-                                    driver=lambda x1, x2: lambda y: -y,
-                                    basis_degree=2))
+    sol = hl.solve_bsde(b, problem(terminal=ones_terminal,
+                                   driver=lambda x1, x2: lambda y: -y),
+                        BsdeSpec(basis_degree=2))
     t = small_grid.t_end
     assert sol.Y0 == pytest.approx(np.exp(-t),
                                    abs=3 * sol.Y0_stderr + 5 * small_grid.dt)
@@ -159,9 +171,9 @@ def test_exponential_decay_driver(const_family, small_grid):
 def test_y_bound_clipping(const_family, small_grid):
     avg = hl.build_averaged(const_family)
     b = hl.simulate_avg(avg, [0.5, 0.0], small_grid, 300, seed=4)
-    sol = hl.solve_bsde(b, BsdeSpec(terminal=ones_terminal,
-                                    driver=lambda x1, x2: lambda y: 0.0 * y,
-                                    basis_degree=2, y_bound=0.25))
+    sol = hl.solve_bsde(b, problem(terminal=ones_terminal,
+                                   driver=lambda x1, x2: lambda y: 0.0 * y),
+                        BsdeSpec(basis_degree=2, y_bound=0.25))
     # regression outputs are clipped; the terminal slice is raw data
     assert np.max(np.abs(sol.Y[:, :-1])) <= 0.25 + 1e-12
 
@@ -177,8 +189,8 @@ def test_driver_gets_bundle_x1_and_model_scales_it(switch_family,
         seen.append(np.array(x1))
         return lambda y: 0.0 * y
 
-    hl.solve_bsde(switch_bundle, BsdeSpec(
-        terminal=switch_family.terminal, driver=probe_driver, basis_degree=2))
+    hl.solve_bsde(switch_bundle, problem(switch_family, driver=probe_driver),
+                  BsdeSpec(basis_degree=2))
     x1 = switch_bundle.x1()
     m = switch_bundle.grid.n_steps
     # steps m-1 .. 1 see every path, step 0 the shared start
@@ -203,10 +215,9 @@ def test_driver_gets_bundle_x1_and_model_scales_it(switch_family,
 
 
 def test_solution_container_roundtrip(switch_family, switch_bundle, tmp_path):
-    sol = hl.solve_bsde(switch_bundle, BsdeSpec(
-        terminal=switch_family.terminal,
-        driver=switch_family.at(switch_bundle.eps).driver,
-        basis_degree=2, include_sign_feature=True, y_bound=3.0))
+    sol = hl.solve_bsde(switch_bundle, switch_family.at(switch_bundle.eps),
+                        BsdeSpec(basis_degree=2, include_sign_feature=True,
+                                 y_bound=3.0))
     p = tmp_path / "sol.bin"
     sol.save(p, switch_bundle.grid.dt)
     assert p.read_bytes()[:5] == b"HMGS1"
@@ -220,10 +231,9 @@ def test_solution_container_roundtrip(switch_family, switch_bundle, tmp_path):
 
 
 def test_picard_residuals_contract(switch_family, switch_bundle):
-    sol = hl.solve_bsde(switch_bundle, BsdeSpec(
-        terminal=switch_family.terminal,
-        driver=switch_family.at(switch_bundle.eps).driver,
-        basis_degree=3, include_sign_feature=True, n_picard=4, y_bound=3.0))
+    sol = hl.solve_bsde(switch_bundle, switch_family.at(switch_bundle.eps),
+                        BsdeSpec(basis_degree=3, include_sign_feature=True,
+                                 n_picard=4, y_bound=3.0))
     r = sol.picard_residuals
     assert r[1] < r[0] and r[2] < r[1]
 
@@ -232,18 +242,18 @@ def test_conditional_variation_martingale_near_zero(const_family, small_grid):
     # Y from a zero-driver problem is a martingale: debiased CV ~ 0
     avg = hl.build_averaged(const_family)
     b = hl.simulate_avg(avg, [0.2, 0.1], small_grid, 3000, seed=7)
-    sol = hl.solve_bsde(b, BsdeSpec(
+    sol = hl.solve_bsde(b, problem(
         terminal=lambda x: np.tanh(x[..., 0]) + 0.2 * x[..., 1],
-        driver=lambda x1, x2: lambda y: 0.0 * y, basis_degree=3))
+        driver=lambda x1, x2: lambda y: 0.0 * y), BsdeSpec(basis_degree=3))
     assert sol.cv <= 3 * sol.cv_stderr + 0.02
 
 
 def test_conditional_variation_detects_drift(const_family, small_grid):
     avg = hl.build_averaged(const_family)
     b = hl.simulate_avg(avg, [0.2, 0.1], small_grid, 3000, seed=8)
-    sol = hl.solve_bsde(b, BsdeSpec(
-        terminal=ones_terminal, driver=lambda x1, x2: lambda y: 1.0 + 0.0 * y,
-        basis_degree=2))
+    sol = hl.solve_bsde(b, problem(
+        terminal=ones_terminal, driver=lambda x1, x2: lambda y: 1.0 + 0.0 * y),
+        BsdeSpec(basis_degree=2))
     # dY = -f dt along the solution: CV should see ~ t_end * |f| = 0.5
     assert sol.cv == pytest.approx(small_grid.t_end, rel=0.15)
 
@@ -264,10 +274,9 @@ def test_solve_bsde_factors_each_step_once(switch_family, switch_bundle,
                         logged("features", feature_matrix))
     monkeypatch.setattr(np.linalg, "eigh", logged("eigh", np.linalg.eigh))
     monkeypatch.setattr(np.linalg, "svd", logged("svd", np.linalg.svd))
-    hl.solve_bsde(switch_bundle, BsdeSpec(
-        terminal=switch_family.terminal,
-        driver=switch_family.at(switch_bundle.eps).driver,
-        basis_degree=2, include_sign_feature=True, y_bound=3.0))
+    hl.solve_bsde(switch_bundle, switch_family.at(switch_bundle.eps),
+                  BsdeSpec(basis_degree=2, include_sign_feature=True,
+                           y_bound=3.0))
     steps = []
     for key in calls:
         if key == "features":
@@ -305,9 +314,9 @@ def test_solve_bsde_prepares_driver_once_per_step(switch_family,
     monkeypatch.setattr(hl.families._Template, "basis",
                         staticmethod(counted_basis))
     n_picard = 3
-    hl.solve_bsde(switch_bundle, BsdeSpec(
-        terminal=switch_family.terminal, driver=driver, basis_degree=2,
-        include_sign_feature=True, n_picard=n_picard, y_bound=3.0))
+    hl.solve_bsde(switch_bundle, problem(scaled, driver=driver),
+                  BsdeSpec(basis_degree=2, include_sign_feature=True,
+                           n_picard=n_picard, y_bound=3.0))
     m = switch_bundle.grid.n_steps
     assert counts == {"prepare": m, "basis": m, "apply": n_picard * m + m}
 
@@ -334,9 +343,7 @@ def test_tightness_certificate_structure(switch_family, switch_avg,
     for eps in (1.0, 0.3):
         b = hl.simulate_eps(switch_family, eps, [0.5, 0.0], small_grid,
                             1000, seed=13)
-        sols.append(hl.solve_bsde(b, BsdeSpec(
-            terminal=switch_family.terminal,
-            driver=switch_family.at(eps).driver,
+        sols.append(hl.solve_bsde(b, switch_family.at(eps), BsdeSpec(
             basis_degree=3, include_sign_feature=True, y_bound=3.0)))
     cert = hl.tightness_certificate(
         [hl.tightness_row(sol, small_grid.dt) for sol in sols])
@@ -370,7 +377,7 @@ def test_tightness_upcrossing_ratio_unbounded_when_one_row_has_none():
     assert cert["ratio_upcrossings"] == {"-0.5:0.5": 1.0}
 
 
-def _z_rms_errors(fam, avg, seed):
+def _z_rms_errors(avg, seed):
     """RMS error of each Z component against sigma grad u-bar, (phi du/dx1,
     sigma1 du/dx2), at steps 2, 10 and 18 of a 20-step averaged switch run
     (4000 paths from (0.5, 0), t_end 0.5), over the paths inside
@@ -379,13 +386,12 @@ def _z_rms_errors(fam, avg, seed):
     from scipy.interpolate import RegularGridInterpolator
     grid = hl.SimGrid(0.5, 20)
     b = hl.simulate_avg(avg, [0.5, 0.0], grid, 4000, seed=seed)
-    sol = hl.solve_bsde(b, BsdeSpec(terminal=fam.terminal, driver=avg.driver,
-                                    basis_degree=3, include_sign_feature=True))
-    model = hl.PdeModel.from_averaged(avg, fam.terminal)
+    sol = hl.solve_bsde(b, avg, BsdeSpec(basis_degree=3,
+                                         include_sign_feature=True))
     errs = []
     for s in (2, 10, 18):
         rem = grid.t_end - s * grid.dt
-        fd = hl.solve_pde(model, hl.Grid2D(5.0, 3.0, 199, 99, rem / 20, rem))
+        fd = hl.solve_pde(avg, hl.Grid2D(5.0, 3.0, 199, 99, rem / 20, rem))
         x1, x2 = b.X[:, s, 0], b.X[:, s, 1]
         inside = (np.abs(x1) < 4.5) & (np.abs(x2) < 2.5)
         pts = np.stack([x1[inside], x2[inside]], axis=-1)
@@ -398,12 +404,12 @@ def _z_rms_errors(fam, avg, seed):
     return np.mean(errs, axis=0)
 
 
-def test_z_matches_fd_gradient(switch_family, switch_avg):
+def test_z_matches_fd_gradient(switch_avg):
     # Z is fitted on the martingale increment (Y_{s+1} - E[Y_{s+1} | F_s])
     # dB/dt; fitting Y_{s+1} dB/dt, which has the same conditional mean,
     # left an error of at least 0.237 in a component at seeds 1-3, against
     # at most 0.077 with the increment
-    err = _z_rms_errors(switch_family, switch_avg, seed=1)
+    err = _z_rms_errors(switch_avg, seed=1)
     assert np.all(err < 0.12), err
 
 
@@ -412,7 +418,6 @@ def test_z_vanishes_for_const(const_family):
     # martingale increment, hence Z, is zero up to round-off
     avg = hl.build_averaged(const_family)
     b = hl.simulate_avg(avg, [0.5, 0.0], hl.SimGrid(0.5, 20), 1000, seed=5)
-    sol = hl.solve_bsde(b, BsdeSpec(terminal=const_family.terminal,
-                                    driver=avg.driver, basis_degree=3,
-                                    include_sign_feature=True))
+    sol = hl.solve_bsde(b, avg, BsdeSpec(basis_degree=3,
+                                         include_sign_feature=True))
     assert np.max(np.abs(sol.Z)) < 1e-10

@@ -292,14 +292,16 @@ def test_forward_matches_per_coefficient(fid):
         assert np.array_equal(phi, np.sqrt(2.0 / model.rho(x1, x2)))
         assert np.array_equal(b1, model.b1(x1, x2))
         assert np.array_equal(sigma1, np.sqrt(2 * model.a1(x1, x2)))
-        # the Euler step and the FD operator are one generator: a00 =
-        # phi^2/2 and a11 = sigma1^2/2 to rounding, the same drift b1
-        pde = hl.PdeModel.from_averaged(model, fam.terminal)
-        assert np.allclose(pde.a00(x1, x2), phi ** 2 / 2.0,
+        # the Euler step and the FD operator (which reads the model's a00,
+        # a1 and b1) are one generator: a00 = phi^2/2 and a1 = sigma1^2/2
+        # to rounding, the same drift b1
+        assert np.allclose(model.a00(x1, x2), phi ** 2 / 2.0,
                            rtol=1e-15, atol=0.0)
-        assert np.allclose(pde.a11(x1, x2), sigma1 ** 2 / 2.0,
+        assert np.allclose(model.a1(x1, x2), sigma1 ** 2 / 2.0,
                            rtol=1e-15, atol=0.0)
-        assert np.array_equal(pde.b1(x1, x2), b1)
+        # every model of the family answers the family's terminal data
+        x = np.stack([x1, x2], axis=-1)
+        assert np.array_equal(model.terminal(x), fam.H(x))
 
 
 def test_forward_refuses_negative_slow_diffusion(switch_family):

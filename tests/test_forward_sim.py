@@ -2,6 +2,7 @@ import hashlib
 import json
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -99,6 +100,30 @@ def test_overflowing_fast_start_refused_before_stepping(monkeypatch,
     b = hl.simulate_eps(switch_family, 1e-300, [0.0, 0.0], small_grid, 3,
                         seed=1)
     assert np.all(b.X[:, 0] == 0.0)
+
+
+def test_overflowing_fast_state_refused_naming_eps():
+    # from a start on the interface at eps 1e-310, X1/eps overflows at the
+    # first step away from 0: the coarse step's finiteness check refuses
+    # the run, naming eps, with no numpy overflow or invalid-value warning
+    # before it.  A run of a model with no eps (the averaged one) is
+    # refused by the same check, named by its step and path alone
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError) as exc:
+            hl.simulate_eps(hl.make_family("switch"), 1e-310, [0.0, 0.0],
+                            hl.SimGrid(0.5, 10), 20, seed=1)
+        assert str(exc.value) == \
+            "eps = 1e-310: non-finite state at step 2, path 0"
+
+        def forward(x1, x2):
+            return np.full(x1.shape, np.inf), np.zeros(x1.shape), \
+                np.zeros(x1.shape)
+        model = SimpleNamespace(eps=None, k=2, forward=forward)
+        with pytest.raises(SimulationError) as exc:
+            simulate._run_blocks(model, [0.0, 0.0], hl.SimGrid(0.5, 10), 5,
+                                 seed=1, substeps=1, block_size=4)
+        assert str(exc.value) == "non-finite state at step 1, path 0"
 
 
 def test_path_prefix_stability(switch_family, small_grid):

@@ -1,13 +1,16 @@
 import concurrent.futures
 import filecmp
 import glob
+import ast
 import importlib.util
+import inspect
 import json
 import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -110,6 +113,40 @@ def test_shipped_and_benchmark_configs_parse(monkeypatch):
         for seed in (3, 5):
             cfg = hl.ExperimentConfig.from_dict(wl.build(root, seed))
             assert cfg.mc["seed"] == seed, wl.name
+
+
+def test_benchmark_probes_name_live_targets(monkeypatch):
+    # every function the benchmark's tracer wraps exists, and each count
+    # it takes from a call's arguments names parameters of its target (the
+    # tracer binds them by name), so a renamed target or parameter fails
+    # here rather than in a traced benchmark run after the whole suite
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", os.path.join(root, "perfbench", "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)
+    spec.loader.exec_module(spans)
+    read = {}
+    for probe in spans.PROBES:
+        owner = importlib.import_module(probe.module)
+        assert hasattr(owner, probe.attr), probe
+        if probe.counts is None:
+            continue
+        target = getattr(owner, probe.attr)
+        # the argument names the count reads: a["name"]
+        tree = ast.parse(textwrap.dedent(inspect.getsource(probe.counts)))
+        names = {node.slice.value for node in ast.walk(tree)
+                 if isinstance(node, ast.Subscript)
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id == "a"
+                 and isinstance(node.slice, ast.Constant)}
+        params = inspect.signature(target).parameters
+        assert names <= set(params), (probe.name, names, list(params))
+        read[probe.attr] = names
+    assert read["simulate_eps"] == read["simulate_avg"] == \
+        {"n_paths", "grid", "substeps"}
+    assert read["panel_integrals"] == {"edges", "order"}
+    assert read["solve_pde"] == {"grid"}
 
 
 def _demo_doc():
@@ -1169,6 +1206,7 @@ def test_cli_corrector_rejects_bad_sizes(tmp_path, capsys, key, value):
     ("bsde", "mc.n_steps", 1),
     ("converge", "bsde.basis_degree", 9),
     ("converge", "bsde.n_picard", 0),
+    ("average", "bsde.n_picard", 10 ** 6),
     ("converge", "t_end", -0.5),
     ("converge", "fd.n1", -1),
     ("converge", "fd.n1", 10),

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -12,31 +11,33 @@ from scipy.sparse.linalg import splu
 
 import homoglab as hl
 from homoglab import pde_fd
-from homoglab.pde_fd import (Grid2D, PdeError, PdeModel, _assemble,
-                             richardson_error, solve_pde)
+from homoglab.pde_fd import (Grid2D, PdeError, _assemble, richardson_error,
+                             solve_pde)
+from conftest import problem
 
 
 def constant_driver(c):
-    """The driver f = c, in ``PdeModel.driver``'s contract."""
+    """The driver f = c, in ``TemplateCoefficients.driver``'s contract."""
     return lambda x1, x2: lambda v: c + 0 * v
 
 
 def heat_model():
-    return PdeModel(a00=lambda x1, x2: 0.5 + 0 * x1,
-                    a11=lambda x1, x2: 0.5 + 0 * x1,
-                    b1=lambda x1, x2: 0 * x1,
-                    driver=constant_driver(0.0),
-                    H=lambda x1, x2: np.exp(-(x1 ** 2 + x2 ** 2)),
-                    label="heat")
+    return problem(a00=lambda x1, x2: 0.5 + 0 * x1,
+                   a1=lambda x1, x2: 0.5 + 0 * x1,
+                   b1=lambda x1, x2: 0 * x1,
+                   driver=constant_driver(0.0),
+                   terminal=lambda x: np.exp(-(x[..., 0] ** 2
+                                               + x[..., 1] ** 2)),
+                   label="heat")
 
 
 def jump_model():
     # a00 jumps from 1 to 2 across x1 = 0 (value 1 on the interface)
-    return PdeModel(a00=lambda x1, x2: np.where(x1 > 0, 2.0, 1.0),
-                    a11=lambda x1, x2: 0.5 + 0.25 * x2,
-                    b1=lambda x1, x2: 0.3 + 0 * x1,
-                    driver=constant_driver(0.0),
-                    H=lambda x1, x2: 0 * x1, label="jump")
+    return problem(a00=lambda x1, x2: np.where(x1 > 0, 2.0, 1.0),
+                   a1=lambda x1, x2: 0.5 + 0.25 * x2,
+                   b1=lambda x1, x2: 0.3 + 0 * x1,
+                   driver=constant_driver(0.0),
+                   terminal=lambda x: 0 * x[..., 0], label="jump")
 
 
 @pytest.mark.parametrize("interface_we", [(9.0, 9.0)],
@@ -131,7 +132,7 @@ def status(key):
                 return int(line.split()[1]) / 1024
 
 fam = hl.make_family("slowvary")
-model = pde_fd.PdeModel.from_averaged(hl.build_averaged(fam), fam.terminal)
+model = hl.build_averaged(fam)
 grid = pde_fd.Grid2D(5.0, 3.0, 149, 75, 0.0125, 0.5).refined()
 seen, splu = {}, pde_fd.splu
 
@@ -159,41 +160,39 @@ print(json.dumps(seen))
 @pytest.mark.parametrize("g", [Grid2D(4.0, 4.0, 41, 21, 0.025, 0.5),
                                Grid2D(5.0, 3.0, 199, 99, 0.003125, 0.5)],
                          ids=["centered-dirichlet", "demo-refined"])
-def test_fd_matches_colamd_reference(switch_avg, switch_family, g):
+def test_fd_matches_colamd_reference(switch_avg, g):
     # reference time loop: SuperLU's default COLAMD ordering and panel
     # width and the full driver f(x, v) on every step; solve_pde differs
     # only in round-off, also on the demo benchmark's refined grid
     # (201 x 101 nodes, 160 steps)
-    m = PdeModel.from_averaged(switch_avg, switch_family.terminal)
-    A, X1, X2 = _assemble(m, g)
+    A, X1, X2 = _assemble(switch_avg, g)
     nx, ny = X1.shape
     lu = splu(sparse.identity(nx * ny, format="csc") - g.dt_fd * A,
               permc_spec="COLAMD")
     edge = np.ones((nx, ny), dtype=bool)
     edge[1:-1, 1:-1] = False
-    v = h = m.H(X1, X2)
+    v = h = switch_avg.terminal(np.stack([X1, X2], axis=-1))
     for _ in range(g.n_steps):
         rhs = v + g.dt_fd * switch_avg.f(X1, X2, v)
         rhs[edge] = h[edge]
         v = lu.solve(rhs.ravel()).reshape(nx, ny)
-    got = solve_pde(m, g).values
+    got = solve_pde(switch_avg, g).values
     assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v))
 
 
-def test_solve_pde_builds_driver_coefficient_once(switch_avg, switch_family):
+def test_solve_pde_builds_driver_coefficient_once(switch_avg):
     # the driver is prepared once per solve and applied once per step
     calls = {"prepare": 0, "apply": 0}
-    m = PdeModel.from_averaged(switch_avg, switch_family.terminal)
 
     def counted_driver(x1, x2):
         calls["prepare"] += 1
-        drive = m.driver(x1, x2)
+        drive = switch_avg.driver(x1, x2)
 
         def apply(v):
             calls["apply"] += 1
             return drive(v)
         return apply
-    solve_pde(dataclasses.replace(m, driver=counted_driver),
+    solve_pde(problem(switch_avg, driver=counted_driver),
               Grid2D(2.0, 2.0, 11, 11, 0.02, 0.2))
     assert calls == {"prepare": 1, "apply": 10}
 
@@ -247,29 +246,26 @@ def test_maximum_principle():
 
 
 def test_eps_form_equals_averaged_for_slow_family():
-    # the eps problem through the one constructor: the family at its fast
-    # scale, fam.at(eps), evaluated at (x1/eps, x2).  const and slowvary do
-    # not depend on the fast variable, so it is the averaged problem, to
-    # the bit
+    # the eps problem is the family at its fast scale, fam.at(eps),
+    # evaluated at (x1/eps, x2).  const and slowvary do not depend on the
+    # fast variable, so it is the averaged problem, to the bit
     g = Grid2D(3.0, 3.0, 51, 27, 0.025, 0.25)
     for fid in ("const", "slowvary"):
         fam = hl.make_family(fid)
-        va = solve_pde(PdeModel.from_averaged(hl.build_averaged(fam),
-                                              fam.terminal), g).values
+        va = solve_pde(hl.build_averaged(fam), g).values
         for eps in (1.0, 0.1):
-            me = PdeModel.from_averaged(fam.at(eps), fam.terminal)
-            assert np.array_equal(solve_pde(me, g).values, va), (fid, eps)
+            assert np.array_equal(solve_pde(fam.at(eps), g).values, va), \
+                (fid, eps)
 
 
-def test_from_averaged_labels_the_model(switch_avg, switch_family, tmp_path):
+def test_solve_pde_labels_the_model(switch_avg, switch_family, tmp_path):
     # the averaged model keeps "averaged" (the pde.csv.json bytes of the
     # FD stage); a family at its fast scale is named by its eps, in the
     # solution and in the sidecar save_csv writes
-    H = switch_family.terminal
-    assert PdeModel.from_averaged(switch_avg, H).label == "averaged"
+    assert switch_avg.label == "averaged"
     g = Grid2D(2.0, 2.0, 11, 5, 0.05, 0.5)
     for eps, label in ((0.1, "eps=0.1"), (1.0, "eps=1.0"), (0.03, "eps=0.03")):
-        sol = solve_pde(PdeModel.from_averaged(switch_family.at(eps), H), g)
+        sol = solve_pde(switch_family.at(eps), g)
         assert sol.model_label == label
     path = tmp_path / "eps.csv"
     sol.save_csv(path)
@@ -288,20 +284,20 @@ def test_richardson_second_order():
 
 
 def test_richardson_zero_for_constant_solution():
-    m = PdeModel(a00=lambda x1, x2: 0.5 + 0 * x1,
-                 a11=lambda x1, x2: 0.5 + 0 * x1,
-                 b1=lambda x1, x2: 0 * x1,
-                 driver=constant_driver(0.0),
-                 H=lambda x1, x2: np.ones_like(x1), label="one")
+    m = problem(a00=lambda x1, x2: 0.5 + 0 * x1,
+                a1=lambda x1, x2: 0.5 + 0 * x1,
+                b1=lambda x1, x2: 0 * x1,
+                driver=constant_driver(0.0),
+                terminal=lambda x: np.ones_like(x[..., 0]), label="one")
     g = Grid2D(2.0, 2.0, 21, 21, 0.02, 0.2)
     assert richardson_error(solve_pde(m, g),
                             solve_pde(m, g.refined())) <= 1e-10
 
 
-def test_averaged_switch_finite_richardson(switch_avg, switch_family):
-    m = PdeModel.from_averaged(switch_avg, switch_family.terminal)
+def test_averaged_switch_finite_richardson(switch_avg):
     g = Grid2D(4.0, 4.0, 81, 41, 0.025, 0.5)
-    est = richardson_error(solve_pde(m, g), solve_pde(m, g.refined()))
+    est = richardson_error(solve_pde(switch_avg, g),
+                           solve_pde(switch_avg, g.refined()))
     assert np.isfinite(est) and est > 0
 
 
@@ -319,12 +315,11 @@ def test_richardson_refuses_a_fine_solution_off_the_refined_grid():
         assert repr(other) in str(exc.value) and repr(g) in str(exc.value)
 
 
-def test_interface_slope_continuity_centered(switch_avg, switch_family):
+def test_interface_slope_continuity_centered(switch_avg):
     # the centered non-divergence scheme keeps dv/dx1 continuous at x1 = 0,
     # matching the time-changed-Brownian behaviour of the simulated limit
-    m = PdeModel.from_averaged(switch_avg, switch_family.terminal)
     g = Grid2D(5.0, 5.0, 201, 101, 0.025, 0.5)
-    sol = solve_pde(m, g)
+    sol = solve_pde(switch_avg, g)
     i0 = g.n1 // 2 + 1                     # the interface column x1 = 0
     assert abs(g.x1[i0]) <= 1e-12
     v = sol.values
@@ -334,10 +329,9 @@ def test_interface_slope_continuity_centered(switch_avg, switch_family):
     assert np.max(np.abs(right - left)) <= 0.05 * slope_scale
 
 
-def test_csv_emit(switch_avg, switch_family, tmp_path):
-    m = PdeModel.from_averaged(switch_avg, switch_family.terminal)
+def test_csv_emit(switch_avg, tmp_path):
     g = Grid2D(2.0, 2.0, 11, 11, 0.02, 0.2)
-    sol = solve_pde(m, g)
+    sol = solve_pde(switch_avg, g)
     p = tmp_path / "grid.csv"
     sol.save_csv(p)
     lines = p.read_text().splitlines()
