@@ -1206,7 +1206,6 @@ def test_cli_corrector_rejects_bad_sizes(tmp_path, capsys, key, value):
     ("bsde", "mc.n_steps", 1),
     ("converge", "bsde.basis_degree", 9),
     ("converge", "bsde.n_picard", 0),
-    ("average", "bsde.n_picard", 10 ** 6),
     ("converge", "t_end", -0.5),
     ("converge", "fd.n1", -1),
     ("converge", "fd.n1", 10),
@@ -1227,7 +1226,8 @@ def test_cli_corrector_rejects_bad_sizes(tmp_path, capsys, key, value):
     ("converge", "mc.n_steps", 10 ** 12),
     ("converge", "tolerances.occupation_slope", [0.6, 0.4]),
     ("corrector", "corrector.box", [[0, 0], [-1, 1]]),
-    ("corrector", "corrector.y_box", [1, -1])])
+    ("corrector", "corrector.y_box", [1, -1]),
+    ("average", "bsde.n_picard", 10 ** 6)])
 def test_cli_rejects_malformed_blocks(tmp_path, capsys, cmd, name, value):
     # refused by name before any output: a missing fd key or a block that
     # is not an object used to escape main as a KeyError, TypeError or
