@@ -97,8 +97,7 @@ def cmd_corrector(args) -> int:
 
 def cmd_pde(args) -> int:
     st = _stages(args)
-    fine, sol = (h.result() for h in st.sweep(st.fd_jobs(), 1))
-    value, error = st.v_fd(fine, sol)
+    sol, value, error = st.fd(st.avg)
     sol.save_csv(_out(st, "pde.csv"))
     print(write_json(_out(st, "pde_summary.json"),
                      {"value_at_x0": value, "richardson_error": error}))
@@ -147,8 +146,8 @@ def worker_count(text) -> int:
 
 _FLAGS = {"--seed-override": {"default": None, "type": int},
           "--threads": {"default": 1, "type": worker_count,
-                        "help": "worker processes for the sweep's runs and "
-                                "FD solves (same bytes for every count)"}}
+                        "help": "worker processes for the sweep's runs "
+                                "(same bytes for every count)"}}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -3,10 +3,10 @@ pipeline with its drift-gap check, and deterministic report emission.
 
 All randomness flows from the single config seed through sha256 key
 splitting per (stage, index), so re-running a config is byte-identical
-regardless of worker count: the sweep may run its jobs (the FD solves,
-each eps row and the averaged model, all on one path) on forked worker
-processes, but each run owns an independent counter-based stream and
-assembly is ordered.
+regardless of worker count: the sweep may run its jobs (one per run, each
+eps row and the averaged model, all on one path; the averaged run's job
+also solves the averaged FD problem) on forked worker processes, but each
+run owns an independent counter-based stream and assembly is ordered.
 """
 
 from __future__ import annotations
@@ -171,8 +171,9 @@ def _resolve(path: str, block, schema: dict) -> dict:
 
 # The largest path array and FD march a config may ask for: at most this
 # many path states, mc.n_paths * (mc.n_steps + 1) (each d + 1 doubles, with
-# k more for the increments), and at most this many FD node-steps,
-# (fd.n1 + 2) * (fd.n2 + 2) * (t_end / fd.dt_fd).
+# k more for the increments), and at most this many FD node-steps on the
+# largest grid solved, the fd grid refined by 2 (``Grid2D.refined``):
+# (2 fd.n1 + 3) * (2 fd.n2 + 3) * (4 t_end / fd.dt_fd).
 MAX_COUNT = 10 ** 8
 
 
@@ -240,9 +241,10 @@ class ExperimentConfig:
                 ("path states mc.n_paths * (mc.n_steps + 1)",
                  cfg.mc["n_paths"] * (cfg.mc["n_steps"] + 1),
                  "'mc.n_paths', 'mc.n_steps'"),
-                ("FD node-steps (fd.n1 + 2) * (fd.n2 + 2) * (t_end / fd.dt_fd)",
+                ("FD node-steps of the fd grid refined by 2, (2 fd.n1 + 3) "
+                 "* (2 fd.n2 + 3) * (4 t_end / fd.dt_fd),",
                  0 if grid is None else
-                 (grid.n1 + 2) * (grid.n2 + 2) * grid.n_steps,
+                 (2 * grid.n1 + 3) * (2 * grid.n2 + 3) * 4 * grid.n_steps,
                  "'fd.n1', 'fd.n2', 'fd.dt_fd'")):
             if count > MAX_COUNT:
                 raise ConfigError(f"{what} exceed the bound {MAX_COUNT:.0e} "
@@ -303,7 +305,7 @@ class Stages:
 
     Every entry point (``run_convergence`` and each CLI subcommand) takes
     the family, the averaged model, the backward spec, the stage seeds,
-    the substep counts, the FD solves and the corrector table from here,
+    the substep counts, the FD solve and the corrector table from here,
     so they all run the same computation.
     The averaged model is built on first use; a bad ``averaging`` block
     fails there.
@@ -383,45 +385,38 @@ class Stages:
         return bundle, solve_bsde(bundle, model, self.spec)
 
     def runs(self, job) -> list:
-        """``(job, i)`` of every run i, longest first by substeps (worked
-        out here, so a cap warning reaches the caller): the averaged run,
-        of one substep, goes last."""
-        steps = self.row_substeps
-        return [(job, i)
-                for i in sorted(range(len(steps)), key=lambda i: -steps[i])]
+        """``(job, i)`` of every run i: the averaged run, whose job may hold
+        the FD solve, then the eps rows longest first by substeps (worked
+        out here, so a cap warning reaches the caller)."""
+        steps, avg = self.row_substeps, len(self.cfg.eps_list)
+        rows = sorted(range(avg), key=lambda i: -steps[i])
+        return [(job, i) for i in [avg, *rows]]
 
-    def fd_jobs(self) -> list:
-        """The averaged FD solves as sweep jobs, longest first: on the fd
-        block's grid refined by 2, then on the grid itself."""
+    def fd(self, model) -> tuple:
+        """``model``'s FD solution on the fd block's grid, its value at x0
+        and its Richardson estimate; the grid refined by 2 is solved first."""
         grid = self.cfg.fd
         if grid is None:
             raise ConfigError("the FD problem needs an fd block in the config")
-        return [(Stages.fd_solve, grid.refined()), (Stages.fd_solve, grid)]
-
-    def fd_solve(self, grid: pde_fd.Grid2D) -> pde_fd.GridSolution:
-        """The averaged FD solve on ``grid``."""
-        return pde_fd.solve_pde(self.avg, grid)
-
-    def v_fd(self, fine, coarse) -> tuple:
-        """The FD value at x0 and its Richardson estimate, from the FD
-        solutions of ``fd_jobs``."""
-        return coarse.at(*self.cfg.x0), pde_fd.richardson_error(coarse, fine)
+        fine = pde_fd.solve_pde(model, grid.refined())
+        coarse = pde_fd.solve_pde(model, grid)
+        return (coarse, coarse.at(*self.cfg.x0),
+                pde_fd.richardson_error(coarse, fine))
 
     def sweep(self, jobs, n_workers: int = 1) -> list:
-        """A handle of each ``(job, key)`` of ``jobs``, in list order, whose
-        ``result()`` returns ``job(self, key)`` or raises its exception.
+        """A handle of each ``(job, i)`` of ``jobs`` (``runs``), in list
+        order, whose ``result()`` returns ``job(self, i)`` or raises.
 
         The jobs start in list order, and each handle holds its job's
         result or exception until it is asked for, as a ``Future`` does;
-        the sweep returns when every job has ended.  A job reduces its work
-        where it runs, so only its result, never a run's paths or solution,
-        outlives it.  With ``n_workers`` > 1 and the ``fork`` start method,
-        the jobs go to min(n_workers, jobs) forked worker processes, which
-        inherit this ``Stages`` (its averaged model built first).
-        Otherwise, and when the caller runs other threads (a fork copies
-        any lock one of them holds), they run here, one after another, so
-        the memory of one job (an FD factor, a run's paths) is freed before
-        the next starts.
+        the sweep returns when every job has ended.  A job reduces its run
+        where it runs, so only its record, never a run's paths, solution or
+        FD factors, outlives it.  With ``n_workers`` > 1 and the ``fork``
+        start method, the jobs go to min(n_workers, jobs) forked worker
+        processes, which inherit this ``Stages`` (its averaged model built
+        first).  Otherwise, and when the caller runs other threads (a fork
+        copies any lock one of them holds), they run here, one after
+        another, so the memory of one job is freed before the next starts.
         Stage seeds make the results independent of ``n_workers``.
         """
         n = len(jobs)
@@ -491,7 +486,15 @@ def _report_row(st: Stages, i: int) -> dict:
     but ``error``, which needs the averaged run), its drift-gap row (the
     estimate of E sup_s |int_0^s (f(X1/eps, X2, Y) - fbar(X1, X2, Y)) du|)
     and its ``tightness_row``; the averaged run to the report's
-    ``averaged`` cells (Y0 and moments) and its ``occupation``."""
+    ``averaged`` cells (Y0 and moments), its ``occupation`` and, with an fd
+    block, the ``v_fd`` cell of its ``Stages.fd`` solve (or the failed
+    solve's exception, which stage fd-crosscheck raises)."""
+    fd = {}
+    if i == len(st.cfg.eps_list) and st.cfg.fd is not None:
+        try:   # before the paths, so the FD factors are freed first
+            fd["v_fd"] = _cell(*st.fd(st.avg)[1:])
+        except Exception as exc:
+            fd["v_fd"] = exc
     bundle, sol = st.run(i)
     eps, dt = bundle.eps, bundle.grid.dt
     y0 = _cell(sol.Y0, sol.Y0_stderr)
@@ -509,7 +512,7 @@ def _report_row(st: Stages, i: int) -> dict:
         return {"averaged": {"Y0": y0, "moments": moments},
                 "occupation": {"estimates": [{"n": n, "mean": _cell(m, s)}
                                              for n, (m, s) in occ.items()],
-                               "slope": slope}}
+                               "slope": slope}, **fd}
     return {"row": {"eps": eps, "Y0": y0, "cv": _cell(sol.cv, sol.cv_stderr),
                     "sup_abs_y": _cell(*mean_stderr(sol.sup_y)),
                     "moments": moments},
@@ -543,8 +546,8 @@ class ConvergenceReport:
 
 def run_convergence(cfg: ExperimentConfig, n_workers: int = 1):
     """Full eps-sweep pipeline; see module docstring for the seed scheme.
-    Its runs and FD solves are one sweep on ``n_workers`` worker processes
-    (``Stages.sweep``).
+    Its runs are one sweep on ``n_workers`` worker processes
+    (``Stages.sweep``); the averaged run's job also solves the FD problem.
 
     Stage errors abort with provenance (PipelineError); the partial report
     assembled so far is attached to the error as ``.partial`` with the
@@ -558,8 +561,7 @@ def run_convergence(cfg: ExperimentConfig, n_workers: int = 1):
         st.avg   # built here, so that its failure names this stage
 
         stage = "eps-sweep"
-        fd = st.fd_jobs() if cfg.fd is not None else []
-        jobs = fd + st.runs(_report_row)
+        jobs = st.runs(_report_row)
         done = dict(zip(jobs, st.sweep(jobs, n_workers)))
         *records, last = (done[_report_row, i].result()
                           for i in range(len(st.names)))
@@ -576,9 +578,10 @@ def run_convergence(cfg: ExperimentConfig, n_workers: int = 1):
             report.drift_gap.append(rec["drift_gap"])
 
         stage = "fd-crosscheck"
-        if fd:
-            report.averaged["v_fd"] = _cell(
-                *st.v_fd(*(done[job].result() for job in fd)))
+        if cfg.fd is not None:
+            if isinstance(last["v_fd"], Exception):
+                raise last["v_fd"]
+            report.averaged["v_fd"] = last["v_fd"]
 
         stage = "corrector-decay"
         if cfg.corrector is not None:

@@ -173,17 +173,23 @@ def test_config_refuses_unrunnable_sizes(name, value):
 
 def test_config_size_bound_is_inclusive():
     # the demo and the 100k-path reference run load, and so do a path
-    # array and an FD march of exactly MAX_COUNT = 1e8; one more is refused
+    # array and an FD march of exactly MAX_COUNT = 1e8; one more is refused.
+    # The FD count is that of the largest solve, on the fd grid refined by
+    # 2, which has about 4 times the nodes and 4 times the steps
     from homoglab.harness import MAX_COUNT
     assert MAX_COUNT == 10 ** 8
     hl.ExperimentConfig.from_dict(_demo_doc())
     doc = _demo_doc()
     doc["mc"]["n_paths"] = 100000
     hl.ExperimentConfig.from_dict(doc)
-    # 2e6 paths of 50 states; (623 + 2) * (3998 + 2) nodes over 40 steps
+    # 2e6 paths of 50 states; the refinement of a 311 x 311 grid over
+    # t_end / dt_fd = 64 steps has (2 * 311 + 3) ** 2 nodes over 256 steps
+    fine = pde_fd.Grid2D(2.0, 2.0, 311, 311, 0.5 / 64, 0.5).refined()
+    assert (fine.n1 + 2) * (fine.n2 + 2) * fine.n_steps == MAX_COUNT
     for changes, key in (({"mc": {"n_steps": 49, "n_paths": 2000000}},
                           ("mc", "n_paths")),
-                         ({"fd": {"n1": 623, "n2": 3998}}, ("fd", "n2"))):
+                         ({"fd": {"n1": 311, "n2": 311, "dt_fd": 0.5 / 64}},
+                          ("fd", "n2"))):
         doc = _demo_doc()
         for block, values in changes.items():
             doc[block].update(values)
@@ -330,11 +336,11 @@ def test_no_rise_allows_the_combined_stderr():
 def test_run_convergence_solves_each_fd_grid_once(tmp_path, monkeypatch):
     # the Richardson estimate compares the cross-check's coarse solution
     # with one solve on the refined grid: each grid is solved once, the
-    # refined one first.  On one worker the sweep runs its jobs in list
-    # order, so both solves run in the caller before the first Monte Carlo
-    # run, and each factor is freed before any path array is allocated; on
-    # a pool they are jobs beside the runs.  Each process appends its calls
-    # to one log.
+    # refined one first, in the averaged run's job before its paths.  On
+    # one worker that job runs first, so each factor is freed before any
+    # path array is allocated: with the averaged job last, the benchmark's
+    # demo workload peaked at 82.6 MB where it peaks at 75.6 MB.  Each
+    # process appends its calls to one log.
     doc = _tiny_doc()
     del doc["corrector"]
     cfg = hl.ExperimentConfig.from_dict(doc)
@@ -344,7 +350,7 @@ def test_run_convergence_solves_each_fd_grid_once(tmp_path, monkeypatch):
         def logged(*args, _fn=getattr(module, name), _name=name, **kwargs):
             with open(tmp_path / "calls.log", "a") as fh:
                 fh.write(f"{_name} n1={args[1].n1}\n"
-                         if _name == "solve_pde" else "simulate\n")
+                         if _name == "solve_pde" else f"{_name}\n")
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, logged)
     fine, coarse = f"solve_pde n1={cfg.fd.refined().n1}", \
@@ -354,9 +360,10 @@ def test_run_convergence_solves_each_fd_grid_once(tmp_path, monkeypatch):
         assert "v_fd" in rep.averaged
         calls = (tmp_path / "calls.log").read_text().splitlines()
         (tmp_path / "calls.log").unlink()
-        assert sorted(calls) == sorted([fine, coarse] + ["simulate"] * 3)
+        order = [fine, coarse, "simulate_avg", "simulate_eps", "simulate_eps"]
+        assert sorted(calls) == sorted(order)
         if n_workers == 1:
-            assert calls == [fine, coarse] + ["simulate"] * 3
+            assert calls == order
     assert multiprocessing.active_children() == []
 
 
@@ -402,18 +409,15 @@ def _sweep_doc():
 
 
 def _results(handles) -> list:
-    # a sweep's results, an FD solution as its grid, label and values
-    return [(r.grid, r.model_label, r.values.tolist())
-            if isinstance(r, pde_fd.GridSolution) else r
-            for r in (h.result() for h in handles)]
+    return [h.result() for h in handles]
 
 
 def test_sweep_on_workers_matches_in_process(monkeypatch):
-    # the jobs go to the workers in list order, longest first: the refined
-    # FD solve, the FD solve on the fd block's grid, then the runs by
-    # substeps, the averaged run last, as converge lists them; each
-    # handle's result equals the in-process sweep's; no worker outlives
-    # the sweep
+    # the jobs are runs only, and they go to the workers in list order:
+    # the averaged run, whose job holds the FD solve when the config has an
+    # fd block, then the eps rows longest first by substeps, as converge
+    # lists them; each handle's result equals the in-process sweep's; no
+    # worker outlives the sweep
     submitted = []
 
     class Recording(concurrent.futures.ProcessPoolExecutor):
@@ -429,16 +433,15 @@ def test_sweep_on_workers_matches_in_process(monkeypatch):
 
 
 def _sweep_matches_in_process(st, submitted):
-    # the keys of the FD jobs, the refined grid first, then the runs'
-    fd = [] if st.cfg.fd is None else [st.cfg.fd.refined(), st.cfg.fd]
-    order = fd + [2, 1, 0, 3]
+    order = [3, 2, 1, 0]
     assert st.row_substeps == [1, 4, 16, 1]
-    jobs = (st.fd_jobs() if fd else []) + st.runs(_report_row)
+    jobs = st.runs(_report_row)
     assert [key for _, key in jobs] == order
     here = _results(st.sweep(jobs, 1))
     assert submitted == []
-    assert [r["row"]["eps"] for r in here[len(fd):-1]] == [0.05, 0.1, 1.0]
-    assert set(here[-1]) == {"averaged", "occupation"}
+    assert [r["row"]["eps"] for r in here[1:]] == [0.05, 0.1, 1.0]
+    assert set(here[0]) == {"averaged", "occupation"} | (
+        set() if st.cfg.fd is None else {"v_fd"})
     for n_workers in (2, 4):
         assert _results(st.sweep(jobs, n_workers)) == here
     assert submitted == order * 2
@@ -448,7 +451,7 @@ def _sweep_matches_in_process(st, submitted):
         beside = ex.submit(st.sweep, jobs, 2).result()
     assert submitted == order * 2
     assert _results(beside) == here
-    # converge submits its FD solves and runs in the same order
+    # converge submits its runs in the same order
     submitted.clear()
     hl.run_convergence(st.cfg, 2)
     assert submitted == order
@@ -456,10 +459,9 @@ def _sweep_matches_in_process(st, submitted):
 
 def test_one_worker_sweep_runs_every_job_in_list_order():
     # at one worker the sweep has called every job, in list order, before
-    # it returns: the refined FD grid, the fd block's grid, then the runs
-    # longest first by substeps, the averaged run last, as converge lists
-    # them; each handle holds its job's result or exception, and only its
-    # own result() raises that exception
+    # it returns: the averaged run, then the eps rows longest first by
+    # substeps, as converge lists them; each handle holds its job's result
+    # or exception, and only its own result() raises that exception
     st = Stages(hl.ExperimentConfig.from_dict({**_sweep_doc(),
                                                "fd": _FD_BLOCK}))
     called = []
@@ -469,8 +471,8 @@ def test_one_worker_sweep_runs_every_job_in_list_order():
         if key == 1:
             raise SimulationError("run 1 failed")
         return key
-    jobs = [(job, key) for _, key in st.fd_jobs()] + st.runs(job)
-    order = [st.cfg.fd.refined(), st.cfg.fd, 2, 1, 0, 3]
+    jobs = st.runs(job)
+    order = [3, 2, 1, 0]
     handles = st.sweep(jobs, 1)
     assert called == order
     for (_, key), handle in zip(jobs, handles):
@@ -559,9 +561,17 @@ def test_report_row_record_holds_no_array():
     assert {type(v) for v in leaves(rec)} == {float}
     assert len(pickle.dumps(rec)) < 2048
     # the averaged run's record: its report cells, the occupation estimates
-    # with their n and the slope's tag among them
+    # with their n and the slope's tag among them; with an fd block, its
+    # job also solves the FD problem, and only the v_fd cell comes back
     rec = _report_row(st, 3)
     assert set(rec) == {"averaged", "occupation"}
+    assert {type(v) for v in leaves(rec)} == {float, int, str}
+    assert len(pickle.dumps(rec)) < 2048
+    st = Stages(hl.ExperimentConfig.from_dict({**_sweep_doc(),
+                                               "fd": _FD_BLOCK}))
+    rec = _report_row(st, 3)
+    assert set(rec) == {"averaged", "occupation", "v_fd"}
+    assert set(rec["v_fd"]) == {"value", "stderr"}
     assert {type(v) for v in leaves(rec)} == {float, int, str}
     assert len(pickle.dumps(rec)) < 2048
 
@@ -586,7 +596,7 @@ def test_sweep_failure_names_stage_and_cause(monkeypatch, n_workers):
 
 @pytest.mark.parametrize("n_workers", [1, 2])
 def test_averaged_run_failure_names_stage_and_cause(monkeypatch, n_workers):
-    # the averaged run is the sweep's last run: its failure, in process or
+    # the averaged run is the sweep's first run: its failure, in process or
     # in a worker, fails the eps-sweep stage with its own exception, and no
     # worker is left
     def fail(*args, **kwargs):
@@ -991,7 +1001,7 @@ def test_cli_subcommands_smoke(tmp_path):
 def test_cli_sweep_worker_count_keeps_the_bytes(tmp_path):
     # converge and bsde on 1 and 2 worker processes write the same files,
     # byte for byte (bsde writes each run's container in the worker that
-    # solves it, and converge's FD solves are jobs of the sweep when the
+    # solves it, and converge's averaged job solves the FD problem when the
     # config has an fd block); the smallest eps takes several substeps
     for fd in (None, _FD_BLOCK):
         _worker_count_keeps_the_bytes(tmp_path / f"fd{fd is not None}",
