@@ -71,9 +71,7 @@ def _bsde_row(st, i) -> dict:
 
 def cmd_bsde(args) -> int:
     st = _stages(args)
-    jobs = st.runs(_bsde_row)
-    done = dict(zip(jobs, st.sweep(jobs, args.threads)))
-    *rows, averaged = (done[_bsde_row, i].result() for i in range(len(jobs)))
+    *rows, averaged = (f.result() for f in st.sweep(_bsde_row, args.threads))
     summary = {"eps": [{"eps": eps, **row}
                        for eps, row in zip(st.cfg.eps_list, rows)],
                "averaged": averaged}

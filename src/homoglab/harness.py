@@ -6,7 +6,8 @@ splitting per (stage, index), so re-running a config is byte-identical
 regardless of worker count: the sweep may run its jobs (one per run, each
 eps row and the averaged model, all on one path; the averaged run's job
 also solves the averaged FD problem) on forked worker processes, but each
-run owns an independent counter-based stream and assembly is ordered.
+run owns an independent counter-based stream, and the sweep returns one
+``Future`` per run in run order, whatever order the jobs started in.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 import threading
 import warnings
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -169,11 +170,11 @@ def _resolve(path: str, block, schema: dict) -> dict:
     return out
 
 
-# The largest path array and FD march a config may ask for: at most this
-# many path states, mc.n_paths * (mc.n_steps + 1) (each d + 1 doubles, with
-# k more for the increments), and at most this many FD node-steps on the
-# largest grid solved, the fd grid refined by 2 (``Grid2D.refined``):
-# (2 fd.n1 + 3) * (2 fd.n2 + 3) * (4 t_end / fd.dt_fd).
+# The largest path array, FD march and decay grid a config may ask for: at
+# most this many path states, mc.n_paths * (mc.n_steps + 1) (each d + 1
+# doubles, with k more for the increments), this many FD node-steps on the
+# largest grid solved, the fd grid refined by 2 (``Grid2D.refined``), and
+# this many decay-table points n1 * n2 * ny of corrector.n_grid.
 MAX_COUNT = 10 ** 8
 
 
@@ -225,6 +226,7 @@ class ExperimentConfig:
             except ImportError as exc:
                 raise ConfigError(f"the FD solve needs scipy.sparse: {exc} "
                                   f"(config key 'fd')") from exc
+        fine = None
         try:
             # each of these messages starts with the field it refuses
             cfg.grid()
@@ -233,22 +235,25 @@ class ExperimentConfig:
                 cfg.fd = pde_fd.Grid2D(float(fd["L1"]), float(fd["L2"]),
                                        fd["n1"], fd["n2"],
                                        float(fd["dt_fd"]), cfg.t_end)
+                fine = cfg.fd.refined()   # the largest grid solved
         except (SimulationError, pde_fd.PdeError, ValueError) as exc:
             key = _OWNED[str(exc).split(" ", 1)[0]]
             raise ConfigError(f"{exc} (config key {key!r})") from exc
-        grid = cfg.fd
         for what, count, keys in (
                 ("path states mc.n_paths * (mc.n_steps + 1)",
                  cfg.mc["n_paths"] * (cfg.mc["n_steps"] + 1),
-                 "'mc.n_paths', 'mc.n_steps'"),
-                ("FD node-steps of the fd grid refined by 2, (2 fd.n1 + 3) "
-                 "* (2 fd.n2 + 3) * (4 t_end / fd.dt_fd),",
-                 0 if grid is None else
-                 (2 * grid.n1 + 3) * (2 * grid.n2 + 3) * 4 * grid.n_steps,
-                 "'fd.n1', 'fd.n2', 'fd.dt_fd'")):
+                 "keys 'mc.n_paths', 'mc.n_steps'"),
+                ("FD node-steps of the fd grid refined by 2",
+                 0 if fine is None else
+                 (fine.n1 + 2) * (fine.n2 + 2) * fine.n_steps,
+                 "keys 'fd.n1', 'fd.n2', 'fd.dt_fd'"),
+                ("decay grid points n1 * n2 * ny",
+                 0 if cfg.corrector is None else
+                 math.prod(cfg.corrector["n_grid"]),
+                 "key 'corrector.n_grid'")):
             if count > MAX_COUNT:
                 raise ConfigError(f"{what} exceed the bound {MAX_COUNT:.0e} "
-                                  f"(config keys {keys})")
+                                  f"(config {keys})")
         if cfg.fd is not None and not cfg.fd.contains(*cfg.x0):
             # the FD value at x0 would be extrapolated past the boundary
             raise ConfigError(
@@ -384,14 +389,6 @@ class Stages:
         model = self.avg if bundle.eps is None else self.fam.at(bundle.eps)
         return bundle, solve_bsde(bundle, model, self.spec)
 
-    def runs(self, job) -> list:
-        """``(job, i)`` of every run i: the averaged run, whose job may hold
-        the FD solve, then the eps rows longest first by substeps (worked
-        out here, so a cap warning reaches the caller)."""
-        steps, avg = self.row_substeps, len(self.cfg.eps_list)
-        rows = sorted(range(avg), key=lambda i: -steps[i])
-        return [(job, i) for i in [avg, *rows]]
-
     def fd(self, model) -> tuple:
         """``model``'s FD solution on the fd block's grid, its value at x0
         and its Richardson estimate; the grid refined by 2 is solved first."""
@@ -403,35 +400,38 @@ class Stages:
         return (coarse, coarse.at(*self.cfg.x0),
                 pde_fd.richardson_error(coarse, fine))
 
-    def sweep(self, jobs, n_workers: int = 1) -> list:
-        """A handle of each ``(job, i)`` of ``jobs`` (``runs``), in list
-        order, whose ``result()`` returns ``job(self, i)`` or raises.
+    def sweep(self, job, n_workers: int = 1) -> list:
+        """A ``Future`` of ``job(self, i)`` for every run i, in run order:
+        the eps rows in ``eps_list`` order, then the averaged run.
 
-        The jobs start in list order, and each handle holds its job's
-        result or exception until it is asked for, as a ``Future`` does;
-        the sweep returns when every job has ended.  A job reduces its run
-        where it runs, so only its record, never a run's paths, solution or
-        FD factors, outlives it.  With ``n_workers`` > 1 and the ``fork``
-        start method, the jobs go to min(n_workers, jobs) forked worker
-        processes, which inherit this ``Stages`` (its averaged model built
-        first).  Otherwise, and when the caller runs other threads (a fork
-        copies any lock one of them holds), they run here, one after
-        another, so the memory of one job is freed before the next starts.
-        Stage seeds make the results independent of ``n_workers``.
+        The jobs start with the averaged run, whose job may hold the FD
+        solve, then the eps rows longest first by substeps (worked out
+        here, so a cap warning reaches the caller); the sweep returns when
+        every job has ended.  A job reduces its run where it runs, so only
+        its record, never a run's paths, solution or FD factors, outlives
+        it.  With ``n_workers`` > 1 and the ``fork`` start method, the jobs
+        go to min(n_workers, runs) forked worker processes, which inherit
+        this ``Stages`` (its averaged model built first).  Otherwise, and
+        when the caller runs other threads (a fork copies any lock one of
+        them holds), they run here, one after another, so the memory of one
+        job is freed before the next starts.  Stage seeds make the results
+        independent of ``n_workers``.
         """
-        n = len(jobs)
-        if min(n_workers, n) < 2 or threading.active_count() > 1 \
-                or not hasattr(os, "fork"):
-            return [_ran(job, self, key) for job, key in jobs]
-        self.avg   # built before the fork, so that no worker builds it
-        # imported here, so a run on one worker never loads multiprocessing
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(
-                min(n_workers, n),
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_adopt_stages, initargs=(self,)) as pool:
-            return [pool.submit(_worker_job, job, key) for job, key in jobs]
+        steps, avg = self.row_substeps, len(self.cfg.eps_list)
+        start = [avg, *sorted(range(avg), key=lambda i: -steps[i])]
+        n = min(n_workers, len(start))
+        if n < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+            started = {i: _ran(job, self, i) for i in start}
+        else:
+            self.avg   # built before the fork, so that no worker builds it
+            # imported here, so a one-worker run never loads multiprocessing
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(
+                    n, mp_context=multiprocessing.get_context("fork"),
+                    initializer=_adopt_stages, initargs=(self,)) as pool:
+                started = {i: pool.submit(_worker_job, job, i) for i in start}
+        return [started[i] for i in sorted(started)]
 
     def decay(self) -> corr.DecayTable:
         """Corrector decay table over ``eps_list``, on the block or its
@@ -460,25 +460,23 @@ def _adopt_stages(st: Stages) -> None:
     _worker_stages = st
 
 
-def _worker_job(job, key):
-    """``job`` of the worker's stages at ``key``; only its result goes
-    back to the caller."""
-    return job(_worker_stages, key)
+def _worker_job(job, i: int):
+    """``job`` of the worker's stages for run i; only its result goes back
+    to the caller."""
+    return job(_worker_stages, i)
 
 
-def _ran(job, st: Stages, key):
-    """The handle of ``job(st, key)``, run now: its ``result()`` returns the
-    job's result or raises the job's exception."""
+def _ran(job, st: Stages, i: int):
+    """A ``Future`` of ``job(st, i)``, run now: it holds the job's result or
+    its exception."""
+    # imported here, so that loading the package never loads it
+    from concurrent.futures import Future
+    done = Future()
     try:
-        value, error = job(st, key), None
+        done.set_result(job(st, i))
     except Exception as exc:
-        value, error = None, exc
-
-    def result():
-        if error is not None:
-            raise error
-        return value
-    return SimpleNamespace(result=result)
+        done.set_exception(exc)
+    return done
 
 
 def _report_row(st: Stages, i: int) -> dict:
@@ -547,7 +545,8 @@ class ConvergenceReport:
 def run_convergence(cfg: ExperimentConfig, n_workers: int = 1):
     """Full eps-sweep pipeline; see module docstring for the seed scheme.
     Its runs are one sweep on ``n_workers`` worker processes
-    (``Stages.sweep``); the averaged run's job also solves the FD problem.
+    (``Stages.sweep``), whose Futures it reads in run order: the eps rows'
+    records, then the averaged run's, whose job also solves the FD problem.
 
     Stage errors abort with provenance (PipelineError); the partial report
     assembled so far is attached to the error as ``.partial`` with the
@@ -561,10 +560,7 @@ def run_convergence(cfg: ExperimentConfig, n_workers: int = 1):
         st.avg   # built here, so that its failure names this stage
 
         stage = "eps-sweep"
-        jobs = st.runs(_report_row)
-        done = dict(zip(jobs, st.sweep(jobs, n_workers)))
-        *records, last = (done[_report_row, i].result()
-                          for i in range(len(st.names)))
+        *records, last = (f.result() for f in st.sweep(_report_row, n_workers))
         report.averaged, report.occupation = \
             last["averaged"], last["occupation"]
 

@@ -158,11 +158,12 @@ def _demo_doc():
 @pytest.mark.parametrize("name,value", [
     ("mc.n_steps", 10 ** 12), ("mc.n_paths", 10 ** 12),
     ("fd.n1", 10 ** 9 + 1), ("fd.dt_fd", 1e-300),
-    pytest.param("fd.n1", 10 ** 400 + 1, id="fd.n1-1e400")])
+    pytest.param("fd.n1", 10 ** 400 + 1, id="fd.n1-1e400"),
+    ("corrector.n_grid", [100000, 1000, 1000])])
 def test_config_refuses_unrunnable_sizes(name, value):
     # each of these demo copies used to load: 2e16 path states, 5e13, 1e11
-    # FD unknowns per step, ~5e299 FD steps; refused at load by key, and
-    # no run is started
+    # FD unknowns per step, ~5e299 FD steps, 1e11 decay-table points;
+    # refused at load by key, and no run is started
     doc = _demo_doc()
     block, key = name.split(".")
     doc[block][key] = value
@@ -173,7 +174,8 @@ def test_config_refuses_unrunnable_sizes(name, value):
 
 def test_config_size_bound_is_inclusive():
     # the demo and the 100k-path reference run load, and so do a path
-    # array and an FD march of exactly MAX_COUNT = 1e8; one more is refused.
+    # array, an FD march and a decay grid of exactly MAX_COUNT = 1e8; one
+    # more is refused.
     # The FD count is that of the largest solve, on the fd grid refined by
     # 2, which has about 4 times the nodes and 4 times the steps
     from homoglab.harness import MAX_COUNT
@@ -197,6 +199,13 @@ def test_config_size_bound_is_inclusive():
         doc[key[0]][key[1]] += 1
         with pytest.raises(ConfigError, match=f"'{key[0]}.{key[1]}'"):
             hl.ExperimentConfig.from_dict(doc)
+    # 1000 x 1000 x 100 decay-table points; the config is only loaded
+    doc = _demo_doc()
+    doc["corrector"]["n_grid"] = [1000, 1000, 100]
+    hl.ExperimentConfig.from_dict(doc)
+    doc["corrector"]["n_grid"][2] += 1
+    with pytest.raises(ConfigError, match="'corrector.n_grid'"):
+        hl.ExperimentConfig.from_dict(doc)
 
 
 def test_split_seed_stable_and_distinct():
@@ -409,14 +418,17 @@ def _sweep_doc():
 
 
 def _results(handles) -> list:
+    """The result of each of a sweep's handles, every one a ``Future``."""
+    assert all(isinstance(h, concurrent.futures.Future) for h in handles)
     return [h.result() for h in handles]
 
 
 def test_sweep_on_workers_matches_in_process(monkeypatch):
-    # the jobs are runs only, and they go to the workers in list order:
+    # the jobs are runs only, and they go to the workers in start order:
     # the averaged run, whose job holds the FD solve when the config has an
-    # fd block, then the eps rows longest first by substeps, as converge
-    # lists them; each handle's result equals the in-process sweep's; no
+    # fd block, then the eps rows longest first by substeps; the sweep
+    # returns one Future per run, in run order (the eps rows, then the
+    # averaged run), and each result equals the in-process sweep's; no
     # worker outlives the sweep
     submitted = []
 
@@ -435,20 +447,18 @@ def test_sweep_on_workers_matches_in_process(monkeypatch):
 def _sweep_matches_in_process(st, submitted):
     order = [3, 2, 1, 0]
     assert st.row_substeps == [1, 4, 16, 1]
-    jobs = st.runs(_report_row)
-    assert [key for _, key in jobs] == order
-    here = _results(st.sweep(jobs, 1))
+    here = _results(st.sweep(_report_row, 1))
     assert submitted == []
-    assert [r["row"]["eps"] for r in here[1:]] == [0.05, 0.1, 1.0]
-    assert set(here[0]) == {"averaged", "occupation"} | (
+    assert [r["row"]["eps"] for r in here[:-1]] == [1.0, 0.1, 0.05]
+    assert set(here[-1]) == {"averaged", "occupation"} | (
         set() if st.cfg.fd is None else {"v_fd"})
     for n_workers in (2, 4):
-        assert _results(st.sweep(jobs, n_workers)) == here
+        assert _results(st.sweep(_report_row, n_workers)) == here
     assert submitted == order * 2
     assert multiprocessing.active_children() == []
     # called beside another thread, the sweep does not fork
     with concurrent.futures.ThreadPoolExecutor(max_workers=1) as ex:
-        beside = ex.submit(st.sweep, jobs, 2).result()
+        beside = ex.submit(st.sweep, _report_row, 2).result()
     assert submitted == order * 2
     assert _results(beside) == here
     # converge submits its runs in the same order
@@ -458,29 +468,31 @@ def _sweep_matches_in_process(st, submitted):
 
 
 def test_one_worker_sweep_runs_every_job_in_list_order():
-    # at one worker the sweep has called every job, in list order, before
+    # at one worker the sweep has called every job, in start order, before
     # it returns: the averaged run, then the eps rows longest first by
-    # substeps, as converge lists them; each handle holds its job's result
-    # or exception, and only its own result() raises that exception
+    # substeps; it returns one Future per run, in run order, and each
+    # holds its job's result or exception, and only its own result() raises
+    # that exception
     st = Stages(hl.ExperimentConfig.from_dict({**_sweep_doc(),
                                                "fd": _FD_BLOCK}))
     called = []
 
-    def job(_, key):
-        called.append(key)
-        if key == 1:
+    def job(_, i):
+        called.append(i)
+        if i == 1:
             raise SimulationError("run 1 failed")
-        return key
-    jobs = st.runs(job)
+        return i
     order = [3, 2, 1, 0]
-    handles = st.sweep(jobs, 1)
+    handles = st.sweep(job, 1)
     assert called == order
-    for (_, key), handle in zip(jobs, handles):
-        if key == 1:
+    assert all(isinstance(h, concurrent.futures.Future) for h in handles)
+    assert len(handles) == 4
+    for i, handle in enumerate(handles):
+        if i == 1:
             with pytest.raises(SimulationError, match="run 1 failed"):
                 handle.result()
         else:
-            assert handle.result() == key
+            assert handle.result() == i
     assert called == order
 
 
@@ -622,9 +634,12 @@ def test_pooled_sweep_builds_averaged_model_once_in_caller(monkeypatch):
     monkeypatch.setattr(homoglab.families, "build_averaged", counted)
     st = Stages(hl.ExperimentConfig.from_dict(_sweep_doc()))
     assert pids == []
-    st.sweep(st.runs(_report_row), 2)
+    records = _results(st.sweep(_report_row, 2))
     assert pids == [os.getpid()]
     assert multiprocessing.active_children() == []
+    # one Future per run, in run order
+    assert [r["row"]["eps"] for r in records[:-1]] == st.cfg.eps_list
+    assert set(records[-1]) == {"averaged", "occupation"}
 
 
 def test_averaging_tol_below_residual_names_key():
