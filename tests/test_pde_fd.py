@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -11,9 +13,12 @@ from scipy.sparse.linalg import splu
 
 import homoglab as hl
 from homoglab import pde_fd
-from homoglab.pde_fd import (Grid2D, PdeError, _assemble, richardson_error,
+from homoglab.pde_fd import (Grid2D, PdeError, _step_matrix, richardson_error,
                              solve_pde)
 from conftest import problem
+
+# fd_corrector's refined grid: 301 x 153 nodes, 46,053 unknowns
+FD_CORRECTOR_FINE = Grid2D(5.0, 3.0, 149, 75, 0.0125, 0.5).refined()
 
 
 def constant_driver(c):
@@ -40,30 +45,100 @@ def jump_model():
                    terminal=lambda x: 0 * x[..., 0], label="jump")
 
 
+def drift_model():
+    # on the 5 x 3 grid (h2 = 1/2) a1/h2^2 = b1/(2 h2) = 2: every south
+    # entry cs is an exact 0, which M drops
+    return problem(a00=lambda x1, x2: 1.0 + 0 * x1,
+                   a1=lambda x1, x2: 0.5 + 0 * x1,
+                   b1=lambda x1, x2: 2.0 + 0 * x1,
+                   driver=constant_driver(0.0),
+                   terminal=lambda x: 0 * x[..., 0], label="drift")
+
+
+def reference_operator(model, grid):
+    """The reference construction of the operator A: the 5-point stencil's
+    COO triplets of every interior row, summed into CSC by scipy; the
+    boundary rows are empty.  Returns A and the mesh."""
+    x1, x2 = grid.x1, grid.x2
+    nx, ny = x1.size, x2.size
+    X1, X2 = np.meshgrid(x1, x2, indexing="ij")
+
+    def interior(coeff):
+        return np.broadcast_to(np.asarray(coeff(X1, X2), dtype=float),
+                               X1.shape)[1:-1, 1:-1]
+    a00, a1, b1 = interior(model.a00), interior(model.a1), interior(model.b1)
+    h1, h2 = grid.h1, grid.h2
+
+    cw = ce = a00 / h1 ** 2
+    cs = a1 / h2 ** 2 - b1 / (2 * h2)
+    cn = a1 / h2 ** 2 + b1 / (2 * h2)
+    diag = -(cw + ce) - 2 * a1 / h2 ** 2
+    # per interior node (i, j), flat index i * ny + j: the west, east,
+    # south, north and centre entries of its row
+    r = (np.arange(1, nx - 1)[:, None] * ny + np.arange(1, ny - 1))[..., None]
+    cols = r + np.array([-ny, ny, -1, 1, 0])
+    rows = np.broadcast_to(r, cols.shape)
+    vals = np.stack([cw, ce, cs, cn, diag], axis=-1)
+    A = sparse.csc_matrix(
+        (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(nx * ny, nx * ny))
+    return A, X1, X2
+
+
+def reference_step_matrix(model, grid):
+    """scipy's ``identity - dt*A`` of the reference operator."""
+    A = reference_operator(model, grid)[0]
+    return sparse.identity(A.shape[0], format="csc") - grid.dt_fd * A
+
+
+@pytest.mark.parametrize("grid", [Grid2D(1.0, 1.0, 5, 3, 0.01, 0.1),
+                                  FD_CORRECTOR_FINE],
+                         ids=["5x3", "fd_corrector-refined"])
+def test_step_matrix_is_the_reference_construction(
+        grid, switch_family, switch_avg, slowvary_family):
+    # M is written in place, bit for bit the CSC arrays of scipy's
+    # identity - dt*A: int32 indices, rows sorted within each column,
+    # boundary columns holding only their 1.0, exact zeros dropped
+    slowvary = hl.build_averaged(slowvary_family)
+    for model in (jump_model(), heat_model(), drift_model(), switch_avg,
+                  switch_family.at(0.1), slowvary):
+        want, got = reference_step_matrix(model, grid), _step_matrix(model,
+                                                                     grid)
+        assert got.format == "csc" and got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(want, name), getattr(got, name)
+            assert b.dtype == a.dtype and np.array_equal(b, a), \
+                (model.label, name)
+        assert got.has_sorted_indices and np.all(got.data != 0)
+
+
 @pytest.mark.parametrize("interface_we", [(9.0, 9.0)],
                          ids=["centered-interface_we0"])
 def test_operator_rows(interface_we):
     # x1 nodes -1, -2/3, ..., 1 (h1 = 1/3), x2 nodes -1, -1/2, ..., 1
     # (h2 = 1/2).  At the interface node x1 = 0 the centered scheme uses
-    # a00(0) / h1^2 = 9 on both sides, not a mean over the jump.
+    # a00(0) / h1^2 = 9 on both sides, not a mean over the jump.  The row
+    # of M = I - dt*A holds -dt times the stencil, and 1 - dt*centre
     g = Grid2D(1.0, 1.0, 5, 3, 0.01, 0.1)
-    A, _, _ = _assemble(jump_model(), g)
+    M = _step_matrix(jump_model(), g)
     ny = g.n2 + 2
     for (i, j), (cw, ce) in (((3, 3), interface_we), ((1, 2), (9.0, 9.0))):
         a11 = 0.5 + 0.25 * g.x2[j]                  # 0.625, 0.5
         cs, cn = a11 * 4 - 0.3, a11 * 4 + 0.3       # a11/h2^2 -+ b1/(2 h2)
         r = i * ny + j
-        row = A.getrow(r).toarray().ravel()
+        row = M.getrow(r).toarray().ravel()
         expect = np.zeros_like(row)
         expect[[r - ny, r + ny, r - 1, r + 1, r]] = \
             [cw, ce, cs, cn, -(cw + ce) - 8 * a11]
+        expect = -g.dt_fd * expect
+        expect[r] += 1.0
         assert row == pytest.approx(expect, rel=1e-14, abs=1e-14), (i, j)
 
 
 def test_dirichlet_step_rows(monkeypatch):
     # the matrix solve_pde factors, 7 x 5 nodes (flat index i * 5 + j):
     # each boundary row is the identity row (the node keeps its terminal
-    # value), each interior row the row of I - dt*A
+    # value), each interior row the row of I - dt*A, A the reference
+    # operator
     g = Grid2D(1.0, 1.0, 5, 3, 0.01, 0.1)
     factored = []
 
@@ -73,7 +148,7 @@ def test_dirichlet_step_rows(monkeypatch):
     monkeypatch.setattr(pde_fd, "splu", capture)
     solve_pde(jump_model(), g)
     (M,) = factored
-    A = _assemble(jump_model(), g)[0].toarray()
+    A = reference_operator(jump_model(), g)[0].toarray()
     nx, ny = g.n1 + 2, g.n2 + 2
     for i in range(nx):
         for j in range(ny):
@@ -87,26 +162,85 @@ def test_dirichlet_step_rows(monkeypatch):
 
 def test_factor_takes_the_panel_constant_with_the_operator_released(
         monkeypatch):
-    # solve_pde factors M with the module's small panel width (SuperLU's
-    # default of 20 holds a workspace 20 columns wide), and the operator
-    # that _assemble returned is dead by then: only M and the growing factor
-    # are alive while splu runs
-    ops, seen = [], []
+    # solve_pde factors the M that _step_matrix built, with the module's
+    # small panel width (SuperLU's default of 20 holds a workspace 20
+    # columns wide), and releases M after the factorization: no time step
+    # runs with it alive
+    built, seen, stepped = [], [], []
 
-    def assemble(*args, _fn=_assemble):
-        out = _fn(*args)
-        ops.append(weakref.ref(out[0]))
-        return out
+    def step_matrix(*args, _fn=_step_matrix):
+        M = _fn(*args)
+        built.append(weakref.ref(M))
+        return M
+
+    class Factor:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            stepped.append(built[0]())
+            return self.lu.solve(rhs)
 
     def capture(M, **kwargs):
-        seen.append((kwargs, [op() for op in ops]))
-        return splu(M, **kwargs)
-    monkeypatch.setattr(pde_fd, "_assemble", assemble)
+        seen.append((kwargs, M is built[0]()))
+        return Factor(splu(M, **kwargs))
+    monkeypatch.setattr(pde_fd, "_step_matrix", step_matrix)
     monkeypatch.setattr(pde_fd, "splu", capture)
     solve_pde(jump_model(), Grid2D(1.0, 1.0, 5, 3, 0.01, 0.1))
     assert pde_fd._PANEL in (1, 2, 4)
     assert seen == [({"permc_spec": "MMD_AT_PLUS_A",
-                      "panel_size": pde_fd._PANEL}, [None])]
+                      "panel_size": pde_fd._PANEL}, True)]
+    assert stepped == [None] * 10
+
+
+def test_only_m_is_alive_at_the_factorization(monkeypatch, slowvary_family):
+    # on fd_corrector's refined grid, traced from the start of solve_pde
+    # to the splu call: what is alive at the call is M's three arrays
+    # (within 2 %), and building M peaked at no more than twice M.  The
+    # COO operator and scipy's identity - dt*A held 4.01 MiB at the call
+    # and peaked at 13.15 MiB, against M's 2.77 MiB
+    model = hl.build_averaged(slowvary_family)
+    pde_fd.load_solver()
+    seen = {}
+
+    class Stop(Exception):
+        pass
+
+    def record(M, **kwargs):
+        current, peak = tracemalloc.get_traced_memory()
+        seen.update(current=current - base, peak=peak - base,
+                    M=M.data.nbytes + M.indices.nbytes + M.indptr.nbytes)
+        raise Stop
+    monkeypatch.setattr(pde_fd, "splu", record)
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with pytest.raises(Stop):
+            solve_pde(model, FD_CORRECTOR_FINE)
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert seen["M"] > 2.5 * 2 ** 20, seen      # M holds 2.77 MiB
+    assert abs(seen["current"] - seen["M"]) <= 0.02 * seen["M"], seen
+    assert seen["peak"] <= 2 * seen["M"], seen
+
+
+def test_nonfinite_step_names_the_model_and_step():
+    # a driver that overflows: the march refuses it by model and step, and
+    # numpy warns of nothing first (a RuntimeWarning raised as an error
+    # would otherwise take the PdeError's place)
+    blowup = problem(heat_model(), label="blowup",
+                     driver=lambda x1, x2: lambda v: 1e300 * (1 + v * v))
+    g = Grid2D(1.0, 1.0, 5, 3, 0.01, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PdeError) as exc:
+            solve_pde(blowup, g)
+    assert str(exc.value) == ("blowup: non-finite values after implicit "
+                              "step 2 of 10")
 
 
 def test_factorization_peak_is_the_factor():
@@ -165,7 +299,7 @@ def test_fd_matches_colamd_reference(switch_avg, g):
     # width and the full driver f(x, v) on every step; solve_pde differs
     # only in round-off, also on the demo benchmark's refined grid
     # (201 x 101 nodes, 160 steps)
-    A, X1, X2 = _assemble(switch_avg, g)
+    A, X1, X2 = reference_operator(switch_avg, g)
     nx, ny = X1.shape
     lu = splu(sparse.identity(nx * ny, format="csc") - g.dt_fd * A,
               permc_spec="COLAMD")
