@@ -19,12 +19,12 @@ closed form that the numeric averaging engine is checked against.
 
 The effective model takes the quotient form: each averaged coefficient is a
 ratio of Cesaro limits weighted by ``rho``, with a separate value on each
-side of the interface ``{x1 = 0}`` (the point 0 itself uses the minus side).
+side of the interface ``{x1 = 0}`` (the point 0 itself takes their mean).
 By linearity it is the family's own templates on the limit basis: ``(T, sin)``
 replaced by its one-sided limits, ``(+1, 0)`` for x1 > 0 and ``(-1, 0)``
-otherwise in closed form.  So both models share one coefficient interface,
-``TemplateCoefficients`` with one driver, and differ only in the basis
-(which alone holds the side convention).
+for x1 < 0 in closed form, and ``(0, 0)`` at x1 = 0.  So both models share
+one coefficient interface, ``TemplateCoefficients`` with one driver, and
+differ only in the basis (which alone holds the side convention).
 """
 
 from __future__ import annotations
@@ -342,8 +342,13 @@ class AveragedModel(TemplateCoefficients):
     """Effective coefficients; possibly discontinuous across {x1 = 0}.
 
     The family's templates evaluated on the limit basis: ``basis(x1)`` is
-    ``(a_trans, a_sin)[0]`` for x1 > 0 and ``[1]`` otherwise, so the point
-    x1 = 0 belongs to the minus side.  The driver's y-shape is the family's.
+    ``(a_trans, a_sin)[0]`` for x1 > 0, ``[1]`` for x1 < 0 (and NaN), and
+    the mean of the two at exactly x1 = 0.  There rho is the mean of the
+    sides' rho, so a00 = 2/(rho- + rho+) and a1, b1 and the driver are the
+    rho-weighted means of the sides': the FD row at the interface node
+    lumps the speed measure of both sides over its cell (Etore, Electron.
+    J. Probab. 2006), which makes the FD oracle second order in x1 there.
+    The driver's y-shape is the family's.
     """
     fam: CoefficientFamily
     a_trans: tuple          # (plus, minus) limits of T
@@ -352,9 +357,14 @@ class AveragedModel(TemplateCoefficients):
     eps = None              # not a field: the limit has no fast scale
 
     def basis(self, x1):
-        """The one-sided limits of (T, sin) on the side of x1."""
-        plus = np.asarray(x1, dtype=float) > 0
-        return np.where(plus, *self.a_trans), np.where(plus, *self.a_sin)
+        """The one-sided limits of (T, sin) on the side of x1, and at
+        exactly x1 = 0 their mean, (0, 0) in closed form."""
+        x1 = np.asarray(x1, dtype=float)
+        plus = x1 > 0
+        out = np.where(plus, *self.a_trans), np.where(plus, *self.a_sin)
+        for b, (p, m) in zip(out, (self.a_trans, self.a_sin)):
+            b[x1 == 0] = 0.5 * (p + m)
+        return out
 
     def a(self, x1, x2):
         """The full 2x2 diffusion block, ``a00`` and ``a1`` on the
@@ -369,10 +379,11 @@ class AveragedModel(TemplateCoefficients):
     def to_json(self, x2_grid):
         """Branch tables on a 1-D x2 grid, for regression testing: each x2
         and ``b_bar`` as a one-element list, ``a_bar`` as the 2x2 diffusion
-        block with ``a00`` and ``a1`` on its diagonal."""
+        block with ``a00`` and ``a1`` on its diagonal; ``side_convention``
+        "mean": x1 = 0 takes the mean of the two branches' bases."""
         x2_grid = np.asarray(x2_grid, dtype=float)
         doc = {"format": "averaged-model", "version": 1, "d": self.d,
-               "k": self.k, "side_convention": "minus",
+               "k": self.k, "side_convention": "mean",
                "x2_grid": x2_grid[:, None].tolist(),
                "y_grid": _Y_GRID.tolist(),
                "y_shape": self.fam.f_y_shape(_Y_GRID).tolist(),

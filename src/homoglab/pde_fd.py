@@ -11,14 +11,26 @@ generator of the simulated process,
     a00(x1, x2) d2/dx1^2 + a1(x1, x2) d2/dx2^2 + b1(x1, x2) d/dx2,
 
 with no mixed term and no x1 drift (block diffusion structure).  Diffusion
-and drift are implicit, the semi-linear driver explicit.  The step matrix
-M = I - dt*A (A's boundary rows are empty, so each boundary row of M is the
-identity row) is written straight into CSC arrays, with no A and no COO
-triplets formed (``_step_matrix``; its bits are those of scipy's
-``identity - dt*A``), and factored once, with a minimum-degree
+and drift are implicit, the semi-linear driver explicit: the march is
+IMEX-BDF2 (Ascher, Ruuth & Wetton, SIAM J. Numer. Anal. 1995), second order
+in time, on the one step matrix M = I - tau*A, tau = 2*dt/3.  Its start is
+three implicit Euler steps of tau on the same factor, which reach 2*dt
+(``solve_pde``), so a solve takes n_steps + 1 pairs of triangular solves
+and one factorization.  M (A's boundary rows are empty, so each boundary
+row of M is the identity row) is written straight into CSC arrays, with no
+A and no COO triplets formed (``_step_matrix``; its bits are those of
+scipy's ``identity - tau*A``), and factored once, with a minimum-degree
 ordering of M^T + M (the 5-point stencil is structurally symmetric but for
 the boundary rows, and this ordering fills about half as much as SuperLU's
-default COLAMD); every time step is then one pair of triangular solves.
+default COLAMD) and the diagonal pivot threshold ``_PIVOT`` = 0.1, a
+constant, not a setting.  M is strictly row diagonally dominant where
+a1/h2 >= |b1|/2, and there elimination needs no pivoting to be stable
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 9).
+The threshold keeps the diagonal pivot unless it is below a tenth of its
+column's largest entry; strict pivoting, SuperLU's default, swaps rows
+more often and fills more: on fd_corrector's refined grid (301 x 153
+nodes) the factor holds 2.12M nonzeros at 0.1 against 2.54M strictly
+pivoted, each solve is faster, and the solutions agree to round-off.
 SuperLU factors a panel of columns at a time, with a workspace of about
 16 bytes per unknown and panel column beside the growing factor.  At its
 default width of 20, on a 301 x 153 node grid whose factor holds 21.3 MB,
@@ -30,7 +42,7 @@ which the coefficients are evaluated dies inside ``_step_matrix``, and M
 is released after the factorization: while it runs, only M and the
 growing factor are alive.  On that 301 x 153 grid, building M peaked at
 4.8 MiB traced (M holds 2.77 MiB), against 13.2 MiB for the COO operator
-and scipy's ``identity - dt*A``, which also kept 1.2 MiB besides M alive
+and scipy's ``identity - tau*A``, which also kept 1.2 MiB besides M alive
 through the factorization.
 The driver is prepared once per solve (``model.driver`` evaluates its
 x-dependent factor on the mesh and returns the map v -> f); each step
@@ -43,7 +55,12 @@ simulated process (a driftless diffusion is a time-changed Brownian
 motion, so x itself is its scale function and harmonic profiles are linear
 with matching slopes).  A conservation-form flux scheme would enforce
 continuity of a00*dv/dx1 instead and would not match the Monte Carlo
-representation when a00 jumps.
+representation when a00 jumps.  The row of the interface node reads the
+averaged model at x1 = 0, where ``AveragedModel.basis`` takes the mean of
+the two sides' bases: the row lumps the speed measure of both sides over
+the node's cell (Etore, Electron. J. Probab. 2006), and the scheme is
+second order in x1 there (with the node on either side alone it is first
+order, its error set at that node).
 
 SciPy (``scipy.sparse`` and its ``splu``) is this module's one dependency
 beyond numpy, and it is imported on first use (``load_solver``), not with
@@ -64,6 +81,10 @@ import numpy as np
 
 # SuperLU's panel width: its workspace grows with the width, its speed did not
 _PANEL = 1
+# SuperLU's diagonal pivot threshold: the diagonal is the pivot while it is
+# at least this fraction of its column's largest entry (1.0, the default,
+# is strict partial pivoting, which fills more on the refined grids)
+_PIVOT = 0.1
 
 
 class PdeError(RuntimeError):
@@ -137,16 +158,17 @@ class Grid2D:
     def refined(self) -> "Grid2D":
         """Nested refinement by 2: old nodes are a subset of the new ones.
 
-        h halves and dt shrinks by 4.  Where the coefficients are smooth the
-        spatial error is second order and the time error first order, so
-        both shrink by 4.  At the a00 jump on x1 = 0 the spatial error is
-        only first order: on the shipped demo's averaged model the sup
-        change falls from 0.00306 to 0.00166 over two refinements, an
-        observed order of 0.88 set at an interface node; at x0 the order
-        is 1.38.
+        h and dt halve.  The march is second order in time and the
+        stencil in space, the interface node at x1 = 0 included, so both
+        errors shrink by 4.  Measured over two refinements: on the demo
+        benchmark's averaged switch model (99 x 49 nodes, dt 0.0125) the
+        sup change falls from 8.25e-4 to 2.07e-4, an observed order of
+        2.00 (2.01 at x0); on fd_corrector's slowvary grid (149 x 75) from
+        2.96e-4 to 7.44e-5, order 1.99.  So the sup change is about 0.8 of
+        the coarse grid's own sup error, 1/(1 + 2^-2).
         """
         return Grid2D(self.L1, self.L2, 2 * self.n1 + 1, 2 * self.n2 + 1,
-                      self.dt_fd / 4, self.t_end)
+                      self.dt_fd / 2, self.t_end)
 
 
 @dataclass
@@ -188,11 +210,16 @@ class GridSolution:
             json.dump(header, fh, sort_keys=True)
 
 
+def _tau(grid: Grid2D) -> float:
+    """The implicit coefficient of the BDF2 step, tau = 2*dt/3."""
+    return 2.0 * grid.dt_fd / 3.0
+
+
 def _step_matrix(model, grid: Grid2D):
-    """The step matrix M = I - dt*A over all nodes, in CSC, written in
-    place: A's boundary rows are empty, so each boundary column of M holds
-    only its identity 1.0.  Its bits are those of scipy's
-    ``identity(N, format="csc") - dt * A`` for the CSC operator A of the
+    """The step matrix M = I - tau*A (``_tau``) over all nodes, in CSC,
+    written in place: A's boundary rows are empty, so each boundary column
+    of M holds only its identity 1.0.  Its bits are those of scipy's
+    ``identity(N, format="csc") - tau * A`` for the CSC operator A of the
     5-point stencil: int32 indices, rows sorted within each column, exact
     zeros dropped.  The mesh dies here; only M leaves."""
     nx, ny = grid.n1 + 2, grid.n2 + 2
@@ -212,14 +239,14 @@ def _step_matrix(model, grid: Grid2D):
     # column (i, j), flat index c = i * ny + j, holds rows c - ny, c - 1,
     # c, c + 1 and c + ny: the east, north, centre, south and west entries
     # of the interior rows among them (0 where the row is a boundary row)
-    mdt = -grid.dt_fd
+    mtau = -_tau(grid)
     vals = np.zeros((nx, ny, 5))
-    vals[2:, 1:-1, 0] = mdt * ce
-    vals[1:-1, 2:, 1] = mdt * cn
+    vals[2:, 1:-1, 0] = mtau * ce
+    vals[1:-1, 2:, 1] = mtau * cn
     vals[:, :, 2] = 1.0
-    vals[1:-1, 1:-1, 2] += mdt * diag
-    vals[1:-1, :-2, 3] = mdt * cs
-    vals[:-2, 1:-1, 4] = mdt * cw
+    vals[1:-1, 1:-1, 2] += mtau * diag
+    vals[1:-1, :-2, 3] = mtau * cs
+    vals[:-2, 1:-1, 4] = mtau * cw
     del cw, ce, cs, cn, diag
     n = nx * ny
     vals = vals.reshape(n, 5)
@@ -245,15 +272,23 @@ def solve_pde(model, grid: Grid2D) -> GridSolution:
     In the time-to-maturity variable the problem is a forward heat flow
     from v(0) = H (``model.terminal``); the reported slice is remaining
     time t_end, so values[i, j] ~ v(0, x) for terminal data at t_end.
-    The boundary nodes keep H throughout.  M is the only array alive
-    while ``splu`` factors it, and it is released after; the mesh the
-    terminal data and driver read is built after the factorization.
-    A step whose values are not all finite is refused with a
-    ``PdeError`` naming the model and the step.
+    The boundary nodes keep H throughout.  The march is IMEX-BDF2 on the
+    one factor of M = I - tau*A, tau = 2*dt/3: three implicit Euler steps
+    of tau reach t = 2*dt (3*tau = 2*dt), v(dt) is the mean of the first
+    two (dt = 1.5*tau is their midpoint), and from there
+
+        M v^{n+1} = (4 v^n - v^{n-1})/3 + tau*(2 f(v^n) - f(v^{n-1})),
+
+    n_steps + 1 solves in all.  M is the only array alive while ``splu``
+    factors it, and it is released after; the mesh the terminal data and
+    driver read is built after the factorization.  A solve whose values
+    are not all finite is refused with a ``PdeError`` naming the model and
+    the step of dt that the solve lands in.
     """
     M = _step_matrix(model, grid)
     try:
-        lu = splu(M, permc_spec="MMD_AT_PLUS_A", panel_size=_PANEL)
+        lu = splu(M, permc_spec="MMD_AT_PLUS_A", panel_size=_PANEL,
+                  diag_pivot_thresh=_PIVOT)
     except RuntimeError as exc:
         raise PdeError(f"implicit-step factorization failed: {exc}") from exc
     del M
@@ -267,22 +302,38 @@ def solve_pde(model, grid: Grid2D) -> GridSolution:
     boundary[1:-1, 1:-1] = False
     bidx = np.flatnonzero(boundary)
     bvals = v.ravel()[bidx]
-    # an overflowing driver is refused by the finiteness check below, by
-    # name, not first warned about by numpy
+    tau = _tau(grid)
+
+    def solve(rhs, k):
+        rhs = rhs.ravel()
+        rhs[bidx] = bvals
+        out = lu.solve(rhs).reshape(nx, ny)
+        if not np.all(np.isfinite(out)):
+            raise PdeError(f"{model.label}: non-finite values after "
+                           f"implicit step {k} of {grid.n_steps}")
+        return out
+
+    # an overflowing driver is refused by the finiteness check, by name,
+    # not first warned about by numpy
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, grid.n_steps + 1):
-            rf = (v + grid.dt_fd * np.asarray(drive(v), dtype=float)).ravel()
-            rf[bidx] = bvals
-            v = lu.solve(rf).reshape(nx, ny)
-            if not np.all(np.isfinite(v)):
-                raise PdeError(f"{model.label}: non-finite values after "
-                               f"implicit step {k} of {grid.n_steps}")
+        # the start's three Euler steps land at 2/3, 4/3 and 2 dt (steps 1,
+        # 2 and 2); v(dt), at 1.5 tau, is the mean of the first two
+        w1 = solve(v + tau * drive(v), 1)
+        w2 = solve(w1 + tau * drive(w1), 2)
+        prev, v = 0.5 * (w1 + w2), solve(w2 + tau * drive(w2), 2)
+        del w1, w2
+        f_prev = drive(prev)
+        for k in range(3, grid.n_steps + 1):
+            f = drive(v)
+            rhs = (4.0 * v - prev) / 3.0 + tau * (2.0 * f - f_prev)
+            prev, f_prev = v, f
+            v = solve(rhs, k)
     return GridSolution(grid=grid, values=v, model_label=model.label)
 
 
 def richardson_error(coarse: GridSolution, fine: GridSolution) -> float:
     """Sup-norm change under one nested refinement by 2 (``Grid2D.refined``:
-    h halves, dt quarters), over the coarse grid's nodes: ``fine`` is the
+    h and dt halve), over the coarse grid's nodes: ``fine`` is the
     solution on ``coarse.grid.refined()``.  Nothing is solved here."""
     if fine.grid != coarse.grid.refined():
         raise PdeError(f"the fine solution's grid {fine.grid} is not the "

@@ -286,7 +286,8 @@ def simulate_eps(fam: CoefficientFamily, eps: float, x0, grid: SimGrid,
 def simulate_avg(avg: AveragedModel, x0, grid: SimGrid, n_paths: int,
                  seed: int, substeps: int = 1,
                  block_size: int = 4096) -> PathBundle:
-    """Euler-Maruyama under the averaged coefficients (minus branch at x1=0)."""
+    """Euler-Maruyama under the averaged coefficients (the mean of the two
+    branches at x1 = 0)."""
     return _run_blocks(avg, x0, grid, n_paths, seed, substeps, block_size)
 
 

@@ -83,28 +83,34 @@ def test_switch_pointwise_values(switch_family):
     assert v == pytest.approx(ref)
 
 
-def test_averaged_switch_branches(switch_avg):
+def test_averaged_switch_branches(switch_family, switch_avg):
     x2 = np.zeros((1, 1))
     assert switch_avg.rho(1.0, x2)[0] == pytest.approx(3.0, abs=1e-12)
     assert switch_avg.rho(-1.0, x2)[0] == pytest.approx(1.0, abs=1e-12)
     assert switch_avg.a00(1.0, x2)[0] == pytest.approx(1.0 / 3.0)
     assert switch_avg.a00(-1.0, x2)[0] == pytest.approx(1.0)
-    # x1 = 0 belongs to the minus branch
-    assert switch_avg.a00(0.0, x2)[0] == pytest.approx(1.0)
+    # x1 = 0 takes the mean of the two sides' bases: rho = (1 + 3)/2
+    assert switch_avg.a00(0.0, x2)[0] == pytest.approx(0.5)
     assert switch_avg.b1(1.0, x2)[0, 0] == pytest.approx(2.0 / 3.0)
     assert switch_avg.b1(-1.0, x2)[0, 0] == pytest.approx(0.0)
     assert switch_avg.f(1.0, x2, 0.0)[0] == pytest.approx(0.4)
     assert switch_avg.f(-1.0, x2, 0.0)[0] == pytest.approx(0.6)
-    # every averaged coefficient at x1 = 0, of either sign, takes its
-    # minus-side value
+    # every averaged coefficient at x1 = 0, of either sign, is the
+    # templates' value on the mean basis (T, sin) = (0, 0), which is the
+    # family's own at x1 = 0 (T(0) = sin(0) = 0)
     x2s = np.array([[0.0], [0.7], [-1.3]])
     for x1 in (0.0, -0.0):
-        for name in ("rho", "a00", "b1", "a1", "a", "rho_f_coef"):
-            coef = getattr(switch_avg, name)
-            assert np.array_equal(coef(x1, x2s), coef(-1.0, x2s)), (name, x1)
+        assert all(np.array_equal(b, 0.0) for b in switch_avg.basis(x1))
+        for name in ("rho", "a00", "b1", "a1", "rho_f_coef"):
+            assert np.array_equal(getattr(switch_avg, name)(x1, x2s),
+                                  getattr(switch_family, name)(0.0, x2s)), \
+                (name, x1)
+        a = switch_avg.a(x1, x2s)
+        assert np.array_equal(a[..., 0, 0], switch_family.a00(0.0, x2s))
+        assert np.array_equal(a[..., 1, 1], switch_family.a1(0.0, x2s))
         for y in (0.0, 1.3):
             assert np.array_equal(switch_avg.f(x1, x2s, y),
-                                  switch_avg.f(-1.0, x2s, y)), (y, x1)
+                                  switch_family.f(0.0, x2s, y)), (y, x1)
 
 
 def test_averaged_a00_is_inverse_mean_rho(switch_family, switch_avg):
@@ -341,10 +347,11 @@ def test_family_at_eps_is_family_at_fast_argument(fid):
 
 
 def _limit_basis(x1):
-    """(T, sin) replaced by their one-sided limits: T = +1 for x1 > 0 and
-    -1 otherwise (x1 = 0 and -0.0 on the minus side), sin = 0."""
+    """(T, sin) replaced by their one-sided limits: T = +1 for x1 > 0, -1
+    for x1 < 0 and their mean 0 at x1 = 0 and -0.0, sin = 0."""
     x1 = np.asarray(x1, dtype=float)
-    return np.where(x1 > 0, 1.0, -1.0), np.zeros(x1.shape)
+    return (np.where(x1 > 0, 1.0, np.where(x1 < 0, -1.0, 0.0)),
+            np.zeros(x1.shape))
 
 
 @pytest.mark.parametrize("fid", ["const", "switch", "slowvary"])
@@ -456,6 +463,7 @@ def test_averaged_model_json_roundtrip(switch_avg, tmp_path):
                          switch_avg.to_json(np.linspace(-2, 2, 9)))
     doc = json.loads(path.read_text())
     assert doc["format"] == "averaged-model"
+    assert doc["side_convention"] == "mean"
     assert doc["branches"]["plus"]["rho"][0] == pytest.approx(3.0)
     assert doc["branches"]["minus"]["rho"][0] == pytest.approx(1.0)
     # the layout: d = 1, k = 2, each x2 and b_bar a one-element list and

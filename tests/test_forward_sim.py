@@ -134,10 +134,11 @@ def test_path_prefix_stability(switch_family, small_grid):
 
 
 def _averaged_branch(tmpl, x1, x2):
-    """A template's averaged value from its weights at T = +1 (x1 > 0) or
-    T = -1 (x1 <= 0), sin = 0."""
+    """A template's averaged value from its weights at T = +1 (x1 > 0),
+    T = -1 (x1 < 0) or their mean T = 0 (x1 = 0), sin = 0."""
     w0, w1, w2 = tmpl.w0(x2), tmpl.w1(x2), tmpl.w2(x2)
-    trans = np.where(x1 > 0, 1.0, -1.0).reshape(x1.shape + (1,) * (np.ndim(w0) - 1))
+    trans = np.where(x1 > 0, 1.0, np.where(x1 < 0, -1.0, 0.0)).reshape(
+        x1.shape + (1,) * (np.ndim(w0) - 1))
     return w0 + w1 * trans + w2 * 0.0
 
 
@@ -220,7 +221,8 @@ def test_streams_match_whole_path_draws(monkeypatch, switch_family,
     # substeps 3 (3,3,3,1); on 11 steps 3, 4, 6 and 11 chunks, the last
     # short for substeps 2 (5,5,1), 3 (3,3,3,2) and 4.  Blocks of 7 and 2
     # paths fit more coarse steps into the same budget.  The averaged
-    # paths start on the interface, whose first step takes the minus side.
+    # paths start on the interface, whose first step takes the mean of the
+    # two sides.
     budget = 23 * 11 * 2
     monkeypatch.setattr(simulate, "_NORMALS", budget)
     draws = _record_draws(monkeypatch)

@@ -177,7 +177,7 @@ def test_config_size_bound_is_inclusive():
     # array, an FD march and a decay grid of exactly MAX_COUNT = 1e8; one
     # more is refused.
     # The FD count is that of the largest solve, on the fd grid refined by
-    # 2, which has about 4 times the nodes and 4 times the steps
+    # 2, which has about 4 times the nodes and 2 times the steps
     from homoglab.harness import MAX_COUNT
     assert MAX_COUNT == 10 ** 8
     hl.ExperimentConfig.from_dict(_demo_doc())
@@ -185,12 +185,12 @@ def test_config_size_bound_is_inclusive():
     doc["mc"]["n_paths"] = 100000
     hl.ExperimentConfig.from_dict(doc)
     # 2e6 paths of 50 states; the refinement of a 311 x 311 grid over
-    # t_end / dt_fd = 64 steps has (2 * 311 + 3) ** 2 nodes over 256 steps
-    fine = pde_fd.Grid2D(2.0, 2.0, 311, 311, 0.5 / 64, 0.5).refined()
+    # t_end / dt_fd = 128 steps has (2 * 311 + 3) ** 2 nodes over 256 steps
+    fine = pde_fd.Grid2D(2.0, 2.0, 311, 311, 0.5 / 128, 0.5).refined()
     assert (fine.n1 + 2) * (fine.n2 + 2) * fine.n_steps == MAX_COUNT
     for changes, key in (({"mc": {"n_steps": 49, "n_paths": 2000000}},
                           ("mc", "n_paths")),
-                         ({"fd": {"n1": 311, "n2": 311, "dt_fd": 0.5 / 64}},
+                         ({"fd": {"n1": 311, "n2": 311, "dt_fd": 0.5 / 128}},
                           ("fd", "n2"))):
         doc = _demo_doc()
         for block, values in changes.items():

@@ -84,10 +84,15 @@ def reference_operator(model, grid):
     return A, X1, X2
 
 
+def bdf2_tau(grid):
+    """The BDF2 step's implicit coefficient, tau = 2*dt/3."""
+    return 2.0 * grid.dt_fd / 3.0
+
+
 def reference_step_matrix(model, grid):
-    """scipy's ``identity - dt*A`` of the reference operator."""
+    """scipy's ``identity - tau*A`` of the reference operator."""
     A = reference_operator(model, grid)[0]
-    return sparse.identity(A.shape[0], format="csc") - grid.dt_fd * A
+    return sparse.identity(A.shape[0], format="csc") - bdf2_tau(grid) * A
 
 
 @pytest.mark.parametrize("grid", [Grid2D(1.0, 1.0, 5, 3, 0.01, 0.1),
@@ -96,8 +101,9 @@ def reference_step_matrix(model, grid):
 def test_step_matrix_is_the_reference_construction(
         grid, switch_family, switch_avg, slowvary_family):
     # M is written in place, bit for bit the CSC arrays of scipy's
-    # identity - dt*A: int32 indices, rows sorted within each column,
-    # boundary columns holding only their 1.0, exact zeros dropped
+    # identity - tau*A, tau = 2*dt/3: int32 indices, rows sorted within
+    # each column, boundary columns holding only their 1.0, exact zeros
+    # dropped
     slowvary = hl.build_averaged(slowvary_family)
     for model in (jump_model(), heat_model(), drift_model(), switch_avg,
                   switch_family.at(0.1), slowvary):
@@ -117,7 +123,7 @@ def test_operator_rows(interface_we):
     # x1 nodes -1, -2/3, ..., 1 (h1 = 1/3), x2 nodes -1, -1/2, ..., 1
     # (h2 = 1/2).  At the interface node x1 = 0 the centered scheme uses
     # a00(0) / h1^2 = 9 on both sides, not a mean over the jump.  The row
-    # of M = I - dt*A holds -dt times the stencil, and 1 - dt*centre
+    # of M = I - tau*A holds -tau times the stencil, and 1 - tau*centre
     g = Grid2D(1.0, 1.0, 5, 3, 0.01, 0.1)
     M = _step_matrix(jump_model(), g)
     ny = g.n2 + 2
@@ -129,7 +135,7 @@ def test_operator_rows(interface_we):
         expect = np.zeros_like(row)
         expect[[r - ny, r + ny, r - 1, r + 1, r]] = \
             [cw, ce, cs, cn, -(cw + ce) - 8 * a11]
-        expect = -g.dt_fd * expect
+        expect = -bdf2_tau(g) * expect
         expect[r] += 1.0
         assert row == pytest.approx(expect, rel=1e-14, abs=1e-14), (i, j)
 
@@ -137,8 +143,8 @@ def test_operator_rows(interface_we):
 def test_dirichlet_step_rows(monkeypatch):
     # the matrix solve_pde factors, 7 x 5 nodes (flat index i * 5 + j):
     # each boundary row is the identity row (the node keeps its terminal
-    # value), each interior row the row of I - dt*A, A the reference
-    # operator
+    # value), each interior row the row of I - tau*A, A the reference
+    # operator and tau = 2*dt/3
     g = Grid2D(1.0, 1.0, 5, 3, 0.01, 0.1)
     factored = []
 
@@ -155,17 +161,17 @@ def test_dirichlet_step_rows(monkeypatch):
             r = i * ny + j
             expect = np.zeros(nx * ny)
             if 0 < i < nx - 1 and 0 < j < ny - 1:
-                expect = -g.dt_fd * A[r]
+                expect = -bdf2_tau(g) * A[r]
             expect[r] += 1.0
             assert np.array_equal(M[r], expect), (i, j)
 
 
 def test_factor_takes_the_panel_constant_with_the_operator_released(
         monkeypatch):
-    # solve_pde factors the M that _step_matrix built, with the module's
-    # small panel width (SuperLU's default of 20 holds a workspace 20
-    # columns wide), and releases M after the factorization: no time step
-    # runs with it alive
+    # solve_pde factors the M that _step_matrix built, once, with the
+    # module's small panel width (SuperLU's default of 20 holds a workspace
+    # 20 columns wide) and pivot threshold, and releases M after the
+    # factorization: none of the n_steps + 1 solves runs with it alive
     built, seen, stepped = [], [], []
 
     def step_matrix(*args, _fn=_step_matrix):
@@ -189,8 +195,9 @@ def test_factor_takes_the_panel_constant_with_the_operator_released(
     solve_pde(jump_model(), Grid2D(1.0, 1.0, 5, 3, 0.01, 0.1))
     assert pde_fd._PANEL in (1, 2, 4)
     assert seen == [({"permc_spec": "MMD_AT_PLUS_A",
-                      "panel_size": pde_fd._PANEL}, True)]
-    assert stepped == [None] * 10
+                      "panel_size": pde_fd._PANEL,
+                      "diag_pivot_thresh": pde_fd._PIVOT}, True)]
+    assert stepped == [None] * 11
 
 
 def test_only_m_is_alive_at_the_factorization(monkeypatch, slowvary_family):
@@ -292,30 +299,44 @@ print(json.dumps(seen))
 
 
 @pytest.mark.parametrize("g", [Grid2D(4.0, 4.0, 41, 21, 0.025, 0.5),
-                               Grid2D(5.0, 3.0, 199, 99, 0.003125, 0.5)],
+                               Grid2D(5.0, 3.0, 199, 99, 0.00625, 0.5)],
                          ids=["centered-dirichlet", "demo-refined"])
 def test_fd_matches_colamd_reference(switch_avg, g):
-    # reference time loop: SuperLU's default COLAMD ordering and panel
-    # width and the full driver f(x, v) on every step; solve_pde differs
-    # only in round-off, also on the demo benchmark's refined grid
-    # (201 x 101 nodes, 160 steps)
+    # reference time loop: SuperLU's default COLAMD ordering, panel width
+    # and strict pivoting, and the full driver f(x, v) on every step, with
+    # the same start and BDF2 steps on I - tau*A; solve_pde differs only in
+    # round-off, also on the demo benchmark's refined grid (201 x 101
+    # nodes, 80 steps)
     A, X1, X2 = reference_operator(switch_avg, g)
     nx, ny = X1.shape
-    lu = splu(sparse.identity(nx * ny, format="csc") - g.dt_fd * A,
+    tau = bdf2_tau(g)
+    lu = splu(sparse.identity(nx * ny, format="csc") - tau * A,
               permc_spec="COLAMD")
     edge = np.ones((nx, ny), dtype=bool)
     edge[1:-1, 1:-1] = False
-    v = h = switch_avg.terminal(np.stack([X1, X2], axis=-1))
-    for _ in range(g.n_steps):
-        rhs = v + g.dt_fd * switch_avg.f(X1, X2, v)
+    h = switch_avg.terminal(np.stack([X1, X2], axis=-1))
+
+    def f(v):
+        return switch_avg.f(X1, X2, v)
+
+    def step(rhs):
         rhs[edge] = h[edge]
-        v = lu.solve(rhs.ravel()).reshape(nx, ny)
+        return lu.solve(rhs.ravel()).reshape(nx, ny)
+    # three implicit Euler steps of tau reach 2 dt; v(dt) is the mean of
+    # the first two
+    w1 = step(h + tau * f(h))
+    w2 = step(w1 + tau * f(w1))
+    prev, v = 0.5 * (w1 + w2), step(w2 + tau * f(w2))
+    for _ in range(2, g.n_steps):
+        prev, v = v, step((4 * v - prev) / 3 + tau * (2 * f(v) - f(prev)))
     got = solve_pde(switch_avg, g).values
     assert np.max(np.abs(got - v)) <= 1e-12 * np.max(np.abs(v))
 
 
 def test_solve_pde_builds_driver_coefficient_once(switch_avg):
-    # the driver is prepared once per solve and applied once per step
+    # the driver is prepared once per solve and applied n_steps + 2 times:
+    # once per Euler step of the start (three), once per BDF2 step
+    # (n_steps - 2), and once more at the first BDF2 step, to v(dt)
     calls = {"prepare": 0, "apply": 0}
 
     def counted_driver(x1, x2):
@@ -328,7 +349,7 @@ def test_solve_pde_builds_driver_coefficient_once(switch_avg):
         return apply
     solve_pde(problem(switch_avg, driver=counted_driver),
               Grid2D(2.0, 2.0, 11, 11, 0.02, 0.2))
-    assert calls == {"prepare": 1, "apply": 10}
+    assert calls == {"prepare": 1, "apply": 12}
 
 
 def test_grid_validation():
@@ -357,7 +378,7 @@ def test_grid_validation():
 def test_refined_grid_is_nested():
     g = Grid2D(2.0, 2.0, 11, 7, 0.05, 1.0)
     f = g.refined()
-    assert f.n1 == 23 and f.n2 == 15
+    assert f.n1 == 23 and f.n2 == 15 and f.dt_fd == g.dt_fd / 2
     assert np.allclose(f.x1[::2], g.x1)
 
 
@@ -447,6 +468,94 @@ def test_richardson_refuses_a_fine_solution_off_the_refined_grid():
         with pytest.raises(PdeError) as exc:
             richardson_error(coarse, solve_pde(m, other))
         assert repr(other) in str(exc.value) and repr(g) in str(exc.value)
+
+
+def test_bdf2_time_error_falls_fourfold(switch_avg, slowvary_family):
+    # on one fixed small grid, against a solve at dt/64: the sup time error
+    # falls by 4.1-4.3 per halving of dt (second order; implicit Euler's
+    # fell by 2.0)
+    base = dict(L1=5.0, L2=3.0, n1=39, n2=19, t_end=0.5)
+    for model in (switch_avg, hl.build_averaged(slowvary_family)):
+        ref = solve_pde(model, Grid2D(dt_fd=0.05 / 64, **base)).values
+        errs = [np.max(np.abs(solve_pde(model, Grid2D(dt_fd=dt, **base))
+                              .values - ref))
+                for dt in (0.05, 0.025, 0.0125)]
+        for coarse, fine in zip(errs, errs[1:]):
+            assert coarse >= 3.5 * fine, (model.label, errs)
+
+
+def test_richardson_estimate_tracks_the_coarse_error(switch_avg,
+                                                     slowvary_family):
+    # the sup change under one refinement against the coarse grid's sup
+    # error, taken against the twice-refined solve: at order p in both h
+    # and dt their ratio is 1/(1 + 2^-p), 0.8 at order 2, 2/3 at order 1.
+    # Measured 0.80 on both models (the first-order scheme read 0.64-0.65
+    # on switch, whose interface row was first order, and 0.79 on
+    # slowvary)
+    g = Grid2D(5.0, 3.0, 39, 19, 0.05, 0.5)
+    for model in (switch_avg, hl.build_averaged(slowvary_family)):
+        coarse, fine, finest = (solve_pde(model, grid) for grid in
+                                (g, g.refined(), g.refined().refined()))
+        error = np.max(np.abs(coarse.values - finest.values[::4, ::4]))
+        ratio = richardson_error(coarse, fine) / error
+        assert 0.75 <= ratio <= 1.0, (model.label, ratio)
+
+
+def test_pivot_threshold_keeps_the_fill_and_the_solution(monkeypatch,
+                                                         slowvary_family):
+    # on fd_corrector's refined grid the factor at pde_fd._PIVOT holds
+    # 2.12M nonzeros (strict partial pivoting, SuperLU's default threshold
+    # 1.0, filled 2.54M), and the solution agrees with the strictly
+    # pivoted one to round-off
+    model = hl.build_averaged(slowvary_family)
+    nnz = []
+
+    def counted(M, **kwargs):
+        lu = splu(M, **kwargs)
+        nnz.append(lu.L.nnz + lu.U.nnz)
+        return lu
+    monkeypatch.setattr(pde_fd, "splu", counted)
+    got = solve_pde(model, FD_CORRECTOR_FINE).values
+    monkeypatch.setattr(pde_fd, "_PIVOT", 1.0)
+    strict = solve_pde(model, FD_CORRECTOR_FINE).values
+    assert nnz[0] <= 2.2e6 < nnz[1], nnz
+    assert np.max(np.abs(got - strict)) <= 1e-12 * np.max(np.abs(strict))
+
+
+def test_interface_row_is_second_order_in_x1(switch_avg):
+    # x1 refinement alone at a fixed small dt, against n1 = 639: the sup
+    # error over the coarse nodes shows an observed order of 2.0-2.1 per
+    # halving of h1 (with the interface node on the minus side, 1.1-1.2,
+    # set at that node)
+    def solve(n1):
+        return solve_pde(switch_avg, Grid2D(5.0, 3.0, n1, 19, 0.00625,
+                                            0.5)).values
+    ref = solve(639)
+    errs = [np.max(np.abs(solve(n1) - ref[::640 // (n1 + 1)]))
+            for n1 in (39, 79, 159)]
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all(orders >= 1.8), (errs, orders)
+
+
+class MinusSideAveraged(hl.AveragedModel):
+    """The averaged model with x1 = 0 on the minus side."""
+
+    def basis(self, x1):
+        plus = np.asarray(x1, dtype=float) > 0
+        return np.where(plus, *self.a_trans), np.where(plus, *self.a_sin)
+
+
+def test_interface_row_moves_switch_and_no_bit_of_slowvary(switch_family,
+                                                           slowvary_family):
+    # the interface row changes the switch solution, whose a00 jumps at
+    # x1 = 0, and no bit of slowvary's, whose templates do not read T
+    g = Grid2D(5.0, 3.0, 39, 19, 0.025, 0.5)
+    for fam, moves in ((switch_family, True), (slowvary_family, False)):
+        avg = hl.closed_form_averaged(fam)
+        minus = MinusSideAveraged(fam, avg.a_trans, avg.a_sin)
+        same = np.array_equal(solve_pde(avg, g).values,
+                              solve_pde(minus, g).values)
+        assert same != moves, fam.family_id
 
 
 def test_interface_slope_continuity_centered(switch_avg):
