@@ -6,8 +6,8 @@ Picard fixed point for the (y-Lipschitz, bounded) driver at each step.
 The initial value Y0 represents the PDE solution at the bundle's starting
 point; all paths share that point, so Y0 is a plain ensemble mean.
 
-Also hosts the path functionals used by the tightness diagnostics:
-grid conditional variation and up-crossing counts.
+Also hosts the tightness diagnostics: grid conditional variation, and the
+certificate of CV + E sup|Y| (the Meyer-Zheng bound) and the energy.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ _RCOND = 1e-9
 # Largest condition number fitted through the Gram matrix F^T F; its
 # eigenvalues carry cond(F)^2, so beyond this the SVD takes the step.
 _GRAM_COND = 1e4
-# The (a, b) level pairs whose up-crossings tightness_certificate counts.
-UPCROSSING_BANDS = ((-0.5, 0.5),)
 # The most Picard sweeps per backward step, each a driver pass over every
 # path: the demo's residuals fall ~1000x per sweep (6.5e-3, 7.9e-6, 1.3e-8
 # at eps 1), so sweeps past a handful change no bit of Y.
@@ -296,39 +294,9 @@ def conditional_variation(fitted, noise_sd):
     return cv, float(np.sqrt(var_acc) + floor_acc)
 
 
-def upcrossings(path, a: float, b: float) -> int:
-    """Completed traversals from level <= a up to level >= b."""
-    if not a < b:
-        raise ValueError("need a < b")
-    path = np.asarray(path, dtype=float)
-    count = 0
-    armed = False
-    for v in path:
-        if not armed and v <= a:
-            armed = True
-        elif armed and v >= b:
-            count += 1
-            armed = False
-    return count
-
-
-def _upcrossings_batch(Y, a, b):
-    """Mean up-crossing count across the rows of Y (vectorized scan)."""
-    n = Y.shape[0]
-    counts = np.zeros(n)
-    armed = np.zeros(n, dtype=bool)
-    for s in range(Y.shape[1]):
-        v = Y[:, s]
-        fire = armed & (v >= b)
-        counts += fire
-        armed = (armed & ~fire) | (v <= a)
-    return float(np.mean(counts))
-
-
 def tightness_row(sol: BsdeSolution, dt: float) -> dict:
-    """One solution's row of the tightness certificate: CV + E sup|Y|, the
-    energy E sup|Y|^2 + E sum |Z|^2 dt and the mean up-crossing count of
-    each band of ``UPCROSSING_BANDS``."""
+    """One solution's row of the tightness certificate: CV + E sup|Y| and
+    the energy E sup|Y|^2 + E sum |Z|^2 dt."""
     return {
         "eps": sol.eps,
         "cv": sol.cv,
@@ -336,8 +304,6 @@ def tightness_row(sol: BsdeSolution, dt: float) -> dict:
         "cv_plus_sup": sol.cv + sol.sup_abs_y,
         "energy": float(np.mean(sol.sup_y ** 2))
         + float(np.mean(np.sum(sol.Z ** 2, axis=(1, 2))) * dt),
-        "upcrossings": {f"{a}:{b}": _upcrossings_batch(sol.Y, a, b)
-                        for a, b in UPCROSSING_BANDS},
     }
 
 
@@ -360,7 +326,4 @@ def tightness_certificate(rows: Sequence[dict]) -> dict:
 
     return {"rows": rows,
             "ratio_cv_plus_sup": ratio([r["cv_plus_sup"] for r in rows]),
-            "ratio_energy": ratio([r["energy"] for r in rows]),
-            "ratio_upcrossings": {
-                key: ratio([r["upcrossings"][key] for r in rows])
-                for key in rows[0]["upcrossings"]}}
+            "ratio_energy": ratio([r["energy"] for r in rows])}

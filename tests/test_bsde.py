@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 import homoglab as hl
-from homoglab.bsde import (BsdeSpec, _projector, _upcrossings_batch,
-                           feature_matrix, upcrossings)
+from homoglab.bsde import BsdeSpec, _projector, feature_matrix
 from conftest import problem
 
 
@@ -321,22 +320,6 @@ def test_solve_bsde_prepares_driver_once_per_step(switch_family,
     assert counts == {"prepare": m, "basis": m, "apply": n_picard * m + m}
 
 
-def test_upcrossings_scalar():
-    path = [0.0, 1.2, -0.1, 0.5, 1.5, 0.9, -0.2, 1.1]
-    assert upcrossings(np.array(path), 0.0, 1.0) == 3
-    assert upcrossings(np.zeros(5), 0.0, 1.0) == 0
-    with pytest.raises(ValueError):
-        upcrossings(np.zeros(3), 1.0, 0.0)
-
-
-def test_upcrossings_batch_matches_scalar():
-    rng = np.random.default_rng(11)
-    Y = np.cumsum(rng.normal(size=(40, 200)) * 0.3, axis=1)
-    batch = _upcrossings_batch(Y, -0.5, 0.5)
-    ref = np.mean([upcrossings(row, -0.5, 0.5) for row in Y])
-    assert batch == pytest.approx(ref)
-
-
 def test_tightness_certificate_structure(switch_family, switch_avg,
                                          small_grid):
     sols = []
@@ -350,31 +333,34 @@ def test_tightness_certificate_structure(switch_family, switch_avg,
     assert len(cert["rows"]) == 2
     assert cert["ratio_energy"] >= 1.0
     assert cert["ratio_cv_plus_sup"] >= 1.0
-    assert "-0.5:0.5" in cert["ratio_upcrossings"]
+    assert set(cert) == {"rows", "ratio_cv_plus_sup", "ratio_energy"}
 
 
-def _path_row(path, eps):
-    """The certificate row of a one-path solution whose Y is ``path``."""
+def _path_row(path, eps, level=1.0):
+    """The certificate row of a one-path solution whose Y is ``path`` and
+    whose CV and sup|Y| are both ``level``."""
     Y = np.asarray(path, dtype=float)[None, :]
     return hl.tightness_row(hl.BsdeSolution(
         Y0=Y[0, 0], Y0_stderr=0.0, Y=Y, Z=np.zeros((1, Y.shape[1] - 1, 1)),
-        picard_residuals=[], condition_numbers=np.zeros(0), cv=1.0,
-        cv_stderr=0.0, sup_y=np.ones(1), eps=eps), dt=0.5)
+        picard_residuals=[], condition_numbers=np.zeros(0), cv=level,
+        cv_stderr=0.0, sup_y=np.full(1, level), eps=eps), dt=0.5)
 
 
-def test_tightness_upcrossing_ratio_unbounded_when_one_row_has_none():
-    # counts 0 and 1: max/min is unbounded, not uniform (1.0), so the
-    # ratio is None; rows that all have no up-crossings keep 1.0
-    still = _path_row([0.2, 0.2, 0.2], 1.0)
-    cross = _path_row([-1.0, 0.0, 1.0], 0.1)
-    cert = hl.tightness_certificate([still, cross])
-    assert [r["upcrossings"]["-0.5:0.5"] for r in cert["rows"]] == [0.0, 1.0]
-    assert cert["ratio_upcrossings"] == {"-0.5:0.5": None}
-    assert cert["ratio_energy"] > 0 and cert["ratio_cv_plus_sup"] > 0
-    cert = hl.tightness_certificate([still, still])
-    assert cert["ratio_upcrossings"] == {"-0.5:0.5": 1.0}
-    cert = hl.tightness_certificate([cross, cross])
-    assert cert["ratio_upcrossings"] == {"-0.5:0.5": 1.0}
+def test_tightness_ratio_unbounded_when_one_row_is_zero():
+    # a zero row next to a non-zero one: max/min is unbounded, not uniform
+    # (1.0), so the ratio is None; rows that are all zero keep 1.0
+    zero = _path_row([0.0, 0.0, 0.0], 1.0, level=0.0)
+    one = _path_row([1.0, 1.0, 1.0], 0.1)
+    assert [zero["cv_plus_sup"], zero["energy"]] == [0.0, 0.0]
+    assert [one["cv_plus_sup"], one["energy"]] == [2.0, 1.0]
+    cert = hl.tightness_certificate([zero, one])
+    assert cert["ratio_cv_plus_sup"] is None
+    assert cert["ratio_energy"] is None
+    cert = hl.tightness_certificate([zero, zero])
+    assert [cert["ratio_cv_plus_sup"], cert["ratio_energy"]] == [1.0, 1.0]
+    cert = hl.tightness_certificate([_path_row([2.0, 2.0, 2.0], 1.0, 2.0),
+                                     one])
+    assert [cert["ratio_cv_plus_sup"], cert["ratio_energy"]] == [2.0, 4.0]
 
 
 def _z_rms_errors(avg, seed):

@@ -570,6 +570,8 @@ def test_report_row_record_holds_no_array():
         return [node]
     rec = _report_row(st, 2)
     assert set(rec) == {"row", "drift_gap", "tightness"}
+    assert set(rec["tightness"]) == {"eps", "cv", "sup_abs_y", "cv_plus_sup",
+                                     "energy"}
     assert {type(v) for v in leaves(rec)} == {float}
     assert len(pickle.dumps(rec)) < 2048
     # the averaged run's record: its report cells, the occupation estimates
