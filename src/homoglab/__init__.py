@@ -10,8 +10,7 @@ from .simulate import (PathBundle, SimGrid, SimulationError, moment_report,
 from .bsde import (BsdeSolution, BsdeSpec, PicardError, RegressionError,
                    conditional_variation, solve_bsde, tightness_certificate,
                    tightness_row)
-from .corrector import (CorrectorField, decay_table, residual_check,
-                        second_difference)
+from .corrector import decay_table, residual_check, second_difference
 from .pde_fd import (Grid2D, GridSolution, PdeError, richardson_error,
                      solve_pde)
 from .harness import (ConfigError, ConvergenceReport, EmitError,

@@ -195,10 +195,10 @@ def solve_bsde(bundle: PathBundle, model, spec: BsdeSpec) -> BsdeSolution:
     conds = np.zeros(m - 1)
     picard = np.zeros(spec.n_picard)
 
-    # per step: fitted conditional mean of the increment Y[:, s+1] - Y[:, s]
-    # and its noise floor, for the conditional variation
-    dy_fit = np.empty((m, n))
-    dy_floor = [0.0] * m
+    # per step: the conditional-variation terms (``_cv_term``) of the fitted
+    # increment Y[:, s+1] - Y[:, s], made as the step fits, so no
+    # (n_steps, n_paths) array of fits is kept
+    cv_terms = [None] * m
     # Monte Carlo uncertainty of Y0 from the pathwise rollout estimator
     # H(X_T) + sum_s f(.., Y_s) dt, whose mean is the same value but whose
     # spread reflects the actual sampling noise of the ensemble.  Each step
@@ -230,10 +230,10 @@ def solve_bsde(bundle: PathBundle, model, spec: BsdeSpec) -> BsdeSolution:
         dY = np.subtract(y_next, y, out=targets[:, k])
         fitted = fit(targets)
         Z[:, s, :] = fitted[:, :k]
-        dy_fit[s] = fitted[:, k]
+        dy_fit = fitted[:, k]
         p = F.shape[1]
-        dy_floor[s] = float(np.sqrt(np.mean((dY - dy_fit[s]) ** 2) * p
-                                    / max(n - p, 1)))
+        cv_terms[s] = _cv_term(dy_fit, float(np.sqrt(
+            np.mean((dY - dy_fit) ** 2) * p / max(n - p, 1))))
         y_next = y
 
     # Step 0: every path sits at x0, so the projection is the plain mean.
@@ -250,7 +250,8 @@ def solve_bsde(bundle: PathBundle, model, spec: BsdeSpec) -> BsdeSolution:
     rollout += dt * np.asarray(drive(Y[:, 0]), dtype=float)
     Z[:, 0, :] = np.mean((Y[:, 1] - cont0)[:, None] * bundle.dB[:, 0, :] / dt,
                          axis=0)
-    dy_fit[0], dy_floor[0] = mean_stderr(Y[:, 1] - Y[:, 0])
+    dy_mean, dy_floor = mean_stderr(Y[:, 1] - Y[:, 0])
+    cv_terms[0] = _cv_term(np.full(n, dy_mean), dy_floor)
 
     residuals = [float(r) for r in picard]
     for j in range(2, len(residuals)):
@@ -258,7 +259,7 @@ def solve_bsde(bundle: PathBundle, model, spec: BsdeSpec) -> BsdeSolution:
             raise PicardError(
                 f"driver fixed point diverging: residuals {residuals}")
 
-    cv, cv_stderr = conditional_variation(dy_fit, dy_floor)
+    cv, cv_stderr = conditional_variation(cv_terms)
     return BsdeSolution(
         Y0=y0, Y0_stderr=mean_stderr(rollout)[1], Y=Y, Z=Z,
         picard_residuals=residuals, condition_numbers=conds,
@@ -269,28 +270,36 @@ def solve_bsde(bundle: PathBundle, model, spec: BsdeSpec) -> BsdeSolution:
 # Path functionals (tightness diagnostics)
 # ---------------------------------------------------------------------------
 
-def conditional_variation(fitted, noise_sd):
-    """Grid conditional variation: sum over steps of E|E[dY | F_s]|.
+def _cv_term(fitted, noise_sd) -> tuple:
+    """One step's share of the grid conditional variation: the mean and the
+    variance over n of the paths' |E[dY | F_s]|, and the noise-floor term.
 
-    ``fitted[s]`` is each path's conditional mean of the step-s increment
-    of Y (its projection on the step-s features); ``noise_sd[s]`` is that
+    ``fitted`` is each path's conditional mean of the step's increment of
+    Y (its projection on the step's features); ``noise_sd`` is that
     projection's noise floor, subtracted per path before taking absolute
     values so martingales report ~0 rather than accumulated regression
-    noise.  This evaluates the simulation-grid partition only: a lower
-    bound for the true CV.
+    noise.
     """
-    fitted = np.asarray(fitted, dtype=float)
     if not np.all(np.isfinite(fitted)):
         raise ValueError("increments of Y contain non-finite values")
-    n = fitted.shape[1]
+    mag = np.sqrt(np.maximum(fitted ** 2 - noise_sd ** 2, 0.0))
+    return (float(np.mean(mag)), float(np.var(mag) / fitted.size),
+            np.sqrt(2.0 / np.pi) * noise_sd)
+
+
+def conditional_variation(terms):
+    """Grid conditional variation, sum over steps of E|E[dY | F_s]|, and its
+    standard error, from the steps' ``_cv_term`` in step order.  This
+    evaluates the simulation-grid partition only: a lower bound for the
+    true CV.
+    """
     cv = 0.0
     var_acc = 0.0
     floor_acc = 0.0
-    for fit_s, sd in zip(fitted, noise_sd):
-        mag = np.sqrt(np.maximum(fit_s ** 2 - sd ** 2, 0.0))
-        cv += float(np.mean(mag))
-        var_acc += float(np.var(mag) / n)
-        floor_acc += np.sqrt(2.0 / np.pi) * sd
+    for mean, var, floor in terms:
+        cv += mean
+        var_acc += var
+        floor_acc += floor
     return cv, float(np.sqrt(var_acc) + floor_acc)
 
 

@@ -32,29 +32,11 @@ from .quadrature import integrate
 _RTOL = 1e-8
 
 
-@dataclass
-class CorrectorField:
-    """Corrector data for a two-scale model and its averaged model:
-    ``CorrectorField(fam.at(eps), avg)``; eps is the model's."""
-    fam: CoefficientFamily
-    avg: AveragedModel
-
-    @property
-    def eps(self) -> float:
-        return self.fam.eps
-
-    def q(self, t, x2, y):
-        """Weighted driver gap rho * (f - fbar) at t, the two-scale model
-        at fast argument t/eps."""
-        t = np.asarray(t, dtype=float)
-        rho = self.fam.rho(t, x2)
-        return (self.fam.rho_f(t, x2, y)
-                - rho * self.avg.f(t, x2, float(y)))
-
-
-def second_difference(field: CorrectorField, x1: float, x2, y: float,
-                      h: float) -> float:
-    """Central second difference of V at step h, via the exact identity
+def second_difference(model: CoefficientFamily, avg: AveragedModel,
+                      x1: float, x2, y: float, h: float) -> float:
+    """Central second difference of V at step h, for the two-scale
+    ``model`` (eps is its own) and its averaged model ``avg``, via the
+    exact identity
 
         (V(c+h) - 2 V(c) + V(c-h)) / h^2 = (1/h^2) int (h - |t-c|)_+ q(t) dt.
 
@@ -68,10 +50,17 @@ def second_difference(field: CorrectorField, x1: float, x2, y: float,
     if abs(x1) < h:
         c = x1 + (h if x1 >= 0 else -h)
 
+    def q(t):
+        """The weighted driver gap rho * (f - fbar) at t."""
+        t = np.asarray(t, dtype=float)
+        rho = model.rho(t, x2)
+        return (model.rho_f_coef(t, x2) * model.f_y_shape(y)
+                - rho * avg.driver(t, x2)(float(y)))
+
     def hat_part(a, b, left):
         def g(t):
             w = (t - a) if left else (b - t)
-            return w * field.q(t, x2, y)
+            return w * q(t)
         return integrate(g, a, b, rtol=_RTOL)
 
     return (hat_part(c - h, c, True) + hat_part(c, c + h, False)) / h ** 2
@@ -91,8 +80,10 @@ class ResidualReport:
         return self.n_failed == 0
 
 
-def residual_check(field: CorrectorField, sample_spec: dict) -> ResidualReport:
-    """Check a00(x1/eps) * D2 V - (f - fbar) ~ 0 at sampled points.
+def residual_check(model: CoefficientFamily, avg: AveragedModel,
+                   sample_spec: dict) -> ResidualReport:
+    """Check a00(x1/eps) * D2 V - (f - fbar) ~ 0 at sampled points, for the
+    two-scale ``model`` (eps is its own) and its averaged model ``avg``.
 
     ``sample_spec``: {"box": [(x1lo, x1hi), (x2lo, x2hi), (ylo, yhi)],
     "n_samples": int, "seed": int}.  The second derivative is the central
@@ -102,7 +93,7 @@ def residual_check(field: CorrectorField, sample_spec: dict) -> ResidualReport:
     """
     box = np.asarray(sample_spec["box"], dtype=float)
     n = int(sample_spec["n_samples"])
-    h = 1e-4 * field.eps
+    h = 1e-4 * model.eps
     rng = np.random.default_rng(int(sample_spec["seed"]))
     pts = box[:, 0] + (box[:, 1] - box[:, 0]) * rng.random((n, box.shape[0]))
     # keep samples off the interface per the one-sided-stencil contract
@@ -111,9 +102,9 @@ def residual_check(field: CorrectorField, sample_spec: dict) -> ResidualReport:
     n_failed = 0
     for p in pts:
         x1, x2, y = map(float, p)
-        d2 = second_difference(field, x1, x2, y, h)
-        a00 = float(field.fam.a00(x1, x2))
-        gap = float(field.fam.f(x1, x2, y) - field.avg.f(x1, x2, y))
+        d2 = second_difference(model, avg, x1, x2, y, h)
+        a00 = float(model.a00(x1, x2))
+        gap = float(model.driver(x1, x2)(y) - avg.driver(x1, x2)(y))
         resid = abs(a00 * d2 - gap)
         tol = max(1e-4, 1e-3 * abs(gap))
         if resid / tol > worst[1]:

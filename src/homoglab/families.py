@@ -227,11 +227,9 @@ class TemplateCoefficients:
         return self._combine(x1, x2, self.fam.rho_t)[0]
 
     def rho_f_coef(self, x1, x2):
-        """The y-independent factor of ``rho*f``."""
+        """The y-independent factor of ``rho*f``; its y-shape is the
+        family's ``f_y_shape``."""
         return self._combine(x1, x2, self.fam.rhof_t)[0]
-
-    def rho_f(self, x1, x2, y):
-        return self.rho_f_coef(x1, x2) * self.fam.f_y_shape(y)
 
     def a00(self, x1, x2):
         return 1.0 / self.rho(x1, x2)
@@ -271,9 +269,6 @@ class TemplateCoefficients:
         coef = rhof / rho
         shape = self.fam.f_y_shape
         return lambda y: coef * shape(y)
-
-    def f(self, x1, x2, y):
-        return self.driver(x1, x2)(y)
 
     def terminal(self, x):
         """The terminal data H at the points ``x``, of shape (..., 2)."""
@@ -366,15 +361,6 @@ class AveragedModel(TemplateCoefficients):
             b[x1 == 0] = 0.5 * (p + m)
         return out
 
-    def a(self, x1, x2):
-        """The full 2x2 diffusion block, ``a00`` and ``a1`` on the
-        diagonal."""
-        a00 = self.a00(x1, x2)
-        out = np.zeros(np.shape(a00) + (2, 2))
-        out[..., 0, 0] = a00
-        out[..., 1, 1] = self.a1(x1, x2)
-        return out
-
     # -- serialization ------------------------------------------------------
     def to_json(self, x2_grid):
         """Branch tables on a 1-D x2 grid, for regression testing: each x2
@@ -390,10 +376,13 @@ class AveragedModel(TemplateCoefficients):
                "branches": {}}
         for name, x1 in (("plus", 1.0), ("minus", -1.0)):
             drive = self.driver(x1, x2_grid)
+            a_bar = np.zeros(x2_grid.shape + (2, 2))
+            a_bar[:, 0, 0] = self.a00(x1, x2_grid)
+            a_bar[:, 1, 1] = self.a1(x1, x2_grid)
             doc["branches"][name] = {
                 "rho": self.rho(x1, x2_grid).tolist(),
                 "b_bar": self.b1(x1, x2_grid)[:, None].tolist(),
-                "a_bar": self.a(x1, x2_grid).tolist(),
+                "a_bar": a_bar.tolist(),
                 "f_bar_at_ygrid": np.stack(
                     [drive(y) for y in _Y_GRID], axis=-1).tolist(),
             }
@@ -447,7 +436,7 @@ def _compare_models(num: AveragedModel, ref: AveragedModel):
     x2g = np.linspace(-3.0, 3.0, 21)
     dev = 0.0
     for x1 in (-2.0, -1e-9, 0.0, 1e-9, 2.0):
-        for name in ("rho", "b1", "a"):
+        for name in ("rho", "b1", "a00", "a1"):
             dev = max(dev, float(np.max(np.abs(
                 getattr(num, name)(x1, x2g) - getattr(ref, name)(x1, x2g)))))
         drive_num, drive_ref = num.driver(x1, x2g), ref.driver(x1, x2g)
@@ -644,10 +633,11 @@ def audit_assumptions(fam: CoefficientFamily, sample_spec: dict) -> dict:
     res_a2 = max(d2_x2(lambda a, c: fam.forward(a, c)[0]),
                  d2_x2(lambda a, c: fam.forward(a, c)[1])) \
         - b["deriv_bound"]
-    res_c3 = d2_x2(lambda a, c: fam.rho_f(a, c, 0.0)) - b["deriv_bound"]
+    res_c3 = d2_x2(lambda a, c: fam.rho_f_coef(a, c) * fam.f_y_shape(0.0)) \
+        - b["deriv_bound"]
 
     # (C1): bounded driver and terminal condition.
-    fv = np.abs(fam.f(x1, x2, y))
+    fv = np.abs(fam.driver(x1, x2)(y))
     res_c1 = float(np.max(fv) - b["f_sup"])
     hv = np.abs(fam.terminal(pts[:, :2]))
     res_c1 = max(res_c1, float(np.max(hv) - b["h_sup"]))
@@ -683,7 +673,8 @@ def audit_assumptions(fam: CoefficientFamily, sample_spec: dict) -> dict:
     horizons = np.array([10.0, 1e2, 1e3, 1e4])
     # each remainder asks the family and its averaged model the same question
     for aid, g in (("B3", lambda model, t: model.rho(t, x2_ref)),
-                   ("C2", lambda model, t: model.rho_f(t, x2_ref, 0.0))):
+                   ("C2", lambda model, t: model.rho_f_coef(t, x2_ref)
+                    * model.fam.f_y_shape(0.0))):
         # the running averages to rtol tol / 10 = 1e-6, on pi-wide panels
         res = cesaro_average(lambda t: g(fam, t), schedule=horizons,
                              tol=1e-5, max_panel=np.pi)

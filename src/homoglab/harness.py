@@ -444,9 +444,8 @@ class Stages:
     def residual(self) -> corr.ResidualReport:
         """Corrector residual check at the largest eps."""
         cfg = self.cfg
-        field = corr.CorrectorField(self.fam.at(cfg.eps_list[0]), self.avg)
         cc = self.corrector
-        return corr.residual_check(field, {
+        return corr.residual_check(self.fam.at(cfg.eps_list[0]), self.avg, {
             "box": [*cc["box"], cc["y_box"]], "n_samples": cc["n_samples"],
             "seed": split_seed(cfg.mc["seed"], "corrector")})
 

@@ -123,8 +123,7 @@ def test_criterion_04_corrector():
     for fid in CATALOG_IDS:
         fam = hl.make_family(fid)
         avg = hl.build_averaged(fam)
-        field = hl.CorrectorField(fam.at(0.5), avg)
-        rep = hl.residual_check(field, {
+        rep = hl.residual_check(fam.at(0.5), avg, {
             "box": [(-2, 2), (-1, 1), (-1, 1)], "n_samples": 40, "seed": 4})
         results.append(rep.passed)
     fam = hl.make_family("switch")
@@ -237,7 +236,7 @@ def test_criterion_10_comparison_monotonicity():
                             seed=hl.split_seed(1000, "criterion10", fid))
         # sampled y-Lipschitz constant of the averaged driver
         ys = np.linspace(-2, 2, 81)
-        fy = avg.f(0.5, np.zeros((1, 1)), ys[:, None])[:, 0]
+        fy = avg.driver(0.5, np.zeros((1, 1)))(ys[:, None])[:, 0]
         L = float(np.max(np.abs(np.diff(fy) / np.diff(ys))))
         spec = BsdeSpec(basis_degree=3, include_sign_feature=True)
         lifted = conftest.problem(

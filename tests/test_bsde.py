@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import homoglab as hl
-from homoglab.bsde import BsdeSpec, _projector, feature_matrix
+from homoglab.bsde import BsdeSpec, _cv_term, _projector, feature_matrix
 from conftest import problem
 
 
@@ -255,6 +255,44 @@ def test_conditional_variation_detects_drift(const_family, small_grid):
         BsdeSpec(basis_degree=2))
     # dY = -f dt along the solution: CV should see ~ t_end * |f| = 0.5
     assert sol.cv == pytest.approx(small_grid.t_end, rel=0.15)
+
+
+def _whole_array_cv(fitted, noise_sd):
+    """The whole-array conditional variation over an (n_steps, n_paths)
+    array of fits, the reference the per-step terms must reproduce."""
+    fitted = np.asarray(fitted, dtype=float)
+    n = fitted.shape[1]
+    cv = 0.0
+    var_acc = 0.0
+    floor_acc = 0.0
+    for fit_s, sd in zip(fitted, noise_sd):
+        mag = np.sqrt(np.maximum(fit_s ** 2 - sd ** 2, 0.0))
+        cv += float(np.mean(mag))
+        var_acc += float(np.var(mag) / n)
+        floor_acc += np.sqrt(2.0 / np.pi) * sd
+    return cv, float(np.sqrt(var_acc) + floor_acc)
+
+
+def test_conditional_variation_per_step_terms_match_whole_array():
+    # the per-step terms, summed in step order, give the whole-array
+    # formula's (cv, stderr) to the bit; step 2's fits all lie below its
+    # floor, so its magnitudes are all 0
+    rng = np.random.default_rng(42)
+    m, n = 7, 1001
+    fitted = rng.normal(size=(m, n)) * rng.uniform(0.01, 1.0, size=(m, 1))
+    noise_sd = [float(v) for v in rng.uniform(0.01, 0.3, size=m)]
+    noise_sd[2] = 1.5 * float(np.max(np.abs(fitted[2])))
+    terms = [_cv_term(f, sd) for f, sd in zip(fitted, noise_sd)]
+    assert terms[2][:2] == (0.0, 0.0)
+    got = hl.conditional_variation(terms)
+    assert got == _whole_array_cv(fitted, noise_sd)
+    assert all(v > 0 for v in got)
+
+
+def test_conditional_variation_refuses_non_finite_fits():
+    fit = np.array([0.1, np.nan, 0.2])
+    with pytest.raises(ValueError, match="non-finite"):
+        _cv_term(fit, 0.01)
 
 
 def test_solve_bsde_factors_each_step_once(switch_family, switch_bundle,

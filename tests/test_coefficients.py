@@ -78,8 +78,9 @@ def test_switch_pointwise_values(switch_family):
     assert switch_family.a00(0.0, x2)[0] == pytest.approx(0.5)
     assert switch_family.forward(0.0, x2)[0][0] == pytest.approx(1.0)
     # consistency: f = (rho f)/rho
-    v = switch_family.f(1.3, x2, 0.7)
-    ref = switch_family.rho_f(1.3, x2, 0.7) / switch_family.rho(1.3, x2)
+    v = switch_family.driver(1.3, x2)(0.7)
+    ref = (switch_family.rho_f_coef(1.3, x2) * switch_family.f_y_shape(0.7)
+           / switch_family.rho(1.3, x2))
     assert v == pytest.approx(ref)
 
 
@@ -93,8 +94,8 @@ def test_averaged_switch_branches(switch_family, switch_avg):
     assert switch_avg.a00(0.0, x2)[0] == pytest.approx(0.5)
     assert switch_avg.b1(1.0, x2)[0, 0] == pytest.approx(2.0 / 3.0)
     assert switch_avg.b1(-1.0, x2)[0, 0] == pytest.approx(0.0)
-    assert switch_avg.f(1.0, x2, 0.0)[0] == pytest.approx(0.4)
-    assert switch_avg.f(-1.0, x2, 0.0)[0] == pytest.approx(0.6)
+    assert switch_avg.driver(1.0, x2)(0.0)[0] == pytest.approx(0.4)
+    assert switch_avg.driver(-1.0, x2)(0.0)[0] == pytest.approx(0.6)
     # every averaged coefficient at x1 = 0, of either sign, is the
     # templates' value on the mean basis (T, sin) = (0, 0), which is the
     # family's own at x1 = 0 (T(0) = sin(0) = 0)
@@ -105,12 +106,9 @@ def test_averaged_switch_branches(switch_family, switch_avg):
             assert np.array_equal(getattr(switch_avg, name)(x1, x2s),
                                   getattr(switch_family, name)(0.0, x2s)), \
                 (name, x1)
-        a = switch_avg.a(x1, x2s)
-        assert np.array_equal(a[..., 0, 0], switch_family.a00(0.0, x2s))
-        assert np.array_equal(a[..., 1, 1], switch_family.a1(0.0, x2s))
         for y in (0.0, 1.3):
-            assert np.array_equal(switch_avg.f(x1, x2s, y),
-                                  switch_family.f(0.0, x2s, y)), (y, x1)
+            assert np.array_equal(switch_avg.driver(x1, x2s)(y),
+                                  switch_family.driver(0.0, x2s)(y)), (y, x1)
 
 
 def test_averaged_a00_is_inverse_mean_rho(switch_family, switch_avg):
@@ -366,12 +364,13 @@ def test_averaged_model_is_family_on_limit_basis(fid, monkeypatch):
     y = rng.normal(size=x1.size)
     calls = {name: (x1, x2) for name in ("forward", "rho", "rho_f_coef",
                                           "a00", "b1", "a1")}
-    calls["rho_f"] = calls["f"] = (x1, x2, y)
     got = {name: getattr(avg, name)(*args) for name, args in calls.items()}
+    got["driver"] = avg.driver(x1, x2)(y)
     monkeypatch.setattr(hl.families._Template, "basis",
                         staticmethod(_limit_basis))
-    for name, args in calls.items():
-        ref = getattr(fam, name)(*args)
+    refs = {name: getattr(fam, name)(*args) for name, args in calls.items()}
+    refs["driver"] = fam.driver(x1, x2)(y)
+    for name, ref in refs.items():
         if name == "forward":
             assert all(np.array_equal(g, r) for g, r in zip(got[name], ref))
         else:
@@ -400,7 +399,6 @@ def test_flat_family_driver_equals_averaged_driver(switch_family, eps):
     y = 2.0 * rng.normal(size=x1.size)
     assert np.all(fam.rho(x1, x2) == 3.0)
     assert np.array_equal(fam.driver(x1, x2)(y), avg.driver(x1, x2)(y))
-    assert np.array_equal(fam.f(x1, x2, y), avg.f(x1, x2, y))
 
 
 def _full_weights(fam):
@@ -483,8 +481,8 @@ def test_averaged_model_json_roundtrip(switch_avg, tmp_path):
 def test_f_bar_y_shape(switch_avg, switch_family):
     # the averaged driver carries the family's exact y-shape
     x2 = np.zeros((1, 1))
-    assert switch_avg.f(1.0, x2, 1.3)[0] == pytest.approx(
-        switch_avg.f(1.0, x2, 0.0)[0]
+    assert switch_avg.driver(1.0, x2)(1.3)[0] == pytest.approx(
+        switch_avg.driver(1.0, x2)(0.0)[0]
         * switch_family.f_y_shape(1.3) / switch_family.f_y_shape(0.0))
 
 

@@ -2,68 +2,77 @@ import numpy as np
 import pytest
 
 import homoglab as hl
-from homoglab.corrector import (CorrectorField, DecayTable, decay_table,
-                                residual_check, second_difference)
+from homoglab.corrector import (DecayTable, decay_table, residual_check,
+                                second_difference)
 from homoglab.families import nonincreasing
 from homoglab.quadrature import integrate
 
 
-def corrector_value(field, x1, x2, y):
-    """The quadrature oracle of V(x1) = int_0^{x1} (x1 - t) q(t) dt, on
-    panels of width pi * min(1, eps) to start, the t/eps oscillation scale."""
+def q(model, avg, t, x2, y):
+    """The weighted driver gap rho * (f - fbar) at t of the two-scale
+    ``model`` and its averaged model ``avg``."""
+    t = np.asarray(t, dtype=float)
+    return (model.rho_f_coef(t, x2) * model.f_y_shape(y)
+            - model.rho(t, x2) * avg.driver(t, x2)(float(y)))
+
+
+def corrector_value(pair, x1, x2, y):
+    """The quadrature oracle of V(x1) = int_0^{x1} (x1 - t) q(t) dt for the
+    ``(model, avg)`` pair, on panels of width pi * min(1, eps) to start,
+    the t/eps oscillation scale."""
     if x1 == 0.0:
         return 0.0
-    return integrate(lambda t: (x1 - t) * field.q(t, x2, y), 0.0, x1,
-                     rtol=1e-8, max_panel=np.pi * min(1, field.eps))
+    return integrate(lambda t: (x1 - t) * q(*pair, t, x2, y), 0.0, x1,
+                     rtol=1e-8, max_panel=np.pi * min(1, pair[0].eps))
 
 
 @pytest.fixture(scope="module")
-def switch_field(switch_family, switch_avg):
-    return CorrectorField(switch_family.at(0.5), switch_avg)
+def switch_pair(switch_family, switch_avg):
+    return switch_family.at(0.5), switch_avg
 
 
-def test_boundary_conditions(switch_field):
-    assert corrector_value(switch_field, 0.0, [0.3], 0.2) == 0.0
+def test_boundary_conditions(switch_pair):
+    assert corrector_value(switch_pair, 0.0, [0.3], 0.2) == 0.0
 
 
 def test_zero_for_fast_independent(slowvary_family):
     avg = hl.build_averaged(slowvary_family)
-    field = CorrectorField(slowvary_family.at(0.1), avg)
+    pair = (slowvary_family.at(0.1), avg)
     # f depends on x1 only through nothing: q has no t-dependence beyond the
     # interpolation mismatch of the y-shape, which vanishes at grid y values
     for x1 in (0.5, -1.2):
-        assert abs(corrector_value(field, x1, [0.4], 0.0)) < 1e-10
+        assert abs(corrector_value(pair, x1, [0.4], 0.0)) < 1e-10
 
 
 def test_value_matches_brute_force_simpson(switch_family, switch_avg):
     # V(1) = int_0^1 (1 - t) q(t) dt on a fine Simpson grid
     from scipy.integrate import simpson
-    field = CorrectorField(switch_family.at(0.1), switch_avg)
-    got = corrector_value(field, 1.0, [0.0], 0.0)
+    pair = (switch_family.at(0.1), switch_avg)
+    got = corrector_value(pair, 1.0, [0.0], 0.0)
     t = np.linspace(0.0, 1.0, 1_000_001)
     t[0] = 1e-13          # stay on the plus branch of fbar at the endpoint
-    oracle = simpson((1.0 - t) * field.q(t, [0.0], 0.0), x=t)
+    oracle = simpson((1.0 - t) * q(*pair, t, [0.0], 0.0), x=t)
     assert got == pytest.approx(oracle, rel=1e-6)
 
 
 def test_value_decreases_with_eps(switch_family, switch_avg):
     vals = []
     for eps in (1.0, 0.1, 0.01):
-        f = CorrectorField(switch_family.at(eps), switch_avg)
-        vals.append(abs(corrector_value(f, 1.0, [0.0], 0.0)))
+        pair = (switch_family.at(eps), switch_avg)
+        vals.append(abs(corrector_value(pair, 1.0, [0.0], 0.0)))
     assert vals[0] > vals[1] > vals[2]
 
 
-def test_second_difference_approximates_ode_rhs(switch_field):
+def test_second_difference_approximates_ode_rhs(switch_pair):
     # a00 * V'' = f - fbar, so V'' should track q = rho (f - fbar)
     x1, y = 0.7, 0.2
-    d2 = second_difference(switch_field, x1, [0.0], y, h=1e-4 * 0.5)
-    q = float(switch_field.q(np.array([x1]), [0.0], y)[0])
-    assert d2 == pytest.approx(q, rel=1e-6, abs=1e-10)
+    d2 = second_difference(*switch_pair, x1, [0.0], y, h=1e-4 * 0.5)
+    q_x1 = float(q(*switch_pair, np.array([x1]), [0.0], y)[0])
+    assert d2 == pytest.approx(q_x1, rel=1e-6, abs=1e-10)
 
 
-def test_residual_check_passes_switch(switch_field):
-    rep = residual_check(switch_field, {
+def test_residual_check_passes_switch(switch_pair):
+    rep = residual_check(*switch_pair, {
         "box": [(-2, 2), (-1, 1), (-1, 1)], "n_samples": 60, "seed": 5})
     assert rep.passed
     assert rep.max_residual <= 1e-4
@@ -72,8 +81,7 @@ def test_residual_check_passes_switch(switch_field):
 
 def test_residual_trivial_zero_driver(const_family):
     avg = hl.build_averaged(const_family)
-    field = CorrectorField(const_family.at(0.3), avg)
-    rep = residual_check(field, {
+    rep = residual_check(const_family.at(0.3), avg, {
         "box": [(-2, 2), (-1, 1), (-1, 1)], "n_samples": 20, "seed": 6})
     assert rep.max_residual <= 1e-10
 
@@ -82,15 +90,16 @@ def test_residual_second_order_in_h(switch_family, switch_avg):
     # at a large h truncation dominates the residual a00 * D2 V - (f - fbar)
     # at the 15 points residual_check samples for this box and seed, and
     # halving h quarters it
-    field = CorrectorField(switch_family.at(0.5), switch_avg)
+    model = switch_family.at(0.5)
     box = np.array([(0.5, 2), (-1, 1), (-1, 1)], dtype=float)
     pts = box[:, 0] + (box[:, 1] - box[:, 0]) \
         * np.random.default_rng(7).random((15, 3))
 
     def max_residual(h):
-        return max(abs(field.fam.a00(x1, x2)
-                       * second_difference(field, x1, x2, y, h)
-                       - (field.fam.f(x1, x2, y) - field.avg.f(x1, x2, y)))
+        return max(abs(model.a00(x1, x2)
+                       * second_difference(model, switch_avg, x1, x2, y, h)
+                       - (model.driver(x1, x2)(y)
+                          - switch_avg.driver(x1, x2)(y)))
                    for x1, x2, y in pts)
     assert 3.0 <= max_residual(0.02) / max_residual(0.01) <= 5.0
 
@@ -130,10 +139,10 @@ def test_decay_table_rejects_bad_eps_order(switch_family, switch_avg):
 
 def test_quadratic_growth_envelope(switch_family, switch_avg):
     # |V(x1)| <= C x1^2 (1 + |x2|^2 + |y|^2) with one fitted constant
-    field = CorrectorField(switch_family.at(0.5), switch_avg)
+    pair = (switch_family.at(0.5), switch_avg)
     pts = [(x1, x2, y) for x1 in (-2.0, -1.0, 0.5, 1.0, 2.0)
            for x2 in (-1.0, 0.5) for y in (-1.0, 0.8)]
-    ratios = [abs(corrector_value(field, x1, [x2], y))
+    ratios = [abs(corrector_value(pair, x1, [x2], y))
               / (x1 ** 2 * (1 + x2 ** 2 + y ** 2)) for x1, x2, y in pts]
     C = max(ratios)
     assert np.isfinite(C) and C < 2.0
@@ -154,9 +163,9 @@ def test_decay_table_sup_V_matches_corrector_value(switch_family, switch_avg,
     # the closed form of V against the quadrature of the iterated integral,
     # on the same (x1, x2, y) grid
     table = decay_table(switch_family, [eps], **_GRID)
-    field = CorrectorField(switch_family.at(eps), switch_avg)
+    pair = (switch_family.at(eps), switch_avg)
     x1s, x2s, ys = _grid_points()
-    ref = max(abs(corrector_value(field, x1, x2, y))
+    ref = max(abs(corrector_value(pair, x1, x2, y))
               for x1 in x1s for x2 in x2s for y in ys)
     assert table.rows[0].sup_V == pytest.approx(ref, rel=1e-12)
 

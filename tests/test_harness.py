@@ -1156,7 +1156,7 @@ def test_residual_samples_the_corrector_box(monkeypatch):
     doc["corrector"].update({"box": [[-3, 1], [-0.5, 2]], "y_box": [-2, 0.5]})
     specs = []
     monkeypatch.setattr(hl.corrector, "residual_check",
-                        lambda field, spec: specs.append(spec))
+                        lambda model, avg, spec: specs.append(spec))
     Stages(hl.ExperimentConfig.from_dict(doc)).residual()
     assert [s["box"] for s in specs] == [[[-3, 1], [-0.5, 2], [-2, 0.5]]]
 

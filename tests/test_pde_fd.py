@@ -317,7 +317,7 @@ def test_fd_matches_colamd_reference(switch_avg, g):
     h = switch_avg.terminal(np.stack([X1, X2], axis=-1))
 
     def f(v):
-        return switch_avg.f(X1, X2, v)
+        return switch_avg.driver(X1, X2)(v)
 
     def step(rhs):
         rhs[edge] = h[edge]
